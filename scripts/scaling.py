@@ -6,7 +6,7 @@ Usage:
 Times decompose() on Kuhn cube meshes and prints seconds per run next to
 t / (N log2 N); a flat right-hand column is the linearithmic signature.
 The meshes are manifold balls, so the decomposition is the identity and
-the measurement isolates traversal plus link analysis.
+the measurement isolates the facet pass plus copy numbering.
 """
 
 from __future__ import annotations

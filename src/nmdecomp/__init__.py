@@ -18,7 +18,7 @@ from .complexes import (
     simplex,
     token_map,
 )
-from .decompose import DecompositionResult, decompose
+from .decompose import DecompositionResult, canonical_pairs, decompose
 from .errors import (
     BadRelation,
     IsSplitting,
@@ -40,7 +40,6 @@ from .errors import (
 from .gluing import GluingState, ScriptOutcome, parse_glue_script, run_glue_script
 from .nonmanifold import NmLayer, build_nm_layer, build_splitmap, travel_star
 from .oracle import (
-    canonical_pairs,
     labeled_isomorphic,
     oracle_decompose,
     oracle_snm,

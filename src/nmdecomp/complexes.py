@@ -89,15 +89,6 @@ class Complex:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_tops(
-        cls,
-        rows: Mapping[int, Sequence[int]],
-        labels: Mapping[int, str] | None = None,
-        validate: bool = True,
-    ) -> "Complex":
-        return cls(rows, labels=labels, validate=validate)
-
-    @classmethod
     def empty(cls) -> "Complex":
         return cls({}, validate=False)
 
@@ -227,8 +218,8 @@ class Complex:
     def link_complex(self, gamma: Iterable[int]) -> "Complex":
         """The link as a complex whose top ids are the star's top ids.
 
-        Keying link tops by the star top they came from is what lets the
-        decomposer map link components back onto star partitions.
+        Keying link tops by the star top they came from lets a caller map
+        link components back onto partitions of the star.
         """
         gamma = simplex(gamma)
         st = self.star(gamma)
@@ -356,15 +347,19 @@ class Complex:
             len(self._star_components(self.tops_of_vertex(v), False)) <= 1
             for v in self._vertex_tops()
         )
-        iqm = regular and all(
-            len(self._star_components(self.tops_of_vertex(v), True)) <= 1
-            for v in self._vertex_tops()
-        )
+        iqm = self.is_iqm()
         try:
             manifold = self.is_manifold()
         except DimensionUnsupported:
             manifold = None
         return ClassifyFlags(regular, pseudo, quasi, iqm, manifold)
+
+    def is_iqm(self) -> bool:
+        """Regular, with every vertex star manifold-connected."""
+        return self.is_regular() and all(
+            len(self._star_components(self.tops_of_vertex(v), True)) <= 1
+            for v in self._vertex_tops()
+        )
 
     def _is_pseudomanifold(self, d: int) -> bool:
         if d >= 1:
@@ -449,11 +444,12 @@ class Complex:
     # -- misc --------------------------------------------------------------
 
     def subcomplex(self, top_ids: Iterable[int]) -> "Complex":
+        """The given tops, with the labels of their own vertices only."""
         rows = {t: self._tv[t] for t in top_ids}
-        return Complex(rows, labels=self._labels, validate=False)
-
-    def with_labels(self, labels: Mapping[int, str]) -> "Complex":
-        return Complex(self._tv, labels=labels, validate=False)
+        labels = self._labels
+        if labels:
+            labels = {v: labels[v] for r in rows.values() for v in r if v in labels}
+        return Complex(rows, labels=labels, validate=False)
 
     def rows(self) -> dict[int, tuple[int, ...]]:
         return dict(self._tv)

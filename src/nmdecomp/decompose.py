@@ -1,23 +1,27 @@
 """Standard decomposition into initial quasi-manifold components.
 
-The algorithm walks the vertices of the input in ascending id order.  For
-each vertex it decomposes the link (taken in the original complex, not the
-partially split one), and when the decomposed link falls apart it introduces
-one vertex copy per link component, rewriting that component's star tops.
-Splitting every vertex this way and then taking connected components yields
-the unique most-split decomposition that cuts only along non-manifold
-simplices.
+The input is exploded into (top, vertex) corners, and corners are glued
+back across every manifold facet pair: two tops sharing a facet that no
+other top contains.  Each corner class then becomes one vertex of the
+decomposition, which is the unique most-split one that cuts only along
+non-manifold simplices.  One pass over the tops' own facets finds the
+pairs, so the work is linear in the size of the input, up to sorting.
 
-Copies are fresh ids above the input's maximum; the first component keeps
-the original id, so sigma is the identity on non-splitting vertices.
+Per source vertex, copies are ordered by link dimension, then smallest
+star top.  The first keeps the original id, so sigma is the identity on
+non-splitting vertices; the others take fresh ids above the input's
+maximum.  `oracle.oracle_decompose` reaches the same result by recursive
+link splitting.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complexes import Complex, simplex
+from .complexes import Complex, Simplex, simplex
+from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -89,48 +93,26 @@ class DecompositionResult:
         return all(copy == orig for copy, orig in self.sigma.items())
 
 
-def _decomposed_components(c: Complex) -> list[list[int]]:
-    """Connected components of the standard decomposition, as top-id lists.
+def canonical_pairs(c: Complex) -> set[frozenset]:
+    """Unordered top pairs sharing a facet whose star is exactly that pair.
 
-    Used on link complexes during recursion: only the partition of the tops
-    matters there, so copies get throwaway local ids.
+    Each top offers only its own facets, so a facet's cofaces here are tops
+    one dimension above it.  These are the gluing instructions that any
+    decomposition in the lattice must keep applied; applying all of them to
+    the exploded complex yields the standard decomposition.
     """
-    rows = {t: list(c.row(t)) for t in c.top_ids}
-    next_local = max(c.vertices, default=0) + 1
-    for v, parts in _split_partitions(c):
-        for comp in parts[1:]:
-            for t in comp:
-                rows[t] = [next_local if x == v else x for x in rows[t]]
-            next_local += 1
-    split = Complex({t: tuple(r) for t, r in rows.items()}, validate=False)
-    return split.h_connected_components(0)
-
-
-def _split_partitions(c: Complex) -> list[tuple[int, list[list[int]]]]:
-    """Per splitting vertex, the ordered partition of its star tops.
-
-    A vertex splits when its decomposed link has more than one component
-    (more than two, for dust links of isolated points).  Components are
-    ordered by ascending dimension, then by smallest star-top id; the first
-    one will keep the original vertex id.
-    """
-    out = []
-    for v in sorted(c.vertices):
-        star = c.tops_of_vertex(v)
-        link_rows = {}
-        for t in star:
-            rest = tuple(x for x in c.row(t) if x != v)
-            if rest:
-                link_rows[t] = rest
-        if not link_rows:
-            continue  # v is itself a point top
-        lk = Complex(link_rows, labels=None, validate=False)
-        h = lk.dim
-        parts = _decomposed_components(lk)
-        if (h > 0 and len(parts) > 1) or (h == 0 and len(parts) > 2):
-            parts.sort(key=lambda comp: (max(lk.dim_of(t) for t in comp), min(comp)))
-            out.append((v, parts))
-    return out
+    by_facet: dict[Simplex, list[int]] = {}
+    for t in c.top_ids:
+        srt = sorted(c.row(t))
+        if len(srt) < 2:
+            continue
+        for facet in itertools.combinations(srt, len(srt) - 1):
+            by_facet.setdefault(facet, []).append(t)
+    return {
+        frozenset(tops)
+        for facet, tops in by_facet.items()
+        if len(tops) == 2 and len(c.star(facet)) == 2
+    }
 
 
 def copy_label(original_label: str, copy_id: int, copy_index: int) -> str:
@@ -140,16 +122,47 @@ def copy_label(original_label: str, copy_id: int, copy_index: int) -> str:
     return f"{original_label}_{copy_index}"
 
 
-def package_decomposition(
-    source: Complex,
-    rows: dict[int, list[int]],
-    sigma: dict[int, int],
-    labels: dict[int, str],
+def decomposition_from_corners(
+    source: Complex, corners: UnionFind
 ) -> DecompositionResult:
-    """Wrap rewritten rows into components sorted by (dimension, min top)."""
-    nabla = Complex(
-        {t: tuple(r) for t, r in rows.items()}, labels=labels, validate=False
-    )
+    """Number the corner classes of source and package the result.
+
+    corners partitions the (top, vertex) corners of source; each class
+    becomes one vertex.  Per source vertex, ascending, the classes are
+    ordered by link dimension, then smallest top: the first keeps the
+    vertex's id and label, the others take fresh ids in turn.  Components
+    are sorted by dimension, then smallest top.
+    """
+    classes: dict[int, dict] = {}
+    for t in source.top_ids:
+        for v in source.row(t):
+            classes.setdefault(v, {}).setdefault(corners.find((t, v)), []).append(t)
+
+    labels = source.labels
+    sigma: dict[int, int] = {}
+    copy_of: dict = {}  # class root -> vertex id in the decomposition
+    next_id = max(classes) + 1
+    for v in sorted(classes):
+        # a class's top dimension is its link dimension plus one
+        groups = sorted(
+            classes[v].items(),
+            key=lambda item: (max(source.dim_of(t) for t in item[1]), item[1][0]),
+        )
+        for k, (root, _) in enumerate(groups, start=1):
+            if k == 1:
+                vid = v
+            else:
+                vid = next_id
+                next_id += 1
+                labels[vid] = copy_label(labels[v], vid, k)
+            sigma[vid] = v
+            copy_of[root] = vid
+
+    rows = {
+        t: tuple(copy_of[corners.find((t, v))] for v in source.row(t))
+        for t in source.top_ids
+    }
+    nabla = Complex(rows, labels=labels, validate=False)
     groups = nabla.h_connected_components(0)
     groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
     components = [nabla.subcomplex(g) for g in groups]
@@ -160,19 +173,9 @@ def decompose(c: Complex) -> DecompositionResult:
     """Standard decomposition of a non-empty complex."""
     if c.num_tops == 0:
         raise ValueError("cannot decompose an empty complex")
-
-    rows = {t: list(c.row(t)) for t in c.top_ids}
-    sigma = {v: v for v in c.vertices}
-    labels = dict(c.labels)
-    next_id = max(c.vertices) + 1
-
-    for v, parts in _split_partitions(c):
-        for k, comp in enumerate(parts[1:], start=2):
-            new = next_id
-            next_id += 1
-            sigma[new] = v
-            labels[new] = copy_label(c.label_of(v), new, k)
-            for t in comp:
-                rows[t] = [new if x == v else x for x in rows[t]]
-
-    return package_decomposition(c, rows, sigma, labels)
+    corners = UnionFind()
+    for pair in canonical_pairs(c):
+        t1, t2 = pair
+        for v in set(c.row(t1)).intersection(c.row(t2)):
+            corners.union((t1, v), (t2, v))
+    return decomposition_from_corners(c, corners)

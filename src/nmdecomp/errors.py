@@ -12,7 +12,7 @@ class TopologyError(Exception):
 
 
 class ParseError(TopologyError):
-    """A .tv or .glue file line did not match the grammar."""
+    """A .tv or .glue file line, or a binary dump, did not match its format."""
 
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import Complex, resolve_tokens
-from .decompose import DecompositionResult, copy_label, package_decomposition
+from .decompose import DecompositionResult, decomposition_from_corners
 from .errors import (
     NotPseudomanifoldPair,
     NotSharedVertex,
@@ -19,8 +19,6 @@ from .errors import (
     VoidInstruction,
 )
 from .unionfind import UnionFind
-
-Corner = tuple[int, int]  # (top id, source vertex id)
 
 
 class GluingState:
@@ -113,34 +111,7 @@ class GluingState:
 
     def current_decomposition(self) -> DecompositionResult:
         """The glued complex with fresh ids for extra vertex copies."""
-        src = self.source
-        class_id: dict[Corner, int] = {}
-        sigma: dict[int, int] = {}
-        labels = dict(src.labels)
-        next_id = max(src.vertices) + 1
-        by_vertex: dict[int, list[list[int]]] = {}
-        for v, tops in self.corner_classes():
-            by_vertex.setdefault(v, []).append(tops)
-        for v in src.vertices:
-            # class order mirrors the recursion: link dimension, then discovery
-            classes = sorted(
-                by_vertex[v],
-                key=lambda tops: (max(src.dim_of(t) for t in tops), tops[0]),
-            )
-            for k, tops in enumerate(classes, start=1):
-                if k == 1:
-                    vid = v
-                else:
-                    vid = next_id
-                    next_id += 1
-                    labels[vid] = copy_label(src.label_of(v), vid, k)
-                sigma[vid] = v
-                for t in tops:
-                    class_id[(t, v)] = vid
-        rows = {
-            t: [class_id[(t, v)] for v in src.row(t)] for t in src.top_ids
-        }
-        return package_decomposition(src, rows, sigma, labels)
+        return decomposition_from_corners(self.source, self._uf)
 
 
 # -- script driver ---------------------------------------------------------

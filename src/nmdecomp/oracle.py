@@ -1,10 +1,10 @@
 """Brute-force reference implementations.
 
 Everything here trades speed for obviousness: queries scan every top simplex,
-the decomposition is rebuilt from first principles (explode, glue along
-manifold pairs, read off components), and the random generator produces
-complexes by the same explode-and-glue process so results always live in the
-decomposition lattice of something.
+the decomposition follows its definition (split every vertex whose
+recursively decomposed link falls apart, then read off components), and the
+random generator produces complexes by explode-and-glue so results always
+live in the decomposition lattice of something.
 
 The oracle deliberately shares no machinery with the main path beyond the
 Complex type and the passive result record.
@@ -45,78 +45,72 @@ def oracle_snm(c: Complex, gamma: Iterable[int], n: int, m: int) -> set[Simplex]
     return out
 
 
-def canonical_pairs(c: Complex) -> set[frozenset]:
-    """Unordered top pairs sharing a facet whose star is exactly that pair.
+def _decomposed_components(c: Complex) -> list[list[int]]:
+    """Connected components of the standard decomposition, as top-id lists.
 
-    These are the gluing instructions that any decomposition in the lattice
-    must keep applied; applying all of them to the exploded complex yields
-    the standard decomposition.
+    Used on link complexes during recursion: only the partition of the tops
+    matters there, so copies get throwaway local ids.
     """
-    by_face: dict[Simplex, list[int]] = {}
-    for t in c.top_ids:
-        srt = sorted(c.row(t))
-        if len(srt) < 2:
-            continue
-        for face in itertools.combinations(srt, len(srt) - 1):
-            by_face.setdefault(face, []).append(t)
-    pairs: set[frozenset] = set()
-    for face, cofs in by_face.items():
-        if len(cofs) != 2:
-            continue
-        t1, t2 = cofs
-        if c.dim_of(t1) != c.dim_of(t2):
-            continue
-        # the facet must be their full intersection and its star just them
-        if oracle_star(c, face) == {t1, t2}:
-            pairs.add(frozenset((t1, t2)))
-    return pairs
+    rows = {t: list(c.row(t)) for t in c.top_ids}
+    next_local = max(c.vertices, default=0) + 1
+    for v, parts in _split_partitions(c):
+        for comp in parts[1:]:
+            for t in comp:
+                rows[t] = [next_local if x == v else x for x in rows[t]]
+            next_local += 1
+    split = Complex({t: tuple(r) for t, r in rows.items()}, validate=False)
+    return split.h_connected_components(0)
+
+
+def _split_partitions(c: Complex) -> list[tuple[int, list[list[int]]]]:
+    """Per splitting vertex, the ordered partition of its star tops.
+
+    A vertex splits when its decomposed link has more than one component
+    (more than two, for dust links of isolated points).  Components are
+    ordered by ascending dimension, then by smallest star-top id; the first
+    one will keep the original vertex id.
+    """
+    out = []
+    for v in sorted(c.vertices):
+        star = c.tops_of_vertex(v)
+        link_rows = {}
+        for t in star:
+            rest = tuple(x for x in c.row(t) if x != v)
+            if rest:
+                link_rows[t] = rest
+        if not link_rows:
+            continue  # v is itself a point top
+        lk = Complex(link_rows, labels=None, validate=False)
+        h = lk.dim
+        parts = _decomposed_components(lk)
+        if (h > 0 and len(parts) > 1) or (h == 0 and len(parts) > 2):
+            parts.sort(key=lambda comp: (max(lk.dim_of(t) for t in comp), min(comp)))
+            out.append((v, parts))
+    return out
 
 
 def oracle_decompose(c: Complex) -> DecompositionResult:
-    """Standard decomposition via explode + canonical pairs + components."""
-    uf = UnionFind()
-    for t in c.top_ids:
-        for v in c.row(t):
-            uf.find((t, v))
-    for pair in canonical_pairs(c):
-        t1, t2 = sorted(pair)
-        shared = set(c.row(t1)) & set(c.row(t2))
-        for v in shared:
-            uf.union((t1, v), (t2, v))
+    """Standard decomposition by recursive link splitting.
 
-    # copy classes per source vertex, ordered by smallest member top
-    classes: dict[int, dict] = {}
-    for t in c.top_ids:
-        for v in c.row(t):
-            root = uf.find((t, v))
-            classes.setdefault(v, {}).setdefault(root, set()).add(t)
-
+    Walks the vertices in ascending id order.  For each vertex it decomposes
+    the link (taken in the original complex, not the partially split one),
+    and when the decomposed link falls apart it introduces one vertex copy
+    per link component, rewriting that component's star tops.
+    """
+    rows = {t: list(c.row(t)) for t in c.top_ids}
+    sigma = {v: v for v in c.vertices}
     next_id = max(c.vertices, default=0) + 1
-    copy_id: dict[tuple, int] = {}
-    sigma: dict[int, int] = {}
-    for v in sorted(classes):
-        # class order mirrors the recursion: link dimension, then discovery
-        groups = sorted(
-            classes[v].values(),
-            key=lambda tops: (max(c.dim_of(t) for t in tops), min(tops)),
-        )
-        for i, tops in enumerate(groups):
-            if i == 0:
-                new = v
-            else:
-                new = next_id
-                next_id += 1
-            sigma[new] = v
-            for t in tops:
-                copy_id[(t, v)] = new
+    for v, parts in _split_partitions(c):
+        for comp in parts[1:]:
+            sigma[next_id] = v
+            for t in comp:
+                rows[t] = [next_id if x == v else x for x in rows[t]]
+            next_id += 1
 
-    rows = {
-        t: tuple(copy_id[(t, v)] for v in c.row(t)) for t in c.top_ids
-    }
-    nabla = Complex(rows, validate=False)
-    comps = nabla.h_connected_components(0)
-    comps.sort(key=lambda g: (nabla.dim_of(g[0]), g[0]))
-    components = [nabla.subcomplex(g) for g in comps]
+    nabla = Complex({t: tuple(r) for t, r in rows.items()}, validate=False)
+    groups = nabla.h_connected_components(0)
+    groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
+    components = [nabla.subcomplex(g) for g in groups]
     return DecompositionResult.from_parts(c, nabla, components, sigma)
 
 

@@ -50,7 +50,7 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     if dec is None:
         raise ValueError("the packed tables carry no decomposition")
     for comp in dec.components:
-        if not comp.classify().iqm:
+        if not comp.is_iqm():
             raise NotIqm(f"component with tops {comp.top_ids} is not an IQM")
 
     d = ewds.d
@@ -278,11 +278,3 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
         ttpp=ttpp,
         renumbering=ren,
     )
-
-
-def implicit_tv_lookup(imp: ImplicitEwds, h: int, t: int, k: int) -> int:
-    return imp.tv_lookup(h, t, k)
-
-
-def implicit_vtstar_lookup(imp: ImplicitEwds, v: int) -> int:
-    return imp.vtstar_lookup(v)

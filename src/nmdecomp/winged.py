@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from .complexes import Simplex, simplex
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
-from .errors import OutOfRange, UnknownTop, UnknownVertex
+from .errors import OutOfRange, ParseError, UnknownTop, UnknownVertex
 
 BOTTOM = 0    # facet on the boundary
 DIAMOND = -1  # facet with three or more cofaces
@@ -204,9 +204,6 @@ class Ewds:
                             nxt = cofs[(i + 1) % len(cofs)]
                             self.ttp[self._addr(h, t, self.opposite_slot(t, face))] = nxt
 
-    def fill_tt_circular(self) -> None:
-        self.fill_tt("circular")
-
     # -- queries -----------------------------------------------------------
 
     def s0h(self, v: int, counter: OpCounter = NULL_COUNTER) -> list[int]:
@@ -295,10 +292,36 @@ class Ewds:
 
 
 def parse_dump(data: bytes) -> dict:
-    """Unpack a binary dump back into named integer arrays."""
+    """Unpack a binary dump back into named integer arrays.
+
+    Raises ParseError on a short header, a wrong magic number, block
+    directories that do not chain, or a length that disagrees with them.
+    """
+    if len(data) < 16:
+        raise ParseError(f"dump of {len(data)} bytes is shorter than its header")
     magic, d, nt, nv = struct.unpack_from("<4sIII", data, 0)
     if magic != MAGIC:
-        raise ValueError("not an extended winged dump")
+        raise ParseError("not an extended winged dump")
+    # SIZE follows only from TBase / TBaseAddr, which close the file: read
+    # them from the end, then require every array to fit the length exactly.
+    dirs = 8 * (d + 1)
+    if len(data) < 16 + dirs:
+        raise ParseError(f"dump of {len(data)} bytes cannot hold its block directories")
+    tail = struct.unpack_from(f"<{2 * (d + 1)}i", data, len(data) - dirs)
+    tbase, tbase_addr = list(tail[: d + 1]), list(tail[d + 1 :])
+    if tbase[0] != 1:
+        raise ParseError("block directory TBase does not start at top 1")
+    bounds = tbase + [nt + 1]
+    addr = 1
+    for h in range(d + 1):
+        if tbase_addr[h] != addr or bounds[h] > bounds[h + 1]:
+            raise ParseError(f"block directories do not chain at dimension {h}")
+        addr += (h + 1) * (bounds[h + 1] - bounds[h])
+    size = addr - 1
+    if len(data) != 16 + 4 * (2 * size + nv) + dirs:
+        raise ParseError(
+            f"dump of {len(data)} bytes, expected {16 + 4 * (2 * size + nv) + dirs}"
+        )
     off = 16
 
     def take(n: int) -> list[int]:
@@ -307,10 +330,6 @@ def parse_dump(data: bytes) -> dict:
         off += 4 * n
         return vals
 
-    # SIZE is derivable only from TBase, which sits after the big arrays,
-    # so recover it from the total length instead.
-    total_ints = (len(data) - 16) // 4
-    size = (total_ints - nv - 2 * (d + 1)) // 2
     return {
         "d": d,
         "nt": nt,
@@ -318,6 +337,6 @@ def parse_dump(data: bytes) -> dict:
         "tvp": take(size),
         "ttp": take(size),
         "vtstar": take(nv),
-        "tbase": take(d + 1),
-        "tbase_addr": take(d + 1),
+        "tbase": tbase,
+        "tbase_addr": tbase_addr,
     }

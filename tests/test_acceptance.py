@@ -18,11 +18,7 @@ from nmdecomp.gluing import parse_glue_script, run_glue_script
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer
 from nmdecomp.oracle import oracle_decompose, oracle_snm, random_complex
-from nmdecomp.renumber import (
-    apply_renumbering,
-    compute_renumbering,
-    implicit_tv_lookup,
-)
+from nmdecomp.renumber import apply_renumbering, compute_renumbering
 from nmdecomp.winged import Ewds
 
 
@@ -109,7 +105,7 @@ def test_criterion_04_mixed_implicit_tables(mixed):
             row = ew.row_of(t)
             for k in range(1, h + 2):
                 slots += 1
-                assert implicit_tv_lookup(imp, h, ren.ftt[t], k) == \
+                assert imp.tv_lookup(h, ren.ftt[t], k) == \
                     ren.fvv[row[perm[k - 1]]]
     assert slots == 24
     assert [imp.vtstar_lookup(v) for v in range(1, 16)] == \

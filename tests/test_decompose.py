@@ -1,9 +1,12 @@
 """Standard decomposition: splitting, copy allocation, component order."""
 
+import random
+
 import pytest
 
 from nmdecomp.complexes import parse_tv
 from nmdecomp.decompose import copy_label, decompose
+from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import oracle_decompose
 
 
@@ -93,6 +96,21 @@ def test_matches_oracle(mixed, bouquet, two_edges, claw):
         assert fast.nabla.rows() == slow.nabla.rows()
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_matches_oracle_on_perforated_cubes(seed):
+    # about 900 tets with some 160 splitting vertices each
+    cube = kuhn_cube(6)
+    rng = random.Random(seed)
+    c = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
+    fast, slow = decompose(c), oracle_decompose(c)
+    assert fast.ns > 100
+    assert fast.sigma == slow.sigma
+    assert fast.nabla.rows() == slow.nabla.rows()
+    assert [comp.top_ids for comp in fast.components] == [
+        comp.top_ids for comp in slow.components
+    ]
+
+
 def test_copy_at_and_simplex_copies(mixed):
     dec = decompose(mixed)
     assert dec.copy_at(5, 5) == 13
@@ -109,6 +127,12 @@ def test_copy_labels_numeric_vs_tokens(mixed, bouquet):
     # letter fixtures get suffixed copies to stay readable
     lab = dec.nabla.label_of(dec.splitting_classes()[5][1])
     assert lab.endswith("_2")
+
+
+def test_component_labels_cover_own_vertices(mixed, bouquet):
+    for c in (mixed, bouquet):
+        for comp in decompose(c).components:
+            assert set(comp._labels) == set(comp.vertices)
 
 
 def test_copy_label_helper():

@@ -4,7 +4,7 @@ import pytest
 
 from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import OutOfRange, UnknownTop, UnknownVertex
+from nmdecomp.errors import OutOfRange, ParseError, UnknownTop, UnknownVertex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
 
 
@@ -160,6 +160,28 @@ def test_dump_roundtrip(ew_mixed, ew_fan):
         assert parsed["vtstar"] == ew.vtstar[1:]
         assert parsed["tbase"] == ew.tbase[: ew.d + 1]
         assert parsed["tbase_addr"] == ew.tbase_addr[: ew.d + 1]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        pytest.param(lambda b: b[:-1], id="cut-1"),
+        pytest.param(lambda b: b[:-4], id="cut-4"),
+        pytest.param(lambda b: b[:-8], id="cut-8"),
+        pytest.param(lambda b: b[: len(b) // 2], id="cut-half"),
+        pytest.param(lambda b: b[:16], id="header-only"),
+        pytest.param(lambda b: b[:10], id="short-header"),
+        pytest.param(lambda b: b"", id="empty"),
+        pytest.param(lambda b: b + b"\0", id="pad-1"),
+        pytest.param(lambda b: b + b"\0" * 4, id="pad-4"),
+        pytest.param(lambda b: b"EWD\x01" + b[4:], id="bad-magic"),
+    ],
+)
+def test_parse_dump_rejects_malformed(cones, mangle):
+    data = Ewds.build(decompose(cones)).dump_bytes()
+    parse_dump(data)
+    with pytest.raises(ParseError):
+        parse_dump(mangle(data))
 
 
 def test_flat_layout_invariant(ew_mixed, ew_fan):

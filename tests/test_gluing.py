@@ -174,7 +174,7 @@ def test_partial_cone_script(cones, cones_partial_script):
 def test_exploded_decomposition_matches_decompose(mixed):
     # gluing back every canonical pair from the exploded state reproduces
     # the standard decomposition
-    from nmdecomp.oracle import canonical_pairs
+    from nmdecomp.decompose import canonical_pairs
 
     st = GluingState.totally_exploded(mixed)
     for pair in sorted(canonical_pairs(mixed), key=sorted):

@@ -10,8 +10,6 @@ from nmdecomp.renumber import (
     MAGIC_IMPLICIT,
     apply_renumbering,
     compute_renumbering,
-    implicit_tv_lookup,
-    implicit_vtstar_lookup,
 )
 from nmdecomp.winged import Ewds
 
@@ -70,7 +68,7 @@ def _assert_roundtrip(ew, ren, imp):
             new_t = ren.ftt[t]
             for k in range(1, h + 2):
                 expect = ren.fvv[row[perm[k - 1]]]
-                assert implicit_tv_lookup(imp, h, new_t, k) == expect, (h, t, k)
+                assert imp.tv_lookup(h, new_t, k) == expect, (h, t, k)
     for v in range(1, imp.nv + 1):
         assert v in imp.row_of(imp.vtstar_lookup(v)), v
 
@@ -90,7 +88,7 @@ def test_vtstar_lookup(imp_mixed):
         assert v in imp.row_of(imp.vtstar_lookup(v))
     with pytest.raises(UnknownVertex):
         imp.vtstar_lookup(16)
-    assert implicit_vtstar_lookup(imp, 3) == 3
+    assert imp.vtstar_lookup(3) == 3
 
 
 def test_tt_renumbered(imp_mixed):

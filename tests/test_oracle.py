@@ -1,9 +1,8 @@
 """Brute-force reference implementations used to check the fast paths."""
 
 from nmdecomp.complexes import parse_tv, simplex
-from nmdecomp.decompose import decompose
+from nmdecomp.decompose import canonical_pairs, decompose
 from nmdecomp.oracle import (
-    canonical_pairs,
     labeled_isomorphic,
     oracle_decompose,
     oracle_snm,
