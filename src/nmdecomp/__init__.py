@@ -21,7 +21,6 @@ from .complexes import (
 from .decompose import DecompositionResult, canonical_pairs, decompose
 from .errors import (
     BadRelation,
-    IsSplitting,
     NotAFace,
     NotIncident,
     NotInTrie,
@@ -66,7 +65,6 @@ __all__ = [
     "FtTrie",
     "GluingState",
     "ImplicitEwds",
-    "IsSplitting",
     "NmLayer",
     "NotAFace",
     "NotInTrie",

@@ -40,10 +40,10 @@ def _read_complex(path: str) -> Complex:
     return parse_tv(Path(path).read_text())
 
 
-def _pipeline(c: Complex, args) -> tuple[DecompositionResult, Ewds, NmLayer]:
+def _pipeline(c: Complex) -> tuple[DecompositionResult, Ewds, NmLayer]:
     dec = decompose(c)
-    ewds = Ewds.build(dec, tt_mode=args.tt_mode)
-    nm = build_nm_layer(ewds, vnra=args.vnra)
+    ewds = Ewds.build(dec)
+    nm = build_nm_layer(ewds)
     return dec, ewds, nm
 
 
@@ -85,7 +85,7 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     c = _read_complex(args.input)
-    dec, ewds, nm = _pipeline(c, args)
+    dec, ewds, nm = _pipeline(c)
     stats = nm.stats()
     if args.outdir:
         outdir = Path(args.outdir)
@@ -141,7 +141,7 @@ def cmd_query(args) -> int:
         )
     c = _read_complex(args.input)
     gamma = resolve_tokens(c, args.simplex)
-    _, _, nm = _pipeline(c, args)
+    _, _, nm = _pipeline(c)
     faces = sorted(nm.snm_global(gamma, n, mm))
     if args.json:
         out = {
@@ -351,19 +351,20 @@ def cmd_gen(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _add_pipeline(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--vnra", choices=("auto", "all"), default="auto",
-        help="which vertex stars the splitmap harvests",
-    )
-    p.add_argument(
-        "--tt-mode", choices=("strict", "circular"), default="strict",
-        help="adjacency convention at order>=3 facets",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--outdir", help="write components and tables here")
     _add_common(p)
-    _add_pipeline(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("query", help="incidence relation on the source complex")
@@ -390,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", required=True, help="relation name, e.g. S02")
     p.add_argument("--simplex", nargs="+", required=True, help="vertex tokens")
     _add_common(p)
-    _add_pipeline(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("glue", help="run a gluing script")
@@ -406,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a reproducible random complex")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-tops", type=int, default=40)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--max-tops", type=_at_least(1), default=40)
+    p.add_argument("--dim", type=_at_least(0), default=3)
     p.add_argument("-o", "--output")
     _add_common(p)
     p.set_defaults(func=cmd_gen)

@@ -570,7 +570,8 @@ def parse_tv(text: str) -> Complex:
 
     If every token in the file is a decimal number, tokens are taken as the
     vertex ids themselves; otherwise tokens map to 1..NV in lexicographic
-    order, so ids are reproducible.
+    order, so ids are reproducible.  Raises ParseError for a file with no
+    simplices and for two tokens, such as "01" and "1", naming one vertex.
     """
     raw: list[tuple[int, int, list[str]]] = []
     seen_ids: set[int] = set()
@@ -597,8 +598,19 @@ def parse_tv(text: str) -> Complex:
         tokens.update(toks)
         raw.append((line_no, tid, toks))
 
+    if not raw:
+        raise ParseError("no simplices")
     if all(t.isdigit() for t in tokens):
         to_id = {t: int(t) for t in tokens}
+        first: dict[int, str] = {}
+        for line_no, _, toks in raw:
+            for tok in toks:
+                other = first.setdefault(to_id[tok], tok)
+                if other != tok:
+                    raise ParseError(
+                        f"tokens {other!r} and {tok!r} both name vertex {to_id[tok]}",
+                        line_no,
+                    )
     else:
         to_id = {t: i for i, t in enumerate(sorted(tokens), start=1)}
     labels = {i: t for t, i in to_id.items()}

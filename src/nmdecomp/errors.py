@@ -69,10 +69,6 @@ class NotPseudomanifoldPair(TopologyError):
     """Pseudomanifold gluing requires a shared (d-1)-face of order 2."""
 
 
-class IsSplitting(TopologyError):
-    """Simplex has more than one copy; per-copy translation is ambiguous."""
-
-
 class NotIncident(TopologyError):
     """The given simplex is not a face of the given top simplex."""
 

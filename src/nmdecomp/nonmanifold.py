@@ -21,7 +21,7 @@ from typing import Iterable
 from .complexes import Simplex, simplex
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
-from .errors import IsSplitting, NotIncident, NotInTrie, UnknownVertex
+from .errors import NotIncident, NotInTrie, UnknownVertex
 from .trie import FtTrie, build_ft_trie
 from .winged import Ewds
 
@@ -83,7 +83,7 @@ class NmLayer:
     copies_of: dict[int, tuple[int, ...]]  # source vertex -> packed copies
     splitmap: Splitmap
     v_nra: list[int]
-    trie: FtTrie | None = field(repr=False, default=None)
+    trie: FtTrie = field(repr=False)
 
     # -- copy translation --------------------------------------------------
 
@@ -110,39 +110,7 @@ class NmLayer:
                 out.append(t)
         return out
 
-    def _locate(
-        self, gamma: Simplex, counter: OpCounter = NULL_COUNTER
-    ) -> tuple[Simplex, int]:
-        """(unique copy, one spanning top) for a non-splitting simplex."""
-        for v0 in self.copies_of.get(gamma[0], ()):
-            for t in self.ewds.s0h(v0, counter):
-                counter.comparisons += 1
-                cp = self.copy_in_top(t, gamma)
-                if cp is not None:
-                    return cp, t
-        raise NotIncident(f"{gamma} is not a face of the source complex")
-
     # -- relation operations -----------------------------------------------
-
-    def sigma_n_inverse(
-        self, gamma: Iterable[int], counter: OpCounter = NULL_COUNTER
-    ) -> Simplex:
-        """The unique packed copy of a source simplex.
-
-        Splitting simplices have several copies, so inversion needs a top
-        to disambiguate; asking without one is an error.
-        """
-        gamma = simplex(gamma)
-        if len(gamma) == 1:
-            copies = self.copies_of.get(gamma[0])
-            if copies is None:
-                raise NotIncident(f"unknown source vertex {gamma[0]}")
-            if len(copies) > 1:
-                raise IsSplitting(f"vertex {gamma[0]} has copies {list(copies)}")
-            return (copies[0],)
-        if gamma in self.splitmap:
-            raise IsSplitting(f"{gamma} has several copies or patches")
-        return self._locate(gamma, counter)[0]
 
     def snh_given(
         self, gamma: Iterable[int], t: int, counter: OpCounter = NULL_COUNTER
@@ -182,7 +150,7 @@ class NmLayer:
                     out.add(self.to_source(face))
         return out
 
-    def snm_given(
+    def snm_global(
         self,
         gamma: Iterable[int],
         n: int,
@@ -191,38 +159,9 @@ class NmLayer:
     ) -> set[Simplex]:
         """m-simplices of the source incident to the n-simplex gamma.
 
-        gamma must be a face of the source; the splitmap supplies its
-        copies when it splits, sigma inversion the single copy otherwise.
-        """
-        gamma = simplex(gamma)
-        if len(gamma) != n + 1:
-            raise ValueError(f"gamma has dimension {len(gamma) - 1}, not {n}")
-        if n >= m:
-            raise ValueError("snm_given answers n < m relations")
-        if n == 0:
-            return self.s0m_global(gamma[0], m, counter)
-        if gamma in self.splitmap:
-            copies = list(self.splitmap[gamma])
-        else:
-            copies = [self.sigma_n_inverse(gamma, counter)]
-        out: set[Simplex] = set()
-        for cp in copies:
-            for t in self._copy_tops(cp, counter):
-                for face in self.ewds.face_of(m, cp, t, counter):
-                    out.add(self.to_source(face))
-        return out
-
-    def snm_global(
-        self,
-        gamma: Iterable[int],
-        n: int,
-        m: int,
-        counter: OpCounter = NULL_COUNTER,
-    ) -> set[Simplex]:
-        """Like snm_given, but total: non-faces yield the empty set.
-
-        With a trie the incident top comes from one lookup; without it the
-        first vertex's copies are scanned.
+        Total: a gamma that is not a face of the source yields the empty
+        set.  A splitmap key lists all its copies; any other simplex has a
+        single copy, found inside the top that one trie lookup returns.
         """
         gamma = simplex(gamma)
         if len(gamma) != n + 1:
@@ -234,22 +173,14 @@ class NmLayer:
                 return set()
             return self.s0m_global(gamma[0], m, counter)
         if gamma in self.splitmap:
-            return self.snm_given(gamma, n, m, counter)
-        if self.trie is not None:
+            cps = list(self.splitmap[gamma])
+        else:
             try:
                 hint = self.trie.lookup(gamma, counter)
             except NotInTrie:
                 return set()
             cp = self.copy_in_top(hint, gamma)
             cps = [cp] if cp is not None else []
-        else:
-            cps = []
-            for v0 in self.copies_of.get(gamma[0], ()):
-                for t in self.ewds.s0h(v0, counter):
-                    counter.comparisons += 1
-                    cp = self.copy_in_top(t, gamma)
-                    if cp is not None and cp not in cps:
-                        cps.append(cp)
         out: set[Simplex] = set()
         for cp in cps:
             for t in self._copy_tops(cp, counter):
@@ -269,8 +200,7 @@ class NmLayer:
 
     def stats(self) -> dict:
         dec = self.ewds.source
-        ns = dec.ns if dec is not None else 0
-        nc = dec.nc if dec is not None else 0
+        ns, nc = dec.ns, dec.nc
         d = self.ewds.d
         nsp = len(self.nsp_tops())
         phi = max(0, (2 ** (d + 1) - (d + 3)) * nsp)
@@ -305,18 +235,13 @@ def v_nra_vertices(
     ewds: Ewds,
     sigma_n: list[int],
     copies_of: dict[int, tuple[int, ...]],
-    mode: str = "auto",
 ) -> list[int]:
     """Source vertices whose stars the splitmap must harvest.
 
-    auto: splitting vertices plus vertices of tops with an order>=3 facet
-    (a diamond in their adjacency row).  all: every vertex; a superset
-    only adds harvesting work, pruning removes the noise again.
+    The splitting vertices plus the vertices of tops with an order>=3
+    facet (a diamond in their adjacency row).  Harvesting every vertex
+    instead yields the same keys and copies, only with more work.
     """
-    if mode == "all":
-        return sorted(copies_of)
-    if mode != "auto":
-        raise ValueError(f"unknown vnra mode {mode!r}")
     out = {v for v, cs in copies_of.items() if len(cs) > 1}
     for t in range(1, ewds.nt + 1):
         if any(x < 0 for x in ewds.tt_row_of(t)):
@@ -363,19 +288,11 @@ def build_splitmap(
     return smap
 
 
-def build_nm_layer(
-    ewds: Ewds,
-    vnra: str = "auto",
-    with_trie: bool = True,
-) -> NmLayer:
+def build_nm_layer(ewds: Ewds) -> NmLayer:
     """Assemble the full non-manifold layer for a packed decomposition."""
     dec = ewds.source
-    if dec is None:
-        raise ValueError("the packed tables carry no decomposition")
     sigma_n, copies_of = build_sigma_maps(ewds, dec)
-    nra = v_nra_vertices(ewds, sigma_n, copies_of, vnra)
+    nra = v_nra_vertices(ewds, sigma_n, copies_of)
     smap = build_splitmap(ewds, sigma_n, copies_of, nra)
-    trie = None
-    if with_trie:
-        trie = build_ft_trie(dec.source, smap.keys(), ewds.top_new)
+    trie = build_ft_trie(dec.source, smap.keys(), ewds.top_new)
     return NmLayer(ewds, sigma_n, copies_of, smap, nra, trie)

@@ -47,8 +47,6 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     vertex stars may fall apart and the pairing invariants do not hold.
     """
     dec = ewds.source
-    if dec is None:
-        raise ValueError("the packed tables carry no decomposition")
     for comp in dec.components:
         if not comp.is_iqm():
             raise NotIqm(f"component with tops {comp.top_ids} is not an IQM")

@@ -45,16 +45,14 @@ class Ewds:
     vtstar: list[int]      # 1-based, index 0 unused
     top_old: list[int]     # new top id -> decomposition top id, index 0 unused
     vertex_old: list[int]  # new vertex id -> decomposition vertex id
+    source: DecompositionResult = field(repr=False)
     top_new: dict[int, int] = field(repr=False, default_factory=dict)
     vertex_new: dict[int, int] = field(repr=False, default_factory=dict)
-    source: DecompositionResult | None = field(repr=False, default=None)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(
-        cls, dec: DecompositionResult, tt_mode: str = "strict"
-    ) -> "Ewds":
+    def build(cls, dec: DecompositionResult) -> "Ewds":
         nabla = dec.nabla
         d = nabla.dim
 
@@ -101,7 +99,7 @@ class Ewds:
             vertex_new=vertex_new,
             source=dec,
         )
-        ew.fill_tt(tt_mode)
+        ew.fill_tt()
         return ew
 
     # -- addressing --------------------------------------------------------
@@ -168,18 +166,15 @@ class Ewds:
                 out.setdefault(face, []).append(t)
         return out
 
-    def fill_tt(self, mode: str = "strict") -> None:
+    def fill_tt(self) -> None:
         """Populate TTP and VTSTAR.
 
-        strict: order-1 facets get BOTTOM, order-2 mutual references,
-        higher orders DIAMOND.  circular: higher orders chain their cofaces
-        in a cycle by ascending top id instead.
+        Order-1 facets get BOTTOM, order-2 facets mutual references, and
+        every coface of a facet of order three or more gets DIAMOND.
 
         VTSTAR[v] is pinned to the smallest coface of the lexicographically
         first facet containing v, which makes the table reproducible.
         """
-        if mode not in ("strict", "circular"):
-            raise ValueError(f"unknown tt mode {mode!r}")
         for i in range(1, self.size + 1):
             self.ttp[i] = BOTTOM
         for h in range(self.d + 1):
@@ -196,13 +191,8 @@ class Ewds:
                     self.ttp[self._addr(h, a, self.opposite_slot(a, face))] = b
                     self.ttp[self._addr(h, b, self.opposite_slot(b, face))] = a
                 elif len(cofs) > 2:
-                    if mode == "strict":
-                        for t in cofs:
-                            self.ttp[self._addr(h, t, self.opposite_slot(t, face))] = DIAMOND
-                    else:
-                        for i, t in enumerate(cofs):
-                            nxt = cofs[(i + 1) % len(cofs)]
-                            self.ttp[self._addr(h, t, self.opposite_slot(t, face))] = nxt
+                    for t in cofs:
+                        self.ttp[self._addr(h, t, self.opposite_slot(t, face))] = DIAMOND
 
     # -- queries -----------------------------------------------------------
 
@@ -249,30 +239,6 @@ class Ewds:
         for extra in combinations(rest, need):
             counter.comparisons += 1
             out.add(simplex(beta + extra))
-        return out
-
-    def snm_within(
-        self,
-        gamma: Iterable[int],
-        n: int,
-        m: int,
-        counter: OpCounter = NULL_COUNTER,
-    ) -> set[Simplex]:
-        """m-simplices of gamma's component incident to the n-simplex gamma.
-
-        Empty when gamma is not a face of the component.
-        """
-        gamma = simplex(gamma)
-        if len(gamma) != n + 1:
-            raise ValueError(f"gamma has dimension {len(gamma) - 1}, not {n}")
-        if n >= m:
-            raise ValueError("snm_within answers n < m relations")
-        gset = set(gamma)
-        out: set[Simplex] = set()
-        for t in self.s0h(gamma[0], counter):
-            counter.comparisons += 1
-            if gset <= set(self.row_of(t)):
-                out |= self.face_of(m, gamma, t, counter)
         return out
 
     # -- serialization -----------------------------------------------------

@@ -44,6 +44,22 @@ def test_parse_rejects_garbage():
         parse_tv("simplex 1:\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("simplex 1: 01 1 2\n", 1),
+        ("simplex 1: 1 2\nsimplex 2: 02 3\n", 2),
+        ("# comments only\n\n", None),
+        ("", None),
+    ],
+    ids=["same-line", "across-lines", "comments-only", "empty"],
+)
+def test_parse_rejects_aliased_tokens_and_empty_files(text, line_no):
+    with pytest.raises(ParseError) as exc:
+        parse_tv(text)
+    assert exc.value.line_no == line_no
+
+
 def test_tops_are_maximal():
     with pytest.raises(NotTop):
         Complex({1: (1, 2, 3), 2: (1, 2)})

@@ -6,8 +6,8 @@ import pytest
 
 from nmdecomp.complexes import resolve_tokens, simplex
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import IsSplitting, NotIncident, UnknownVertex
-from nmdecomp.nonmanifold import build_nm_layer, travel_star, v_nra_vertices
+from nmdecomp.errors import NotIncident, UnknownVertex
+from nmdecomp.nonmanifold import build_nm_layer, travel_star
 from nmdecomp.oracle import oracle_snm
 from nmdecomp.winged import Ewds
 
@@ -24,14 +24,6 @@ def nm_cones(cones):
 
 def test_v_nra_auto_mixed(nm_mixed):
     assert nm_mixed.v_nra == [5, 6, 8]
-
-
-def test_v_nra_all(mixed):
-    ew = Ewds.build(decompose(mixed))
-    nm = build_nm_layer(ew, vnra="all")
-    assert nm.v_nra == list(range(1, 13))
-    # conservative harvesting must not change the splitmap domain
-    assert set(nm.splitmap) == {(6, 8)}
 
 
 def test_splitmap_mixed(nm_mixed):
@@ -75,17 +67,6 @@ def test_travel_star_flags_shared(nm_mixed):
     # so reseeding there revisits nothing
     b = travel_star(nm_mixed.ewds, (9, 11), 9, flags)
     assert b == []
-
-
-def test_sigma_n_inverse(nm_mixed):
-    assert nm_mixed.sigma_n_inverse((9, 12)) == (9, 12)
-    assert nm_mixed.sigma_n_inverse((6, 9)) == (9, 14)
-    with pytest.raises(IsSplitting):
-        nm_mixed.sigma_n_inverse((6, 8))
-    with pytest.raises(IsSplitting):
-        nm_mixed.sigma_n_inverse((5,))
-    with pytest.raises(NotIncident):
-        nm_mixed.sigma_n_inverse((1, 2))
 
 
 def test_snh_given_cones(nm_cones, cones):
@@ -146,27 +127,6 @@ def test_snm_guards(nm_mixed):
         nm_mixed.snm_global((6, 8), 2, 3)
 
 
-def test_snm_given_vs_global(nm_mixed, mixed):
-    # with a resolvable copy the per-copy variant agrees with global
-    for gamma in mixed.all_faces():
-        n = len(gamma) - 1
-        if n == 0:
-            continue
-        for m in range(n + 1, mixed.dim + 1):
-            assert nm_mixed.snm_given(gamma, n, m) == nm_mixed.snm_global(
-                gamma, n, m
-            )
-
-
-def test_no_trie_fallback(mixed):
-    nm = build_nm_layer(Ewds.build(decompose(mixed)), with_trie=False)
-    assert nm.trie is None
-    for gamma in ((9, 11), (6, 9), (4,)):
-        n = len(gamma) - 1
-        got = nm.snm_global(gamma, n, n + 1)
-        assert got == oracle_snm(mixed, gamma, n, n + 1)
-
-
 def test_stats_mixed(nm_mixed):
     st = nm_mixed.stats()
     assert st["NS"] == 3 and st["NC"] == 6
@@ -185,12 +145,6 @@ def test_stats_identity_complex(fan):
 
 def test_nsp_tops(nm_mixed):
     assert nm_mixed.nsp_tops() == {4, 5, 6, 8, 9}
-
-
-def test_v_nra_mode_guard(mixed):
-    ew = Ewds.build(decompose(mixed))
-    with pytest.raises(ValueError):
-        build_nm_layer(ew, vnra="sometimes")
 
 
 def test_copy_positions_translate(nm_mixed):

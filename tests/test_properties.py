@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 from nmdecomp.complexes import Complex, simplex
 from nmdecomp.decompose import decompose
 from nmdecomp.meshes import kuhn_cube
-from nmdecomp.nonmanifold import build_nm_layer
+from nmdecomp.nonmanifold import (
+    build_nm_layer,
+    build_sigma_maps,
+    build_splitmap,
+    v_nra_vertices,
+)
 from nmdecomp.oracle import (
     closed_surface_law,
     oracle_decompose,
@@ -90,20 +95,19 @@ def test_snm_global_matches_oracle(seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seeds)
-def test_vnra_modes_agree(seed):
-    c = draw(seed, max_tops=10)
+@given(seeds, dims)
+def test_splitmap_complete_over_v_nra(seed, d):
+    # harvesting only the v_nra stars misses no key and no copy that
+    # harvesting every vertex star finds; representatives may differ
+    c = draw(seed, d, max_tops=10)
     ew = Ewds.build(decompose(c))
-    auto = build_nm_layer(ew, vnra="auto")
-    full = build_nm_layer(ew, vnra="all")
-    rng = random.Random(seed)
-    faces = sorted(c.all_faces())
-    for gamma in rng.sample(faces, min(8, len(faces))):
-        n = len(gamma) - 1
-        for m in range(n + 1, c.dim + 1):
-            assert auto.snm_global(gamma, n, m) == full.snm_global(gamma, n, m)
-    # auto harvests a subset of the vertices but the same non-trivial keys
-    assert set(auto.v_nra) <= set(full.v_nra)
+    sigma_n, copies_of = build_sigma_maps(ew, ew.source)
+    nra = v_nra_vertices(ew, sigma_n, copies_of)
+    some = build_splitmap(ew, sigma_n, copies_of, nra)
+    every = build_splitmap(ew, sigma_n, copies_of, sorted(copies_of))
+    assert {k: set(v) for k, v in some.items()} == {
+        k: set(v) for k, v in every.items()
+    }
 
 
 @settings(max_examples=40, deadline=None)
