@@ -12,13 +12,14 @@ global adjacency queries on the original complex.
 from .complexes import (
     ClassifyFlags,
     Complex,
+    canonical_pairs,
     format_tv,
     parse_tv,
     resolve_tokens,
     simplex,
     token_map,
 )
-from .decompose import DecompositionResult, canonical_pairs, decompose
+from .decompose import DecompositionResult, decompose
 from .errors import (
     BadRelation,
     NotAFace,

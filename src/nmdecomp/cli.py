@@ -22,7 +22,7 @@ from .decompose import DecompositionResult, decompose
 from .errors import BadRelation, TopologyError
 from .fixtures import load_tv
 from .gluing import run_glue_script
-from .nonmanifold import NmLayer, build_nm_layer
+from .nonmanifold import NmLayer, build_nm_layer, check_relation
 from .oracle import random_complex
 from .renumber import apply_renumbering, compute_renumbering
 from .winged import BOTTOM, DIAMOND, Ewds
@@ -133,14 +133,9 @@ def cmd_query(args) -> int:
     if not m:
         raise BadRelation(f"relation {args.rel!r} is not of the form S<n><m>")
     n, mm = int(m.group(1)), int(m.group(2))
-    if n >= mm:
-        raise BadRelation(f"S{n}{mm}: need n < m")
-    if len(args.simplex) != n + 1:
-        raise BadRelation(
-            f"S{n}{mm} takes an {n}-simplex, got {len(args.simplex)} vertices"
-        )
     c = _read_complex(args.input)
     gamma = resolve_tokens(c, args.simplex)
+    check_relation(gamma, n, mm)  # before the pipeline, which is the slow part
     _, _, nm = _pipeline(c)
     faces = sorted(nm.snm_global(gamma, n, mm))
     if args.json:

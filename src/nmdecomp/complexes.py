@@ -9,6 +9,12 @@ sorted vertex tuples.
 Vertex ids are positive integers.  Files may label vertices with arbitrary
 alphanumeric tokens; the token table is kept so output can speak the file's
 labels.
+
+The manifold-facet rule lives here too.  `canonical_pairs` finds the top
+pairs that share a facet no other top contains, and `manifold_corners`
+glues the exploded (top, vertex) corners across them.  `decompose` turns
+those corner classes into vertices, and `Complex.is_iqm` asks for exactly
+one class per vertex, so both read the same rule.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionUnsupported,
-    DuplicateId,
     NotAFace,
-    NotClosedSurface,
     NotRegular,
     NotTop,
     ParseError,
@@ -87,33 +91,6 @@ class Complex:
             self._check_maximality()
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def empty(cls) -> "Complex":
-        return cls({}, validate=False)
-
-    def add_simplex(self, tid: int, verts: Sequence[int]) -> "Complex":
-        """Return a new complex with one more top simplex.
-
-        Entries dominated by the new simplex are retired; a new simplex that
-        is a face of an existing one is rejected with NotTop.
-        """
-        if tid in self._tv:
-            raise DuplicateId(f"top simplex id {tid} already in use")
-        row = tuple(verts)
-        if not row:
-            raise ValueError("empty simplex")
-        new = frozenset(row)
-        keep = {}
-        for old_id, old_row in self._tv.items():
-            old = frozenset(old_row)
-            if new <= old:
-                raise NotTop(f"{sorted(new)} is a face of top simplex {old_id}")
-            if old < new:
-                continue  # dominated entry retired
-            keep[old_id] = old_row
-        keep[tid] = row
-        return Complex(keep, labels=self._labels, validate=False)
 
     def _check_maximality(self) -> None:
         vt = self._vertex_tops()
@@ -206,15 +183,6 @@ class Complex:
             return set()
         return set.intersection(*sets)
 
-    def link(self, gamma: Iterable[int]) -> set[Simplex]:
-        """Maximal faces of the link of gamma."""
-        gamma = simplex(gamma)
-        st = self.star(gamma)
-        if not st:
-            raise NotAFace(f"{list(gamma)} is not a face of any top simplex")
-        gset = set(gamma)
-        return {tuple(sorted(v for v in self._tv[t] if v not in gset)) for t in st}
-
     def link_complex(self, gamma: Iterable[int]) -> "Complex":
         """The link as a complex whose top ids are the star's top ids.
 
@@ -288,51 +256,6 @@ class Complex:
     def is_connected(self) -> bool:
         return len(self.h_connected_components(0)) <= 1
 
-    def _star_components(
-        self, star_ids: set[int], manifold_only: bool, h: int | None = None
-    ) -> list[list[int]]:
-        """Classes of a star under shared-facet chains.
-
-        Each top contributes its own facets (dimension one below itself); with
-        manifold_only, a facet joins two tops only when its order in the whole
-        complex is at most 2.
-        """
-        uf = UnionFind(star_ids)
-        by_face: dict[Simplex, list[int]] = {}
-        for tid in star_ids:
-            srt = sorted(self._tv[tid])
-            k = len(srt) - 1 if h is None else h + 1
-            if len(srt) < k or k < 1:
-                continue
-            for face in itertools.combinations(srt, k):
-                by_face.setdefault(face, []).append(tid)
-        for face, tids in by_face.items():
-            if len(tids) < 2:
-                continue
-            if manifold_only and self.order_of(face) > 2:
-                continue
-            first = tids[0]
-            for other in tids[1:]:
-                uf.union(first, other)
-        return uf.groups()
-
-    def manifold_connected_components_of_star(
-        self, gamma: Iterable[int]
-    ) -> list[list[int]]:
-        gamma = simplex(gamma)
-        st = self.star(gamma)
-        if not st:
-            raise NotAFace(f"{list(gamma)} is not a face of any top simplex")
-        return self._star_components(st, manifold_only=True)
-
-    def star_connected_components(self, gamma: Iterable[int]) -> list[list[int]]:
-        """Like the manifold variant but crossing facets of any order."""
-        gamma = simplex(gamma)
-        st = self.star(gamma)
-        if not st:
-            raise NotAFace(f"{list(gamma)} is not a face of any top simplex")
-        return self._star_components(st, manifold_only=False)
-
     # -- classification ----------------------------------------------------
 
     def is_regular(self) -> bool:
@@ -343,11 +266,10 @@ class Complex:
         regular = self.is_regular()
         d = self.dim
         pseudo = regular and self._is_pseudomanifold(d)
-        quasi = pseudo and all(
-            len(self._star_components(self.tops_of_vertex(v), False)) <= 1
-            for v in self._vertex_tops()
-        )
         iqm = self.is_iqm()
+        # every facet of a pseudomanifold is a manifold facet, so its vertex
+        # stars are connected across facets exactly when they are IQM stars
+        quasi = pseudo and iqm
         try:
             manifold = self.is_manifold()
         except DimensionUnsupported:
@@ -355,11 +277,16 @@ class Complex:
         return ClassifyFlags(regular, pseudo, quasi, iqm, manifold)
 
     def is_iqm(self) -> bool:
-        """Regular, with every vertex star manifold-connected."""
-        return self.is_regular() and all(
-            len(self._star_components(self.tops_of_vertex(v), True)) <= 1
-            for v in self._vertex_tops()
-        )
+        """Regular, with every vertex star connected across manifold facets.
+
+        That is, gluing the exploded corners across manifold facet pairs
+        leaves exactly one corner class per vertex.
+        """
+        if not self.is_regular():
+            return False
+        corners = manifold_corners(self)
+        classes = {corners.find((t, v)) for t, row in self._tv.items() for v in row}
+        return len(classes) == self.num_vertices
 
     def _is_pseudomanifold(self, d: int) -> bool:
         if d >= 1:
@@ -427,16 +354,6 @@ class Complex:
             f for f, ts in self._facet_orders(d - 1).items() if len(ts) == 1
         }
 
-    def euler_characteristic(self) -> int:
-        """f0 - f1 + f2 of a closed 2-complex."""
-        if self.dim != 2 or not self.is_regular():
-            raise NotClosedSurface("not a regular 2-complex")
-        for _, ts in self._facet_orders(1).items():
-            if len(ts) != 2:
-                raise NotClosedSurface("an edge does not have order 2")
-        f0, f1, f2 = self.face_counts()
-        return f0 - f1 + f2
-
     def euler_all_faces(self) -> int:
         """Alternating face-count sum, no closedness requirement."""
         return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
@@ -465,6 +382,51 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex({self.num_tops} tops, d={self.dim})"
+
+
+# -- manifold facet gluing ---------------------------------------------------
+
+
+def _manifold_facets(c: Complex) -> Iterator[tuple[Simplex, list[int]]]:
+    """Each facet whose star is exactly two tops, with those two tops.
+
+    Each top offers only its own facets, so a facet's cofaces here are tops
+    one dimension above it, and the facet is all the two tops share.
+    """
+    by_facet: dict[Simplex, list[int]] = {}
+    for t in c.top_ids:
+        srt = sorted(c.row(t))
+        if len(srt) < 2:
+            continue
+        for facet in itertools.combinations(srt, len(srt) - 1):
+            by_facet.setdefault(facet, []).append(t)
+    for facet, tops in by_facet.items():
+        if len(tops) == 2 and len(c.star(facet)) == 2:
+            yield facet, tops
+
+
+def canonical_pairs(c: Complex) -> set[frozenset]:
+    """Unordered top pairs sharing a facet whose star is exactly that pair.
+
+    These are the gluing instructions that any decomposition in the lattice
+    must keep applied; applying all of them to the exploded complex yields
+    the standard decomposition.
+    """
+    return {frozenset(tops) for _, tops in _manifold_facets(c)}
+
+
+def manifold_corners(c: Complex) -> UnionFind:
+    """(top, vertex) corners of c glued across every canonical pair.
+
+    Corners absent from the result are singleton classes.  Each class is
+    one vertex of the standard decomposition, and c is an initial
+    quasi-manifold when it is regular with one class per vertex.
+    """
+    corners = UnionFind()
+    for facet, (t1, t2) in _manifold_facets(c):
+        for v in facet:
+            corners.union((t1, v), (t2, v))
+    return corners
 
 
 # -- 1- and 2-complex helpers for the link classifiers ----------------------

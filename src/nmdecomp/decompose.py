@@ -1,11 +1,12 @@
 """Standard decomposition into initial quasi-manifold components.
 
-The input is exploded into (top, vertex) corners, and corners are glued
-back across every manifold facet pair: two tops sharing a facet that no
-other top contains.  Each corner class then becomes one vertex of the
-decomposition, which is the unique most-split one that cuts only along
-non-manifold simplices.  One pass over the tops' own facets finds the
-pairs, so the work is linear in the size of the input, up to sorting.
+`complexes.manifold_corners` explodes the input into (top, vertex)
+corners and glues them back across every manifold facet pair: two tops
+sharing a facet that no other top contains.  Here each corner class
+becomes one vertex of the decomposition, which is the unique most-split
+one that cuts only along non-manifold simplices.  One pass over the tops'
+own facets finds the pairs, so the work is linear in the size of the
+input, up to sorting.  `Complex.is_iqm` counts the same corner classes.
 
 Per source vertex, copies are ordered by link dimension, then smallest
 star top.  The first keeps the original id, so sigma is the identity on
@@ -16,11 +17,10 @@ link splitting.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .complexes import Complex, Simplex, simplex
+# canonical_pairs is re-exported, so it can still be imported from here
+from .complexes import Complex, canonical_pairs, manifold_corners
 from .unionfind import UnionFind
 
 
@@ -36,14 +36,17 @@ class DecompositionResult:
 
     @classmethod
     def from_parts(
-        cls,
-        source: Complex,
-        nabla: Complex,
-        components: list[Complex],
-        sigma: dict[int, int],
+        cls, source: Complex, nabla: Complex, sigma: dict[int, int]
     ) -> "DecompositionResult":
-        d = nabla.dim
-        cc = [0] * (d + 1)
+        """Package a decomposition, deriving its components and cc.
+
+        Components are the 0-connected classes of nabla, sorted by
+        dimension, then smallest top.
+        """
+        groups = nabla.h_connected_components(0)
+        groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
+        components = [nabla.subcomplex(g) for g in groups]
+        cc = [0] * (nabla.dim + 1)
         for comp in components:
             cc[comp.dim] += 1
         return cls(source, nabla, components, dict(sigma), cc)
@@ -76,43 +79,8 @@ class DecompositionResult:
 
     # -- misc --------------------------------------------------------------
 
-    def copy_at(self, tid: int, v: int) -> int:
-        """The copy standing in for source vertex v inside top tid."""
-        src_row = self.source.row(tid)
-        return self.nabla.row(tid)[src_row.index(v)]
-
-    def simplex_copies(self, gamma: Iterable[int]) -> set[frozenset]:
-        """Distinct copy images of a source simplex across its star."""
-        g = simplex(gamma)
-        out = set()
-        for t in self.source.star(g):
-            out.add(frozenset(self.copy_at(t, v) for v in g))
-        return out
-
     def is_identity(self) -> bool:
         return all(copy == orig for copy, orig in self.sigma.items())
-
-
-def canonical_pairs(c: Complex) -> set[frozenset]:
-    """Unordered top pairs sharing a facet whose star is exactly that pair.
-
-    Each top offers only its own facets, so a facet's cofaces here are tops
-    one dimension above it.  These are the gluing instructions that any
-    decomposition in the lattice must keep applied; applying all of them to
-    the exploded complex yields the standard decomposition.
-    """
-    by_facet: dict[Simplex, list[int]] = {}
-    for t in c.top_ids:
-        srt = sorted(c.row(t))
-        if len(srt) < 2:
-            continue
-        for facet in itertools.combinations(srt, len(srt) - 1):
-            by_facet.setdefault(facet, []).append(t)
-    return {
-        frozenset(tops)
-        for facet, tops in by_facet.items()
-        if len(tops) == 2 and len(c.star(facet)) == 2
-    }
 
 
 def copy_label(original_label: str, copy_id: int, copy_index: int) -> str:
@@ -130,8 +98,7 @@ def decomposition_from_corners(
     corners partitions the (top, vertex) corners of source; each class
     becomes one vertex.  Per source vertex, ascending, the classes are
     ordered by link dimension, then smallest top: the first keeps the
-    vertex's id and label, the others take fresh ids in turn.  Components
-    are sorted by dimension, then smallest top.
+    vertex's id and label, the others take fresh ids in turn.
     """
     classes: dict[int, dict] = {}
     for t in source.top_ids:
@@ -163,19 +130,11 @@ def decomposition_from_corners(
         for t in source.top_ids
     }
     nabla = Complex(rows, labels=labels, validate=False)
-    groups = nabla.h_connected_components(0)
-    groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
-    components = [nabla.subcomplex(g) for g in groups]
-    return DecompositionResult.from_parts(source, nabla, components, sigma)
+    return DecompositionResult.from_parts(source, nabla, sigma)
 
 
 def decompose(c: Complex) -> DecompositionResult:
     """Standard decomposition of a non-empty complex."""
     if c.num_tops == 0:
         raise ValueError("cannot decompose an empty complex")
-    corners = UnionFind()
-    for pair in canonical_pairs(c):
-        t1, t2 = pair
-        for v in set(c.row(t1)).intersection(c.row(t2)):
-            corners.union((t1, v), (t2, v))
-    return decomposition_from_corners(c, corners)
+    return decomposition_from_corners(c, manifold_corners(c))

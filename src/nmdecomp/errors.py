@@ -21,12 +21,8 @@ class ParseError(TopologyError):
         super().__init__(message)
 
 
-class DuplicateId(TopologyError):
-    """Top-simplex id already in use."""
-
-
 class NotTop(TopologyError):
-    """The added simplex is a face of an existing top simplex."""
+    """A simplex given as a top is a face of another top simplex."""
 
 
 class NotAFace(TopologyError):
@@ -35,10 +31,6 @@ class NotAFace(TopologyError):
 
 class NotRegular(TopologyError):
     """Operation requires a uniformly d-dimensional complex."""
-
-
-class NotClosedSurface(TopologyError):
-    """Operation requires a closed 2-complex (every edge of order 2)."""
 
 
 class DimensionUnsupported(TopologyError):

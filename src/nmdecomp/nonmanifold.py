@@ -21,7 +21,7 @@ from typing import Iterable
 from .complexes import Simplex, simplex
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
-from .errors import NotIncident, NotInTrie, UnknownVertex
+from .errors import BadRelation, NotIncident, NotInTrie, UnknownVertex
 from .trie import FtTrie, build_ft_trie
 from .winged import Ewds
 
@@ -72,6 +72,16 @@ def travel_star(
             if nbr > 0:
                 stack.append(nbr)
     return visited
+
+
+def check_relation(gamma: Simplex, n: int, m: int) -> None:
+    """Raise BadRelation unless n < m and the simplex gamma has n + 1 vertices."""
+    if n >= m:
+        raise BadRelation(f"S{n}{m}: need n < m")
+    if len(gamma) != n + 1:
+        raise BadRelation(
+            f"S{n}{m}: gamma needs {n + 1} distinct vertices, got {len(gamma)}"
+        )
 
 
 @dataclass
@@ -162,12 +172,10 @@ class NmLayer:
         Total: a gamma that is not a face of the source yields the empty
         set.  A splitmap key lists all its copies; any other simplex has a
         single copy, found inside the top that one trie lookup returns.
+        Raises BadRelation as check_relation does.
         """
         gamma = simplex(gamma)
-        if len(gamma) != n + 1:
-            raise ValueError(f"gamma has dimension {len(gamma) - 1}, not {n}")
-        if n >= m:
-            raise ValueError("snm_global answers n < m relations")
+        check_relation(gamma, n, m)
         if n == 0:
             if gamma[0] not in self.copies_of:
                 return set()

@@ -7,7 +7,7 @@ random generator produces complexes by explode-and-glue so results always
 live in the decomposition lattice of something.
 
 The oracle deliberately shares no machinery with the main path beyond the
-Complex type and the passive result record.
+Complex type and the result record, which reads components off nabla.
 """
 
 from __future__ import annotations
@@ -108,10 +108,7 @@ def oracle_decompose(c: Complex) -> DecompositionResult:
             next_id += 1
 
     nabla = Complex({t: tuple(r) for t, r in rows.items()}, validate=False)
-    groups = nabla.h_connected_components(0)
-    groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
-    components = [nabla.subcomplex(g) for g in groups]
-    return DecompositionResult.from_parts(c, nabla, components, sigma)
+    return DecompositionResult.from_parts(c, nabla, sigma)
 
 
 def labeled_isomorphic(a: Complex, b: Complex, relabel: Mapping[int, int]) -> bool:

@@ -37,7 +37,7 @@ class UnionFind:
         if self._size[ra] < self._size[rb]:
             ra, rb = rb, ra
         self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        self._size[ra] += self._size.pop(rb)  # sizes are kept for roots only
 
     def groups(self) -> list[list]:
         """Classes as lists, each sorted, ordered by their smallest member."""
@@ -47,6 +47,3 @@ class UnionFind:
         out = [sorted(v) for v in by_root.values()]
         out.sort(key=lambda g: g[0])
         return out
-
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)

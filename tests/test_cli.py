@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nmdecomp import cli
 from nmdecomp.cli import main
 from nmdecomp.fixtures import load_text
 
@@ -119,7 +120,12 @@ def test_query_matches_oracle(tvfile, capsys):
     assert got == oracle_snm(src, (6, 8), 1, 3)
 
 
-def test_query_bad_relation(tvfile, capsys):
+def test_query_bad_relation(tvfile, capsys, monkeypatch):
+    # a malformed relation is refused before the pipeline is built
+    def no_pipeline(c):
+        raise AssertionError("pipeline built for a malformed relation")
+
+    monkeypatch.setattr(cli, "_pipeline", no_pipeline)
     code, _, err = run(
         capsys, "query", tvfile("fix_b.tv"), "--rel", "S21", "--simplex", "6", "8"
     )
@@ -130,6 +136,11 @@ def test_query_bad_relation(tvfile, capsys):
     assert code == 1 and "BadRelation" in err
     code, _, err = run(
         capsys, "query", tvfile("fix_b.tv"), "--rel", "X13", "--simplex", "6", "8"
+    )
+    assert code == 1 and "BadRelation" in err
+    # a repeated token leaves a 0-simplex where S12 needs an edge
+    code, _, err = run(
+        capsys, "query", tvfile("fix_b.tv"), "--rel", "S12", "--simplex", "9", "9"
     )
     assert code == 1 and "BadRelation" in err
 

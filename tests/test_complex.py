@@ -4,7 +4,6 @@ import pytest
 
 from nmdecomp.complexes import Complex, format_tv, parse_tv, resolve_tokens, simplex
 from nmdecomp.errors import (
-    DuplicateId,
     NotAFace,
     NotTop,
     ParseError,
@@ -63,8 +62,6 @@ def test_parse_rejects_aliased_tokens_and_empty_files(text, line_no):
 def test_tops_are_maximal():
     with pytest.raises(NotTop):
         Complex({1: (1, 2, 3), 2: (1, 2)})
-    with pytest.raises(DuplicateId):
-        Complex({1: (1, 2)}).add_simplex(1, (3, 4))
 
 
 def test_row_order_preserved(mixed):
@@ -156,7 +153,7 @@ def test_boundary_and_euler(fan):
 
 def test_star_errors(fan):
     with pytest.raises(NotAFace):
-        fan.star_connected_components([1, 6])
+        fan.link_complex([1, 6])
     with pytest.raises(UnknownToken):
         resolve_tokens(fan, ["7"])
 

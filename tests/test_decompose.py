@@ -111,15 +111,6 @@ def test_matches_oracle_on_perforated_cubes(seed):
     ]
 
 
-def test_copy_at_and_simplex_copies(mixed):
-    dec = decompose(mixed)
-    assert dec.copy_at(5, 5) == 13
-    assert dec.copy_at(9, 6) == 14
-    assert dec.copy_at(7, 9) == 9
-    assert dec.simplex_copies((6, 8)) == {frozenset({6, 8}), frozenset({14, 15})}
-    assert dec.simplex_copies((9, 11)) == {frozenset({9, 11})}
-
-
 def test_copy_labels_numeric_vs_tokens(mixed, bouquet):
     dec = decompose(mixed)
     assert dec.nabla.label_of(13) == "13"

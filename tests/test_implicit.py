@@ -114,9 +114,7 @@ def test_requires_iqm(mixed, bouquet):
     from nmdecomp.decompose import DecompositionResult
 
     src = parse_tv("simplex 1: 1 2\nsimplex 2: 2 3\nsimplex 3: 2 4\n")
-    fake = DecompositionResult.from_parts(
-        src, src, [src.subcomplex([1, 2, 3])], {v: v for v in src.vertices}
-    )
+    fake = DecompositionResult.from_parts(src, src, {v: v for v in src.vertices})
     with pytest.raises(NotIqm):
         compute_renumbering(Ewds.build(fake))
 

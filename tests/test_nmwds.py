@@ -6,7 +6,7 @@ import pytest
 
 from nmdecomp.complexes import resolve_tokens, simplex
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import NotIncident, UnknownVertex
+from nmdecomp.errors import BadRelation, NotIncident, UnknownVertex
 from nmdecomp.nonmanifold import build_nm_layer, travel_star
 from nmdecomp.oracle import oracle_snm
 from nmdecomp.winged import Ewds
@@ -121,9 +121,9 @@ def test_snm_global_nonfaces(nm_mixed):
 
 
 def test_snm_guards(nm_mixed):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRelation):
         nm_mixed.snm_global((6, 8), 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRelation):
         nm_mixed.snm_global((6, 8), 2, 3)
 
 

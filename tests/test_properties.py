@@ -72,6 +72,18 @@ def test_decompose_idempotent(seed, d):
     assert decompose(dec.nabla).is_identity()
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_is_iqm_matches_oracle(seed, d):
+    # is_iqm counts the corner classes that decompose also glues, so check
+    # it against the recursive splitter; random halves make both outcomes
+    c = draw(seed, d)
+    rng = random.Random(seed)
+    half = c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
+    for x in (c, half):
+        assert x.is_iqm() == (x.is_regular() and oracle_decompose(x).is_identity())
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds)
 def test_snm_global_matches_oracle(seed):
