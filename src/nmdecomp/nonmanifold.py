@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .complexes import Simplex, simplex
@@ -41,11 +42,16 @@ def travel_star(
     Crossing only order-2 facets, the walk covers one adjacency patch of
     gamma's star; boundary and higher-order facets stop it.  flags keeps
     one bitmask per top, a bit per vertex-slot subset, so repeated calls
-    share the "already harvested" record.
+    share the "already harvested" record.  fill_tt pairs cofaces block by
+    block, so TTP links a top only to tops of its own dimension block: the
+    walk validates t once and finds every other row by arithmetic.  Each
+    visited top spans gamma and counts one visit and one expansion per slot
+    outside gamma.
     """
     gset = set(gamma)
-    row = set(ewds.row_of(t))
-    if not gset <= row:
+    w, off = ewds.row_layout(t)
+    tvp, ttp = ewds.tvp, ewds.ttp
+    if not gset.issubset(tvp[off + t * w : off + t * w + w]):
         raise NotIncident(f"simplex {sorted(gset)} is not spanned by top {t}")
     if flags is None:
         flags = {}
@@ -53,24 +59,23 @@ def travel_star(
     stack = [t]
     while stack:
         u = stack.pop()
-        h = ewds.dim_of_top(u)
-        base = ewds._addr(h, u, 1)
+        base = off + u * w
         idx = 0
-        for k in range(h + 1):
-            if ewds.tvp[base + k] in gset:
+        for k in range(w):
+            if tvp[base + k] in gset:
                 idx |= 1 << k
-        if flags.get(u, 0) >> idx & 1:
+        bits = flags.get(u, 0)
+        if bits >> idx & 1:
             continue
-        flags[u] = flags.get(u, 0) | (1 << idx)
+        flags[u] = bits | (1 << idx)
         visited.append(u)
-        counter.visits += 1
-        for k in range(h + 1):
-            if idx >> k & 1:
-                continue
-            counter.expansions += 1
-            nbr = ewds.ttp[base + k]
-            if nbr > 0:
-                stack.append(nbr)
+        for k in range(w):
+            if not idx >> k & 1:
+                nbr = ttp[base + k]
+                if nbr > 0:
+                    stack.append(nbr)
+    counter.visits += len(visited)
+    counter.expansions += len(visited) * (w - len(gset))
     return visited
 
 
@@ -112,13 +117,36 @@ class NmLayer:
         self, gamma_copy: Simplex, counter: OpCounter = NULL_COUNTER
     ) -> list[int]:
         """All tops spanning one particular copy, via its first vertex's star."""
+        tops = self.ewds.s0h(gamma_copy[0], counter)
+        counter.comparisons += len(tops)
+        w, off = self.ewds.row_layout(tops[0])
+        tvp = self.ewds.tvp
         gset = set(gamma_copy)
-        out = []
-        for t in self.ewds.s0h(gamma_copy[0], counter):
-            counter.comparisons += 1
-            if gset <= set(self.ewds.row_of(t)):
-                out.append(t)
-        return out
+        return [t for t in tops if gset.issubset(tvp[off + t * w : off + t * w + w])]
+
+    def _add_faces(
+        self, out: set[Simplex], tops: list[int], cp: Simplex, gamma: Simplex, m: int
+    ) -> int:
+        """Add to out the m-faces, in source ids, of tops that contain gamma.
+
+        Every top in tops spans cp, a copy of the source simplex gamma, and
+        all of them lie in one dimension block.  sigma_n is one-to-one on a
+        top's row, so the source ids outside gamma are distinct and a face
+        is gamma plus a combination of them.  Returns the number of faces
+        enumerated, which a query counts as comparisons.
+        """
+        if not tops:
+            return 0
+        w, off = self.ewds.row_layout(tops[0])
+        need = m + 1 - len(gamma)
+        tvp, sigma_n = self.ewds.tvp, self.sigma_n
+        extras: set[Simplex] = set()
+        for t in tops:
+            row = tvp[off + t * w : off + t * w + w]
+            rest = sorted([sigma_n[x] for x in row if x not in cp])
+            extras.update(combinations(rest, need))
+        out.update(tuple(sorted(gamma + extra)) for extra in extras)
+        return len(tops) * math.comb(w - len(gamma), need)
 
     # -- relation operations -----------------------------------------------
 
@@ -155,9 +183,8 @@ class NmLayer:
             t0 = self.ewds.vtstar_of(vp)
             if self.ewds.dim_of_top(t0) < m:
                 continue  # component too small to hold m-faces
-            for t in self.ewds.s0h(vp, counter):
-                for face in self.ewds.face_of(m, (vp,), t, counter):
-                    out.add(self.to_source(face))
+            tops = self.ewds.s0h(vp, counter)
+            counter.comparisons += self._add_faces(out, tops, (vp,), (v,), m)
         return out
 
     def snm_global(
@@ -191,9 +218,8 @@ class NmLayer:
             cps = [cp] if cp is not None else []
         out: set[Simplex] = set()
         for cp in cps:
-            for t in self._copy_tops(cp, counter):
-                for face in self.ewds.face_of(m, cp, t, counter):
-                    out.add(self.to_source(face))
+            tops = self._copy_tops(cp, counter)
+            counter.comparisons += self._add_faces(out, tops, cp, gamma, m)
         return out
 
     # -- compression accounting --------------------------------------------

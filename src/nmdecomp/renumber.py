@@ -45,11 +45,22 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
 
     Requires every component to be an initial quasi-manifold: otherwise
     vertex stars may fall apart and the pairing invariants do not hold.
+    TTP links two tops exactly across a facet with two cofaces in one
+    dimension block, so a vertex's facet flood reaches its whole star
+    exactly when its component is regular and its star is connected
+    across manifold facets; a shorter flood raises NotIqm.
     """
     dec = ewds.source
-    for comp in dec.components:
-        if not comp.is_iqm():
-            raise NotIqm(f"component with tops {comp.top_ids} is not an IQM")
+    star = [0] * (ewds.nv + 1)  # a row lists each of its vertices once
+    for v in ewds.tvp[1:]:
+        star[v] += 1
+    for v in range(1, ewds.nv + 1):
+        reached = len(ewds.s0h(v))
+        if reached != star[v]:
+            raise NotIqm(
+                f"facet flood of vertex {ewds.vertex_old[v]} reaches {reached} "
+                f"of its {star[v]} tops: its component is not an IQM"
+            )
 
     d = ewds.d
     nv = ewds.nv

@@ -2,10 +2,11 @@
 
 All components share four arrays: TVP (top -> vertices), TTP (top -> tops
 across facets), VTSTAR (vertex -> one incident top) and the per-dimension
-directories TBase / TBaseAddr.  Top ids are repacked so components of the
-same dimension sit in one contiguous block, dimensions ascending; vertex
-ids are repacked to 1..NV ascending.  Rows keep the input vertex order of
-the decomposition, which the addressing below relies on.
+directories TBase / TBaseAddr.  Top ids are repacked so tops of the same
+dimension sit in one contiguous block, dimensions ascending and components
+in decomposition order within a block; vertex ids are repacked to 1..NV
+ascending.  Rows keep the input vertex order of the decomposition, which
+the addressing below relies on.
 
 TTP slot k of a top holds its neighbour across the facet opposite vertex
 slot k: 0 means the facet is on the boundary, -1 that it has three or more
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .complexes import Simplex, simplex
+from .complexes import Simplex
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import OutOfRange, ParseError, UnknownTop, UnknownVertex
@@ -56,14 +57,17 @@ class Ewds:
         nabla = dec.nabla
         d = nabla.dim
 
-        top_old = [0]
         vertex_old = [0] + sorted(
             {v for comp in dec.components for v in comp.vertices}
         )
-        counts = [0] * (d + 1)
+        # a top goes to the block of its own dimension: the same as its
+        # component's, except in a hand-built non-regular component
+        blocks: list[list[int]] = [[] for _ in range(d + 1)]
         for comp in dec.components:
-            counts[comp.dim] += comp.num_tops
-            top_old.extend(comp.top_ids)
+            for t in comp.top_ids:
+                blocks[nabla.dim_of(t)].append(t)
+        counts = [len(block) for block in blocks]
+        top_old = [0] + [t for block in blocks for t in block]
         nt = len(top_old) - 1
         nv = len(vertex_old) - 1
         top_new = {old: new for new, old in enumerate(top_old) if new}
@@ -128,15 +132,23 @@ class Ewds:
     def ttp_at(self, h: int, t: int, k: int) -> int:
         return self.ttp[self._addr(h, t, k)]
 
-    def row_of(self, t: int) -> tuple[int, ...]:
+    def row_layout(self, t: int) -> tuple[int, int]:
+        """Row width w of top t's dimension block and its offset off.
+
+        The row of every top u in that block starts at TVP/TTP index
+        off + u * w, so walkers that stay in one block validate t once and
+        find every other row by arithmetic.
+        """
         h = self.dim_of_top(t)
-        base = self._addr(h, t, 1)
-        return tuple(self.tvp[base : base + h + 1])
+        return h + 1, self.tbase_addr[h] - self.tbase[h] * (h + 1)
+
+    def row_of(self, t: int) -> tuple[int, ...]:
+        w, off = self.row_layout(t)
+        return tuple(self.tvp[off + t * w : off + t * w + w])
 
     def tt_row_of(self, t: int) -> tuple[int, ...]:
-        h = self.dim_of_top(t)
-        base = self._addr(h, t, 1)
-        return tuple(self.ttp[base : base + h + 1])
+        w, off = self.row_layout(t)
+        return tuple(self.ttp[off + t * w : off + t * w + w])
 
     def vtstar_of(self, v: int) -> int:
         if not 1 <= v <= self.nv:
@@ -201,45 +213,29 @@ class Ewds:
 
         Walks top-to-top across facets containing v, so it stays correct
         exactly when the star of v is manifold-connected, which initial
-        quasi-manifolds guarantee.
+        quasi-manifolds guarantee.  fill_tt pairs cofaces block by block,
+        so TTP links a top only to tops of its own dimension block: the
+        flood validates its start top once and reaches every other row by
+        arithmetic.  Counts one visit per top and one expansion per slot
+        of each visited top.
         """
         start = self.vtstar_of(v)
+        w, off = self.row_layout(start)
+        tvp, ttp = self.tvp, self.ttp
         seen = {start}
         stack = [start]
         while stack:
-            t = stack.pop()
-            counter.visits += 1
-            h = self.dim_of_top(t)
-            base = self._addr(h, t, 1)
-            for k in range(h + 1):
-                counter.expansions += 1
-                if self.tvp[base + k] == v:
+            base = off + stack.pop() * w
+            for k in range(base, base + w):
+                if tvp[k] == v:
                     continue  # crossing here would leave the star
-                u = self.ttp[base + k]
+                u = ttp[k]
                 if u > 0 and u not in seen:
                     seen.add(u)
                     stack.append(u)
+        counter.visits += len(seen)
+        counter.expansions += len(seen) * w
         return sorted(seen)
-
-    def face_of(
-        self,
-        m: int,
-        beta: Iterable[int],
-        cotop: int,
-        counter: OpCounter = NULL_COUNTER,
-    ) -> set[Simplex]:
-        """m-faces of cotop containing beta."""
-        beta = simplex(beta)
-        row = self.row_of(cotop)
-        rest = sorted(set(row) - set(beta))
-        need = m + 1 - len(beta)
-        if need < 0 or need > len(rest):
-            return set()
-        out = set()
-        for extra in combinations(rest, need):
-            counter.comparisons += 1
-            out.add(simplex(beta + extra))
-        return out
 
     # -- serialization -----------------------------------------------------
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from nmdecomp.fixtures import load_text, load_tv
+from nmdecomp.meshes import kuhn_cube
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +60,18 @@ def cones_partial_script():
 @pytest.fixture(scope="session")
 def claw_script():
     return load_text("fix_g.glue")
+
+
+@pytest.fixture(scope="session")
+def perforated_cube():
+    """Seed -> kuhn_cube(6) keeping a seeded 70 % of its tets.
+
+    About 900 tets with some 160 splitting vertices each.
+    """
+    cube = kuhn_cube(6)
+
+    def draw(seed):
+        rng = random.Random(seed)
+        return cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
+
+    return draw

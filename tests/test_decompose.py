@@ -1,12 +1,9 @@
 """Standard decomposition: splitting, copy allocation, component order."""
 
-import random
-
 import pytest
 
 from nmdecomp.complexes import parse_tv
 from nmdecomp.decompose import copy_label, decompose
-from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import oracle_decompose
 
 
@@ -97,11 +94,8 @@ def test_matches_oracle(mixed, bouquet, two_edges, claw):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_matches_oracle_on_perforated_cubes(seed):
-    # about 900 tets with some 160 splitting vertices each
-    cube = kuhn_cube(6)
-    rng = random.Random(seed)
-    c = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
+def test_matches_oracle_on_perforated_cubes(seed, perforated_cube):
+    c = perforated_cube(seed)
     fast, slow = decompose(c), oracle_decompose(c)
     assert fast.ns > 100
     assert fast.sigma == slow.sigma

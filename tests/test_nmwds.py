@@ -1,13 +1,15 @@
 """Non-manifold layer: splitmap, sigma translation, global queries."""
 
 import itertools
+import random
 
 import pytest
 
 from nmdecomp.complexes import resolve_tokens, simplex
+from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
 from nmdecomp.errors import BadRelation, NotIncident, UnknownVertex
-from nmdecomp.nonmanifold import build_nm_layer, travel_star
+from nmdecomp.nonmanifold import build_nm_layer, build_splitmap, travel_star
 from nmdecomp.oracle import oracle_snm
 from nmdecomp.winged import Ewds
 
@@ -114,10 +116,62 @@ def _check_all_faces(nm, src):
             )
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_snm_matches_oracle_on_perforated_cubes(seed, perforated_cube):
+    # random faces of every dimension, plus pinched vertices and splitmap
+    # keys, on meshes far larger than the fixtures
+    c = perforated_cube(seed)
+    dec = decompose(c)
+    nm = build_nm_layer(Ewds.build(dec))
+    rng = random.Random(seed)
+    faces = sorted(c.all_faces())
+    by_dim = {n: [f for f in faces if len(f) == n + 1] for n in range(3)}
+    pinched = [(v,) for v in dec.splitting_vertices]
+    keys = sorted(nm.splitmap)
+    assert pinched and keys
+    sample = (
+        rng.sample(pinched, 6)
+        + rng.sample(keys, 6)
+        + [f for n in range(3) for f in rng.sample(by_dim[n], 6)]
+    )
+    for gamma in sample:
+        n = len(gamma) - 1
+        for m in range(n + 1, 4):
+            assert nm.snm_global(gamma, n, m) == oracle_snm(c, gamma, n, m), (
+                gamma,
+                n,
+                m,
+            )
+
+
 def test_snm_global_nonfaces(nm_mixed):
     assert nm_mixed.snm_global((1, 2), 1, 2) == set()
     assert nm_mixed.snm_global((3, 9), 1, 2) == set()
     assert nm_mixed.snm_global((99,), 0, 1) == set()
+
+
+# Summed OpCounter ticks of snm_global over every face and relation, and of
+# build_splitmap, on two fixtures.  The floods tally their ticks and add
+# them once per call; these totals keep that tally equal to one tick per
+# step, which criterion 09 and the benchmark's traced counts rely on.
+FROZEN_WORK = {
+    "mixed": ((166, 612, 417), (39, 74, 0)),
+    "cones": ((1625, 6500, 3305), (339, 708, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_WORK))
+def test_counted_work_is_frozen(name, request):
+    src = request.getfixturevalue(name)
+    nm = request.getfixturevalue(f"nm_{name}")
+    queries, harvest = OpCounter(), OpCounter()
+    for gamma in src.all_faces():
+        n = len(gamma) - 1
+        for m in range(n + 1, src.dim + 1):
+            nm.snm_global(gamma, n, m, queries)
+    build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, nm.v_nra, harvest)
+    counted = [(c.visits, c.expansions, c.comparisons) for c in (queries, harvest)]
+    assert counted == list(FROZEN_WORK[name])
 
 
 def test_snm_guards(nm_mixed):

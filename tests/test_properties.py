@@ -5,7 +5,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from nmdecomp.complexes import Complex, simplex
-from nmdecomp.decompose import decompose
+from nmdecomp.decompose import DecompositionResult, decompose
+from nmdecomp.errors import NotIqm
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import (
     build_nm_layer,
@@ -21,6 +22,7 @@ from nmdecomp.oracle import (
     pseudo_boundary_law,
     random_complex,
 )
+from nmdecomp.renumber import compute_renumbering
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -82,6 +84,25 @@ def test_is_iqm_matches_oracle(seed, d):
     half = c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
     for x in (c, half):
         assert x.is_iqm() == (x.is_regular() and oracle_decompose(x).is_identity())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_renumbering_rejects_exactly_non_iqm_components(seed, d):
+    # the packed flood check in compute_renumbering against is_iqm, on
+    # hand-built decompositions whose components need not be IQM or regular
+    c = draw(seed, d)
+    rng = random.Random(seed)
+    half = c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
+    for x in (c, half):
+        fake = DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
+        expected = any(not k.is_iqm() for k in fake.components)
+        try:
+            compute_renumbering(Ewds.build(fake))
+        except NotIqm:
+            assert expected
+        else:
+            assert not expected
 
 
 @settings(max_examples=30, deadline=None)
