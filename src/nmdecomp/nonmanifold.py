@@ -2,14 +2,25 @@
 
 The packed tables answer everything inside one component.  Queries about
 the original complex need two extra ingredients: the vertex copy map
-sigma (copies -> original vertex) and the splitmap, which lists for every
-simplex that lost uniqueness in the decomposition its copies and one
-representative top per adjacency patch of each copy.  Everything else
-stays implicit: a simplex absent from the splitmap has a single copy, so
-sigma inverts it directly.
+sigma (copies -> original vertex) and the splitmap, which lists every
+simplex whose star falls into several adjacency patches, or into several
+components, with its copies and one representative top per patch of each
+copy.  Everything else stays implicit: a simplex absent from the splitmap
+has a single copy, found through sigma inside any top that spans it, and
+one patch, which a star walk from that top covers.
 
 Vertex couples are never splitmap keys: the copy map already answers
 them, so recording starts at dimension one.
+
+A simplex is recorded when one of its vertices splits (a copy per
+component) or when its star inside one component is cut into patches:
+at a facet of order three or more (a diamond), or at a pinch, where
+parts of its star meet in the simplex but share no facet through it.  The harvest reads the
+stars of the paper's v_nra set, which covers the first two, and of the
+vertices that one counting pass over the tables (pinch_suspects) finds
+where a pinch may be.  With that, a query on gamma walks gamma's own
+star: from the representatives of each copy, or from any top spanning
+the single copy.
 """
 
 from __future__ import annotations
@@ -50,11 +61,24 @@ def travel_star(
     """
     gset = set(gamma)
     w, off = ewds.row_layout(t)
-    tvp, ttp = ewds.tvp, ewds.ttp
-    if not gset.issubset(tvp[off + t * w : off + t * w + w]):
+    if not gset.issubset(ewds.tvp[off + t * w : off + t * w + w]):
         raise NotIncident(f"simplex {sorted(gset)} is not spanned by top {t}")
-    if flags is None:
-        flags = {}
+    visited = _patch(ewds.tvp, ewds.ttp, w, off, gset, t, {} if flags is None else flags)
+    counter.visits += len(visited)
+    counter.expansions += len(visited) * (w - len(gset))
+    return visited
+
+
+def _patch(
+    tvp: list[int],
+    ttp: list[int],
+    w: int,
+    off: int,
+    gset: set[int],
+    t: int,
+    flags: dict[int, int],
+) -> list[int]:
+    """travel_star on a block layout, without checks or counting."""
     visited: list[int] = []
     stack = [t]
     while stack:
@@ -74,8 +98,6 @@ def travel_star(
                 nbr = ttp[base + k]
                 if nbr > 0:
                     stack.append(nbr)
-    counter.visits += len(visited)
-    counter.expansions += len(visited) * (w - len(gset))
     return visited
 
 
@@ -97,79 +119,92 @@ class NmLayer:
     sigma_n: list[int]  # packed vertex id -> source vertex id, index 0 unused
     copies_of: dict[int, tuple[int, ...]]  # source vertex -> packed copies
     splitmap: Splitmap
-    v_nra: list[int]
+    v_nra: list[int]  # the paper's set; the harvest also reads the pinch suspects
     trie: FtTrie = field(repr=False)
 
-    # -- copy translation --------------------------------------------------
-
-    def to_source(self, gamma: Iterable[int]) -> Simplex:
-        return simplex(self.sigma_n[v] for v in gamma)
-
-    def copy_in_top(self, t: int, gamma: Simplex) -> Simplex | None:
-        """The copy of source simplex gamma inside top t, if all of it is there."""
-        back = {self.sigma_n[w]: w for w in self.ewds.row_of(t)}
-        try:
-            return simplex(back[v] for v in gamma)
-        except KeyError:
-            return None
-
-    def _copy_tops(
-        self, gamma_copy: Simplex, counter: OpCounter = NULL_COUNTER
-    ) -> list[int]:
-        """All tops spanning one particular copy, via its first vertex's star."""
-        tops = self.ewds.s0h(gamma_copy[0], counter)
-        counter.comparisons += len(tops)
-        w, off = self.ewds.row_layout(tops[0])
-        tvp = self.ewds.tvp
-        gset = set(gamma_copy)
-        return [t for t in tops if gset.issubset(tvp[off + t * w : off + t * w + w])]
+    # -- relation operations -----------------------------------------------
 
     def _add_faces(
-        self, out: set[Simplex], tops: list[int], cp: Simplex, gamma: Simplex, m: int
+        self, out: set[Simplex], tops: list[int], gamma: Simplex, m: int
     ) -> int:
         """Add to out the m-faces, in source ids, of tops that contain gamma.
 
-        Every top in tops spans cp, a copy of the source simplex gamma, and
-        all of them lie in one dimension block.  sigma_n is one-to-one on a
+        Every top in tops spans the same copy of the source simplex gamma,
+        so all of them lie in one dimension block.  sigma_n is one-to-one on a
         top's row, so the source ids outside gamma are distinct and a face
-        is gamma plus a combination of them.  Returns the number of faces
-        enumerated, which a query counts as comparisons.
+        is gamma plus a combination of them: of one id when m = n + 1, of
+        all of them when m is the block's dimension.  Returns the number of
+        faces enumerated, which a query counts as comparisons.
         """
         if not tops:
             return 0
         w, off = self.ewds.row_layout(tops[0])
+        free = w - len(gamma)
         need = m + 1 - len(gamma)
+        if need > free:
+            return 0
         tvp, sigma_n = self.ewds.tvp, self.sigma_n
-        extras: set[Simplex] = set()
-        for t in tops:
-            row = tvp[off + t * w : off + t * w + w]
-            rest = sorted([sigma_n[x] for x in row if x not in cp])
-            extras.update(combinations(rest, need))
-        out.update(tuple(sorted(gamma + extra)) for extra in extras)
-        return len(tops) * math.comb(w - len(gamma), need)
+        if need == free:
+            for t in tops:
+                row = tvp[off + t * w : off + t * w + w]
+                out.add(tuple(sorted([sigma_n[x] for x in row])))
+        elif need == 1:
+            link: set[int] = set()
+            for t in tops:
+                link.update([sigma_n[x] for x in tvp[off + t * w : off + t * w + w]])
+            link.difference_update(gamma)
+            out.update(tuple(sorted(gamma + (s,))) for s in link)
+        else:
+            # the tops share one copy of gamma: drop it in packed ids
+            first = off + tops[0] * w
+            cp = [x for x in tvp[first : first + w] if sigma_n[x] in gamma]
+            extras: set[Simplex] = set()
+            for t in tops:
+                row = tvp[off + t * w : off + t * w + w]
+                rest = sorted([sigma_n[x] for x in row if x not in cp])
+                extras.update(combinations(rest, need))
+            out.update(tuple(sorted(gamma + extra)) for extra in extras)
+        return len(tops) * math.comb(free, need)
 
-    # -- relation operations -----------------------------------------------
+    def _copy_star(
+        self, cp: Simplex, seeds: Iterable[int], counter: OpCounter = NULL_COUNTER
+    ) -> list[int]:
+        """Tops that walks from seeds reach across facets containing cp.
+
+        cp is a copy in packed ids and every seed spans it.  A copy lives in
+        one component, so all seeds and the walks share one block layout;
+        the walks tick the counter as travel_star does.
+        """
+        ew = self.ewds
+        w, off = ew.row_layout(next(iter(seeds)))
+        flags: dict[int, int] = {}
+        gset = set(cp)
+        visited: list[int] = []
+        for s in seeds:
+            visited += _patch(ew.tvp, ew.ttp, w, off, gset, s, flags)
+        counter.visits += len(visited)
+        counter.expansions += len(visited) * (w - len(cp))
+        return visited
 
     def snh_given(
         self, gamma: Iterable[int], t: int, counter: OpCounter = NULL_COUNTER
     ) -> list[int]:
-        """Star tops of the copy of gamma living in top t.
+        """Star tops of the copy of source simplex gamma living in top t.
 
-        Floods from the splitmap representatives when gamma is recorded
-        there (its star may fall into several patches), from t itself
-        otherwise.
+        Walks from the splitmap representatives of that copy when gamma is
+        a key (its star may fall into several patches), from t itself
+        otherwise: the splitmap records every simplex with a split star,
+        so the walk reaches the copy's whole star either way.
         """
         gamma = simplex(gamma)
-        cp = self.copy_in_top(t, gamma)
-        if cp is None:
+        w, off = self.ewds.row_layout(t)
+        sigma_n = self.sigma_n
+        row = self.ewds.tvp[off + t * w : off + t * w + w]
+        cp = tuple(sorted([x for x in row if sigma_n[x] in gamma]))
+        if len(cp) != len(gamma):
             raise NotIncident(f"top {t} spans no copy of {gamma}")
         reps = self.splitmap.get(gamma, {}).get(cp)
-        seeds = sorted(reps) if reps else [t]
-        flags: dict[int, int] = {}
-        visited: list[int] = []
-        for s in seeds:
-            visited.extend(travel_star(self.ewds, cp, s, flags, counter))
-        return sorted(visited)
+        return sorted(self._copy_star(cp, reps or (t,), counter))
 
     def s0m_global(
         self, v: int, m: int, counter: OpCounter = NULL_COUNTER
@@ -184,7 +219,7 @@ class NmLayer:
             if self.ewds.dim_of_top(t0) < m:
                 continue  # component too small to hold m-faces
             tops = self.ewds.s0h(vp, counter)
-            counter.comparisons += self._add_faces(out, tops, (vp,), (v,), m)
+            counter.comparisons += self._add_faces(out, tops, (v,), m)
         return out
 
     def snm_global(
@@ -197,9 +232,11 @@ class NmLayer:
         """m-simplices of the source incident to the n-simplex gamma.
 
         Total: a gamma that is not a face of the source yields the empty
-        set.  A splitmap key lists all its copies; any other simplex has a
-        single copy, found inside the top that one trie lookup returns.
-        Raises BadRelation as check_relation does.
+        set.  A vertex pools the stars of its copies.  For n >= 1 the query
+        walks gamma's own star: from the representatives of each copy when
+        gamma is a splitmap key, otherwise from the top that one trie lookup
+        returns, and reads the m-faces off the tops it reaches.  Raises
+        BadRelation as check_relation does.
         """
         gamma = simplex(gamma)
         check_relation(gamma, n, m)
@@ -207,19 +244,18 @@ class NmLayer:
             if gamma[0] not in self.copies_of:
                 return set()
             return self.s0m_global(gamma[0], m, counter)
-        if gamma in self.splitmap:
-            cps = list(self.splitmap[gamma])
-        else:
+        entry = self.splitmap.get(gamma)
+        if entry is None:
             try:
                 hint = self.trie.lookup(gamma, counter)
             except NotInTrie:
                 return set()
-            cp = self.copy_in_top(hint, gamma)
-            cps = [cp] if cp is not None else []
+            stars = [self.snh_given(gamma, hint, counter)]
+        else:
+            stars = [self._copy_star(cp, reps, counter) for cp, reps in entry.items()]
         out: set[Simplex] = set()
-        for cp in cps:
-            tops = self._copy_tops(cp, counter)
-            counter.comparisons += self._add_faces(out, tops, cp, gamma, m)
+        for tops in stars:
+            counter.comparisons += self._add_faces(out, tops, gamma, m)
         return out
 
     # -- compression accounting --------------------------------------------
@@ -270,11 +306,13 @@ def v_nra_vertices(
     sigma_n: list[int],
     copies_of: dict[int, tuple[int, ...]],
 ) -> list[int]:
-    """Source vertices whose stars the splitmap must harvest.
+    """The paper's non-regular-adjacency vertices, in source ids.
 
     The splitting vertices plus the vertices of tops with an order>=3
-    facet (a diamond in their adjacency row).  Harvesting every vertex
-    instead yields the same keys and copies, only with more work.
+    facet (a diamond in their adjacency row).  stats() counts their stars.
+    Harvesting them finds every key with several copies or a diamond, but
+    not an edge pinched between tets while neither of its vertices splits:
+    pinch_suspects adds the vertices where that may happen.
     """
     out = {v for v, cs in copies_of.items() if len(cs) > 1}
     for t in range(1, ewds.nt + 1):
@@ -283,37 +321,115 @@ def v_nra_vertices(
     return sorted(out)
 
 
+def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
+    """Source vertices whose star may hold a pinched simplex.
+
+    A simplex is pinched when its star inside one component falls into
+    several patches with no diamond between them.  Below dimension 3 only
+    a facet can be a key short of a top, and a facet with two cofaces
+    joins them, so blocks of dimension <= 2 have no pinch.  In a tet
+    block every component is an
+    IQM, so the link of a vertex a is a connected pseudo-surface whose
+    only singular points are the pinched edges at a, and its Euler
+    characteristic
+
+        chi = E(a) - (3 T(a) + B(a)) / 2 + T(a)
+
+    (E distinct edges at a, T tets at a, B boundary slots of those tets
+    whose facet holds a) drops below that of the normalised surface by
+    one per extra patch.  A closed surface has chi <= 2 and one with
+    boundary chi <= 1, so a is clear when chi is 2 without boundary or 1
+    with it, and a suspect otherwise.  Tops with a diamond put their
+    vertices in v_nra whatever the count says.  In blocks of dimension
+    >= 4 every vertex is a suspect.  One pass over TVP/TTP.
+    """
+    tvp, ttp, nv = ewds.tvp, ewds.ttp, ewds.nv
+    out: set[int] = set()
+    for h in range(3, ewds.d + 1):
+        lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
+        if h > 3:
+            out.update([sigma_n[x] for x in tvp[lo:hi]])
+            continue
+        n = nv + 1
+        tets, bnd, deg = [0] * n, [0] * n, [0] * n
+        edges: set[int] = set()  # a * n + b for each edge a < b
+        for base in range(lo, hi, 4):
+            a, b, c, e = sorted(tvp[base : base + 4])
+            edges.update((a * n + b, a * n + c, a * n + e, b * n + c, b * n + e, c * n + e))
+            for k in range(base, base + 4):
+                x = tvp[k]
+                tets[x] += 1
+                if ttp[k] == 0:  # the facet opposite x holds the other three
+                    bnd[a] += 1
+                    bnd[b] += 1
+                    bnd[c] += 1
+                    bnd[e] += 1
+                    bnd[x] -= 1
+        for key in edges:
+            deg[key // n] += 1
+            deg[key % n] += 1
+        for x in range(1, n):
+            if tets[x]:
+                chi2 = 2 * deg[x] - tets[x] - bnd[x]  # twice chi
+                if chi2 != (2 if bnd[x] else 4):
+                    out.add(sigma_n[x])
+    return out
+
+
+def _slot_subsets(w: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(bitmask, slots) of every slot subset of a width-w row with at
+    least two slots, short of the whole row."""
+    return [
+        (idx, tuple(k for k in range(w) if idx >> k & 1))
+        for idx in range(1, (1 << w) - 1)
+        if idx.bit_count() >= 2
+    ]
+
+
 def build_splitmap(
     ewds: Ewds,
     sigma_n: list[int],
     copies_of: dict[int, tuple[int, ...]],
-    v_nra: Iterable[int],
+    vertices: Iterable[int],
     counter: OpCounter = NULL_COUNTER,
 ) -> Splitmap:
-    """Harvest split simplices from the stars of the given vertices.
+    """Harvest split simplices from the stars of the given source vertices.
 
     Every at-least-2-vertex slot subset of every star top is read off
     once: the first top to show a subset becomes the representative of
     that adjacency patch, and walking the patch flags the subset in all
     its other tops.  Keys that end up with one copy and one patch carry
-    no information beyond sigma and are dropped.
+    no information beyond sigma and are dropped.  The splitmap is complete
+    when vertices holds v_nra and the pinch suspects: every split simplex
+    has a vertex among them, so all of its star is read.
     """
+    tvp, ttp = ewds.tvp, ewds.ttp
     flags: dict[int, int] = {}
     smap: Splitmap = {}
-    for v in sorted(v_nra):
+    subsets: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    visits = expansions = 0
+    for v in sorted(vertices):
         for vp in copies_of.get(v, ()):
-            for t in ewds.s0h(vp, counter):
-                h = ewds.dim_of_top(t)
-                row = ewds.row_of(t)
-                for idx in range(1, (1 << (h + 1)) - 1):
-                    if idx.bit_count() < 2:
+            star = ewds.s0h(vp, counter)
+            w, off = ewds.row_layout(star[0])
+            if w not in subsets:
+                subsets[w] = _slot_subsets(w)
+            for t in star:
+                row = tvp[off + t * w : off + t * w + w]
+                done = flags.get(t, 0)
+                for idx, slots in subsets[w]:
+                    if done >> idx & 1:
                         continue
-                    if flags.get(t, 0) >> idx & 1:
-                        continue
-                    cp = simplex(row[k] for k in range(h + 1) if idx >> k & 1)
-                    key = simplex(sigma_n[x] for x in cp)
+                    cp = sorted([row[k] for k in slots])
+                    key = tuple(sorted([sigma_n[x] for x in cp]))
+                    cp = tuple(cp)
                     smap.setdefault(key, {}).setdefault(cp, set()).add(t)
-                    travel_star(ewds, cp, t, flags, counter)
+                    # the walk from t, as travel_star counts it
+                    reached = len(_patch(tvp, ttp, w, off, set(cp), t, flags))
+                    visits += reached
+                    expansions += reached * (w - len(cp))
+    counter.visits += visits
+    counter.expansions += expansions
     for key in list(smap):
         if len(smap[key]) == 1:
             (reps,) = smap[key].values()
@@ -323,10 +439,16 @@ def build_splitmap(
 
 
 def build_nm_layer(ewds: Ewds) -> NmLayer:
-    """Assemble the full non-manifold layer for a packed decomposition."""
+    """Assemble the full non-manifold layer for a packed decomposition.
+
+    The splitmap harvests v_nra and the pinch suspects; the layer keeps
+    v_nra alone, which stats() reads.
+    """
     dec = ewds.source
     sigma_n, copies_of = build_sigma_maps(ewds, dec)
     nra = v_nra_vertices(ewds, sigma_n, copies_of)
-    smap = build_splitmap(ewds, sigma_n, copies_of, nra)
+    harvest = pinch_suspects(ewds, sigma_n)
+    harvest.update(nra)
+    smap = build_splitmap(ewds, sigma_n, copies_of, harvest)
     trie = build_ft_trie(dec.source, smap.keys(), ewds.top_new)
     return NmLayer(ewds, sigma_n, copies_of, smap, nra, trie)

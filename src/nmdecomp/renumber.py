@@ -79,23 +79,25 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     for h in range(d + 1):
         vbase.append(vbase[h] + nv_per_dim[h])
 
-    # mutable rows in packed ids; the DFS swaps slots as it pairs
-    trows = {t: list(ewds.row_of(t)) for t in range(1, ewds.nt + 1)}
-    ttrows = {t: list(ewds.tt_row_of(t)) for t in range(1, ewds.nt + 1)}
-    pperm = {t: list(range(len(trows[t]))) for t in trows}
+    # flat copies of TVP/TTP; the DFS swaps a paired top's new slot into
+    # its last one, once per top, and records that exchange in perms
+    tv, tt = list(ewds.tvp), list(ewds.ttp)
 
     for h in range(d + 1):
+        w = h + 1
+        off = ewds.tbase_addr[h] - ewds.tbase[h] * w
         tidx = ewds.tbase[h]
         tnew = ewds.tbase[h] + cc[h]
         vidx = vbase[h]
         vnew = vbase[h] + cc[h]  # pairing numbers; reserved slots come last
         for seed in seeds_per_dim[h]:
+            base = off + seed * w
             ftt[seed] = tidx
             tidx += 1
-            fvv[trows[seed][h]] = vidx
+            fvv[tv[base + h]] = vidx
             vidx += 1
             for j in range(h):
-                fvv[trows[seed][j]] = -1
+                fvv[tv[base + j]] = -1
         for seed in seeds_per_dim[h]:
             visited = {seed}
             stack = [(seed, 0)]
@@ -105,23 +107,27 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
                     stack.pop()
                     continue
                 stack[-1] = (t, i + 1)
-                nbr = ttrows[t][i]
+                base = off + t * w
+                nbr = tt[base + i]
                 if nbr <= 0 or nbr in visited:
                     continue
                 visited.add(nbr)
-                phi = set(trows[t]) - {trows[t][i]}
-                k = next(
-                    kk for kk in range(h + 1) if trows[nbr][kk] not in phi
-                )
-                v = trows[nbr][k]
+                phi = set(tv[base : base + w])
+                phi.discard(tv[base + i])
+                nbase = off + nbr * w
+                k = next(kk for kk in range(w) if tv[nbase + kk] not in phi)
+                v = tv[nbase + k]
                 if fvv[v] == 0:
                     fvv[v] = vnew
                     vnew += 1
                     ftt[nbr] = tnew
                     tnew += 1
                     if k != h:
-                        for arr in (trows[nbr], ttrows[nbr], pperm[nbr]):
-                            arr[k], arr[h] = arr[h], arr[k]
+                        for arr in (tv, tt):
+                            arr[nbase + k], arr[nbase + h] = arr[nbase + h], arr[nbase + k]
+                        perm = list(range(w))
+                        perm[k], perm[h] = h, k
+                        perms[nbr] = tuple(perm)
                 # unpaired tops stay in the walk: the flood must reach every
                 # star from outside once, or vertices behind them never pair
                 stack.append((nbr, 0))
@@ -131,14 +137,10 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
                 tnew += 1
         for seed in seeds_per_dim[h]:
             for j in range(h):
-                v = trows[seed][j]
+                v = tv[off + seed * w + j]
                 assert fvv[v] == -1  # reserved slots survive the pairing
                 fvv[v] = vnew
                 vnew += 1
-
-    for t, p in pperm.items():
-        if p != list(range(len(p))):
-            perms[t] = tuple(p)
     return Renumbering(ftt, fvv, perms, cc, vbase)
 
 

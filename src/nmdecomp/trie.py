@@ -33,7 +33,10 @@ class FtTrie:
     def insert(self, word: Iterable[int], top: int) -> None:
         node = self.root
         for v in word:
-            node = node.children.setdefault(v, TrieNode())
+            child = node.children.get(v)
+            if child is None:
+                child = node.children[v] = TrieNode()
+            node = child
         if not node.terminal:
             node.terminal = True
             self.num_words += 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nmdecomp.complexes import Complex
 from nmdecomp.fixtures import load_text, load_tv
 from nmdecomp.meshes import kuhn_cube
 
@@ -60,6 +61,27 @@ def cones_partial_script():
 @pytest.fixture(scope="session")
 def claw_script():
     return load_text("fix_g.glue")
+
+
+@pytest.fixture(scope="session")
+def pinched_edge():
+    """Eight unit cubes of kuhn_cube(3), an IQM with no splitting vertex
+    whose edge (22, 38) is pinched: its four tets form two patches."""
+    cubes = [
+        (0, 0, 1), (1, 1, 1), (0, 0, 2), (1, 0, 2), (1, 1, 2), (0, 0, 0), (1, 0, 0), (1, 1, 0),
+    ]
+    # cube (x, y, z) holds tops 6i+1..6i+6, i = x + 3(y + 3z)
+    tops = [6 * (x + 3 * (y + 3 * z)) + k for x, y, z in cubes for k in range(1, 7)]
+    return kuhn_cube(3).subcomplex(tops)
+
+
+@pytest.fixture(scope="session")
+def pinched_edge_cone(pinched_edge):
+    """The cone over pinched_edge with apex 100: a 4-dimensional IQM whose
+    edge (22, 38) and triangle (22, 38, 100) are pinched."""
+    return Complex(
+        {t: pinched_edge.row(t) + (100,) for t in pinched_edge.top_ids}, validate=False
+    )
 
 
 @pytest.fixture(scope="session")

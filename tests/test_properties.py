@@ -143,6 +143,18 @@ def test_splitmap_complete_over_v_nra(seed, d):
     }
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_splitmap_equals_every_vertex_harvest(seed, d):
+    # the layer harvests v_nra and the pinch suspects only; harvesting every
+    # vertex finds the same keys, copies and number of patches per copy
+    nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
+    every = build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, sorted(nm.copies_of))
+    assert {k: {cp: len(r) for cp, r in e.items()} for k, e in nm.splitmap.items()} == {
+        k: {cp: len(r) for cp, r in e.items()} for k, e in every.items()
+    }
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds, dims)
 def test_ewds_tables_consistent(seed, d):
