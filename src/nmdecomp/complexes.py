@@ -10,17 +10,21 @@ Vertex ids are positive integers.  Files may label vertices with arbitrary
 alphanumeric tokens; the token table is kept so output can speak the file's
 labels.
 
-The manifold-facet rule lives here too.  `canonical_pairs` finds the top
-pairs that share a facet no other top contains, and `manifold_corners`
-glues the exploded (top, vertex) corners across them.  `decompose` turns
-those corner classes into vertices, and `Complex.is_iqm` asks for exactly
-one class per vertex, so both read the same rule.
+The manifold-facet rule lives here too, on flat integer corners: corner
+start[i] + k is slot k of the i-th top in top_ids order (`corner_layout`).
+`facet_slots` maps every facet to the slots opposite it in its cofaces;
+`canonical_pairs` keeps the facets that no other top contains, and
+`glued_corners` merges the corners of each such pair in a union-find
+parent array.  `decompose` turns those corner classes into vertices, and
+`Complex.is_iqm` asks for exactly one class per vertex, so both read the
+same rule.  `winged.Ewds.fill_tt` calls `facet_slots` on its packed blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -33,7 +37,7 @@ from .errors import (
     UnknownToken,
     UnknownTop,
 )
-from .unionfind import UnionFind
+from .unionfind import UnionFind, flatten, union_min
 
 Simplex = tuple  # sorted duplicate-free tuple of vertex ids
 
@@ -284,9 +288,9 @@ class Complex:
         """
         if not self.is_regular():
             return False
-        corners = manifold_corners(self)
-        classes = {corners.find((t, v)) for t, row in self._tv.items() for v in row}
-        return len(classes) == self.num_vertices
+        roots = glued_corners(self)
+        classes = sum(1 for k, r in enumerate(roots) if k == r)
+        return classes == self.num_vertices
 
     def _is_pseudomanifold(self, d: int) -> bool:
         if d >= 1:
@@ -384,25 +388,71 @@ class Complex:
         return f"Complex({self.num_tops} tops, d={self.dim})"
 
 
-# -- manifold facet gluing ---------------------------------------------------
+# -- flat corners and the manifold-facet rule --------------------------------
 
 
-def _manifold_facets(c: Complex) -> Iterator[tuple[Simplex, list[int]]]:
-    """Each facet whose star is exactly two tops, with those two tops.
+def facet_slots(
+    flat: Sequence[int], rows: Iterable[tuple[int, int]]
+) -> dict[Simplex, int | tuple[int, ...]]:
+    """Each facet of the given rows -> the slots opposite it, one per coface.
 
-    Each top offers only its own facets, so a facet's cofaces here are tops
-    one dimension above it, and the facet is all the two tops share.
+    rows yields (start, width) of rows of flat; a row's facets are its
+    sorted vertices less one, and the slot opposite a facet is the index
+    in flat of the vertex it leaves out.  A facet with one coface maps to
+    that slot, a facet with more to the tuple of their slots in row order.
+    Keys and values are ints and tuples of ints, which the cyclic garbage
+    collector stops tracking after one pass, so a big table adds little to
+    its full collections.
     """
-    by_facet: dict[Simplex, list[int]] = {}
-    for t in c.top_ids:
-        srt = sorted(c.row(t))
-        if len(srt) < 2:
+    out: dict[Simplex, int | tuple[int, ...]] = {}
+    setdefault = out.setdefault
+    vertex = flat.__getitem__
+    for base, w in rows:
+        if w < 2:
             continue
-        for facet in itertools.combinations(srt, len(srt) - 1):
-            by_facet.setdefault(facet, []).append(t)
-    for facet, tops in by_facet.items():
-        if len(tops) == 2 and len(c.star(facet)) == 2:
-            yield facet, tops
+        # slots by vertex; combinations leave out the last vertex first
+        pos = sorted(range(base, base + w), key=vertex)
+        facets = itertools.combinations(map(vertex, pos), w - 1)
+        for facet, slot in zip(facets, reversed(pos)):
+            prev = setdefault(facet, slot)
+            if prev != slot:
+                out[facet] = prev + (slot,) if type(prev) is tuple else (prev, slot)
+    return out
+
+
+def corner_layout(c: Complex) -> tuple[list[int], list[int]]:
+    """The flat corners of c and where each top's corners start.
+
+    Corner start[i] + k is slot k of the i-th top in top_ids order, and
+    flat holds its vertex; start has a final entry, the corner count.
+    """
+    flat: list[int] = []
+    start = [0]
+    for t in c.top_ids:
+        flat.extend(c.row(t))
+        start.append(len(flat))
+    return flat, start
+
+
+def _manifold_facets(
+    c: Complex, flat: list[int], start: list[int]
+) -> Iterator[tuple[Simplex, int, int]]:
+    """Each facet whose star is exactly two tops, with those tops' indices.
+
+    Indices count in top_ids order, over c's `corner_layout`.  Each top
+    offers only its own facets, so the two are one dimension above the
+    facet.  A facet of a widest top lies in no other top; any other needs
+    its star counted.
+    """
+    widths = (b - a for a, b in zip(start, start[1:]))
+    widest = c.dim + 1
+    for facet, slots in facet_slots(flat, zip(start, widths)).items():
+        if type(slots) is not tuple or len(slots) != 2:
+            continue
+        if len(facet) + 1 < widest and len(c.star(facet)) != 2:
+            continue
+        a, b = slots
+        yield facet, bisect_right(start, a) - 1, bisect_right(start, b) - 1
 
 
 def canonical_pairs(c: Complex) -> set[frozenset]:
@@ -412,21 +462,30 @@ def canonical_pairs(c: Complex) -> set[frozenset]:
     must keep applied; applying all of them to the exploded complex yields
     the standard decomposition.
     """
-    return {frozenset(tops) for _, tops in _manifold_facets(c)}
+    tops = c.top_ids
+    return {
+        frozenset((tops[i], tops[j]))
+        for _, i, j in _manifold_facets(c, *corner_layout(c))
+    }
 
 
-def manifold_corners(c: Complex) -> UnionFind:
-    """(top, vertex) corners of c glued across every canonical pair.
+def glued_corners(c: Complex) -> list[int]:
+    """Class of each flat corner of c, glued across every canonical pair.
 
-    Corners absent from the result are singleton classes.  Each class is
-    one vertex of the standard decomposition, and c is an initial
-    quasi-manifold when it is regular with one class per vertex.
+    Corners are numbered as in `corner_layout`, and a class is named by its
+    smallest corner.  Each class is one vertex of the standard
+    decomposition, and c is an initial quasi-manifold when it is regular
+    with one class per vertex.
     """
-    corners = UnionFind()
-    for facet, (t1, t2) in _manifold_facets(c):
+    flat, start = corner_layout(c)
+    parent = list(range(len(flat)))
+    index = flat.index
+    for facet, i, j in _manifold_facets(c, flat, start):
+        si, sj = start[i], start[j]
+        ei, ej = start[i + 1], start[j + 1]
         for v in facet:
-            corners.union((t1, v), (t2, v))
-    return corners
+            union_min(parent, index(v, si, ei), index(v, sj, ej))
+    return flatten(parent)
 
 
 # -- 1- and 2-complex helpers for the link classifiers ----------------------

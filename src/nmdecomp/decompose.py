@@ -1,12 +1,14 @@
 """Standard decomposition into initial quasi-manifold components.
 
-`complexes.manifold_corners` explodes the input into (top, vertex)
-corners and glues them back across every manifold facet pair: two tops
-sharing a facet that no other top contains.  Here each corner class
-becomes one vertex of the decomposition, which is the unique most-split
-one that cuts only along non-manifold simplices.  One pass over the tops'
-own facets finds the pairs, so the work is linear in the size of the
-input, up to sorting.  `Complex.is_iqm` counts the same corner classes.
+`complexes.glued_corners` explodes the input into flat integer corners,
+one per slot of each top, and glues them back across every manifold facet
+pair: two tops sharing a facet that no other top contains.  Here each
+corner class becomes one vertex of the decomposition, which is the unique
+most-split one that cuts only along non-manifold simplices.  One pass over
+the tops' own facets finds the pairs, and list-based union-finds over the
+corner ids and then the top indices give the classes and the components,
+so the work is linear in the size of the input, up to sorting.
+`Complex.is_iqm` counts the same corner classes.
 
 Per source vertex, copies are ordered by link dimension, then smallest
 star top.  The first keeps the original id, so sigma is the identity on
@@ -20,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 # canonical_pairs is re-exported, so it can still be imported from here
-from .complexes import Complex, canonical_pairs, manifold_corners
-from .unionfind import UnionFind
+from .complexes import Complex, canonical_pairs, glued_corners
+from .unionfind import flatten, union_min
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,21 @@ class DecompositionResult:
         """Package a decomposition, deriving its components and cc.
 
         Components are the 0-connected classes of nabla, sorted by
-        dimension, then smallest top.
+        dimension, then smallest top: a union-find over top indices joins
+        each top to the first top holding each of its vertices.
         """
-        groups = nabla.h_connected_components(0)
+        tops = nabla.top_ids
+        parent = list(range(len(tops)))
+        first: dict[int, int] = {}  # vertex -> index of its first top
+        for i, t in enumerate(tops):
+            for v in nabla.row(t):
+                j = first.setdefault(v, i)
+                if j != i:
+                    union_min(parent, i, j)
+        by_root: dict[int, list[int]] = {}
+        for i, r in enumerate(flatten(parent)):
+            by_root.setdefault(r, []).append(tops[i])
+        groups = list(by_root.values())
         groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
         components = [nabla.subcomplex(g) for g in groups]
         cc = [0] * (nabla.dim + 1)
@@ -91,45 +105,59 @@ def copy_label(original_label: str, copy_id: int, copy_index: int) -> str:
 
 
 def decomposition_from_corners(
-    source: Complex, corners: UnionFind
+    source: Complex, root: list[int]
 ) -> DecompositionResult:
     """Number the corner classes of source and package the result.
 
-    corners partitions the (top, vertex) corners of source; each class
-    becomes one vertex.  Per source vertex, ascending, the classes are
-    ordered by link dimension, then smallest top: the first keeps the
-    vertex's id and label, the others take fresh ids in turn.
+    root names the class of each flat corner of source (see
+    `complexes.corner_layout`) by the class's smallest corner, so a class
+    is first met in its smallest top.  Each class becomes one vertex.  Per
+    source vertex, ascending, the classes are ordered by link dimension,
+    then smallest top: the first keeps the vertex's id and label, the
+    others take fresh ids in turn.
     """
-    classes: dict[int, dict] = {}
-    for t in source.top_ids:
-        for v in source.row(t):
-            classes.setdefault(v, {}).setdefault(corners.find((t, v)), []).append(t)
+    tops = source.top_ids
+    rows = [source.row(t) for t in tops]
+    width = [0] * len(root)  # class -> widest top holding it
+    classes: dict[int, list[int]] = {}  # vertex -> its classes, by smallest top
+    k = 0
+    for row in rows:
+        w = len(row)
+        for v in row:
+            r = root[k]
+            if r == k:
+                classes.setdefault(v, []).append(r)
+            if w > width[r]:
+                width[r] = w
+            k += 1
 
-    labels = source.labels
+    label_of = source.label_of
+    labels = {v: label_of(v) for v in classes}
     sigma: dict[int, int] = {}
-    copy_of: dict = {}  # class root -> vertex id in the decomposition
+    copy_of = [0] * len(root)  # class -> vertex id in the decomposition
     next_id = max(classes) + 1
     for v in sorted(classes):
-        # a class's top dimension is its link dimension plus one
-        groups = sorted(
-            classes[v].items(),
-            key=lambda item: (max(source.dim_of(t) for t in item[1]), item[1][0]),
-        )
-        for k, (root, _) in enumerate(groups, start=1):
-            if k == 1:
+        # a class's top width is its link dimension plus two
+        group = classes[v]
+        if len(group) > 1:
+            group.sort(key=width.__getitem__)  # stable: smallest top breaks ties
+        for n, r in enumerate(group, start=1):
+            if n == 1:
                 vid = v
             else:
                 vid = next_id
                 next_id += 1
-                labels[vid] = copy_label(labels[v], vid, k)
+                labels[vid] = copy_label(labels[v], vid, n)
             sigma[vid] = v
-            copy_of[root] = vid
+            copy_of[r] = vid
 
-    rows = {
-        t: tuple(copy_of[corners.find((t, v))] for v in source.row(t))
-        for t in source.top_ids
-    }
-    nabla = Complex(rows, labels=labels, validate=False)
+    flat = [copy_of[r] for r in root]
+    nabla_rows: dict[int, tuple[int, ...]] = {}
+    k = 0
+    for t, row in zip(tops, rows):
+        nabla_rows[t] = tuple(flat[k : k + len(row)])
+        k += len(row)
+    nabla = Complex(nabla_rows, labels=labels, validate=False)
     return DecompositionResult.from_parts(source, nabla, sigma)
 
 
@@ -137,4 +165,4 @@ def decompose(c: Complex) -> DecompositionResult:
     """Standard decomposition of a non-empty complex."""
     if c.num_tops == 0:
         raise ValueError("cannot decompose an empty complex")
-    return decomposition_from_corners(c, manifold_corners(c))
+    return decomposition_from_corners(c, glued_corners(c))

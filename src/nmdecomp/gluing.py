@@ -1,16 +1,18 @@
 """Vertex-identification lab: rebuild a complex from exploded tops.
 
-The state is a partition of (top, vertex) corners.  Fully exploded, every
-corner is its own class; gluing instructions merge classes, never split
-them, so any run of instructions reaches a quotient of the source complex.
+The state is a partition of the (top, slot) corners of the source.  Fully
+exploded, every corner is its own class; gluing instructions merge classes,
+never split them, so any run of instructions reaches a quotient of the
+source complex.
 Scripts drive the same operations from text files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .complexes import Complex, resolve_tokens
+from .complexes import Complex, corner_layout, resolve_tokens
 from .decompose import DecompositionResult, decomposition_from_corners
 from .errors import (
     NotPseudomanifoldPair,
@@ -18,21 +20,32 @@ from .errors import (
     ParseError,
     VoidInstruction,
 )
-from .unionfind import UnionFind
+from .unionfind import flatten, union_min
 
 
 class GluingState:
-    """Partition of corners of the source complex, coarsened by gluing."""
+    """Partition of corners of the source complex, coarsened by gluing.
+
+    Corners are the flat ids of `complexes.corner_layout`, and the
+    partition is a union-find parent array over them.
+    """
 
     def __init__(self, source: Complex):
         self.source = source
-        self._uf: UnionFind = UnionFind(
-            (t, v) for t in source.top_ids for v in source.row(t)
-        )
+        self._flat, start = corner_layout(source)
+        self._first = dict(zip(source.top_ids, start))
+        self._parent = list(range(len(self._flat)))
 
     @classmethod
     def totally_exploded(cls, source: Complex) -> "GluingState":
         return cls(source)
+
+    def _glue_corners(self, t1: int, t2: int, shared: Iterable[int]) -> None:
+        index, first = self._flat.index, self._first
+        s1, s2 = first[t1], first[t2]
+        e1, e2 = s1 + len(self.source.row(t1)), s2 + len(self.source.row(t2))
+        for v in shared:
+            union_min(self._parent, index(v, s1, e1), index(v, s2, e2))
 
     # -- instructions ------------------------------------------------------
 
@@ -41,15 +54,14 @@ class GluingState:
         r1, r2 = self.source.row(t1), self.source.row(t2)
         if v not in r1 or v not in r2:
             raise NotSharedVertex(f"vertex {v} is not shared by tops {t1} and {t2}")
-        self._uf.union((t1, v), (t2, v))
+        self._glue_corners(t1, t2, (v,))
 
     def glue(self, t1: int, t2: int) -> None:
         """Identify every vertex the two tops share in the source."""
         shared = set(self.source.row(t1)) & set(self.source.row(t2))
         if not shared:
             raise VoidInstruction(f"tops {t1} and {t2} share no vertices")
-        for v in sorted(shared):
-            self._uf.union((t1, v), (t2, v))
+        self._glue_corners(t1, t2, shared)
 
     def pmglue(self, t1: int, t2: int) -> None:
         """Glue along a shared facet of order two.
@@ -70,18 +82,25 @@ class GluingState:
             raise NotPseudomanifoldPair(
                 f"tops {t1} and {t2} do not meet along an order-2 facet"
             )
-        for v in sorted(shared):
-            self._uf.union((t1, v), (t2, v))
+        self._glue_corners(t1, t2, shared)
 
     # -- views -------------------------------------------------------------
 
+    def roots(self) -> list[int]:
+        """Class of each flat corner, named by its smallest corner."""
+        return flatten(self._parent)[:]
+
     def corner_classes(self) -> list[tuple[int, list[int]]]:
-        """One (source vertex, sorted top ids) pair per corner class."""
-        out = []
-        for grp in self._uf.groups():
-            v = grp[0][1]
-            out.append((v, sorted(t for t, _ in grp)))
-        return out
+        """One (source vertex, sorted top ids) pair per corner class.
+
+        Classes come ordered by smallest top, then vertex.
+        """
+        by_root: dict[int, tuple[int, list[int]]] = {}
+        flat, roots = self._flat, self.roots()
+        for t, s in self._first.items():
+            for k in range(s, s + len(self.source.row(t))):
+                by_root.setdefault(roots[k], (flat[k], []))[1].append(t)
+        return sorted(by_root.values(), key=lambda c: (c[1][0], c[0]))
 
     def classes_of_vertex(self, v: int) -> list[list[int]]:
         """Corner classes of one source vertex, as sorted top-id lists."""
@@ -111,7 +130,7 @@ class GluingState:
 
     def current_decomposition(self) -> DecompositionResult:
         """The glued complex with fresh ids for extra vertex copies."""
-        return decomposition_from_corners(self.source, self._uf)
+        return decomposition_from_corners(self.source, self.roots())
 
 
 # -- script driver ---------------------------------------------------------

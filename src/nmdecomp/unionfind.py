@@ -1,4 +1,10 @@
-"""Dict-keyed union-find with path compression, shared by several modules."""
+"""Union-find, dict-keyed for arbitrary keys and list-based for 0..n-1.
+
+The list form keeps one parent array and links the larger root under the
+smaller, so every class is rooted at its smallest member.  Because a
+parent then never exceeds its child, one ascending pass (`flatten`) points
+every member straight at its root.
+"""
 
 from __future__ import annotations
 
@@ -47,3 +53,23 @@ class UnionFind:
         out = [sorted(v) for v in by_root.values()]
         out.sort(key=lambda g: g[0])
         return out
+
+
+def union_min(parent: list[int], a: int, b: int) -> None:
+    """Merge the classes of a and b under the smaller of their two roots."""
+    # path halving: each step points a at its grandparent, then moves there
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
+
+
+def flatten(parent: list[int]) -> list[int]:
+    """Point every member at its class's smallest member, in place."""
+    for k in range(len(parent)):
+        parent[k] = parent[parent[k]]
+    return parent

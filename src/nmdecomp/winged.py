@@ -18,10 +18,9 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import repeat
 
-from .complexes import Simplex
+from .complexes import facet_slots
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import OutOfRange, ParseError, UnknownTop, UnknownVertex
@@ -81,12 +80,10 @@ class Ewds:
             tbase_addr.append(tbase_addr[h] + (h + 1) * (tbase[h + 1] - tbase[h]))
         size = tbase_addr[d + 1] - 1
 
-        tvp = [0] * (size + 1)
-        for t in range(1, nt + 1):
-            h = bisect_right(tbase, t, hi=d + 1) - 1
-            base = tbase_addr[h] + (t - tbase[h]) * (h + 1)
-            for k, v in enumerate(nabla.row(top_old[t])):
-                tvp[base + k] = vertex_new[v]
+        # the blocks' rows lie end to end in top order
+        tvp = [0]
+        for t in top_old[1:]:
+            tvp.extend(map(vertex_new.__getitem__, nabla.row(t)))
 
         ew = cls(
             d=d,
@@ -155,28 +152,10 @@ class Ewds:
             raise UnknownVertex(f"vertex {v} out of range 1..{self.nv}")
         return self.vtstar[v]
 
-    def opposite_slot(self, t: int, face: Iterable[int]) -> int:
-        """Slot of the vertex of t outside face (1-based)."""
-        face = set(face)
-        row = self.row_of(t)
-        for k, v in enumerate(row, start=1):
-            if v not in face:
-                return k
-        raise OutOfRange(f"face covers all vertices of top {t}")
-
     # -- adjacency fill ----------------------------------------------------
 
     def _block_tops(self, h: int) -> range:
         return range(self.tbase[h], self.tbase[h + 1])
-
-    def facet_cofaces(self, h: int) -> dict[Simplex, list[int]]:
-        """(h-1)-face -> ascending cofaces, over the dimension-h block."""
-        out: dict[Simplex, list[int]] = {}
-        for t in self._block_tops(h):
-            srt = sorted(self.row_of(t))
-            for face in combinations(srt, h):
-                out.setdefault(face, []).append(t)
-        return out
 
     def fill_tt(self) -> None:
         """Populate TTP and VTSTAR.
@@ -184,27 +163,41 @@ class Ewds:
         Order-1 facets get BOTTOM, order-2 facets mutual references, and
         every coface of a facet of order three or more gets DIAMOND.
 
+        Each dimension-h block is one call of `complexes.facet_slots` over
+        its TVP slice: a facet maps to the TVP addresses of the slots
+        opposite it, and the TTP entry for that facet sits at the same
+        address, in the top (address - lo) // w places into the block.
+
         VTSTAR[v] is pinned to the smallest coface of the lexicographically
         first facet containing v, which makes the table reproducible.
         """
-        for i in range(1, self.size + 1):
-            self.ttp[i] = BOTTOM
-        for h in range(self.d + 1):
-            if h == 0:
-                for t in self._block_tops(0):
-                    self.vtstar[self.tvp_at(0, t, 1)] = t
-                continue
-            for face, cofs in sorted(self.facet_cofaces(h).items()):
+        tvp, ttp, vtstar = self.tvp, self.ttp, self.vtstar
+        ttp[1:] = [BOTTOM] * self.size
+        for t in self._block_tops(0):
+            vtstar[tvp[self.tbase_addr[0] + t - self.tbase[0]]] = t
+        for h in range(1, self.d + 1):
+            w = h + 1
+            lo, hi = self.tbase_addr[h], self.tbase_addr[h + 1]
+            # top ids are read from a list, not computed, so that TTP holds
+            # one int object per top rather than one per entry
+            top_at = list(self._block_tops(h))
+            slots = facet_slots(tvp, zip(range(lo, hi, w), repeat(w)))
+            for face in sorted(slots):
+                opp = slots[face]
+                if type(opp) is int:
+                    first = top_at[(opp - lo) // w]
+                elif len(opp) == 2:
+                    a, b = opp
+                    first = top_at[(a - lo) // w]
+                    ttp[a] = top_at[(b - lo) // w]
+                    ttp[b] = first
+                else:
+                    first = top_at[(opp[0] - lo) // w]
+                    for a in opp:
+                        ttp[a] = DIAMOND
                 for v in face:
-                    if not self.vtstar[v]:
-                        self.vtstar[v] = cofs[0]
-                if len(cofs) == 2:
-                    a, b = cofs
-                    self.ttp[self._addr(h, a, self.opposite_slot(a, face))] = b
-                    self.ttp[self._addr(h, b, self.opposite_slot(b, face))] = a
-                elif len(cofs) > 2:
-                    for t in cofs:
-                        self.ttp[self._addr(h, t, self.opposite_slot(t, face))] = DIAMOND
+                    if not vtstar[v]:
+                        vtstar[v] = first
 
     # -- queries -----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Flat winged tables: layout, addressing, star walks, binary dump."""
 
+import hashlib
+
 import pytest
 
 from nmdecomp.counters import OpCounter
@@ -108,11 +110,6 @@ def test_diamond_marks(cones):
         assert DIAMOND in ew.tt_row_of(ew.top_new[t])
 
 
-def test_opposite_slot(ew_fan):
-    assert ew_fan.opposite_slot(1, [1, 2, 3]) == 4
-    assert ew_fan.opposite_slot(2, [2, 4, 5]) == 2
-
-
 def test_s0h_walks(ew_mixed):
     assert ew_mixed.s0h(7) == [6]
     assert ew_mixed.s0h(9) == [7, 8, 9]
@@ -167,3 +164,28 @@ def test_flat_layout_invariant(ew_mixed, ew_fan):
         for h in range(ew.d):
             width = ew.tbase[h + 1] - ew.tbase[h]
             assert ew.tbase_addr[h + 1] - ew.tbase_addr[h] == (h + 1) * width
+
+
+# sha256 prefixes of the decomposition and of Ewds.dump_bytes(), taken
+# before the facet pass moved to flat integer corners
+FROZEN = {
+    3: ("a9dbf70a65f00405ca0baedce6e81d21", "ef475425232db47b0732044264c9df26"),
+    4: ("b6f8e192612c0dcd0a4b38f939188934", "81a530f634ad57a8ac70957095a3cec6"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN))
+def test_perforated_tables_are_frozen(seed, perforated_cube):
+    dec = decompose(perforated_cube(seed))
+    parts = (
+        sorted(dec.nabla.rows().items()),
+        sorted(dec.sigma.items()),
+        sorted(dec.nabla.labels.items()),
+        [comp.top_ids for comp in dec.components],
+        dec.cc,
+    )
+    got = (
+        hashlib.sha256(repr(parts).encode()).hexdigest()[:32],
+        hashlib.sha256(Ewds.build(dec).dump_bytes()).hexdigest()[:32],
+    )
+    assert got == FROZEN[seed]

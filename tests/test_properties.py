@@ -1,12 +1,14 @@
 """Seeded and property-based invariants over random complexes."""
 
 import random
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from nmdecomp.complexes import Complex, simplex
+from nmdecomp.complexes import Complex, canonical_pairs, simplex
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import NotIqm
+from nmdecomp.gluing import GluingState
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import (
     build_nm_layer,
@@ -241,6 +243,42 @@ def test_vtstar_incident(seed, d):
     ew = Ewds.build(decompose(draw(seed, d)))
     for v in range(1, ew.nv + 1):
         assert v in ew.row_of(ew.vtstar_of(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, dims)
+def test_vtstar_is_first_facet_rule(seed, d):
+    # VTSTAR[v]: in the lowest block holding v, the smallest coface of the
+    # lexicographically first facet containing v (a point is its own facet)
+    ew = Ewds.build(decompose(draw(seed, d)))
+    for v in range(1, ew.nv + 1):
+        for h in range(ew.d + 1):
+            cands = [
+                (facet, t)
+                for t in range(ew.tbase[h], ew.tbase[h + 1])
+                for facet in combinations(sorted(ew.row_of(t)), max(h, 1))
+                if v in facet
+            ]
+            if cands:
+                assert ew.vtstar_of(v) == min(cands)[1]
+                break
+        else:
+            raise AssertionError(f"vertex {v} lies in no top")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_exploded_gluing_matches_decompose(seed, d):
+    # the gluing lab's corner union-find and decompose's facet pass agree
+    c = draw(seed, d)
+    st = GluingState.totally_exploded(c)
+    for pair in sorted(canonical_pairs(c), key=sorted):
+        st.pmglue(*sorted(pair))
+    got, want = st.current_decomposition(), decompose(c)
+    assert got.sigma == want.sigma
+    assert got.nabla.rows() == want.nabla.rows()
+    assert [x.top_ids for x in got.components] == [x.top_ids for x in want.components]
+    assert got.cc == want.cc
 
 
 def test_closed_surface_law_on_ball_boundary(fan):
