@@ -5,9 +5,10 @@ the original complex need two extra ingredients: the vertex copy map
 sigma (copies -> original vertex) and the splitmap, which lists every
 simplex whose star falls into several adjacency patches, or into several
 components, with its copies and one representative top per patch of each
-copy.  Everything else stays implicit: a simplex absent from the splitmap
-has a single copy, found through sigma inside any top that spans it, and
-one patch, which a star walk from that top covers.
+copy; the representative is the smallest top of its patch.  Everything
+else stays implicit: a simplex absent from the splitmap has a single copy,
+found through sigma inside any top that spans it, and one patch, which a
+star walk from that top covers.
 
 Vertex couples are never splitmap keys: the copy map already answers
 them, so recording starts at dimension one.
@@ -15,17 +16,22 @@ them, so recording starts at dimension one.
 A simplex is recorded when one of its vertices splits (a copy per
 component) or when its star inside one component is cut into patches:
 at a facet of order three or more (a diamond), or at a pinch, where
-parts of its star meet in the simplex but share no facet through it.  The harvest reads the
-stars of the paper's v_nra set, which covers the first two, and of the
-vertices that one counting pass over the tables (pinch_suspects) finds
-where a pinch may be.  With that, a query on gamma walks gamma's own
-star: from the representatives of each copy, or from any top spanning
-the single copy.
+parts of its star meet in the simplex but share no facet through it.
+The harvest reads the stars of the paper's v_nra set, which covers the
+first two, and of the vertices that one counting pass over the tables
+(pinch_suspects) finds where a pinch may be.  It makes one pass over the
+union of those stars in ascending top order and reads only the faces
+that hold a harvested vertex.  A facet's patches follow from its TTP
+entry without a walk: two cofaces are one patch, and each coface of a
+boundary facet or of a diamond is one.  With that, a query on gamma walks
+gamma's own star: from the representatives of each copy, or from any top
+spanning the single copy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -35,7 +41,7 @@ from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie, UnknownVertex
 from .trie import FtTrie, build_ft_trie
-from .winged import Ewds
+from .winged import DIAMOND, Ewds
 
 Splitmap = dict[Simplex, dict[Simplex, set[int]]]
 
@@ -315,9 +321,19 @@ def v_nra_vertices(
     pinch_suspects adds the vertices where that may happen.
     """
     out = {v for v, cs in copies_of.items() if len(cs) > 1}
-    for t in range(1, ewds.nt + 1):
-        if any(x < 0 for x in ewds.tt_row_of(t)):
-            out.update(sigma_n[v] for v in ewds.row_of(t))
+    tvp, ttp = ewds.tvp, ewds.ttp
+    for h in range(ewds.d + 1):
+        w = h + 1
+        lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
+        k = lo
+        while True:
+            try:
+                k = ttp.index(DIAMOND, k, hi)
+            except ValueError:
+                break
+            base = k - (k - lo) % w  # the row holding that slot
+            out.update([sigma_n[v] for v in tvp[base : base + w]])
+            k = base + w
     return sorted(out)
 
 
@@ -376,13 +392,16 @@ def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
     return out
 
 
-def _slot_subsets(w: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(bitmask, slots) of every slot subset of a width-w row with at
-    least two slots, short of the whole row."""
+def _met_subsets(w: int, mask: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(bitmask, slots, opposite) of every subset of 2..w-1 slots of a
+    width-w row that holds a slot of mask.  opposite is the one slot left
+    out of a facet, and -1 for a smaller subset."""
+    full = (1 << w) - 1
     return [
-        (idx, tuple(k for k in range(w) if idx >> k & 1))
-        for idx in range(1, (1 << w) - 1)
-        if idx.bit_count() >= 2
+        (idx, tuple(k for k in range(w) if idx >> k & 1),
+         (full ^ idx).bit_length() - 1 if idx.bit_count() == w - 1 else -1)
+        for idx in range(1, full)
+        if idx & mask and idx.bit_count() >= 2
     ]
 
 
@@ -395,47 +414,73 @@ def build_splitmap(
 ) -> Splitmap:
     """Harvest split simplices from the stars of the given source vertices.
 
-    Every at-least-2-vertex slot subset of every star top is read off
-    once: the first top to show a subset becomes the representative of
-    that adjacency patch, and walking the patch flags the subset in all
-    its other tops.  Keys that end up with one copy and one patch carry
-    no information beyond sigma and are dropped.  The splitmap is complete
-    when vertices holds v_nra and the pinch suspects: every split simplex
-    has a vertex among them, so all of its star is read.
+    One pass over the union of the stars of their copies, in ascending
+    top order, reads each slot subset of 2..w-1 slots that holds a
+    harvested copy; no other subset can be split.  A facet needs no walk:
+    with two cofaces it is one patch, recorded from the smaller of them,
+    and on the boundary or at a diamond each coface is a patch of its own.
+    Any other subset is recorded by the first top that shows it, and the
+    walk of its patch from there flags it in the patch's other tops.  All
+    of those tops hold the harvested copy, so they are read too, and every
+    representative is the smallest top of its patch: the splitmap depends
+    on the set of vertices, not on their order.  Keys that end up with one
+    copy and one patch carry no information beyond sigma and are dropped.
+
+    The splitmap is complete when vertices holds v_nra and the pinch
+    suspects: every split simplex has a vertex among them, so all of its
+    star is read.  The star floods tick the counter as s0h does and the
+    patch walks as travel_star does.
     """
+    harvested = [vp for v in vertices for vp in copies_of.get(v, ())]
+    if not harvested:
+        return {}
+    marked = bytearray(ewds.nv + 1)
+    gathered: set[int] = set()
+    for vp in harvested:
+        marked[vp] = 1
+        gathered.update(ewds.s0h(vp, counter))
+    tops = sorted(gathered)
     tvp, ttp = ewds.tvp, ewds.ttp
     flags: dict[int, int] = {}
-    smap: Splitmap = {}
-    subsets: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    found: dict[Simplex, dict[Simplex, list[int]]] = {}
     visits = expansions = 0
-    for v in sorted(vertices):
-        for vp in copies_of.get(v, ()):
-            star = ewds.s0h(vp, counter)
-            w, off = ewds.row_layout(star[0])
-            if w not in subsets:
-                subsets[w] = _slot_subsets(w)
-            for t in star:
-                row = tvp[off + t * w : off + t * w + w]
-                done = flags.get(t, 0)
-                for idx, slots in subsets[w]:
-                    if done >> idx & 1:
-                        continue
-                    cp = sorted([row[k] for k in slots])
-                    key = tuple(sorted([sigma_n[x] for x in cp]))
-                    cp = tuple(cp)
-                    smap.setdefault(key, {}).setdefault(cp, set()).add(t)
+    for h in range(2, ewds.d + 1):  # narrower rows have no such subset
+        w = h + 1
+        off = ewds.tbase_addr[h] - ewds.tbase[h] * w
+        subsets: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
+        lo = bisect_left(tops, ewds.tbase[h])
+        for t in tops[lo : bisect_left(tops, ewds.tbase[h + 1], lo)]:
+            base = off + t * w
+            row = tvp[base : base + w]
+            mask = 0
+            for k in range(w):
+                if marked[row[k]]:
+                    mask |= 1 << k
+            todo = subsets.get(mask)
+            if todo is None:
+                todo = subsets[mask] = _met_subsets(w, mask)
+            done = flags.get(t, 0)
+            for idx, slots, opp in todo:
+                if opp >= 0:
+                    if 0 < ttp[base + opp] < t:
+                        continue  # recorded from the smaller coface
+                elif done >> idx & 1:
+                    continue
+                cp = tuple(sorted([row[k] for k in slots]))
+                key = tuple(sorted([sigma_n[x] for x in cp]))
+                found.setdefault(key, {}).setdefault(cp, []).append(t)
+                if opp < 0:
                     # the walk from t, as travel_star counts it
                     reached = len(_patch(tvp, ttp, w, off, set(cp), t, flags))
                     visits += reached
                     expansions += reached * (w - len(cp))
     counter.visits += visits
     counter.expansions += expansions
-    for key in list(smap):
-        if len(smap[key]) == 1:
-            (reps,) = smap[key].values()
-            if len(reps) == 1:
-                del smap[key]
-    return smap
+    return {
+        key: {cp: set(reps) for cp, reps in entry.items()}
+        for key, entry in found.items()
+        if len(entry) > 1 or len(next(iter(entry.values()))) > 1
+    }
 
 
 def build_nm_layer(ewds: Ewds) -> NmLayer:

@@ -17,7 +17,7 @@ vertex is already taken stays unpaired and is stored in full.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import NotIqm, OutOfRange, UnknownVertex
@@ -69,12 +69,17 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     perms: dict[int, tuple[int, ...]] = {}
 
     cc = [0] * (d + 1)
-    nv_per_dim = [0] * (d + 1)
     seeds_per_dim: dict[int, list[int]] = {h: [] for h in range(d + 1)}
     for comp in dec.components:
         cc[comp.dim] += 1
-        nv_per_dim[comp.dim] += comp.num_vertices
         seeds_per_dim[comp.dim].append(ewds.top_new[comp.top_ids[0]])
+    # components are vertex-disjoint and, being IQMs, each lies in one
+    # block, so a vertex belongs to the block of its VTSTAR top
+    anchors = sorted(ewds.vtstar[1:])
+    nv_per_dim = [
+        bisect_left(anchors, ewds.tbase[h + 1]) - bisect_left(anchors, ewds.tbase[h])
+        for h in range(d + 1)
+    ]
     vbase = [1]
     for h in range(d + 1):
         vbase.append(vbase[h] + nv_per_dim[h])

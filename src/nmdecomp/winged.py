@@ -56,15 +56,16 @@ class Ewds:
         nabla = dec.nabla
         d = nabla.dim
 
-        vertex_old = [0] + sorted(
-            {v for comp in dec.components for v in comp.vertices}
-        )
         # a top goes to the block of its own dimension: the same as its
         # component's, except in a hand-built non-regular component
         blocks: list[list[int]] = [[] for _ in range(d + 1)]
+        verts: set[int] = set()
         for comp in dec.components:
             for t in comp.top_ids:
-                blocks[nabla.dim_of(t)].append(t)
+                row = comp.row(t)
+                blocks[len(row) - 1].append(t)
+                verts.update(row)
+        vertex_old = [0] + sorted(verts)
         counts = [len(block) for block in blocks]
         top_old = [0] + [t for block in blocks for t in block]
         nt = len(top_old) - 1

@@ -1,9 +1,12 @@
 """Standard decomposition: splitting, copy allocation, component order."""
 
+import random
+
 import pytest
 
 from nmdecomp.complexes import parse_tv
 from nmdecomp.decompose import copy_label, decompose
+from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import oracle_decompose
 
 
@@ -98,6 +101,24 @@ def test_matches_oracle_on_perforated_cubes(seed, perforated_cube):
     c = perforated_cube(seed)
     fast, slow = decompose(c), oracle_decompose(c)
     assert fast.ns > 100
+    assert fast.sigma == slow.sigma
+    assert fast.nabla.rows() == slow.nabla.rows()
+    assert [comp.top_ids for comp in fast.components] == [
+        comp.top_ids for comp in slow.components
+    ]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(12, 17))
+def test_matches_oracle_at_benchmark_scale(seed):
+    # kuhn_cube(12) less a seeded 30 % of its tets, the size of the
+    # benchmark's perforated mesh, with over a thousand splitting vertices;
+    # the recursive oracle takes 2-5 s per draw here
+    cube = kuhn_cube(12)
+    rng = random.Random(seed)
+    c = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
+    fast, slow = decompose(c), oracle_decompose(c)
+    assert fast.ns > 1000
     assert fast.sigma == slow.sigma
     assert fast.nabla.rows() == slow.nabla.rows()
     assert [comp.top_ids for comp in fast.components] == [

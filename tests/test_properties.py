@@ -14,6 +14,8 @@ from nmdecomp.nonmanifold import (
     build_nm_layer,
     build_sigma_maps,
     build_splitmap,
+    pinch_suspects,
+    travel_star,
     v_nra_vertices,
 )
 from nmdecomp.oracle import (
@@ -155,6 +157,22 @@ def test_splitmap_equals_every_vertex_harvest(seed, d):
     assert {k: {cp: len(r) for cp, r in e.items()} for k, e in nm.splitmap.items()} == {
         k: {cp: len(r) for cp, r in e.items()} for k, e in every.items()
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, dims)
+def test_splitmap_ignores_harvest_order(seed, d):
+    # shuffling the harvested vertices leaves the splitmap as it is, down to
+    # its representatives, which are the smallest tops of their patches
+    nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
+    ew = nm.ewds
+    harvest = sorted(pinch_suspects(ew, nm.sigma_n).union(nm.v_nra))
+    random.Random(seed).shuffle(harvest)
+    assert build_splitmap(ew, nm.sigma_n, nm.copies_of, harvest) == nm.splitmap
+    for entry in nm.splitmap.values():
+        for cp, reps in entry.items():
+            for rep in reps:
+                assert rep == min(travel_star(ew, cp, rep))
 
 
 @settings(max_examples=40, deadline=None)
