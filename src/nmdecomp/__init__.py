@@ -38,7 +38,13 @@ from .errors import (
     VoidInstruction,
 )
 from .gluing import GluingState, ScriptOutcome, parse_glue_script, run_glue_script
-from .nonmanifold import NmLayer, build_nm_layer, build_splitmap, travel_star
+from .nonmanifold import (
+    NmLayer,
+    build_ft_trie,
+    build_nm_layer,
+    build_splitmap,
+    travel_star,
+)
 from .oracle import (
     labeled_isomorphic,
     oracle_decompose,
@@ -52,7 +58,6 @@ from .renumber import (
     apply_renumbering,
     compute_renumbering,
 )
-from .trie import FtTrie, build_ft_trie
 from .winged import BOTTOM, DIAMOND, Ewds
 
 __all__ = [
@@ -63,7 +68,6 @@ __all__ = [
     "DIAMOND",
     "DecompositionResult",
     "Ewds",
-    "FtTrie",
     "GluingState",
     "ImplicitEwds",
     "NmLayer",

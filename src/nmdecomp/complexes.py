@@ -103,7 +103,7 @@ class Complex:
             if len(cofaces) > 1:
                 other = min(t for t in cofaces if t != tid)
                 raise NotTop(
-                    f"stored simplex {tid} is a face of stored simplex {other}"
+                    f"stored simplex {tid} is a face of stored simplex {other}", tid
                 )
 
     # -- basic accessors ---------------------------------------------------
@@ -592,7 +592,8 @@ def parse_tv(text: str) -> Complex:
     If every token in the file is a decimal number, tokens are taken as the
     vertex ids themselves; otherwise tokens map to 1..NV in lexicographic
     order, so ids are reproducible.  Raises ParseError for a file with no
-    simplices and for two tokens, such as "01" and "1", naming one vertex.
+    simplices, for two tokens, such as "01" and "1", naming one vertex, and
+    at the line of a stored simplex that is a face of another.
     """
     raw: list[tuple[int, int, list[str]]] = []
     seen_ids: set[int] = set()
@@ -640,7 +641,8 @@ def parse_tv(text: str) -> Complex:
     try:
         return Complex(rows, labels=labels)
     except NotTop as exc:
-        raise ParseError(str(exc)) from exc
+        line_no = next(no for no, tid, _ in raw if tid == exc.top)
+        raise ParseError(str(exc), line_no) from exc
 
 
 def format_tv(c: Complex) -> str:

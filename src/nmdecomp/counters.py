@@ -17,7 +17,7 @@ class OpCounter:
 
     visits: int = 0        # top simplices touched by floods
     expansions: int = 0    # faces enumerated / hashed
-    comparisons: int = 0   # dictionary / trie key comparisons
+    comparisons: int = 0   # dictionary key comparisons
 
     def reset(self) -> None:
         self.visits = 0

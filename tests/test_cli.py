@@ -65,6 +65,15 @@ def test_malformed_tv_exits_1(tmp_path, capsys, text, command):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("command", ["check", "decompose"])
+def test_non_maximal_simplex_exits_1_at_its_line(tmp_path, capsys, command):
+    p = tmp_path / "bad.tv"
+    p.write_text("simplex 1: 1 2 3\n# a face of simplex 1\nsimplex 2: 2 3\n")
+    code, _, err = run(capsys, command, str(p))
+    assert code == 1
+    assert "error: ParseError: line 3: stored simplex 2 is a face of stored simplex 1" in err
+
+
 def test_decompose_outputs(tvfile, tmp_path, capsys):
     outdir = tmp_path / "out"
     code, out, _ = run(

@@ -59,6 +59,23 @@ def test_parse_rejects_aliased_tokens_and_empty_files(text, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "text, line_no, top",
+    [
+        ("simplex 1: 1 2\nsimplex 2: 1 2 3\n", 1, 1),
+        ("# header\nsimplex 1: 1 2 3\n\nsimplex 2: 3 1\n", 4, 2),
+        ("simplex 5: a b c\nsimplex 3: a b c\n", 1, 5),
+    ],
+    ids=["face-first", "face-last", "duplicate-rows"],
+)
+def test_parse_names_the_line_of_a_non_maximal_simplex(text, line_no, top):
+    with pytest.raises(ParseError) as exc:
+        parse_tv(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value).startswith(f"line {line_no}: stored simplex {top} ")
+    assert isinstance(exc.value.__cause__, NotTop) and exc.value.__cause__.top == top
+
+
 def test_tops_are_maximal():
     with pytest.raises(NotTop):
         Complex({1: (1, 2, 3), 2: (1, 2)})

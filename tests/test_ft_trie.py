@@ -1,4 +1,4 @@
-"""Face-word trie used by hint-free queries."""
+"""Face table used to find one top spanning a simplex that is no splitmap key."""
 
 import itertools
 
@@ -7,7 +7,8 @@ import pytest
 from nmdecomp.complexes import parse_tv
 from nmdecomp.counters import OpCounter
 from nmdecomp.errors import NotInTrie
-from nmdecomp.trie import FtTrie, build_ft_trie
+from nmdecomp.nonmanifold import build_ft_trie
+from nmdecomp.oracle import random_complex
 
 
 @pytest.fixture()
@@ -15,80 +16,54 @@ def pair():
     return parse_tv("simplex 1: 1 2 3\nsimplex 2: 2 3 4\n")
 
 
+def identity(c):
+    return {t: t for t in c.top_ids}
+
+
 def test_insert_and_lookup(pair):
-    trie = build_ft_trie(pair)
+    trie = build_ft_trie(pair, identity(pair))
     assert trie.lookup((1,)) == 1
     assert trie.lookup((2, 3)) in (1, 2)
     assert trie.lookup((2, 3, 4)) == 2
 
 
 def test_all_faces_present(pair):
-    trie = build_ft_trie(pair)
-    for t in pair.top_ids:
-        row = sorted(pair.row(t))
-        for n in range(len(row)):
-            for w in itertools.combinations(row, n + 1):
-                assert pair.star(w) >= {trie.lookup(w)}
+    draws = [random_complex(seed=s, max_tops=12, d=s % 4 + 1) for s in range(8)]
+    for c in [pair, *draws]:
+        # the table returns hinted ids, shifted here so none is a source id
+        trie = build_ft_trie(c, {t: 100 + t for t in c.top_ids})
+        for t in c.top_ids:
+            row = sorted(c.row(t))
+            for n in range(len(row)):
+                for w in itertools.combinations(row, n + 1):
+                    assert trie.lookup(w) - 100 in c.star(w)
 
 
 def test_word_count(pair):
-    trie = build_ft_trie(pair)
+    trie = build_ft_trie(pair, identity(pair))
     faces = pair.all_faces()
     assert trie.num_words == len(faces)
-
-
-def test_excluded_words(pair):
-    trie = build_ft_trie(pair, excluded=[(2, 3)])
-    with pytest.raises(NotInTrie):
-        trie.lookup((2, 3))
-    # the excluded word keeps serving as a path to longer words
-    assert trie.lookup((2, 3, 4)) == 2
-
-
-def test_payload_read_at_leaf(pair):
-    trie = build_ft_trie(pair)
-    # lookup walks to the leftmost leaf extending the word; (2,3) extends
-    # only to the leaf (2,3,4), which lives in top 2
-    assert trie.lookup((2, 3)) == 2
-    # (2,) extends leftmost through (2,3) to that same leaf
-    assert trie.lookup((2,)) == 2
-    # full rows are their own leaves
-    assert trie.lookup((1, 2, 3)) == 1
+    assert trie.num_nodes == trie.num_words
 
 
 def test_top_hint_translation(pair):
-    trie = build_ft_trie(pair, top_hint={1: 10, 2: 20})
+    trie = build_ft_trie(pair, {1: 10, 2: 20})
     assert trie.lookup((1, 2, 3)) == 10
     assert trie.lookup((4,)) == 20
 
 
-def test_leftmost_descent_below_word():
-    trie = FtTrie()
-    trie.insert((1, 2), 7)
-    trie.insert((1, 3), 9)
-    trie.insert((1,), 5)
-    # descent always reaches a leaf; leftmost child wins
-    assert trie.lookup((1,)) == 7
-    # unknown words are rejected, not guessed
+@pytest.mark.parametrize("gamma", [(1, 4), (1, 2, 3, 4), (5,), (2, 5)])
+def test_non_faces_raise(pair, gamma):
+    trie = build_ft_trie(pair, identity(pair))
     with pytest.raises(NotInTrie):
-        trie.lookup((2,))
-    with pytest.raises(NotInTrie):
-        trie.lookup((1, 4))
+        trie.lookup(gamma)
 
 
-def test_lookup_counts_descent(pair):
-    trie = build_ft_trie(pair)
+def test_lookup_ticks_one_comparison(pair):
+    trie = build_ft_trie(pair, identity(pair))
     counter = OpCounter()
     trie.lookup((2, 3), counter)
-    assert counter.total > 0
-
-
-def test_num_nodes_bounded(pair):
-    trie = build_ft_trie(pair)
-    # a node per distinct prefix, plus the root
-    prefixes = set()
-    for f in pair.all_faces():
-        w = tuple(sorted(f))
-        for i in range(1, len(w) + 1):
-            prefixes.add(w[:i])
-    assert trie.num_nodes == len(prefixes) + 1
+    assert (counter.visits, counter.expansions, counter.comparisons) == (0, 0, 1)
+    with pytest.raises(NotInTrie):
+        trie.lookup((1, 4), counter)
+    assert counter.comparisons == 2
