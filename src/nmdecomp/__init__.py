@@ -22,6 +22,7 @@ from .complexes import (
 from .decompose import DecompositionResult, decompose
 from .errors import (
     BadRelation,
+    InvalidComplex,
     NotAFace,
     NotIncident,
     NotInTrie,
@@ -70,6 +71,7 @@ __all__ = [
     "Ewds",
     "GluingState",
     "ImplicitEwds",
+    "InvalidComplex",
     "NmLayer",
     "NotAFace",
     "NotInTrie",

@@ -193,29 +193,32 @@ def cmd_glue(args) -> int:
 # -- tables -----------------------------------------------------------------
 
 
+def _tables_json(ew: Ewds) -> dict:
+    """The TV, VTSTAR and TT tables of ew as JSON fields."""
+    ts = range(1, ew.nt + 1)
+    return {
+        "tv": {str(t): list(ew.row_of(t)) for t in ts},
+        "vtstar": ew.vtstar[1:],
+        "tt": {str(t): list(ew.tt_row_of(t)) for t in ts},
+    }
+
+
+def _print_tables(ew: Ewds) -> None:
+    """Print the TV, VTSTAR and TT lines of ew."""
+    for t in range(1, ew.nt + 1):
+        print(f"TV {t}: {' '.join(map(str, ew.row_of(t)))}")
+    print(f"VTSTAR: {' '.join(map(str, ew.vtstar[1:]))}")
+    for t in range(1, ew.nt + 1):
+        print(f"TT {t}: {' '.join(_tt_symbol(x) for x in ew.tt_row_of(t))}")
+
+
 def _fig_a(as_json: bool) -> int:
     ew = Ewds.build(decompose(load_tv("fix_a.tv")))
-    return _print_plain_tables("fig-a", ew, as_json)
-
-
-def _print_plain_tables(name: str, ew: Ewds, as_json: bool) -> int:
-    rows = {t: ew.row_of(t) for t in range(1, ew.nt + 1)}
-    tt = {t: ew.tt_row_of(t) for t in range(1, ew.nt + 1)}
     if as_json:
-        out = {
-            "figure": name,
-            "tv": {str(t): list(r) for t, r in rows.items()},
-            "vtstar": ew.vtstar[1:],
-            "tt": {str(t): list(r) for t, r in tt.items()},
-        }
-        print(json.dumps(out, indent=2))
+        print(json.dumps({"figure": "fig-a", **_tables_json(ew)}, indent=2))
         return 0
-    print(f"# {name}")
-    for t, r in rows.items():
-        print(f"TV {t}: {' '.join(map(str, r))}")
-    print(f"VTSTAR: {' '.join(map(str, ew.vtstar[1:]))}")
-    for t, r in tt.items():
-        print(f"TT {t}: {' '.join(_tt_symbol(x) for x in r)}")
+    print("# fig-a")
+    _print_tables(ew)
     return 0
 
 
@@ -232,9 +235,7 @@ def _fig_b(as_json: bool) -> int:
             "size": ew.size,
             "nt": ew.nt,
             "nv": ew.nv,
-            "tv": {str(t): list(ew.row_of(t)) for t in range(1, ew.nt + 1)},
-            "vtstar": ew.vtstar[1:],
-            "tt": {str(t): list(ew.tt_row_of(t)) for t in range(1, ew.nt + 1)},
+            **_tables_json(ew),
             "sigma": {str(cp): o for cp, o in sorted(dec.sigma.items()) if cp != o},
             "splitmap": {
                 " ".join(map(str, k)): {
@@ -253,11 +254,7 @@ def _fig_b(as_json: bool) -> int:
     print(f"SIZE: {ew.size}")
     print(f"NT: {ew.nt}")
     print(f"NV: {ew.nv}")
-    for t in range(1, ew.nt + 1):
-        print(f"TV {t}: {' '.join(map(str, ew.row_of(t)))}")
-    print(f"VTSTAR: {' '.join(map(str, ew.vtstar[1:]))}")
-    for t in range(1, ew.nt + 1):
-        print(f"TT {t}: {' '.join(_tt_symbol(x) for x in ew.tt_row_of(t))}")
+    _print_tables(ew)
     for cp, o in sorted(dec.sigma.items()):
         if cp != o:
             print(f"SIGMA {cp}: {o}")

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionUnsupported,
+    InvalidComplex,
     NotAFace,
     NotRegular,
     NotTop,
@@ -37,7 +38,7 @@ from .errors import (
     UnknownToken,
     UnknownTop,
 )
-from .unionfind import UnionFind, flatten, union_min
+from .unionfind import flatten, union_min
 
 Simplex = tuple  # sorted duplicate-free tuple of vertex ids
 
@@ -83,9 +84,9 @@ class Complex:
         for tid, row in tv.items():
             row = tuple(row)
             if not row:
-                raise ValueError(f"empty simplex for id {tid}")
+                raise InvalidComplex(f"empty simplex for id {tid}")
             if len(set(row)) != len(row):
-                raise ValueError(f"repeated vertex in simplex {tid}")
+                raise InvalidComplex(f"repeated vertex in simplex {tid}")
             store[int(tid)] = row
         self._tv = store
         self._labels = dict(labels) if labels else None
@@ -240,22 +241,27 @@ class Complex:
     def h_connected_components(self, h: int) -> list[list[int]]:
         """Partition of top ids by chains of shared h-faces.
 
-        Tops of dimension < h+1 cannot share an h-face with anything bigger
-        (they are maximal), so they sit in singleton classes.
+        A list union-find over the indices of `top_ids` joins each top to
+        the first top holding each of its h-faces; for h = 0 the key is the
+        vertex itself.  Classes come out sorted, ordered by their smallest
+        top.  Tops of dimension < h hold no h-face, so they sit in singleton
+        classes.
         """
         if h < 0:
             raise ValueError("h must be >= 0")
-        uf = UnionFind(self._tv)
-        first_with: dict[Simplex, int] = {}
-        for tid, row in self._tv.items():
-            srt = sorted(row)
-            if len(srt) < h + 1:
-                continue
-            for face in itertools.combinations(srt, h + 1):
-                other = first_with.setdefault(face, tid)
-                if other != tid:
-                    uf.union(other, tid)
-        return uf.groups()
+        tops = self.top_ids
+        parent = list(range(len(tops)))
+        first: dict = {}  # h-face -> index of the first top holding it
+        for i, t in enumerate(tops):
+            row = self._tv[t]
+            for face in row if h == 0 else itertools.combinations(sorted(row), h + 1):
+                j = first.setdefault(face, i)
+                if j != i:
+                    union_min(parent, i, j)
+        by_root: dict[int, list[int]] = {}
+        for i, r in enumerate(flatten(parent)):
+            by_root.setdefault(r, []).append(tops[i])
+        return list(by_root.values())
 
     def is_connected(self) -> bool:
         return len(self.h_connected_components(0)) <= 1
@@ -515,10 +521,7 @@ def _boundary_cycles(surface: Complex) -> int | None:
         degree[b] = degree.get(b, 0) + 1
     if any(deg != 2 for deg in degree.values()):
         return None
-    uf = UnionFind(degree)
-    for (a, b) in bd:
-        uf.union(a, b)
-    return len(uf.groups())
+    return len(Complex(dict(enumerate(bd)), validate=False).h_connected_components(0))
 
 
 def _is_orientable(surface: Complex) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 # canonical_pairs is re-exported, so it can still be imported from here
 from .complexes import Complex, canonical_pairs, glued_corners
-from .unionfind import flatten, union_min
+from .errors import InvalidComplex
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,11 @@ class DecompositionResult:
     ) -> "DecompositionResult":
         """Package a decomposition, deriving its components and cc.
 
-        Components are the 0-connected classes of nabla, sorted by
-        dimension, then smallest top: a union-find over top indices joins
-        each top to the first top holding each of its vertices.
+        Components are the 0-connected classes of nabla
+        (`Complex.h_connected_components(0)`), sorted by dimension, then
+        smallest top.
         """
-        tops = nabla.top_ids
-        parent = list(range(len(tops)))
-        first: dict[int, int] = {}  # vertex -> index of its first top
-        for i, t in enumerate(tops):
-            for v in nabla.row(t):
-                j = first.setdefault(v, i)
-                if j != i:
-                    union_min(parent, i, j)
-        by_root: dict[int, list[int]] = {}
-        for i, r in enumerate(flatten(parent)):
-            by_root.setdefault(r, []).append(tops[i])
-        groups = list(by_root.values())
+        groups = nabla.h_connected_components(0)
         groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
         components = [nabla.subcomplex(g) for g in groups]
         cc = [0] * (nabla.dim + 1)
@@ -164,5 +153,5 @@ def decomposition_from_corners(
 def decompose(c: Complex) -> DecompositionResult:
     """Standard decomposition of a non-empty complex."""
     if c.num_tops == 0:
-        raise ValueError("cannot decompose an empty complex")
+        raise InvalidComplex("cannot decompose an empty complex")
     return decomposition_from_corners(c, glued_corners(c))

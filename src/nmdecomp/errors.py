@@ -21,6 +21,11 @@ class ParseError(TopologyError):
         super().__init__(message)
 
 
+class InvalidComplex(TopologyError, ValueError):
+    """A top with no vertices or a repeated vertex, or an empty complex to
+    decompose.  Also a ValueError, so callers that catch that still work."""
+
+
 class NotTop(TopologyError):
     """A simplex given as a top is a face of another top simplex."""
 

@@ -6,8 +6,12 @@ recursively decomposed link falls apart, then read off components), and the
 random generator produces complexes by explode-and-glue so results always
 live in the decomposition lattice of something.
 
-The oracle deliberately shares no machinery with the main path beyond the
-Complex type and the result record, which reads components off nabla.
+The oracle shares three pieces with the main path: the Complex type, the
+result record, and `Complex.h_connected_components`, which the record uses
+to read components off nabla and the oracle uses to split links.  That
+finder runs on the list union-find that `decompose` uses too, so its
+independent check is the brute-force BFS of `test_components_match_bfs` in
+`tests/test_properties.py`.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import itertools
 import random
 from typing import Iterable, Mapping
 
-from .complexes import Complex, Simplex, simplex
+from .complexes import Complex, Simplex, corner_layout, simplex
 from .decompose import DecompositionResult
-from .unionfind import UnionFind
+from .unionfind import flatten, union_min
 
 
 def oracle_star(c: Complex, gamma: Iterable[int]) -> set[int]:
@@ -154,10 +158,13 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
         rows[i] = row
     source = Complex(rows, validate=False)
 
-    uf = UnionFind()
-    for t in source.top_ids:
-        for v in source.row(t):
-            uf.find((t, v))
+    flat, start = corner_layout(source)
+    first = dict(zip(source.top_ids, start))  # top -> its first corner
+    parent = list(range(len(flat)))
+
+    def glue(t1: int, t2: int, v: int) -> None:
+        union_min(parent, flat.index(v, first[t1]), flat.index(v, first[t2]))
+
     sharing = [
         (t1, t2)
         for t1, t2 in itertools.combinations(source.top_ids, 2)
@@ -169,16 +176,15 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
             shared = sorted(set(source.row(t1)) & set(source.row(t2)))
             if rng.random() < 0.7:
                 for v in shared:
-                    uf.union((t1, v), (t2, v))
+                    glue(t1, t2, v)
             else:
-                v = shared[rng.randrange(len(shared))]
-                uf.union((t1, v), (t2, v))
+                glue(t1, t2, shared[rng.randrange(len(shared))])
 
+    root = flatten(parent)
     classes: dict[int, dict] = {}
     for t in source.top_ids:
-        for v in source.row(t):
-            root = uf.find((t, v))
-            classes.setdefault(v, {}).setdefault(root, set()).add(t)
+        for k, v in enumerate(source.row(t), start=first[t]):
+            classes.setdefault(v, {}).setdefault(root[k], set()).add(t)
     new_id: dict[tuple, int] = {}
     counter = 0
     for v in sorted(classes):

@@ -204,6 +204,47 @@ def test_tables_fig_a(capsys):
     )
 
 
+def test_tables_fig_b(capsys):
+    code, out, _ = run(capsys, "tables", "fig-b")
+    assert code == 0
+    assert out == (
+        "# fig-b\n"
+        "TBase: 1 3 5 7\n"
+        "TBaseAddr: 1 3 7 13\n"
+        "SIZE: 24\n"
+        "NT: 9\n"
+        "NV: 15\n"
+        "TV 1: 1\n"
+        "TV 2: 2\n"
+        "TV 3: 3 4\n"
+        "TV 4: 4 5\n"
+        "TV 5: 6 13 8\n"
+        "TV 6: 6 7 13\n"
+        "TV 7: 10 9 12 11\n"
+        "TV 8: 9 12 11 14\n"
+        "TV 9: 9 11 14 15\n"
+        "VTSTAR: 1 2 3 3 4 6 6 5 7 7 7 7 5 8 9\n"
+        "TT 1: -\n"
+        "TT 2: -\n"
+        "TT 3: 4 -\n"
+        "TT 4: - 3\n"
+        "TT 5: - - 6\n"
+        "TT 6: - 5 -\n"
+        "TT 7: 8 - - -\n"
+        "TT 8: - 9 - 7\n"
+        "TT 9: - - - 8\n"
+        "SIGMA 13: 5\n"
+        "SIGMA 14: 6\n"
+        "SIGMA 15: 8\n"
+        "SPLITMAP 6 8: copy 6 8 reps 5 ; copy 14 15 reps 9\n"
+        "STATS NS: 3\n"
+        "STATS NC: 6\n"
+        "STATS NSP: 5\n"
+        "STATS phi: 50\n"
+        "STATS H_hat: 1263.08\n"
+    )
+
+
 def test_tables_fig_b_key_lines(capsys):
     code, out, _ = run(capsys, "tables", "fig-b")
     assert code == 0

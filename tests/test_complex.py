@@ -2,11 +2,21 @@
 
 import pytest
 
-from nmdecomp.complexes import Complex, format_tv, parse_tv, resolve_tokens, simplex
+from nmdecomp.complexes import (
+    Complex,
+    _boundary_cycles,
+    format_tv,
+    parse_tv,
+    resolve_tokens,
+    simplex,
+)
+from nmdecomp.decompose import decompose
 from nmdecomp.errors import (
+    InvalidComplex,
     NotAFace,
     NotTop,
     ParseError,
+    TopologyError,
     UnknownToken,
 )
 
@@ -81,6 +91,22 @@ def test_tops_are_maximal():
         Complex({1: (1, 2, 3), 2: (1, 2)})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Complex({1: ()}),
+        lambda: Complex({1: (1, 1)}),
+        lambda: decompose(Complex({})),
+    ],
+    ids=["empty-top", "repeated-vertex", "decompose-empty"],
+)
+def test_bad_input_raises_invalid_complex(make):
+    with pytest.raises(InvalidComplex) as info:
+        make()
+    assert isinstance(info.value, TopologyError)
+    assert isinstance(info.value, ValueError)
+
+
 def test_row_order_preserved(mixed):
     # input order is significant, rows are never sorted on ingest
     assert mixed.row(5) == (6, 5, 8)
@@ -114,6 +140,25 @@ def test_h_connected_components(mixed):
     assert mixed.h_connected_components(0) == [[1], [2], [3, 4, 5, 6, 7, 8, 9]]
     # 2-connectivity needs shared triangles: 7,8 share {9,12,11}, 8,9 {9,11,6}
     assert mixed.h_connected_components(2) == [[1], [2], [3], [4], [5], [6], [7, 8, 9]]
+
+
+@pytest.mark.parametrize(
+    "rows, manifold, cycles",
+    [
+        ([(1, 2, 3), (1, 3, 4), (1, 4, 5)], True, 1),
+        ([(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (3, 1, 6), (1, 6, 4)], False, 2),
+        ([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)], False, 1),
+        # vertex 1 has four boundary edges
+        ([(1, 2, 3), (1, 4, 5)], False, None),
+    ],
+    ids=["disk", "annulus", "moebius", "bowtie"],
+)
+def test_boundary_cycles_under_a_cone(rows, manifold, cycles):
+    # the cone's apex 99 has the surface as its link
+    surface = Complex(dict(enumerate(rows, start=1)))
+    cone = Complex({t: row + (99,) for t, row in enumerate(rows, start=1)})
+    assert cone.is_manifold() is manifold
+    assert _boundary_cycles(surface) == cycles
 
 
 def test_refinement_direction(fan, mixed, cones):

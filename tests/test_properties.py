@@ -255,6 +255,38 @@ def test_component_refinement(seed, d):
             assert len({coarse[t] for t in g}) == 1
 
 
+def bfs_components(c, h):
+    """Classes of tops joined by sharing at least h + 1 vertices, by BFS."""
+    tops = c.top_ids
+    verts = {t: set(c.row(t)) for t in tops}
+    seen: set[int] = set()
+    out = []
+    for t in tops:
+        if t in seen:
+            continue
+        seen.add(t)
+        group, queue = [t], [t]
+        while queue:
+            a = queue.pop(0)
+            for b in tops:
+                if b not in seen and len(verts[a] & verts[b]) > h:
+                    seen.add(b)
+                    group.append(b)
+                    queue.append(b)
+        out.append(sorted(group))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_components_match_bfs(seed, d):
+    # the oracle's link split uses h_connected_components too, so this BFS,
+    # with no union-find, is the component finder's independent check
+    c = draw(seed, d, max_tops=20)
+    for h in range(d + 1):
+        assert c.h_connected_components(h) == bfs_components(c, h)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds, dims)
 def test_vtstar_incident(seed, d):
