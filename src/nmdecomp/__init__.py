@@ -50,6 +50,7 @@ from .oracle import (
     labeled_isomorphic,
     oracle_decompose,
     oracle_snm,
+    oracle_splitmap,
     oracle_star,
     random_complex,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "labeled_isomorphic",
     "oracle_decompose",
     "oracle_snm",
+    "oracle_splitmap",
     "oracle_star",
     "parse_glue_script",
     "parse_tv",

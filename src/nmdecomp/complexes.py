@@ -87,7 +87,10 @@ class Complex:
                 raise InvalidComplex(f"empty simplex for id {tid}")
             if len(set(row)) != len(row):
                 raise InvalidComplex(f"repeated vertex in simplex {tid}")
-            store[int(tid)] = row
+            try:
+                store[int(tid)] = row
+            except (TypeError, ValueError):
+                raise InvalidComplex(f"top id {tid!r} is not an integer") from None
         self._tv = store
         self._labels = dict(labels) if labels else None
         self._vt: dict[int, set[int]] | None = None
@@ -98,7 +101,12 @@ class Complex:
     # -- construction ------------------------------------------------------
 
     def _check_maximality(self) -> None:
+        """Raise InvalidComplex on a vertex id that is not an integer, and
+        NotTop on a stored simplex that is a face of another."""
         vt = self._vertex_tops()
+        for v in vt:
+            if type(v) is not int:
+                raise InvalidComplex(f"vertex id {v!r} is not an integer")
         for tid, row in self._tv.items():
             cofaces = set.intersection(*(vt[v] for v in row)) if row else set()
             if len(cofaces) > 1:
@@ -180,7 +188,7 @@ class Complex:
         """Ids of the top simplices containing gamma (empty set allowed)."""
         gamma = tuple(gamma)
         if not gamma:
-            raise ValueError("star of the empty simplex is not defined")
+            raise InvalidComplex("star of the empty simplex is not defined")
         vt = self._vertex_tops()
         try:
             sets = [vt[v] for v in gamma]

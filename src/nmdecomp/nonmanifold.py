@@ -19,14 +19,16 @@ at a facet of order three or more (a diamond), or at a pinch, where
 parts of its star meet in the simplex but share no facet through it.
 The harvest reads the stars of the paper's v_nra set, which covers the
 first two, and of the vertices that one counting pass over the tables
-(pinch_suspects) finds where a pinch may be.  It makes one pass over the
-union of those stars in ascending top order and reads only the faces
-that hold a harvested vertex.  A facet's patches follow from its TTP
-entry without a walk: two cofaces are one patch, and each coface of a
-boundary facet or of a diamond is one.  With that, a query on gamma walks
-gamma's own star: from the representatives of each copy, or from any top
-spanning the single copy.  That top comes from the face table, one dict
-from every face of the source to a packed top spanning it.
+(pinch_suspects) finds where a pinch may be.  Of the union of those stars
+it reads only the faces that hold a harvested vertex, and it walks no
+patch: the patches of a face short of a facet are union-find classes of
+its (top, face) corners glued across order-2 facets, and a facet's
+patches follow from its TTP entry, since two cofaces are one patch and
+each coface of a boundary facet or of a diamond is one.  With that, a
+query on gamma walks gamma's own star: from the representatives of each
+copy, or from any top spanning the single copy.  That top comes from the
+face table, one dict from every face of the source to a packed top
+spanning it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -41,6 +44,7 @@ from .complexes import Complex, Simplex, simplex
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie, UnknownVertex
+from .unionfind import union_min
 from .winged import DIAMOND, Ewds
 
 Splitmap = dict[Simplex, dict[Simplex, set[int]]]
@@ -50,29 +54,26 @@ def travel_star(
     ewds: Ewds,
     gamma: Iterable[int],
     t: int,
-    flags: dict[int, int] | None = None,
     counter: OpCounter = NULL_COUNTER,
 ) -> list[int]:
-    """Tops reachable from t across facets containing gamma.
+    """Tops reachable from t across facets containing gamma, ascending.
 
     gamma is given in packed vertex ids and must span part of t's row.
     Crossing only order-2 facets, the walk covers one adjacency patch of
-    gamma's star; boundary and higher-order facets stop it.  flags keeps
-    one bitmask per top, a bit per vertex-slot subset, so repeated calls
-    share the "already harvested" record.  fill_tt pairs cofaces block by
-    block, so TTP links a top only to tops of its own dimension block: the
-    walk validates t once and finds every other row by arithmetic.  Each
-    visited top spans gamma and counts one visit and one expansion per slot
-    outside gamma.
+    gamma's star; boundary and higher-order facets stop it.  fill_tt pairs
+    cofaces block by block, so TTP links a top only to tops of its own
+    dimension block: the walk validates t once and finds every other row
+    by arithmetic.  Each visited top spans gamma and counts one visit and
+    one expansion per slot outside gamma.
     """
     gset = set(gamma)
     w, off = ewds.row_layout(t)
     if not gset.issubset(ewds.tvp[off + t * w : off + t * w + w]):
         raise NotIncident(f"simplex {sorted(gset)} is not spanned by top {t}")
-    visited = _patch(ewds.tvp, ewds.ttp, w, off, gset, t, {} if flags is None else flags)
+    visited = _patch(ewds.tvp, ewds.ttp, w, off, gset, (t,))
     counter.visits += len(visited)
     counter.expansions += len(visited) * (w - len(gset))
-    return visited
+    return sorted(visited)
 
 
 def _patch(
@@ -81,30 +82,25 @@ def _patch(
     w: int,
     off: int,
     gset: set[int],
-    t: int,
-    flags: dict[int, int],
-) -> list[int]:
-    """travel_star on a block layout, without checks or counting."""
-    visited: list[int] = []
-    stack = [t]
+    seeds: Iterable[int],
+) -> set[int]:
+    """Tops that walks from seeds reach across facets containing gset.
+
+    travel_star on a block layout, from several seeds, without checks or
+    counting.  Every visited top spans gset, so the walk crosses at each
+    slot whose vertex lies outside it.
+    """
+    seen = set(seeds)
+    stack = list(seen)
     while stack:
-        u = stack.pop()
-        base = off + u * w
-        idx = 0
-        for k in range(w):
-            if tvp[base + k] in gset:
-                idx |= 1 << k
-        bits = flags.get(u, 0)
-        if bits >> idx & 1:
-            continue
-        flags[u] = bits | (1 << idx)
-        visited.append(u)
-        for k in range(w):
-            if not idx >> k & 1:
-                nbr = ttp[base + k]
-                if nbr > 0:
-                    stack.append(nbr)
-    return visited
+        base = off + stack.pop() * w
+        for k in range(base, base + w):
+            if tvp[k] not in gset:
+                u = ttp[k]
+                if u > 0 and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return seen
 
 
 def check_relation(gamma: Simplex, n: int, m: int) -> None:
@@ -212,14 +208,10 @@ class NmLayer:
         """
         ew = self.ewds
         w, off = ew.row_layout(next(iter(seeds)))
-        flags: dict[int, int] = {}
-        gset = set(cp)
-        visited: list[int] = []
-        for s in seeds:
-            visited += _patch(ew.tvp, ew.ttp, w, off, gset, s, flags)
+        visited = _patch(ew.tvp, ew.ttp, w, off, set(cp), seeds)
         counter.visits += len(visited)
         counter.expansions += len(visited) * (w - len(cp))
-        return visited
+        return list(visited)
 
     def snh_given(
         self, gamma: Iterable[int], t: int, counter: OpCounter = NULL_COUNTER
@@ -421,17 +413,66 @@ def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
     return out
 
 
-def _met_subsets(w: int, mask: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """(bitmask, slots, opposite) of every subset of 2..w-1 slots of a
-    width-w row that holds a slot of mask.  opposite is the one slot left
-    out of a facet, and -1 for a smaller subset."""
+@cache
+def _corner_layout(w: int, mask: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The corners and harvested facets of a width-w row whose harvested
+    slots are mask.
+
+    Returns the slots of each corner (every subset of 2..w-2 slots that
+    holds a slot of mask, by ascending bitmask), the position of each
+    bitmask among the corners (-1 for the others), per slot k the
+    (position, slots) of the corners inside the facet opposite k, and
+    (k, bitmask, slots) of every facet that holds a slot of mask.
+    """
     full = (1 << w) - 1
-    return [
-        (idx, tuple(k for k in range(w) if idx >> k & 1),
-         (full ^ idx).bit_length() - 1 if idx.bit_count() == w - 1 else -1)
-        for idx in range(1, full)
-        if idx & mask and idx.bit_count() >= 2
+
+    def slots(idx: int) -> tuple[int, ...]:
+        return tuple(j for j in range(w) if idx >> j & 1)
+
+    corners = [
+        idx for idx in range(3, full) if idx & mask and 2 <= idx.bit_count() <= w - 2
     ]
+    position = [-1] * (full + 1)
+    for p, idx in enumerate(corners):
+        position[idx] = p
+    in_facet = tuple(
+        tuple((p, slots(idx)) for p, idx in enumerate(corners) if not idx >> k & 1)
+        for k in range(w)
+    )
+    facets = tuple(
+        (k, full ^ 1 << k, slots(full ^ 1 << k)) for k in range(w) if (full ^ 1 << k) & mask
+    )
+    return tuple(map(slots, corners)), tuple(position), in_facet, facets
+
+
+def _copy_kinds(ewds: Ewds, copies_of: dict[int, tuple[int, ...]]) -> bytearray:
+    """Per packed vertex: 1 when it is the only copy of its source vertex,
+    2 when another copy of that vertex lies in its component, 0 otherwise.
+
+    A copy's component is that of its VTSTAR top, read off one pass over
+    the decomposition's components.
+    """
+    kinds = bytearray(ewds.nv + 1)
+    split = []
+    for cs in copies_of.values():
+        if len(cs) == 1:
+            kinds[cs[0]] = 1
+        else:
+            split.append(cs)
+    if split:
+        comp_of = [0] * (ewds.nt + 1)
+        top_new = ewds.top_new
+        for ci, comp in enumerate(ewds.source.components):
+            for t in comp.top_ids:
+                comp_of[top_new[t]] = ci
+        vtstar = ewds.vtstar
+        for cs in split:
+            comps = [comp_of[vtstar[x]] for x in cs]
+            if len(set(comps)) < len(comps):
+                for x, ci in zip(cs, comps):
+                    if comps.count(ci) > 1:
+                        kinds[x] = 2
+    return kinds
 
 
 def build_splitmap(
@@ -443,22 +484,30 @@ def build_splitmap(
 ) -> Splitmap:
     """Harvest split simplices from the stars of the given source vertices.
 
-    One pass over the union of the stars of their copies, in ascending
-    top order, reads each slot subset of 2..w-1 slots that holds a
-    harvested copy; no other subset can be split.  A facet needs no walk:
-    with two cofaces it is one patch, recorded from the smaller of them,
-    and on the boundary or at a diamond each coface is a patch of its own.
-    Any other subset is recorded by the first top that shows it, and the
-    walk of its patch from there flags it in the patch's other tops.  All
-    of those tops hold the harvested copy, so they are read too, and every
-    representative is the smallest top of its patch: the splitmap depends
-    on the set of vertices, not on their order.  Keys that end up with one
-    copy and one patch carry no information beyond sigma and are dropped.
+    Only faces of 2..w-1 slots that hold a harvested copy are read; no
+    other face can be split.  The patches of a smaller face are classes of
+    corners, a corner being a (top, slot subset) pair of the union of the
+    harvested stars.  Corners are numbered in ascending top order, and for
+    every order-2 facet shared by tops t < u, union_min joins each corner
+    inside it in t with the corner of the same vertices in u.  Each class
+    is one patch, and its root corner lies in the patch's smallest top,
+    which is the representative: the splitmap depends on the set of
+    vertices, not on their order.  A facet needs no class: with two
+    cofaces it is one patch, recorded from the smaller of them, and on the
+    boundary or at a diamond each coface is a patch of its own.
+
+    Each patch adds its representative to its source key's record, and a
+    key is kept when it has more than one record: more than one copy, or
+    more than one patch.  Only then are the records sorted into copies.  A
+    face that holds the only copy of some source vertex, and none of whose
+    vertices has another copy in its component, is the only copy of its
+    key; such a facet is one patch unless it is a diamond, so it is not
+    recorded at all.
 
     The splitmap is complete when vertices holds v_nra and the pinch
     suspects: every split simplex has a vertex among them, so all of its
-    star is read.  The star floods tick the counter as s0h does and the
-    patch walks as travel_star does.
+    star is read.  The star floods tick the counter as s0h does; the
+    unions are not counted.
     """
     harvested = [vp for v in vertices for vp in copies_of.get(v, ())]
     if not harvested:
@@ -469,47 +518,80 @@ def build_splitmap(
         marked[vp] = 1
         gathered.update(ewds.s0h(vp, counter))
     tops = sorted(gathered)
+    kinds = _copy_kinds(ewds, copies_of)
     tvp, ttp = ewds.tvp, ewds.ttp
-    flags: dict[int, int] = {}
-    found: dict[Simplex, dict[Simplex, list[int]]] = {}
-    visits = expansions = 0
-    for h in range(2, ewds.d + 1):  # narrower rows have no such subset
+    found: dict[Simplex, list[int]] = {}  # key -> representatives
+    for h in range(2, ewds.d + 1):  # narrower rows have no such face
         w = h + 1
         off = ewds.tbase_addr[h] - ewds.tbase[h] * w
-        subsets: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
         lo = bisect_left(tops, ewds.tbase[h])
-        for t in tops[lo : bisect_left(tops, ewds.tbase[h + 1], lo)]:
+        block = tops[lo : bisect_left(tops, ewds.tbase[h + 1], lo)]
+        # number the corners, top by top
+        at: dict[int, tuple[int, tuple]] = {}  # top -> (first corner, layout)
+        n = 0
+        for t in block:
             base = off + t * w
-            row = tvp[base : base + w]
             mask = 0
             for k in range(w):
-                if marked[row[k]]:
+                if marked[tvp[base + k]]:
                     mask |= 1 << k
-            todo = subsets.get(mask)
-            if todo is None:
-                todo = subsets[mask] = _met_subsets(w, mask)
-            done = flags.get(t, 0)
-            for idx, slots, opp in todo:
-                if opp >= 0:
-                    if 0 < ttp[base + opp] < t:
-                        continue  # recorded from the smaller coface
-                elif done >> idx & 1:
-                    continue
-                cp = tuple(sorted([row[k] for k in slots]))
-                key = tuple(sorted([sigma_n[x] for x in cp]))
-                found.setdefault(key, {}).setdefault(cp, []).append(t)
-                if opp < 0:
-                    # the walk from t, as travel_star counts it
-                    reached = len(_patch(tvp, ttp, w, off, set(cp), t, flags))
-                    visits += reached
-                    expansions += reached * (w - len(cp))
-    counter.visits += visits
-    counter.expansions += expansions
-    return {
-        key: {cp: set(reps) for cp, reps in entry.items()}
-        for key, entry in found.items()
-        if len(entry) > 1 or len(next(iter(entry.values()))) > 1
-    }
+            layout = _corner_layout(w, mask)
+            at[t] = (n, layout)
+            n += len(layout[0])
+        # glue the corners across order-2 facets
+        parent = list(range(n))
+        if n:
+            for t in block:
+                first, (_, _, in_facet, _) = at[t]
+                base = off + t * w
+                row = tvp[base : base + w]
+                for k in range(w):
+                    u = ttp[base + k]
+                    if u > t and in_facet[k]:
+                        urow = tvp[off + u * w : off + u * w + w]
+                        bit = [1 << urow.index(x) if j != k else 0 for j, x in enumerate(row)]
+                        ufirst, (_, upos, _, _) = at[u]
+                        for p, slots in in_facet[k]:
+                            s = 0
+                            for j in slots:
+                                s |= bit[j]
+                            union_min(parent, first + p, ufirst + upos[s])
+        # one record per patch: each root corner and each facet's cofaces
+        for t in block:
+            c, (corners, _, _, facets) = at[t]
+            base = off + t * w
+            row = tvp[base : base + w]
+            srow = [sigma_n[x] for x in row]
+            for slots in corners:
+                if parent[c] == c:
+                    key = tuple(sorted([srow[j] for j in slots]))
+                    found.setdefault(key, []).append(t)
+                c += 1
+            single = twin = 0
+            for j in range(w):
+                kind = kinds[row[j]]
+                if kind == 1:
+                    single |= 1 << j
+                elif kind:
+                    twin |= 1 << j
+            for k, idx, slots in facets:
+                nbr = ttp[base + k]
+                if 0 < nbr < t:
+                    continue  # recorded from the smaller coface
+                if nbr != DIAMOND and idx & single and not idx & twin:
+                    continue  # the only copy of its key, and one patch
+                key = tuple(sorted([srow[j] for j in slots]))
+                found.setdefault(key, []).append(t)
+    smap: Splitmap = {}
+    for key, reps in found.items():
+        if len(reps) > 1:
+            entry: dict[Simplex, set[int]] = {}
+            for t in reps:
+                w, off = ewds.row_layout(t)
+                cp = [x for x in tvp[off + t * w : off + t * w + w] if sigma_n[x] in key]
+                entry.setdefault(tuple(sorted(cp)), set()).add(t)
+            smap[key] = entry
+    return smap
 
 
 def build_ft_trie(source: Complex, top_hint: Mapping[int, int]) -> FaceTops:

@@ -11,7 +11,9 @@ result record, and `Complex.h_connected_components`, which the record uses
 to read components off nabla and the oracle uses to split links.  That
 finder runs on the list union-find that `decompose` uses too, so its
 independent check is the brute-force BFS of `test_components_match_bfs` in
-`tests/test_properties.py`.
+`tests/test_properties.py`.  `oracle_splitmap` walks patches with
+`nonmanifold.travel_star`, the walk the queries use; `build_splitmap` walks
+none, so the two share no code past the packed tables.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from typing import Iterable, Mapping
 
 from .complexes import Complex, Simplex, corner_layout, simplex
 from .decompose import DecompositionResult
+from .nonmanifold import Splitmap, travel_star
 from .unionfind import flatten, union_min
+from .winged import Ewds
 
 
 def oracle_star(c: Complex, gamma: Iterable[int]) -> set[int]:
@@ -113,6 +117,29 @@ def oracle_decompose(c: Complex) -> DecompositionResult:
 
     nabla = Complex({t: tuple(r) for t, r in rows.items()}, validate=False)
     return DecompositionResult.from_parts(c, nabla, sigma)
+
+
+def oracle_splitmap(ewds: Ewds, sigma_n: list[int]) -> Splitmap:
+    """The splitmap by walking the patch of every face of every top.
+
+    For every packed top and every subset of 2..w-1 of its slots,
+    travel_star gives the patch of that face.  Patches are grouped by
+    source key and copy, each represented by its smallest top, and a key
+    is kept when it has more than one copy or more than one patch.
+    """
+    found: Splitmap = {}
+    for t in range(1, ewds.nt + 1):
+        row = sorted(ewds.row_of(t))
+        for r in range(2, len(row)):
+            for cp in itertools.combinations(row, r):
+                key = tuple(sorted(sigma_n[x] for x in cp))
+                rep = min(travel_star(ewds, cp, t))
+                found.setdefault(key, {}).setdefault(cp, set()).add(rep)
+    return {
+        key: entry
+        for key, entry in found.items()
+        if len(entry) > 1 or any(len(reps) > 1 for reps in entry.values())
+    }
 
 
 def labeled_isomorphic(a: Complex, b: Complex, relabel: Mapping[int, int]) -> bool:

@@ -1,10 +1,11 @@
 import random
+from math import factorial
 
 import pytest
 
 from nmdecomp.complexes import Complex
 from nmdecomp.fixtures import load_text, load_tv
-from nmdecomp.meshes import kuhn_cube
+from nmdecomp.meshes import kuhn_cube, kuhn_grid
 
 
 @pytest.fixture(scope="session")
@@ -95,5 +96,22 @@ def perforated_cube():
     def draw(seed):
         rng = random.Random(seed)
         return cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
+
+    return draw
+
+
+@pytest.fixture(scope="session")
+def perforated_grid():
+    """(n, dim, seed) -> kuhn_grid(n, dim) less a seeded 30 % of its cubes.
+
+    The 4-D grid of 3**4 cubes keeps 57 cubes of 24 simplices, 1 368 tops.
+    """
+
+    def draw(n, dim, seed):
+        grid = kuhn_grid(n, dim)
+        per = factorial(dim)  # simplices per cube, numbered cube by cube
+        rng = random.Random(seed)
+        cubes = rng.sample(range(n**dim), round(0.7 * n**dim))
+        return grid.subcomplex([per * i + k for i in sorted(cubes) for k in range(1, per + 1)])
 
     return draw

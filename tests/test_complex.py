@@ -97,8 +97,18 @@ def test_tops_are_maximal():
         lambda: Complex({1: ()}),
         lambda: Complex({1: (1, 1)}),
         lambda: decompose(Complex({})),
+        lambda: Complex({"a": (1,)}),
+        lambda: Complex({1: (1, 2)}).star(()),
+        lambda: decompose(Complex({1: ("x", "y")})),
     ],
-    ids=["empty-top", "repeated-vertex", "decompose-empty"],
+    ids=[
+        "empty-top",
+        "repeated-vertex",
+        "decompose-empty",
+        "top-id-not-int",
+        "star-of-nothing",
+        "vertex-not-int",
+    ],
 )
 def test_bad_input_raises_invalid_complex(make):
     with pytest.raises(InvalidComplex) as info:

@@ -5,9 +5,10 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from nmdecomp.complexes import Complex, canonical_pairs, simplex
+from nmdecomp.complexes import Complex, canonical_pairs, parse_tv, simplex
 from nmdecomp.decompose import DecompositionResult, decompose
-from nmdecomp.errors import NotIqm
+from nmdecomp.errors import NotIqm, TopologyError
+from nmdecomp.fixtures import load_text
 from nmdecomp.gluing import GluingState
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import (
@@ -22,6 +23,7 @@ from nmdecomp.oracle import (
     closed_surface_law,
     oracle_decompose,
     oracle_snm,
+    oracle_splitmap,
     oracle_star,
     pseudo_boundary_law,
     random_complex,
@@ -157,6 +159,15 @@ def test_splitmap_equals_every_vertex_harvest(seed, d):
     assert {k: {cp: len(r) for cp, r in e.items()} for k, e in nm.splitmap.items()} == {
         k: {cp: len(r) for cp, r in e.items()} for k, e in every.items()
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_splitmap_matches_oracle(seed, d):
+    # the layer's splitmap, representatives included, equals the one that
+    # walks the patch of every face of every top
+    nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
+    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,3 +352,35 @@ def test_closed_surface_law_on_ball_boundary(fan):
 def test_pseudo_boundary_law_on_meshes(fan):
     assert pseudo_boundary_law(fan)
     assert pseudo_boundary_law(kuhn_cube(2))
+
+
+TV_FILES = ["fix_a.tv", "fix_b.tv", "fix_c.tv", "fix_d.tv", "fix_e.tv", "fix_f.tv", "fix_g.tv"]
+edits = st.lists(
+    st.tuples(
+        st.sampled_from("rid"),  # replace, insert or delete one character
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(list("0123456789 :\n\t-#_simplex")),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TV_FILES), edits)
+def test_mutated_tv_raises_only_topology_errors(name, edits):
+    # a corrupted .tv text either builds the whole layer or fails with a
+    # typed library error, never a bare exception
+    text = load_text(name)
+    for op, pos, ch in edits:
+        pos %= len(text) + 1
+        if op == "r":
+            text = text[:pos] + ch + text[pos + 1 :]
+        elif op == "i":
+            text = text[:pos] + ch + text[pos:]
+        else:
+            text = text[:pos] + text[pos + 1 :]
+    try:
+        build_nm_layer(Ewds.build(decompose(parse_tv(text))))
+    except TopologyError:
+        pass
