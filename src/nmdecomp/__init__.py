@@ -49,6 +49,7 @@ from .nonmanifold import (
 from .oracle import (
     labeled_isomorphic,
     oracle_decompose,
+    oracle_is_manifold,
     oracle_snm,
     oracle_splitmap,
     oracle_star,
@@ -100,6 +101,7 @@ __all__ = [
     "format_tv",
     "labeled_isomorphic",
     "oracle_decompose",
+    "oracle_is_manifold",
     "oracle_snm",
     "oracle_splitmap",
     "oracle_star",

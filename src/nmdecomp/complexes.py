@@ -18,6 +18,10 @@ start[i] + k is slot k of the i-th top in top_ids order (`corner_layout`).
 parent array.  `decompose` turns those corner classes into vertices, and
 `Complex.is_iqm` asks for exactly one class per vertex, so both read the
 same rule.  `winged.Ewds.fill_tt` calls `facet_slots` on its packed blocks.
+`Complex.classify` reads one such pass for every flag.  Manifold
+recognition builds no link: in 3-D it is the twice-chi count of vertex
+links (`twice_chi_misses`) that `nonmanifold.pinch_suspects` runs too,
+which `oracle.oracle_is_manifold` checks by classifying each link.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -141,9 +146,6 @@ class Complex:
         except KeyError:
             raise UnknownTop(f"no top simplex {tid}") from None
 
-    def simplex_of(self, tid: int) -> Simplex:
-        return tuple(sorted(self.row(tid)))
-
     def dim_of(self, tid: int) -> int:
         return len(self.row(tid)) - 1
 
@@ -196,24 +198,6 @@ class Complex:
             return set()
         return set.intersection(*sets)
 
-    def link_complex(self, gamma: Iterable[int]) -> "Complex":
-        """The link as a complex whose top ids are the star's top ids.
-
-        Keying link tops by the star top they came from lets a caller map
-        link components back onto partitions of the star.
-        """
-        gamma = simplex(gamma)
-        st = self.star(gamma)
-        if not st:
-            raise NotAFace(f"{list(gamma)} is not a face of any top simplex")
-        gset = set(gamma)
-        rows = {}
-        for t in st:
-            rest = tuple(v for v in self._tv[t] if v not in gset)
-            if rest:
-                rows[t] = rest
-        return Complex(rows, labels=self._labels, validate=False)
-
     def order_of(self, gamma: Iterable[int]) -> int:
         """Number of top cofaces; 0 for a non-face."""
         return len(self.star(gamma))
@@ -236,13 +220,6 @@ class Complex:
             for k in range(1, len(srt) + 1):
                 out.update(itertools.combinations(srt, k))
         return out
-
-    def face_counts(self) -> list[int]:
-        """f-vector: counts of k-simplices for k = 0..d."""
-        counts = [0] * (self.dim + 1)
-        for f in self.all_faces():
-            counts[len(f) - 1] += 1
-        return counts
 
     # -- connectivity ------------------------------------------------------
 
@@ -271,9 +248,6 @@ class Complex:
             by_root.setdefault(r, []).append(tops[i])
         return list(by_root.values())
 
-    def is_connected(self) -> bool:
-        return len(self.h_connected_components(0)) <= 1
-
     # -- classification ----------------------------------------------------
 
     def is_regular(self) -> bool:
@@ -281,17 +255,31 @@ class Complex:
         return all(len(r) == d + 1 for r in self._tv.values())
 
     def classify(self) -> ClassifyFlags:
-        regular = self.is_regular()
+        """Every flag from one `facet_slots` pass: facet orders, connectivity
+        across facets, the corner gluing of `is_iqm` and the boundary slots.
+
+        For d <= 3 a combinatorial manifold is regular, has no facet with
+        three cofaces and is an IQM, so every vertex link is connected with
+        no branching: at most two points for d = 1, a path or a cycle for
+        d = 2, and for d = 3 a sphere or a disk once `twice_chi_misses`
+        passes the vertex.
+        """
         d = self.dim
-        pseudo = regular and self._is_pseudomanifold(d)
-        iqm = self.is_iqm()
+        regular = self.is_regular()
+        flat, start, slots = _corner_facets(self)
+        # a regular complex's facets are its (d-1)-faces
+        thin = regular and all(type(s) is int or len(s) == 2 for s in slots.values())
+        iqm = regular and _class_count(_glue(self, flat, start, slots)) == self.num_vertices
+        pseudo = thin and (d < 1 or _facet_connected(start, slots))
         # every facet of a pseudomanifold is a manifold facet, so its vertex
         # stars are connected across facets exactly when they are IQM stars
         quasi = pseudo and iqm
-        try:
-            manifold = self.is_manifold()
-        except DimensionUnsupported:
-            manifold = None
+        manifold = None if d > 3 else thin and iqm
+        if manifold and d == 3:  # the count runs in dense vertex ids
+            ids = {v: i for i, v in enumerate(self._vertex_tops())}
+            dense = list(map(ids.__getitem__, flat))
+            open_slots = [k for k in slots.values() if type(k) is int]
+            manifold = not twice_chi_misses(dense, 0, len(dense), open_slots, len(ids))
         return ClassifyFlags(regular, pseudo, quasi, iqm, manifold)
 
     def is_iqm(self) -> bool:
@@ -300,81 +288,32 @@ class Complex:
         That is, gluing the exploded corners across manifold facet pairs
         leaves exactly one corner class per vertex.
         """
-        if not self.is_regular():
-            return False
-        roots = glued_corners(self)
-        classes = sum(1 for k, r in enumerate(roots) if k == r)
-        return classes == self.num_vertices
+        return self.is_regular() and _class_count(glued_corners(self)) == self.num_vertices
 
-    def _is_pseudomanifold(self, d: int) -> bool:
-        if d >= 1:
-            for face, tids in self._facet_orders(d - 1).items():
-                if len(tids) > 2:
-                    return False
-            if len(self.h_connected_components(d - 1)) > 1:
-                return False
-        return True
-
-    def _facet_orders(self, h: int) -> dict[Simplex, list[int]]:
-        by_face: dict[Simplex, list[int]] = {}
-        for tid, row in self._tv.items():
-            srt = sorted(row)
-            if len(srt) >= h + 1:
-                for face in itertools.combinations(srt, h + 1):
-                    by_face.setdefault(face, []).append(tid)
-        return by_face
+    def is_manifold(self) -> bool:
+        """Combinatorial-manifold test, defined for d <= 3 only (see classify)."""
+        if self.dim > 3:
+            raise DimensionUnsupported("manifold recognition not attempted for d > 3")
+        return self.classify().manifold_le3
 
     def non_pseudomanifold_faces(self) -> dict[Simplex, list[int]]:
         """(d-1)-faces of order > 2 with their sorted coface lists."""
         d = self.dim
-        if d < 1:
-            return {}
+        tops = self.top_ids
+        _, start, slots = _corner_facets(self)
+        # only a d-top has a facet of d vertices; slots ascend with the top
         return {
-            f: sorted(ts)
-            for f, ts in self._facet_orders(d - 1).items()
-            if len(ts) > 2
+            f: [tops[bisect_right(start, k) - 1] for k in ks]
+            for f, ks in slots.items()
+            if len(f) == d and type(ks) is tuple and len(ks) > 2
         }
-
-    def is_manifold(self) -> bool:
-        """Combinatorial-manifold test, defined for d <= 3 only."""
-        d = self.dim
-        if d > 3:
-            raise DimensionUnsupported(
-                "manifold recognition not attempted for d > 3"
-            )
-        if not self.is_regular():
-            return False
-        if d <= 0:
-            return True
-        for v in self._vertex_tops():
-            lk = self.link_complex((v,))
-            if d == 1:
-                if lk.num_tops > 2:
-                    return False
-            elif d == 2:
-                if not _is_path_or_cycle(lk):
-                    return False
-            else:
-                if _surface_type(lk) not in ("sphere", "disk"):
-                    return False
-        return True
-
-    # -- boundary and Euler ------------------------------------------------
 
     def boundary(self) -> set[Simplex]:
         """(d-1)-faces with exactly one top coface."""
         if not self.is_regular():
             raise NotRegular("boundary is defined for regular complexes")
-        d = self.dim
-        if d == 0:
-            return set()
-        return {
-            f for f, ts in self._facet_orders(d - 1).items() if len(ts) == 1
-        }
-
-    def euler_all_faces(self) -> int:
-        """Alternating face-count sum, no closedness requirement."""
-        return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
+        _, _, slots = _corner_facets(self)
+        return {f for f, k in slots.items() if type(k) is int}
 
     # -- misc --------------------------------------------------------------
 
@@ -448,24 +387,30 @@ def corner_layout(c: Complex) -> tuple[list[int], list[int]]:
     return flat, start
 
 
+def _corner_facets(c: Complex) -> tuple[list[int], list[int], dict]:
+    """c's `corner_layout` and the `facet_slots` of its rows."""
+    flat, start = corner_layout(c)
+    widths = (b - a for a, b in zip(start, start[1:]))
+    return flat, start, facet_slots(flat, zip(start, widths))
+
+
 def _manifold_facets(
-    c: Complex, flat: list[int], start: list[int]
+    c: Complex, start: list[int], slots: dict
 ) -> Iterator[tuple[Simplex, int, int]]:
     """Each facet whose star is exactly two tops, with those tops' indices.
 
-    Indices count in top_ids order, over c's `corner_layout`.  Each top
+    Indices count in top_ids order, over c's `_corner_facets`.  Each top
     offers only its own facets, so the two are one dimension above the
     facet.  A facet of a widest top lies in no other top; any other needs
     its star counted.
     """
-    widths = (b - a for a, b in zip(start, start[1:]))
     widest = c.dim + 1
-    for facet, slots in facet_slots(flat, zip(start, widths)).items():
-        if type(slots) is not tuple or len(slots) != 2:
+    for facet, ks in slots.items():
+        if type(ks) is not tuple or len(ks) != 2:
             continue
         if len(facet) + 1 < widest and len(c.star(facet)) != 2:
             continue
-        a, b = slots
+        a, b = ks
         yield facet, bisect_right(start, a) - 1, bisect_right(start, b) - 1
 
 
@@ -477,9 +422,9 @@ def canonical_pairs(c: Complex) -> set[frozenset]:
     the standard decomposition.
     """
     tops = c.top_ids
+    _, start, slots = _corner_facets(c)
     return {
-        frozenset((tops[i], tops[j]))
-        for _, i, j in _manifold_facets(c, *corner_layout(c))
+        frozenset((tops[i], tops[j])) for _, i, j in _manifold_facets(c, start, slots)
     }
 
 
@@ -491,10 +436,13 @@ def glued_corners(c: Complex) -> list[int]:
     decomposition, and c is an initial quasi-manifold when it is regular
     with one class per vertex.
     """
-    flat, start = corner_layout(c)
+    return _glue(c, *_corner_facets(c))
+
+
+def _glue(c: Complex, flat: list[int], start: list[int], slots: dict) -> list[int]:
     parent = list(range(len(flat)))
     index = flat.index
-    for facet, i, j in _manifold_facets(c, flat, start):
+    for facet, i, j in _manifold_facets(c, start, slots):
         si, sj = start[i], start[j]
         ei, ej = start[i + 1], start[j + 1]
         for v in facet:
@@ -502,93 +450,55 @@ def glued_corners(c: Complex) -> list[int]:
     return flatten(parent)
 
 
-# -- 1- and 2-complex helpers for the link classifiers ----------------------
+def _facet_connected(start: list[int], slots: dict) -> bool:
+    """Are the tops one class when joined across shared facets, each of
+    which has exactly two cofaces?"""
+    parent = list(range(len(start) - 1))
+    for a, b in (ks for ks in slots.values() if type(ks) is tuple):
+        union_min(parent, bisect_right(start, a) - 1, bisect_right(start, b) - 1)
+    return _class_count(flatten(parent)) <= 1
 
 
-def _is_path_or_cycle(lk: Complex) -> bool:
-    """True when a 1-complex is a single simple path or cycle."""
-    if lk.dim != 1 or not lk.is_regular():
-        return False
-    degree: dict[int, int] = {}
-    for tid in lk.top_ids:
-        for v in lk.row(tid):
-            degree[v] = degree.get(v, 0) + 1
-    if any(deg > 2 for deg in degree.values()):
-        return False
-    return lk.is_connected()
+def _class_count(roots: list[int]) -> int:
+    return sum(1 for k, r in enumerate(roots) if k == r)
 
 
-def _boundary_cycles(surface: Complex) -> int | None:
-    """Number of boundary cycles of a 2-complex, None if not disjoint cycles."""
-    bd = {f for f, ts in surface._facet_orders(1).items() if len(ts) == 1}
-    if not bd:
-        return 0
-    degree: dict[int, int] = {}
-    for (a, b) in bd:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    if any(deg != 2 for deg in degree.values()):
-        return None
-    return len(Complex(dict(enumerate(bd)), validate=False).h_connected_components(0))
+def twice_chi_misses(
+    flat: Sequence[int], lo: int, hi: int, boundary: Iterable[int], n: int
+) -> list[int]:
+    """Vertices of the tet rows flat[lo:hi] whose link is no sphere or disk
+    by count, ascending.
 
-
-def _is_orientable(surface: Complex) -> bool:
-    """Orientation propagation across order-2 edges of a 2-complex."""
-    by_edge: dict[Simplex, list[int]] = surface._facet_orders(1)
-    orient: dict[int, int] = {}
-    for seed in surface.top_ids:
-        if seed in orient:
-            continue
-        orient[seed] = 1
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            tri = surface.simplex_of(t)
-            for edge in itertools.combinations(tri, 2):
-                cofs = by_edge.get(edge, [])
-                if len(cofs) != 2:
-                    continue
-                other = cofs[0] if cofs[1] == t else cofs[1]
-                # consistent orientation: the shared edge must be traversed
-                # in opposite directions by the two triangles
-                need = -orient[t] * _edge_sign(tri, edge) * _edge_sign(
-                    surface.simplex_of(other), edge
-                )
-                if other in orient:
-                    if orient[other] != need:
-                        return False
-                else:
-                    orient[other] = need
-                    stack.append(other)
-    return True
-
-
-def _edge_sign(tri: Simplex, edge: Simplex) -> int:
-    """+1 if the sorted triangle's reference cycle traverses edge low-to-high."""
-    a, b, c = tri
-    u, v = edge
-    # reference cycle a -> b -> c -> a
-    if (u, v) in ((a, b), (b, c)):
-        return 1
-    return -1  # the (a, c) edge is traversed c -> a
-
-
-def _surface_type(lk: Complex) -> str:
-    """Classify a link 2-complex as 'sphere', 'disk', or 'other'."""
-    if lk.dim != 2 or not lk.is_regular():
-        return "other"
-    orders = lk._facet_orders(1)
-    if any(len(ts) > 2 for ts in orders.values()):
-        return "other"
-    if not lk.is_connected():
-        return "other"
-    chi = lk.euler_all_faces()
-    cycles = _boundary_cycles(lk)
-    if cycles == 0:
-        return "sphere" if chi == 2 else "other"
-    if cycles == 1 and chi == 1 and _is_orientable(lk):
-        return "disk"
-    return "other"
+    The rows are 4 wide from lo, hold vertices below n, and boundary yields
+    the slots opposite a facet with no second coface.  A vertex a in T
+    tets, with E edges and B boundary slots whose facet holds a, has a link
+    of E vertices, (3T + B) / 2 edges and T triangles: twice its Euler
+    characteristic is 2E - T - B.  If no facet has three cofaces and the
+    star of a is an IQM star, the link is a connected pseudo-surface whose
+    only singular points are the edges pinched at a, each extra patch of
+    which lowers chi by one.  Only the sphere reaches chi = 2, and with
+    boundary only the disk reaches chi = 1.  So a is missed unless
+    2E - T - B is 4 with B = 0, or 2 with B > 0.
+    """
+    seq = flat[lo:hi]
+    tets, bnd, deg = [0] * n, [0] * n, [0] * n
+    for x in seq:
+        tets[x] += 1
+    rows = map(sorted, zip(*[iter(seq)] * 4))  # the rows, 4 at a time
+    pairs = map(itertools.combinations, rows, itertools.repeat(2))
+    for a, b in set(itertools.chain.from_iterable(pairs)):  # each edge once
+        deg[a] += 1
+        deg[b] += 1
+    for k in boundary:
+        base = k - (k - lo) % 4
+        for x in flat[base : base + 4]:
+            bnd[x] += 1
+        bnd[flat[k]] -= 1  # the facet opposite k holds the other three
+    return [
+        x
+        for x in range(n)
+        if tets[x] and 2 * deg[x] - tets[x] - bnd[x] != (2 if bnd[x] else 4)
+    ]
 
 
 # -- .tv file format ---------------------------------------------------------

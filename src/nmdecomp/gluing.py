@@ -18,6 +18,7 @@ from .errors import (
     NotPseudomanifoldPair,
     NotSharedVertex,
     ParseError,
+    TopologyError,
     VoidInstruction,
 )
 from .unionfind import flatten, union_min
@@ -236,7 +237,7 @@ def run_glue_script(source: Complex, text: str) -> ScriptOutcome:
                 )
         except ValueError as exc:  # int() on a bad top id
             raise ParseError(str(exc), no) from exc
-        except Exception as exc:
+        except TopologyError as exc:
             events.append(GlueEvent(no, line, "error", f"{type(exc).__name__}: {exc}"))
             break
     return ScriptOutcome(state, events)

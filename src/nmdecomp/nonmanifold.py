@@ -19,16 +19,17 @@ at a facet of order three or more (a diamond), or at a pinch, where
 parts of its star meet in the simplex but share no facet through it.
 The harvest reads the stars of the paper's v_nra set, which covers the
 first two, and of the vertices that one counting pass over the tables
-(pinch_suspects) finds where a pinch may be.  Of the union of those stars
-it reads only the faces that hold a harvested vertex, and it walks no
-patch: the patches of a face short of a facet are union-find classes of
-its (top, face) corners glued across order-2 facets, and a facet's
-patches follow from its TTP entry, since two cofaces are one patch and
-each coface of a boundary facet or of a diamond is one.  With that, a
-query on gamma walks gamma's own star: from the representatives of each
-copy, or from any top spanning the single copy.  That top comes from the
-face table, one dict from every face of the source to a packed top
-spanning it.
+(pinch_suspects, the twice-chi count of vertex links that
+`Complex.is_manifold` also runs) finds where a pinch may be.  Of the
+union of those stars it reads only the faces that hold a harvested
+vertex, and it walks no patch: the patches of a face short of a facet
+are union-find classes of its (top, face) corners glued across order-2
+facets, and a facet's patches follow from its TTP entry, since two
+cofaces are one patch and each coface of a boundary facet or of a
+diamond is one.  With that, a query on gamma walks gamma's own star:
+from the representatives of each copy, or from any top spanning the
+single copy.  That top comes from the face table, one dict from every
+face of the source to a packed top spanning it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress, count
+from operator import not_
 from typing import Iterable, Mapping
 
-from .complexes import Complex, Simplex, simplex
+from .complexes import Complex, Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie, UnknownVertex
@@ -365,51 +367,22 @@ def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
     several patches with no diamond between them.  Below dimension 3 only
     a facet can be a key short of a top, and a facet with two cofaces
     joins them, so blocks of dimension <= 2 have no pinch.  In a tet
-    block every component is an
-    IQM, so the link of a vertex a is a connected pseudo-surface whose
-    only singular points are the pinched edges at a, and its Euler
-    characteristic
-
-        chi = E(a) - (3 T(a) + B(a)) / 2 + T(a)
-
-    (E distinct edges at a, T tets at a, B boundary slots of those tets
-    whose facet holds a) drops below that of the normalised surface by
-    one per extra patch.  A closed surface has chi <= 2 and one with
-    boundary chi <= 1, so a is clear when chi is 2 without boundary or 1
-    with it, and a suspect otherwise.  Tops with a diamond put their
-    vertices in v_nra whatever the count says.  In blocks of dimension
-    >= 4 every vertex is a suspect.  One pass over TVP/TTP.
+    block every component is an IQM, so a vertex is clear when
+    `complexes.twice_chi_misses` passes it: a pinched edge at it lowers
+    the Euler characteristic of its link.  The boundary slots are the TTP
+    entries 0.  Tops with a diamond put their vertices in v_nra whatever
+    the count says.  In blocks of dimension >= 4 every vertex is a
+    suspect.  One pass over TVP/TTP.
     """
-    tvp, ttp, nv = ewds.tvp, ewds.ttp, ewds.nv
+    tvp, ttp, n = ewds.tvp, ewds.ttp, ewds.nv + 1
     out: set[int] = set()
     for h in range(3, ewds.d + 1):
         lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
         if h > 3:
             out.update([sigma_n[x] for x in tvp[lo:hi]])
             continue
-        n = nv + 1
-        tets, bnd, deg = [0] * n, [0] * n, [0] * n
-        edges: set[int] = set()  # a * n + b for each edge a < b
-        for base in range(lo, hi, 4):
-            a, b, c, e = sorted(tvp[base : base + 4])
-            edges.update((a * n + b, a * n + c, a * n + e, b * n + c, b * n + e, c * n + e))
-            for k in range(base, base + 4):
-                x = tvp[k]
-                tets[x] += 1
-                if ttp[k] == 0:  # the facet opposite x holds the other three
-                    bnd[a] += 1
-                    bnd[b] += 1
-                    bnd[c] += 1
-                    bnd[e] += 1
-                    bnd[x] -= 1
-        for key in edges:
-            deg[key // n] += 1
-            deg[key % n] += 1
-        for x in range(1, n):
-            if tets[x]:
-                chi2 = 2 * deg[x] - tets[x] - bnd[x]  # twice chi
-                if chi2 != (2 if bnd[x] else 4):
-                    out.add(sigma_n[x])
+        open_slots = compress(count(lo), map(not_, ttp[lo:hi]))  # TTP 0: boundary
+        out.update([sigma_n[x] for x in twice_chi_misses(tvp, lo, hi, open_slots, n)])
     return out
 
 

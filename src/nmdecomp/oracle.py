@@ -13,17 +13,22 @@ finder runs on the list union-find that `decompose` uses too, so its
 independent check is the brute-force BFS of `test_components_match_bfs` in
 `tests/test_properties.py`.  `oracle_splitmap` walks patches with
 `nonmanifold.travel_star`, the walk the queries use; `build_splitmap` walks
-none, so the two share no code past the packed tables.
+none, so the two share no code past the packed tables.  `oracle_is_manifold`
+classifies every vertex link as a surface, where `Complex.is_manifold`
+counts 2E - T - B per vertex (`complexes.twice_chi_misses`): the two share
+the count's inputs, not its code.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .complexes import Complex, Simplex, corner_layout, simplex
 from .decompose import DecompositionResult
+from .errors import DimensionUnsupported, NotAFace
 from .nonmanifold import Splitmap, travel_star
 from .unionfind import flatten, union_min
 from .winged import Ewds
@@ -80,15 +85,9 @@ def _split_partitions(c: Complex) -> list[tuple[int, list[list[int]]]]:
     """
     out = []
     for v in sorted(c.vertices):
-        star = c.tops_of_vertex(v)
-        link_rows = {}
-        for t in star:
-            rest = tuple(x for x in c.row(t) if x != v)
-            if rest:
-                link_rows[t] = rest
-        if not link_rows:
+        lk = link_complex(c, (v,))
+        if not lk.num_tops:
             continue  # v is itself a point top
-        lk = Complex(link_rows, labels=None, validate=False)
         h = lk.dim
         parts = _decomposed_components(lk)
         if (h > 0 and len(parts) > 1) or (h == 0 and len(parts) > 2):
@@ -140,6 +139,138 @@ def oracle_splitmap(ewds: Ewds, sigma_n: list[int]) -> Splitmap:
         for key, entry in found.items()
         if len(entry) > 1 or any(len(reps) > 1 for reps in entry.values())
     }
+
+
+# -- manifold recognition by link surfaces ----------------------------------
+
+
+def oracle_is_manifold(c: Complex) -> bool:
+    """Combinatorial-manifold test for d <= 3, one vertex link at a time.
+
+    Each vertex link is built as a complex and classified: at most two
+    points for d = 1, a simple path or cycle for d = 2, and for d = 3 a
+    surface whose Euler characteristic, boundary cycles and orientation
+    make it a sphere or a disk.
+    """
+    d = c.dim
+    if d > 3:
+        raise DimensionUnsupported("manifold recognition not attempted for d > 3")
+    if not c.is_regular():
+        return False
+    if d <= 0:
+        return True
+    links = (link_complex(c, (v,)) for v in c.vertices)
+    if d == 1:
+        return all(lk.num_tops <= 2 for lk in links)
+    if d == 2:
+        return all(map(_is_path_or_cycle, links))
+    return all(_surface_type(lk) != "other" for lk in links)
+
+
+def link_complex(c: Complex, gamma: Iterable[int]) -> Complex:
+    """The link as a complex whose top ids are the star's top ids.
+
+    Keying link tops by the star top they came from lets a caller map
+    link components back onto partitions of the star.
+    """
+    gamma = simplex(gamma)
+    st = c.star(gamma)
+    if not st:
+        raise NotAFace(f"{list(gamma)} is not a face of any top simplex")
+    rows = {t: tuple(v for v in c.row(t) if v not in gamma) for t in st}
+    return Complex({t: rest for t, rest in rows.items() if rest}, validate=False)
+
+
+def face_counts(c: Complex) -> list[int]:
+    """f-vector: counts of k-simplices for k = 0..d."""
+    sizes = Counter(map(len, c.all_faces()))
+    return [sizes[k + 1] for k in range(c.dim + 1)]
+
+
+def euler_all_faces(c: Complex) -> int:
+    """Alternating face-count sum, no closedness requirement."""
+    return sum((-1) ** k * n for k, n in enumerate(face_counts(c)))
+
+
+def _face_tops(c: Complex, h: int) -> dict[Simplex, list[int]]:
+    """Each h-face -> the tops holding it, by scanning every top."""
+    by_face: dict[Simplex, list[int]] = {}
+    for t in c.top_ids:
+        for face in itertools.combinations(sorted(c.row(t)), h + 1):
+            by_face.setdefault(face, []).append(t)
+    return by_face
+
+
+def _is_path_or_cycle(lk: Complex) -> bool:
+    """True when a 1-complex is a single simple path or cycle."""
+    if lk.dim != 1 or not lk.is_regular():
+        return False
+    degree = Counter(itertools.chain.from_iterable(map(lk.row, lk.top_ids)))
+    return max(degree.values()) <= 2 and len(lk.h_connected_components(0)) <= 1
+
+
+def _boundary_cycles(surface: Complex) -> int | None:
+    """Number of boundary cycles of a 2-complex, None if not disjoint cycles."""
+    bd = [f for f, ts in _face_tops(surface, 1).items() if len(ts) == 1]
+    if not bd:
+        return 0
+    if set(Counter(itertools.chain.from_iterable(bd)).values()) != {2}:
+        return None
+    return len(Complex(dict(enumerate(bd)), validate=False).h_connected_components(0))
+
+
+def _is_orientable(surface: Complex) -> bool:
+    """Orientation propagation across order-2 edges of a 2-complex."""
+    by_edge = _face_tops(surface, 1)
+    orient: dict[int, int] = {}
+    for seed in surface.top_ids:
+        if seed in orient:
+            continue
+        orient[seed] = 1
+        stack = [seed]
+        while stack:
+            t = stack.pop()
+            tri = simplex(surface.row(t))
+            for edge in itertools.combinations(tri, 2):
+                cofs = by_edge.get(edge, [])
+                if len(cofs) != 2:
+                    continue
+                other = cofs[0] if cofs[1] == t else cofs[1]
+                # consistent orientation: the shared edge must be traversed
+                # in opposite directions by the two triangles
+                sign = _edge_sign(tri, edge) * _edge_sign(simplex(surface.row(other)), edge)
+                need = -orient[t] * sign
+                if other not in orient:
+                    orient[other] = need
+                    stack.append(other)
+                elif orient[other] != need:
+                    return False
+    return True
+
+
+def _edge_sign(tri: Simplex, edge: Simplex) -> int:
+    """+1 if the sorted triangle's reference cycle traverses edge low-to-high."""
+    a, b, c = tri
+    # reference cycle a -> b -> c -> a, so the (a, c) edge is traversed c -> a
+    return 1 if edge in ((a, b), (b, c)) else -1
+
+
+def _surface_type(lk: Complex) -> str:
+    """Classify a link 2-complex as 'sphere', 'disk', or 'other'."""
+    if (
+        lk.dim != 2
+        or not lk.is_regular()
+        or any(len(ts) > 2 for ts in _face_tops(lk, 1).values())
+        or len(lk.h_connected_components(0)) > 1
+    ):
+        return "other"
+    chi = euler_all_faces(lk)
+    cycles = _boundary_cycles(lk)
+    if cycles == 0:
+        return "sphere" if chi == 2 else "other"
+    if cycles == 1 and chi == 1 and _is_orientable(lk):
+        return "disk"
+    return "other"
 
 
 def labeled_isomorphic(a: Complex, b: Complex, relabel: Mapping[int, int]) -> bool:
@@ -230,12 +361,12 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
 
 def closed_surface_law(c: Complex) -> bool:
     """3*f2 == 2*f1 on closed surfaces."""
-    f = c.face_counts()
+    f = face_counts(c)
     return 3 * f[2] == 2 * f[1]
 
 
 def pseudo_boundary_law(c: Complex) -> bool:
     """(d+1)*f_d <= 2*f_{d-1} - (d+1) for pseudomanifolds with boundary."""
     d = c.dim
-    f = c.face_counts()
+    f = face_counts(c)
     return (d + 1) * f[d] <= 2 * f[d - 1] - (d + 1)

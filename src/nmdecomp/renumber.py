@@ -187,15 +187,6 @@ class ImplicitEwds:
             return self.tvpp[self.taddr[h] + (t - self.tbase[h] - self.cc[h]) * h + k - 1]
         return self.tvpp[self.iitaddr[h] + (t - self.iibnd[h]) * (h + 1) + k - 1]
 
-    def tt_lookup(self, h: int, t: int, k: int) -> int:
-        if not 0 <= h <= self.d:
-            raise OutOfRange(f"dimension {h} out of range 0..{self.d}")
-        if not self.tbase[h] <= t < self.tbase[h + 1]:
-            raise OutOfRange(f"top {t} not in dimension-{h} block")
-        if not 1 <= k <= h + 1:
-            raise OutOfRange(f"slot {k} out of range 1..{h + 1}")
-        return self.ttpp[self.tbase_addr[h] + (t - self.tbase[h]) * (h + 1) + k - 1]
-
     def row_of(self, t: int) -> tuple[int, ...]:
         h = bisect_right(self.tbase, t, hi=self.d + 1) - 1
         return tuple(self.tv_lookup(h, t, k) for k in range(1, h + 2))

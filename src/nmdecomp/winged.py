@@ -23,7 +23,7 @@ from itertools import repeat
 from .complexes import facet_slots
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
-from .errors import OutOfRange, ParseError, UnknownTop, UnknownVertex
+from .errors import ParseError, UnknownTop, UnknownVertex
 
 BOTTOM = 0    # facet on the boundary
 DIAMOND = -1  # facet with three or more cofaces
@@ -114,21 +114,6 @@ class Ewds:
         if not 1 <= t <= self.nt:
             raise UnknownTop(f"top {t} out of range 1..{self.nt}")
         return bisect_right(self.tbase, t, hi=self.d + 1) - 1
-
-    def _addr(self, h: int, t: int, k: int) -> int:
-        if not 0 <= h <= self.d:
-            raise OutOfRange(f"dimension {h} out of range 0..{self.d}")
-        if not self.tbase[h] <= t < self.tbase[h + 1]:
-            raise OutOfRange(f"top {t} not in dimension-{h} block")
-        if not 1 <= k <= h + 1:
-            raise OutOfRange(f"slot {k} out of range 1..{h + 1}")
-        return self.tbase_addr[h] + (t - self.tbase[h]) * (h + 1) + k - 1
-
-    def tvp_at(self, h: int, t: int, k: int) -> int:
-        return self.tvp[self._addr(h, t, k)]
-
-    def ttp_at(self, h: int, t: int, k: int) -> int:
-        return self.ttp[self._addr(h, t, k)]
 
     def row_layout(self, t: int) -> tuple[int, int]:
         """Row width w of top t's dimension block and its offset off.

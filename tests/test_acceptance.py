@@ -56,9 +56,9 @@ def test_criterion_02_mixed_global_tables(mixed):
         0, 0, 6, 0, 5, 0,
         8, 0, 0, 0, 0, 9, 0, 7, 0, 0, 0, 8,
     ]
-    assert ew.ttp_at(3, 8, 4) == 7
-    assert ew.tvp_at(2, 5, 3) == 8
-    assert ew.ttp_at(2, 5, 3) == 6
+    assert ew.tt_row_of(8)[3] == 7
+    assert ew.row_of(5)[2] == 8
+    assert ew.tt_row_of(5)[2] == 6
 
 
 def test_criterion_03_mixed_nonmanifold_layer(mixed):

@@ -25,21 +25,48 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# per fixture: (tops, dim, vertices), the flags in output order, and each
+# non-pseudomanifold face as (labels, tops)
+CHECKED = {
+    "fix_a.tv": ((3, 3, 6), (True, True, True, True, True), []),
+    "fix_b.tv": ((9, 3, 12), (False, False, False, False, False), []),
+    "fix_c.tv": ((27, 3, 21), (True, False, False, True, False), [("x y z", [34, 35, 36])]),
+    "fix_d.tv": ((4, 1, 5), (True, False, False, False, False), [("t", [1, 2, 3, 4])]),
+    "fix_e.tv": ((2, 2, 5), (True, False, False, False, False), []),
+    "fix_f.tv": ((5, 3, 6), (True, True, True, True, False), []),
+    "fix_g.tv": ((4, 2, 6), (True, False, False, False, False), [("j k", [1, 2, 3])]),
+}
+FLAGS = ("regular", "pseudomanifold", "quasi_manifold", "iqm", "manifold_le3")
+
+
 def test_check_text(tvfile, capsys):
-    code, out, _ = run(capsys, "check", tvfile("fix_c.tv"))
-    assert code == 0
-    assert "tops: 27  dim: 3  vertices: 21" in out
-    assert "iqm: True" in out
-    assert "x y z: order 3 tops 34 35 36" in out
+    for name, (sizes, flags, faces) in CHECKED.items():
+        code, out, _ = run(capsys, "check", tvfile(name))
+        assert code == 0
+        want = ["tops: %d  dim: %d  vertices: %d" % sizes]
+        want += [f"{flag}: {value}" for flag, value in zip(FLAGS, flags)]
+        if faces:
+            want.append("non-pseudomanifold faces:")
+            for toks, tops in faces:
+                want.append(f"  {toks}: order {len(tops)} tops {' '.join(map(str, tops))}")
+        else:
+            want.append("non-pseudomanifold faces: none")
+        assert out == "\n".join(want) + "\n", name
 
 
 def test_check_json(tvfile, capsys):
-    code, out, _ = run(capsys, "check", "--json", tvfile("fix_b.tv"))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["num_tops"] == 9
-    assert doc["flags"]["regular"] is False
-    assert doc["non_pseudomanifold_faces"] == []
+    for name, ((nt, d, nv), flags, faces) in CHECKED.items():
+        code, out, _ = run(capsys, "check", "--json", tvfile(name))
+        assert code == 0
+        assert json.loads(out) == {
+            "num_tops": nt,
+            "dim": d,
+            "num_vertices": nv,
+            "flags": dict(zip(FLAGS, flags)),
+            "non_pseudomanifold_faces": [
+                {"face": toks.split(), "tops": tops} for toks, tops in faces
+            ],
+        }, name
 
 
 def test_check_parse_error(tmp_path, capsys):

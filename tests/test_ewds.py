@@ -6,7 +6,7 @@ import pytest
 
 from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import OutOfRange, ParseError, UnknownTop, UnknownVertex
+from nmdecomp.errors import ParseError, UnknownTop, UnknownVertex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
 
 
@@ -76,13 +76,11 @@ def test_mixed_tt(ew_mixed):
 
 
 def test_addressed_lookups(ew_mixed):
-    assert ew_mixed.tvp_at(2, 5, 3) == 8
-    assert ew_mixed.ttp_at(2, 5, 3) == 6
-    assert ew_mixed.ttp_at(3, 8, 4) == 7
-    with pytest.raises(OutOfRange):
-        ew_mixed.tvp_at(2, 5, 4)
-    with pytest.raises(OutOfRange):
-        ew_mixed.tvp_at(2, 7, 1)
+    assert ew_mixed.row_of(5)[2] == 8
+    assert ew_mixed.tt_row_of(5)[2] == 6
+    assert ew_mixed.tt_row_of(8)[3] == 7
+    with pytest.raises(UnknownTop):
+        ew_mixed.row_of(10)
     with pytest.raises(UnknownTop):
         ew_mixed.dim_of_top(10)
     with pytest.raises(UnknownVertex):

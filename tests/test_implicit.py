@@ -94,7 +94,8 @@ def test_vtstar_lookup(imp_mixed):
 def test_tt_renumbered(imp_mixed):
     _, _, imp = imp_mixed
     # the exchanged slot order shows up in the neighbour table too
-    assert imp.tt_lookup(2, imp.tbase[2] + 1, 3) == 5
+    # slot 3 of the second triangle
+    assert imp.ttpp[imp.tbase_addr[2] + 1 * 3 + 3 - 1] == 5
     assert imp.row_of(6) == (8, 9, 7)
 
 

@@ -1,12 +1,23 @@
 """Brute-force reference implementations used to check the fast paths."""
 
 import hashlib
+import random
 
-from nmdecomp.complexes import format_tv, parse_tv, simplex
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nmdecomp.complexes import Complex, format_tv, parse_tv, simplex
 from nmdecomp.decompose import canonical_pairs, decompose
+from nmdecomp.errors import DimensionUnsupported, NotAFace
+from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import (
+    _boundary_cycles,
+    euler_all_faces,
+    face_counts,
     labeled_isomorphic,
+    link_complex,
     oracle_decompose,
+    oracle_is_manifold,
     oracle_snm,
     oracle_star,
     random_complex,
@@ -29,8 +40,6 @@ def test_oracle_snm_fan(fan):
 
 
 def test_oracle_snm_dim_guard(fan):
-    import pytest
-
     with pytest.raises(AssertionError):
         oracle_snm(fan, (2, 4), 2, 3)
     # m == n degenerates to the simplex itself
@@ -131,3 +140,97 @@ def _faces(row, m):
     import itertools
 
     return {simplex(f) for f in itertools.combinations(sorted(row), m + 1)}
+
+
+# -- manifold recognition by link surfaces -----------------------------------
+
+
+def test_link_complex(fan):
+    lk = link_complex(fan, [2, 4])
+    assert lk.simplex_set() >= {(1, 3), (3, 5), (5, 6)}
+    with pytest.raises(NotAFace):
+        link_complex(fan, [1, 6])
+
+
+def test_face_counts_and_euler(fan):
+    counts = face_counts(fan)
+    assert counts[0] == 6 and counts[3] == 3
+    # solid ball: chi = 1
+    assert euler_all_faces(fan) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, manifold, cycles",
+    [
+        ([(1, 2, 3), (1, 3, 4), (1, 4, 5)], True, 1),
+        ([(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (3, 1, 6), (1, 6, 4)], False, 2),
+        ([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)], False, 1),
+        # vertex 1 has four boundary edges
+        ([(1, 2, 3), (1, 4, 5)], False, None),
+    ],
+    ids=["disk", "annulus", "moebius", "bowtie"],
+)
+def test_boundary_cycles_under_a_cone(rows, manifold, cycles):
+    # the cone's apex 99 has the surface as its link
+    surface = Complex(dict(enumerate(rows, start=1)))
+    cone = Complex({t: row + (99,) for t, row in enumerate(rows, start=1)})
+    assert cone.is_manifold() is manifold
+    assert oracle_is_manifold(cone) is manifold
+    assert _boundary_cycles(surface) == cycles
+
+
+def test_manifold_recognition_stops_above_dimension_3(pinched_edge_cone):
+    with pytest.raises(DimensionUnsupported):
+        oracle_is_manifold(pinched_edge_cone)
+    with pytest.raises(DimensionUnsupported):
+        pinched_edge_cone.is_manifold()
+    assert pinched_edge_cone.classify().manifold_le3 is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_is_manifold_matches_oracle(seed, d):
+    c = random_complex(seed, 20, d)
+    assert c.is_manifold() is oracle_is_manifold(c)
+
+
+SPHERE = sorted(kuhn_cube(2).boundary())  # 48 triangles over vertices 1..27
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(0, len(SPHERE) - 1), max_size=6), st.integers(0, 10**6))
+def test_is_manifold_matches_oracle_on_cones(holes, seed):
+    # the cone over the sphere less a few triangles: a ball when they form a
+    # disk, else the apex link has several boundary cycles
+    cone = Complex(
+        {i: f + (100,) for i, f in enumerate(SPHERE, start=1) if i - 1 not in holes}
+    )
+    assert cone.is_manifold() is oracle_is_manifold(cone)
+    # and the cone over a random 2-complex, pure or not
+    base = random_complex(seed, 12, 2)
+    cone = Complex({t: base.row(t) + (1000,) for t in base.top_ids})
+    assert cone.is_manifold() is oracle_is_manifold(cone)
+
+
+@pytest.mark.slow
+def test_is_manifold_matches_oracle_on_perforated_cubes():
+    # kuhn_cube(12) less a seeded 30 % of its tets, as in the benchmark-scale
+    # decompose sweep: every component of its decomposition
+    cube = kuhn_cube(12)
+    rng = random.Random(12)
+    c = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
+    seen = set()
+    for comp in decompose(c).components:
+        got = comp.is_manifold()
+        assert got is oracle_is_manifold(comp)
+        seen.add(got)
+    # 60 pieces of kuhn_cube(3) cut the same way, and their components
+    small = kuhn_cube(3)
+    for seed in range(60):
+        rng = random.Random(seed)
+        piece = small.subcomplex(rng.sample(small.top_ids, round(0.7 * small.num_tops)))
+        for x in [piece, *decompose(piece).components]:
+            got = x.is_manifold()
+            assert got is oracle_is_manifold(x), seed
+            seen.add(got)
+    assert seen == {True, False}

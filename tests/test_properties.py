@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from nmdecomp.complexes import Complex, canonical_pairs, parse_tv, simplex
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import NotIqm, TopologyError
-from nmdecomp.fixtures import load_text
-from nmdecomp.gluing import GluingState
+from nmdecomp.fixtures import load_text, load_tv
+from nmdecomp.gluing import GluingState, run_glue_script
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import (
     build_nm_layer,
@@ -366,12 +366,7 @@ edits = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(TV_FILES), edits)
-def test_mutated_tv_raises_only_topology_errors(name, edits):
-    # a corrupted .tv text either builds the whole layer or fails with a
-    # typed library error, never a bare exception
-    text = load_text(name)
+def _mutated(text, edits):
     for op, pos, ch in edits:
         pos %= len(text) + 1
         if op == "r":
@@ -380,7 +375,29 @@ def test_mutated_tv_raises_only_topology_errors(name, edits):
             text = text[:pos] + ch + text[pos:]
         else:
             text = text[:pos] + text[pos + 1 :]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TV_FILES), edits)
+def test_mutated_tv_raises_only_topology_errors(name, edits):
+    # a corrupted .tv text either builds the whole layer or fails with a
+    # typed library error, never a bare exception
+    text = _mutated(load_text(name), edits)
     try:
         build_nm_layer(Ewds.build(decompose(parse_tv(text))))
+    except TopologyError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["fix_c", "fix_g"]), edits)
+def test_mutated_glue_script_raises_only_topology_errors(name, edits):
+    # a corrupted script runs, logging a failed instruction as an error
+    # event, or fails with a typed library error; any other exception is a
+    # bug in a glue op and must surface
+    text = _mutated(load_text(f"{name}.glue"), edits)
+    try:
+        run_glue_script(load_tv(f"{name}.tv"), text)
     except TopologyError:
         pass
