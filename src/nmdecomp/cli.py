@@ -52,8 +52,8 @@ def _pipeline(c: Complex) -> tuple[DecompositionResult, Ewds, NmLayer]:
 
 def cmd_check(args) -> int:
     c = _read_complex(args.input)
-    flags = c.classify().as_dict()
-    npm = c.non_pseudomanifold_faces()
+    classified, npm = c.classify_with_faces()
+    flags = classified.as_dict()
     if args.json:
         out = {
             "num_tops": c.num_tops,

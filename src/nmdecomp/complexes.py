@@ -264,9 +264,17 @@ class Complex:
         d = 2, and for d = 3 a sphere or a disk once `twice_chi_misses`
         passes the vertex.
         """
+        return self._classify(*_corner_facets(self))
+
+    def classify_with_faces(self) -> tuple[ClassifyFlags, dict[Simplex, list[int]]]:
+        """classify() and non_pseudomanifold_faces() from one facet pass,
+        which is what `nmdecomp check` reports."""
+        flat, start, slots = _corner_facets(self)
+        return self._classify(flat, start, slots), self._high_order_facets(start, slots)
+
+    def _classify(self, flat: list[int], start: list[int], slots: dict) -> ClassifyFlags:
         d = self.dim
         regular = self.is_regular()
-        flat, start, slots = _corner_facets(self)
         # a regular complex's facets are its (d-1)-faces
         thin = regular and all(type(s) is int or len(s) == 2 for s in slots.values())
         iqm = regular and _class_count(_glue(self, flat, start, slots)) == self.num_vertices
@@ -298,9 +306,12 @@ class Complex:
 
     def non_pseudomanifold_faces(self) -> dict[Simplex, list[int]]:
         """(d-1)-faces of order > 2 with their sorted coface lists."""
+        _, start, slots = _corner_facets(self)
+        return self._high_order_facets(start, slots)
+
+    def _high_order_facets(self, start: list[int], slots: dict) -> dict[Simplex, list[int]]:
         d = self.dim
         tops = self.top_ids
-        _, start, slots = _corner_facets(self)
         # only a d-top has a facet of d vertices; slots ascend with the top
         return {
             f: [tops[bisect_right(start, k) - 1] for k in ks]

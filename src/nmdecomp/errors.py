@@ -75,7 +75,8 @@ class NotIncident(TopologyError):
 
 
 class NotInTrie(TopologyError):
-    """The simplex is not a face of the source complex."""
+    """The simplex is no face-table entry: not a face of the source
+    complex, or a vertex, or a whole top row."""
 
 
 class NotIqm(TopologyError):
@@ -83,7 +84,8 @@ class NotIqm(TopologyError):
 
 
 class BadRelation(TopologyError):
-    """Malformed S<n><m> request (n >= m, or argument dimension != n)."""
+    """Malformed S<n><m> request: n or m not an int, not 0 <= n < m,
+    argument dimension != n, or vertex ids that cannot be sorted."""
 
 
 class OutOfRange(TopologyError):

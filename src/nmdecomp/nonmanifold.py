@@ -29,7 +29,11 @@ cofaces are one patch and each coface of a boundary facet or of a
 diamond is one.  With that, a query on gamma walks gamma's own star:
 from the representatives of each copy, or from any top spanning the
 single copy.  That top comes from the face table, one dict from every
-face of the source to a packed top spanning it.
+face of 2..w-1 vertices of a width-w source top to a packed top spanning
+it; vertices and whole top rows need no entry.  The pass that fills it
+also fills the row list, parallel to TVP, which holds each packed top's
+source vertex ids in ascending order: a query reads its faces off those
+slices, with no copy map lookup and no sort per face.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count, repeat
 from operator import not_
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .complexes import Complex, Simplex, simplex, twice_chi_misses
+from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie, UnknownVertex
@@ -106,9 +110,12 @@ def _patch(
 
 
 def check_relation(gamma: Simplex, n: int, m: int) -> None:
-    """Raise BadRelation unless n < m and the simplex gamma has n + 1 vertices."""
-    if n >= m:
-        raise BadRelation(f"S{n}{m}: need n < m")
+    """Raise BadRelation unless n and m are ints with 0 <= n < m and the
+    simplex gamma has n + 1 vertices."""
+    if type(n) is not int or type(m) is not int:
+        raise BadRelation(f"S{n!r}{m!r}: n and m must be ints")
+    if not 0 <= n < m:
+        raise BadRelation(f"S{n}{m}: need 0 <= n < m")
     if len(gamma) != n + 1:
         raise BadRelation(
             f"S{n}{m}: gamma needs {n + 1} distinct vertices, got {len(gamma)}"
@@ -116,23 +123,34 @@ def check_relation(gamma: Simplex, n: int, m: int) -> None:
 
 
 class FaceTops:
-    """Every face of the source, as a sorted tuple, mapped to a packed top
-    that spans it.
+    """The face table and the row list, both filled in one pass over the
+    source tops.
 
-    Any such top will do: a face that is no splitmap key has one copy and
-    one patch, so the walk from any top spanning it covers the same star.
+    faces maps every face of 2..w-1 vertices of some width-w top, as a
+    sorted tuple of source ids, to a packed top that spans it.  Any such top
+    will do: a face that is no splitmap key has one copy and one patch, so
+    the walk from any top spanning it covers the same star.  Vertices are
+    not entries, since their queries go through the copy map, nor are
+    whole top rows: a top has no proper coface, so every relation on it is
+    empty, which a miss also answers.
+
+    rows runs parallel to TVP: at each packed top's addresses it holds that
+    top's source vertex ids in ascending order, which is the sorted image
+    of its TVP row under sigma, as sigma is one-to-one on a row.
     """
 
-    def __init__(self, faces: dict[Simplex, int]) -> None:
+    def __init__(self, faces: dict[Simplex, int], rows: list[int]) -> None:
         self.faces = faces
+        self.rows = rows
 
     def lookup(self, gamma: Simplex, counter: OpCounter = NULL_COUNTER) -> int:
         """A packed top spanning gamma, a sorted tuple of source ids; one
-        comparison.  Raises NotInTrie when gamma is not a face of the source."""
+        comparison.  Raises NotInTrie when gamma is no entry: not a face of
+        the source, a vertex or a whole top row."""
         counter.comparisons += 1
         top = self.faces.get(gamma)
         if top is None:
-            raise NotInTrie(f"{gamma} is not a face of the source")
+            raise NotInTrie(f"{gamma} is not in the face table")
         return top
 
     @property
@@ -163,11 +181,13 @@ class NmLayer:
         """Add to out the m-faces, in source ids, of tops that contain gamma.
 
         Every top in tops spans the same copy of the source simplex gamma,
-        so all of them lie in one dimension block.  sigma_n is one-to-one on a
-        top's row, so the source ids outside gamma are distinct and a face
-        is gamma plus a combination of them: of one id when m = n + 1, of
-        all of them when m is the block's dimension.  Returns the number of
-        faces enumerated, which a query counts as comparisons.
+        so all of them lie in one dimension block.  The face table's row
+        list holds each top's source ids, ascending, at its TVP addresses,
+        so every face is read off those slices already sorted: the whole
+        slice when m is the block's dimension, gamma plus one link vertex
+        when m = n + 1, and otherwise the combinations of the slice that
+        contain gamma.  Returns the number of faces enumerated, which a
+        query counts as comparisons.
         """
         if not tops:
             return 0
@@ -176,27 +196,24 @@ class NmLayer:
         need = m + 1 - len(gamma)
         if need > free:
             return 0
-        tvp, sigma_n = self.ewds.tvp, self.sigma_n
+        rows = self.trie.rows
+        slices = [rows[off + t * w : off + t * w + w] for t in tops]
         if need == free:
-            for t in tops:
-                row = tvp[off + t * w : off + t * w + w]
-                out.add(tuple(sorted([sigma_n[x] for x in row])))
+            out.update(map(tuple, slices))
         elif need == 1:
-            link: set[int] = set()
-            for t in tops:
-                link.update([sigma_n[x] for x in tvp[off + t * w : off + t * w + w]])
+            link = set(chain.from_iterable(slices))
             link.difference_update(gamma)
-            out.update(tuple(sorted(gamma + (s,))) for s in link)
+            for s in link:
+                i = bisect_left(gamma, s)
+                out.add(gamma[:i] + (s,) + gamma[i:])
         else:
-            # the tops share one copy of gamma: drop it in packed ids
-            first = off + tops[0] * w
-            cp = [x for x in tvp[first : first + w] if sigma_n[x] in gamma]
-            extras: set[Simplex] = set()
-            for t in tops:
-                row = tvp[off + t * w : off + t * w + w]
-                rest = sorted([sigma_n[x] for x in row if x not in cp])
-                extras.update(combinations(rest, need))
-            out.update(tuple(sorted(gamma + extra)) for extra in extras)
+            faces = chain.from_iterable(map(combinations, slices, repeat(m + 1)))
+            if len(gamma) == 1:  # a vertex: one membership test per face
+                v = gamma[0]
+                out.update([f for f in faces if v in f])
+            else:
+                gset = set(gamma)
+                out.update([f for f in faces if gset.issubset(f)])
         return len(tops) * math.comb(free, need)
 
     def _copy_star(
@@ -265,9 +282,13 @@ class NmLayer:
         walks gamma's own star: from the representatives of each copy when
         gamma is a splitmap key, otherwise from the top that the face table
         returns, and reads the m-faces off the tops it reaches.  Raises
-        BadRelation as check_relation does.
+        BadRelation as check_relation does, and when gamma's vertices
+        cannot be hashed or sorted.
         """
-        gamma = simplex(gamma)
+        try:
+            gamma = simplex(gamma)
+        except TypeError:
+            raise BadRelation(f"gamma {gamma!r} is not a set of vertex ids") from None
         check_relation(gamma, n, m)
         if n == 0:
             if gamma[0] not in self.copies_of:
@@ -479,20 +500,35 @@ def build_splitmap(
 
     The splitmap is complete when vertices holds v_nra and the pinch
     suspects: every split simplex has a vertex among them, so all of its
-    star is read.  The star floods tick the counter as s0h does; the
-    unions are not counted.
+    star is read.  A dimension block all of whose vertices are harvested,
+    as every block of dimension >= 4 is, is read whole: a decomposition's
+    components are regular IQMs, so the star of each vertex is connected
+    across facets inside its VTSTAR's block, and the floods of the
+    block's vertices would reach every top of it.  The floods of the other
+    harvested vertices tick the counter as s0h does; a block read whole
+    and the unions are not counted.
     """
     harvested = [vp for v in vertices for vp in copies_of.get(v, ())]
     if not harvested:
         return {}
     marked = bytearray(ewds.nv + 1)
-    gathered: set[int] = set()
     for vp in harvested:
         marked[vp] = 1
-        gathered.update(ewds.s0h(vp, counter))
+    tvp, ttp = ewds.tvp, ewds.ttp
+    gathered: set[int] = set()
+    for h in range(ewds.d + 1):
+        block = tvp[ewds.tbase_addr[h] : ewds.tbase_addr[h + 1]]
+        if block and all(map(marked.__getitem__, block)):
+            # every vertex marked: read the block whole, and mark its
+            # vertices 2, which flood nothing
+            gathered.update(range(ewds.tbase[h], ewds.tbase[h + 1]))
+            for x in block:
+                marked[x] = 2
+    for vp in harvested:
+        if marked[vp] == 1:
+            gathered.update(ewds.s0h(vp, counter))
     tops = sorted(gathered)
     kinds = _copy_kinds(ewds, copies_of)
-    tvp, ttp = ewds.tvp, ewds.ttp
     found: dict[Simplex, list[int]] = {}  # key -> representatives
     for h in range(2, ewds.d + 1):  # narrower rows have no such face
         w = h + 1
@@ -567,20 +603,23 @@ def build_splitmap(
     return smap
 
 
-def build_ft_trie(source: Complex, top_hint: Mapping[int, int]) -> FaceTops:
-    """Face table over every face of source, vertices included.
+def build_ft_trie(ewds: Ewds) -> FaceTops:
+    """Face table and row list of the source complex of ewds, in one pass.
 
-    top_hint maps a source top id to the packed id the table returns; a
-    face shared by several tops keeps the last of them.
+    The source tops are read in packed order, so each sorted row lands at
+    its TVP addresses by appending; a face shared by several tops keeps the
+    last of them.
     """
+    row_of = ewds.source.source.row
     faces: dict[Simplex, int] = {}
-    for t in source.top_ids:
-        row = sorted(source.row(t))
-        hint = top_hint[t]
-        for r in range(1, len(row) + 1):
-            for word in combinations(row, r):
-                faces[word] = hint
-    return FaceTops(faces)
+    rows = [0]
+    for top, t in enumerate(ewds.top_old[1:], 1):
+        row = sorted(row_of(t))
+        rows.extend(row)
+        for r in range(2, len(row)):
+            for face in combinations(row, r):
+                faces[face] = top
+    return FaceTops(faces, rows)
 
 
 def build_nm_layer(ewds: Ewds) -> NmLayer:
@@ -595,4 +634,4 @@ def build_nm_layer(ewds: Ewds) -> NmLayer:
     harvest = pinch_suspects(ewds, sigma_n)
     harvest.update(nra)
     smap = build_splitmap(ewds, sigma_n, copies_of, harvest)
-    return NmLayer(ewds, sigma_n, copies_of, smap, nra, build_ft_trie(dec.source, ewds.top_new))
+    return NmLayer(ewds, sigma_n, copies_of, smap, nra, build_ft_trie(ewds))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nmdecomp import cli
+from nmdecomp import cli, complexes
 from nmdecomp.cli import main
 from nmdecomp.fixtures import load_text
 
@@ -67,6 +67,16 @@ def test_check_json(tvfile, capsys):
                 {"face": toks.split(), "tops": tops} for toks, tops in faces
             ],
         }, name
+
+
+def test_check_reads_one_facet_pass(tvfile, capsys, monkeypatch):
+    calls = []
+    real = complexes.facet_slots
+    monkeypatch.setattr(complexes, "facet_slots", lambda *a: calls.append(1) or real(*a))
+    for name in CHECKED:
+        calls.clear()
+        assert run(capsys, "check", tvfile(name))[0] == 0
+        assert len(calls) == 1, name
 
 
 def test_check_parse_error(tmp_path, capsys):

@@ -195,6 +195,10 @@ def test_classify_reads_one_facet_pass(monkeypatch, fan, mixed, cones, pinched, 
         calls.clear()
         c.classify()
         assert len(calls) == 1
+        calls.clear()
+        flags, npm = c.classify_with_faces()
+        assert len(calls) == 1
+        assert (flags, npm) == (c.classify(), c.non_pseudomanifold_faces())
 
 
 def test_non_pseudomanifold_faces(cones, fan):

@@ -1,4 +1,5 @@
-"""Face table used to find one top spanning a simplex that is no splitmap key."""
+"""Face table used to find one top spanning a simplex that is no splitmap key,
+and the row list of sorted source rows filled in the same pass."""
 
 import itertools
 
@@ -6,9 +7,11 @@ import pytest
 
 from nmdecomp.complexes import parse_tv
 from nmdecomp.counters import OpCounter
+from nmdecomp.decompose import decompose
 from nmdecomp.errors import NotInTrie
 from nmdecomp.nonmanifold import build_ft_trie
 from nmdecomp.oracle import random_complex
+from nmdecomp.winged import Ewds
 
 
 @pytest.fixture()
@@ -16,51 +19,65 @@ def pair():
     return parse_tv("simplex 1: 1 2 3\nsimplex 2: 2 3 4\n")
 
 
-def identity(c):
-    return {t: t for t in c.top_ids}
+def table(c):
+    return build_ft_trie(Ewds.build(decompose(c)))
+
+
+def proper_faces(c):
+    """Faces of 2..w-1 vertices of some width-w top of c."""
+    out = set()
+    for t in c.top_ids:
+        row = sorted(c.row(t))
+        for r in range(2, len(row)):
+            out.update(itertools.combinations(row, r))
+    return out
 
 
 def test_insert_and_lookup(pair):
-    trie = build_ft_trie(pair, identity(pair))
-    assert trie.lookup((1,)) == 1
-    assert trie.lookup((2, 3)) in (1, 2)
-    assert trie.lookup((2, 3, 4)) == 2
+    ew = Ewds.build(decompose(pair))
+    trie = build_ft_trie(ew)
+    assert ew.top_old[trie.lookup((1, 2))] == 1
+    assert ew.top_old[trie.lookup((2, 3))] in (1, 2)
+    assert ew.top_old[trie.lookup((3, 4))] == 2
 
 
-def test_all_faces_present(pair):
+def test_entries_are_the_faces_between_vertex_and_top(pair):
     draws = [random_complex(seed=s, max_tops=12, d=s % 4 + 1) for s in range(8)]
     for c in [pair, *draws]:
-        # the table returns hinted ids, shifted here so none is a source id
-        trie = build_ft_trie(c, {t: 100 + t for t in c.top_ids})
-        for t in c.top_ids:
-            row = sorted(c.row(t))
-            for n in range(len(row)):
-                for w in itertools.combinations(row, n + 1):
-                    assert trie.lookup(w) - 100 in c.star(w)
+        ew = Ewds.build(decompose(c))
+        trie = build_ft_trie(ew)
+        assert set(trie.faces) == proper_faces(c)
+        for gamma in trie.faces:
+            assert ew.top_old[trie.lookup(gamma)] in c.star(gamma)
 
 
 def test_word_count(pair):
-    trie = build_ft_trie(pair, identity(pair))
-    faces = pair.all_faces()
-    assert trie.num_words == len(faces)
+    trie = table(pair)
+    assert trie.num_words == len(proper_faces(pair)) == 5
     assert trie.num_nodes == trie.num_words
 
 
-def test_top_hint_translation(pair):
-    trie = build_ft_trie(pair, {1: 10, 2: 20})
-    assert trie.lookup((1, 2, 3)) == 10
-    assert trie.lookup((4,)) == 20
+def test_lookup_returns_packed_tops():
+    # the source ids 10 and 20 are no packed ids; the table answers in packed ids
+    c = parse_tv("simplex 10: 1 2 3 4\nsimplex 20: 1 5\n")
+    ew = Ewds.build(decompose(c))
+    trie = build_ft_trie(ew)
+    assert trie.lookup((1, 2, 3)) == ew.top_new[10]
+    assert trie.lookup((2, 4)) == ew.top_new[10]
 
 
-@pytest.mark.parametrize("gamma", [(1, 4), (1, 2, 3, 4), (5,), (2, 5)])
+@pytest.mark.parametrize(
+    "gamma", [(1, 4), (1, 2, 3, 4), (5,), (2, 5), (1,), (1, 2, 3), (2, 3, 4)]
+)
 def test_non_faces_raise(pair, gamma):
-    trie = build_ft_trie(pair, identity(pair))
+    # non-faces, vertices and whole top rows are no entries
+    trie = table(pair)
     with pytest.raises(NotInTrie):
         trie.lookup(gamma)
 
 
 def test_lookup_ticks_one_comparison(pair):
-    trie = build_ft_trie(pair, identity(pair))
+    trie = table(pair)
     counter = OpCounter()
     trie.lookup((2, 3), counter)
     assert (counter.visits, counter.expansions, counter.comparisons) == (0, 0, 1)

@@ -109,6 +109,12 @@ def _check_all_faces(nm, src):
                 n,
                 m,
             )
+    # a top has no proper coface, so each relation on its own row is empty
+    for t in src.top_ids:
+        gamma = tuple(sorted(src.row(t)))
+        n = len(gamma) - 1
+        for m in range(n + 1, d + 1):
+            assert nm.snm_global(gamma, n, m) == set()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -242,10 +248,15 @@ def test_two_copies_in_one_component_are_kept(seed, key, entry):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_splitmap_matches_oracle_in_4d(seed, perforated_grid):
-    # every vertex of a 4-D block is a pinch suspect, so every star is read
+    # every vertex of a 4-D block is a pinch suspect, so the block is read
+    # whole, with no star flood
     nm = build_nm_layer(Ewds.build(decompose(perforated_grid(3, 4, seed))))
     assert nm.ewds.d == 4 and nm.splitmap
     assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+    counter = OpCounter()
+    harvest = pinch_suspects(nm.ewds, nm.sigma_n)
+    assert build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, harvest, counter) == nm.splitmap
+    assert counter.visits == 0
 
 
 @pytest.mark.slow
@@ -297,11 +308,12 @@ def test_snm_global_nonfaces(nm_mixed):
 # and add them once per call; these totals keep that tally equal to one
 # tick per step, which criterion 09 and the benchmark's traced counts rely
 # on.  The query totals are those of the walk over gamma's own star, with
-# one comparison per face-table probe for a gamma that is no key; the
-# harvest totals are its star floods alone, as patches come from unions of
-# corners, which are not counted.
+# one comparison per face-table probe for a gamma that is no key; a whole
+# top row misses the table and walks nothing.  The harvest totals are its
+# star floods alone, as patches come from unions of corners, which are not
+# counted.
 FROZEN_WORK = {
-    "mixed": ((118, 284, 224), (9, 29, 0)),
+    "mixed": ((112, 284, 224), (9, 29, 0)),
     "cones": ((756, 2052, 1557), (69, 276, 0)),
 }
 
@@ -325,6 +337,25 @@ def test_snm_guards(nm_mixed):
         nm_mixed.snm_global((6, 8), 1, 1)
     with pytest.raises(BadRelation):
         nm_mixed.snm_global((6, 8), 2, 3)
+
+
+@pytest.mark.parametrize(
+    "gamma, n, m",
+    [
+        ((), -1, 2),  # n below 0, which the vertex count alone would pass
+        ((6,), -1, 1),
+        ((6, 8), 1, 2.0),  # m not an int
+        ((6, 8), 1.0, 2),
+        ((6, 8), True, 2),
+        ((6, 8), "1", 2),
+        ((1, "a"), 1, 2),  # vertices that cannot be sorted
+        ([[1], [2]], 1, 2),  # or hashed
+        (7, 0, 1),  # no iterable at all
+    ],
+)
+def test_bad_query_arguments_raise_bad_relation(nm_mixed, gamma, n, m):
+    with pytest.raises(BadRelation):
+        nm_mixed.snm_global(gamma, n, m)
 
 
 def test_stats_mixed(nm_mixed):

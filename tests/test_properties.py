@@ -3,11 +3,12 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nmdecomp.complexes import Complex, canonical_pairs, parse_tv, simplex
 from nmdecomp.decompose import DecompositionResult, decompose
-from nmdecomp.errors import NotIqm, TopologyError
+from nmdecomp.errors import NotInTrie, NotIqm, TopologyError
 from nmdecomp.fixtures import load_text, load_tv
 from nmdecomp.gluing import GluingState, run_glue_script
 from nmdecomp.meshes import kuhn_cube
@@ -246,14 +247,41 @@ def test_dump_roundtrip(seed, d):
 @settings(max_examples=30, deadline=None)
 @given(seeds)
 def test_trie_lookup_lands_on_incident_top(seed):
+    # every face but a vertex or a whole top row resolves to a top spanning it
     c = draw(seed, max_tops=10)
     nm = build_nm_layer(Ewds.build(decompose(c)))
     ew = nm.ewds
+    tops = {tuple(sorted(c.row(t))) for t in c.top_ids}
     for gamma in sorted(c.all_faces()):
-        if gamma in nm.splitmap:
+        if len(gamma) == 1 or gamma in tops:
+            with pytest.raises(NotInTrie):
+                nm.trie.lookup(gamma)
             continue
         t = nm.trie.lookup(gamma)
         assert set(gamma) <= set(c.row(ew.top_old[t]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_face_table_and_row_list(seed, d):
+    # the row list holds each packed top's sorted source row at its TVP
+    # addresses, and the face table's keys are exactly the faces of
+    # 2..w-1 vertices of some width-w top
+    c = draw(seed, d)
+    nm = build_nm_layer(Ewds.build(decompose(c)))
+    ew, rows, sigma_n = nm.ewds, nm.trie.rows, nm.sigma_n
+    assert len(rows) == len(ew.tvp)
+    for h in range(ew.d + 1):
+        w = h + 1
+        for t in range(ew.tbase[h], ew.tbase[h + 1]):
+            a = ew.tbase_addr[h] + (t - ew.tbase[h]) * w
+            assert rows[a : a + w] == sorted(sigma_n[x] for x in ew.tvp[a : a + w])
+    proper = set()
+    for t in c.top_ids:
+        row = sorted(c.row(t))
+        for r in range(2, len(row)):
+            proper.update(combinations(row, r))
+    assert set(nm.trie.faces) == proper
 
 
 @settings(max_examples=40, deadline=None)
