@@ -22,6 +22,7 @@ from .complexes import (
 from .decompose import DecompositionResult, decompose
 from .errors import (
     BadRelation,
+    BadRenumbering,
     InvalidComplex,
     NotAFace,
     NotIncident,
@@ -66,6 +67,7 @@ from .winged import BOTTOM, DIAMOND, Ewds
 __all__ = [
     "BOTTOM",
     "BadRelation",
+    "BadRenumbering",
     "ClassifyFlags",
     "Complex",
     "DIAMOND",

@@ -83,6 +83,11 @@ class NotIqm(TopologyError):
     """Renumbering requires initial-quasi-manifold components."""
 
 
+class BadRenumbering(TopologyError):
+    """A renumbering whose maps or block directories do not fit the tables
+    it is applied to, such as one computed for another decomposition."""
+
+
 class BadRelation(TopologyError):
     """Malformed S<n><m> request: n or m not an int, not 0 <= n < m,
     argument dimension != n, or vertex ids that cannot be sorted."""

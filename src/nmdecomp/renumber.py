@@ -12,6 +12,17 @@ Seed slots 1..h are reserved up front; the DFS never pairs a reserved
 vertex, which keeps the final h*CC numbers of every vertex block aligned
 with their seeds and the region arithmetic exact.  A top whose opposite
 vertex is already taken stays unpaired and is stored in full.
+
+The pairing needs initial quasi-manifold components.  The check is one
+union-find over corners, the (top, slot) addresses of TVP: each TTP pair
+joins the corners of the vertices its two tops share, and a vertex whose
+corners fall into more than one class has a star that is not connected
+across manifold facets.  The DFS reads TTP alone to step between tops:
+fill_tt writes every order-2 pair both ways and two tops of one block
+share at most one facet, so the slot of a neighbour that holds the top
+the walk came from is the slot opposite their shared facet, and its
+vertex is the one the neighbour adds.  `apply_renumbering` then reads
+each dimension block of TVP/TTP as one slice, in implicit top order.
 """
 
 from __future__ import annotations
@@ -20,8 +31,9 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .errors import NotIqm, OutOfRange, UnknownVertex
-from .winged import Ewds
+from .errors import BadRenumbering, NotIqm, OutOfRange, UnknownTop, UnknownVertex
+from .unionfind import union_min
+from .winged import BOTTOM, DIAMOND, Ewds
 
 MAGIC_IMPLICIT = b"EWD\x01"
 
@@ -40,28 +52,60 @@ class Renumbering:
         return self.perms.get(t, ())
 
 
+def _check_iqm(ewds: Ewds) -> None:
+    """Raise NotIqm unless the corners of every vertex form one class.
+
+    A corner is a TVP address, one (top, slot) pair.  For every TTP pair
+    t < u, union_min joins the corners of the w-1 vertices the two tops
+    share, so the classes of a vertex's corners are the pieces of its star
+    connected across manifold facets that contain it.  TTP links only tops
+    of one dimension block, so a star that spans two blocks is two classes
+    as well.  One class per vertex is exactly the IQM condition on regular
+    components; since every vertex has a corner, that holds when the roots
+    number NV.
+    """
+    tv, tt = ewds.tvp, ewds.ttp
+    parent = list(range(ewds.size + 1))
+    for h in range(1, ewds.d + 1):
+        w = h + 1
+        lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
+        off = lo - ewds.tbase[h] * w
+        for a, u in enumerate(tt[lo:hi], lo):
+            t, i = divmod(a - off, w)
+            if u <= t:
+                continue  # boundary, diamond, or joined from u's side
+            base, ubase = a - i, off + u * w
+            for b in range(base, base + w):
+                if b != a:
+                    c = tv.index(tv[b], ubase, ubase + w)
+                    if parent[b] != parent[c]:  # else one class already
+                        union_min(parent, b, c)
+    roots = [tv[a] for a in range(1, ewds.size + 1) if parent[a] == a]
+    if len(roots) != ewds.nv:
+        roots.sort()
+        v = next(x for x, y in zip(roots, roots[1:]) if x == y)
+        raise NotIqm(
+            f"the star of vertex {ewds.vertex_old[v]} falls into "
+            f"{roots.count(v)} pieces across its facets: its component is not an IQM"
+        )
+
+
 def compute_renumbering(ewds: Ewds) -> Renumbering:
     """Seed-and-pair numbering of a packed decomposition.
 
     Requires every component to be an initial quasi-manifold: otherwise
     vertex stars may fall apart and the pairing invariants do not hold.
-    TTP links two tops exactly across a facet with two cofaces in one
-    dimension block, so a vertex's facet flood reaches its whole star
-    exactly when its component is regular and its star is connected
-    across manifold facets; a shorter flood raises NotIqm.
-    """
-    dec = ewds.source
-    star = [0] * (ewds.nv + 1)  # a row lists each of its vertices once
-    for v in ewds.tvp[1:]:
-        star[v] += 1
-    for v in range(1, ewds.nv + 1):
-        reached = len(ewds.s0h(v))
-        if reached != star[v]:
-            raise NotIqm(
-                f"facet flood of vertex {ewds.vertex_old[v]} reaches {reached} "
-                f"of its {star[v]} tops: its component is not an IQM"
-            )
+    The check joins (top, slot) corners across TTP pairs and raises
+    NotIqm when some vertex's corners form more than one class.
 
+    The DFS of a block walks TTP.  fill_tt writes every order-2 pair both
+    ways, and two tops of one block share at most one facet, so the slot
+    by which the walk enters a neighbour is the one slot of its TTP row
+    that holds the top it came from; the vertex there is the one the
+    neighbour adds.
+    """
+    _check_iqm(ewds)
+    dec = ewds.source
     d = ewds.d
     nv = ewds.nv
     ftt = [0] * (ewds.nt + 1)
@@ -69,24 +113,27 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     perms: dict[int, tuple[int, ...]] = {}
 
     cc = [0] * (d + 1)
-    seeds_per_dim: dict[int, list[int]] = {h: [] for h in range(d + 1)}
+    seeds: list[list[int]] = [[] for _ in range(d + 1)]
     for comp in dec.components:
         cc[comp.dim] += 1
-        seeds_per_dim[comp.dim].append(ewds.top_new[comp.top_ids[0]])
+        seeds[comp.dim].append(ewds.top_new[comp.top_ids[0]])
     # components are vertex-disjoint and, being IQMs, each lies in one
     # block, so a vertex belongs to the block of its VTSTAR top
     anchors = sorted(ewds.vtstar[1:])
-    nv_per_dim = [
-        bisect_left(anchors, ewds.tbase[h + 1]) - bisect_left(anchors, ewds.tbase[h])
-        for h in range(d + 1)
-    ]
     vbase = [1]
     for h in range(d + 1):
-        vbase.append(vbase[h] + nv_per_dim[h])
+        vbase.append(
+            vbase[h]
+            + bisect_left(anchors, ewds.tbase[h + 1])
+            - bisect_left(anchors, ewds.tbase[h])
+        )
 
     # flat copies of TVP/TTP; the DFS swaps a paired top's new slot into
     # its last one, once per top, and records that exchange in perms
     tv, tt = list(ewds.tvp), list(ewds.ttp)
+    # TTP links only tops of one component, so one mark per top serves
+    # every seed's walk
+    seen = bytearray(ewds.nt + 1)
 
     for h in range(d + 1):
         w = h + 1
@@ -95,7 +142,7 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
         tnew = ewds.tbase[h] + cc[h]
         vidx = vbase[h]
         vnew = vbase[h] + cc[h]  # pairing numbers; reserved slots come last
-        for seed in seeds_per_dim[h]:
+        for seed in seeds[h]:
             base = off + seed * w
             ftt[seed] = tidx
             tidx += 1
@@ -103,24 +150,24 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
             vidx += 1
             for j in range(h):
                 fvv[tv[base + j]] = -1
-        for seed in seeds_per_dim[h]:
-            visited = {seed}
-            stack = [(seed, 0)]
+            # components are vertex-disjoint, so the walk meets no vertex
+            # of a seed still to come
+            seen[seed] = 1
+            stack = [(seed, 0)]  # (top, next slot to try)
             while stack:
-                t, i = stack[-1]
-                if i > h:
-                    stack.pop()
-                    continue
-                stack[-1] = (t, i + 1)
+                t, i = stack.pop()
                 base = off + t * w
-                nbr = tt[base + i]
-                if nbr <= 0 or nbr in visited:
-                    continue
-                visited.add(nbr)
-                phi = set(tv[base : base + w])
-                phi.discard(tv[base + i])
+                while i < w:
+                    nbr = tt[base + i]
+                    i += 1
+                    if nbr > 0 and not seen[nbr]:
+                        break
+                else:
+                    continue  # every slot of t is done
+                stack.append((t, i))
+                seen[nbr] = 1
                 nbase = off + nbr * w
-                k = next(kk for kk in range(w) if tv[nbase + kk] not in phi)
+                k = tt.index(t, nbase, nbase + w) - nbase
                 v = tv[nbase + k]
                 if fvv[v] == 0:
                     fvv[v] = vnew
@@ -140,7 +187,7 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
             if ftt[t] == 0:
                 ftt[t] = tnew
                 tnew += 1
-        for seed in seeds_per_dim[h]:
+        for seed in seeds[h]:
             for j in range(h):
                 v = tv[off + seed * w + j]
                 assert fvv[v] == -1  # reserved slots survive the pairing
@@ -188,6 +235,8 @@ class ImplicitEwds:
         return self.tvpp[self.iitaddr[h] + (t - self.iibnd[h]) * (h + 1) + k - 1]
 
     def row_of(self, t: int) -> tuple[int, ...]:
+        if not 1 <= t <= self.nt:
+            raise UnknownTop(f"top {t} out of range 1..{self.nt}")
         h = bisect_right(self.tbase, t, hi=self.d + 1) - 1
         return tuple(self.tv_lookup(h, t, k) for k in range(1, h + 2))
 
@@ -218,56 +267,66 @@ class ImplicitEwds:
 
 
 def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
-    """Emit the compressed tables for a computed renumbering."""
-    d = ewds.d
-    cc, vbase = ren.cc, ren.vbase
-    old_of = [0] * (ewds.nt + 1)
-    for t in range(1, ewds.nt + 1):
-        old_of[ren.ftt[t]] = t
+    """Emit the compressed tables for a computed renumbering.
+
+    Works on flat copies of TVP/TTP: the exchanges in perms are applied to
+    their tops' rows, then each dimension block's rows are read in
+    implicit top order and mapped through FVV and FTT in one pass.  Seed
+    rows are dropped from TVPP, paired rows keep all but their last slot
+    and unpaired rows are kept whole.
+
+    Raises BadRenumbering unless ren fits the tables: FTT must permute
+    each dimension block and FVV the vertices, every exchange must permute
+    the slots of a top of its width, and the vertex blocks must chain from
+    1 to NV+1, each with its seeds' slots and one vertex per paired top.
+    """
+    d, nt, nv, tbase = ewds.d, ewds.nt, ewds.nv, ewds.tbase
+    ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
+    if len(ftt) != nt + 1 or len(fvv) != nv + 1:
+        raise BadRenumbering(
+            f"maps for {len(ftt) - 1} tops and {len(fvv) - 1} vertices "
+            f"do not fit tables of {nt} tops and {nv} vertices"
+        )
+    if len(cc) != d + 1 or len(vbase) != d + 2 or vbase[0] != 1 or vbase[d + 1] != nv + 1:
+        raise BadRenumbering(f"block directories do not fit {nv} vertices in dimension {d}")
+    if sorted(fvv[1:]) != list(range(1, nv + 1)):
+        raise BadRenumbering("FVV does not permute the vertices")
+
+    tv, tt = list(ewds.tvp), list(ewds.ttp)
+    for t, perm in ren.perms.items():
+        w = len(perm)
+        if not (0 < w <= d + 1 and tbase[w - 1] <= t < tbase[w]) or sorted(perm) != list(range(w)):
+            raise BadRenumbering(f"slot exchange {perm} does not fit top {t}")
+        base = ewds.tbase_addr[w - 1] + (t - tbase[w - 1]) * w
+        for arr in (tv, tt):
+            row = arr[base : base + w]
+            arr[base : base + w] = [row[p] for p in perm]
+    fnbr = [BOTTOM, *ftt[1:], DIAMOND]  # fnbr[DIAMOND] is the last entry
 
     taddr = [1]
-    for h in range(d + 1):
-        taddr.append(
-            taddr[h]
-            + (ewds.tbase[h + 1] - ewds.tbase[h]) * (h + 1)
-            - (vbase[h + 1] - vbase[h])
-        )
-    iibnd = [
-        ewds.tbase[h] + vbase[h + 1] - vbase[h] - cc[h] * h for h in range(d + 1)
-    ]
-    iitaddr = [
-        taddr[h] + (iibnd[h] - ewds.tbase[h] - cc[h]) * h for h in range(d + 1)
-    ]
-
-    def swapped(t: int) -> list[int]:
-        row = ewds.row_of(t)
-        perm = ren.perms.get(t)
-        if perm is None:
-            return list(row)
-        return [row[p] for p in perm]
-
-    def swapped_tt(t: int) -> list[int]:
-        row = ewds.tt_row_of(t)
-        perm = ren.perms.get(t)
-        if perm is None:
-            return list(row)
-        return [row[p] for p in perm]
-
+    iibnd: list[int] = []
+    iitaddr: list[int] = []
     tvpp = [0]
-    ttpp = [0] * (ewds.size + 1)
+    ttpp = [0]
     for h in range(d + 1):
-        for t in range(ewds.tbase[h], ewds.tbase[h + 1]):
-            old = old_of[t]
-            new_row = [ren.fvv[v] for v in swapped(old)]
-            base = ewds.tbase_addr[h] + (t - ewds.tbase[h]) * (h + 1)
-            for k, nbr in enumerate(swapped_tt(old)):
-                ttpp[base + k] = ren.ftt[nbr] if nbr > 0 else nbr
-            if t < ewds.tbase[h] + cc[h]:
-                continue  # seeds are fully arithmetic
-            if t < iibnd[h]:
-                tvpp.extend(new_row[:h])
-            else:
-                tvpp.extend(new_row)
+        w = h + 1
+        lo, hi = tbase[h], tbase[h + 1]
+        arithmetic = vbase[h + 1] - vbase[h] - cc[h] * h  # seeds and paired tops
+        if not 0 <= cc[h] <= arithmetic <= hi - lo:
+            raise BadRenumbering(f"vertex block {h} does not fit its top block")
+        iibnd.append(lo + arithmetic)
+        iitaddr.append(taddr[h] + (arithmetic - cc[h]) * h)
+        taddr.append(taddr[h] + (hi - lo) * w - (vbase[h + 1] - vbase[h]))
+        olds = sorted(range(lo, hi), key=ftt.__getitem__)  # in implicit order
+        if list(map(ftt.__getitem__, olds)) != list(range(lo, hi)):
+            raise BadRenumbering(f"FTT does not permute the dimension-{h} block")
+        off = ewds.tbase_addr[h] - lo * w
+        rows = [fvv[v] for t in olds for v in tv[off + t * w : off + t * w + w]]
+        ttpp += [fnbr[u] for t in olds for u in tt[off + t * w : off + t * w + w]]
+        paired = rows[cc[h] * w : arithmetic * w]  # seeds are fully arithmetic
+        del paired[h::w]
+        tvpp += paired
+        tvpp += rows[arithmetic * w :]
     assert len(tvpp) == taddr[d + 1]
 
     return ImplicitEwds(

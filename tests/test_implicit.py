@@ -1,17 +1,174 @@
 """Adjacency-driven renumbering and the implicit vertex table."""
 
+import hashlib
+import random
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import NotIqm, OutOfRange, UnknownVertex
+from nmdecomp.errors import (
+    BadRenumbering,
+    NotIqm,
+    OutOfRange,
+    TopologyError,
+    UnknownTop,
+    UnknownVertex,
+)
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import random_complex
 from nmdecomp.renumber import (
     MAGIC_IMPLICIT,
+    ImplicitEwds,
+    Renumbering,
     apply_renumbering,
     compute_renumbering,
 )
 from nmdecomp.winged import Ewds
+
+
+# -- reference: the renumbering a vertex and a top at a time ----------------
+
+
+def reference_compute_renumbering(ewds: Ewds) -> Renumbering:
+    """compute_renumbering with a facet flood per vertex as its IQM check
+    and a set of the entering facet's vertices per DFS step."""
+    dec = ewds.source
+    star = [0] * (ewds.nv + 1)  # a row lists each of its vertices once
+    for v in ewds.tvp[1:]:
+        star[v] += 1
+    for v in range(1, ewds.nv + 1):
+        reached = len(ewds.s0h(v))
+        if reached != star[v]:
+            raise NotIqm(f"facet flood of vertex {ewds.vertex_old[v]} falls short")
+
+    d = ewds.d
+    nv = ewds.nv
+    ftt = [0] * (ewds.nt + 1)
+    fvv = [0] * (nv + 1)
+    perms: dict[int, tuple[int, ...]] = {}
+
+    cc = [0] * (d + 1)
+    seeds_per_dim: dict[int, list[int]] = {h: [] for h in range(d + 1)}
+    for comp in dec.components:
+        cc[comp.dim] += 1
+        seeds_per_dim[comp.dim].append(ewds.top_new[comp.top_ids[0]])
+    anchors = sorted(ewds.vtstar[1:])
+    nv_per_dim = [
+        bisect_left(anchors, ewds.tbase[h + 1]) - bisect_left(anchors, ewds.tbase[h])
+        for h in range(d + 1)
+    ]
+    vbase = [1]
+    for h in range(d + 1):
+        vbase.append(vbase[h] + nv_per_dim[h])
+
+    tv, tt = list(ewds.tvp), list(ewds.ttp)
+    for h in range(d + 1):
+        w = h + 1
+        off = ewds.tbase_addr[h] - ewds.tbase[h] * w
+        tidx = ewds.tbase[h]
+        tnew = ewds.tbase[h] + cc[h]
+        vidx = vbase[h]
+        vnew = vbase[h] + cc[h]
+        for seed in seeds_per_dim[h]:
+            base = off + seed * w
+            ftt[seed] = tidx
+            tidx += 1
+            fvv[tv[base + h]] = vidx
+            vidx += 1
+            for j in range(h):
+                fvv[tv[base + j]] = -1
+        for seed in seeds_per_dim[h]:
+            visited = {seed}
+            stack = [(seed, 0)]
+            while stack:
+                t, i = stack[-1]
+                if i > h:
+                    stack.pop()
+                    continue
+                stack[-1] = (t, i + 1)
+                base = off + t * w
+                nbr = tt[base + i]
+                if nbr <= 0 or nbr in visited:
+                    continue
+                visited.add(nbr)
+                phi = set(tv[base : base + w])
+                phi.discard(tv[base + i])
+                nbase = off + nbr * w
+                k = next(kk for kk in range(w) if tv[nbase + kk] not in phi)
+                v = tv[nbase + k]
+                if fvv[v] == 0:
+                    fvv[v] = vnew
+                    vnew += 1
+                    ftt[nbr] = tnew
+                    tnew += 1
+                    if k != h:
+                        for arr in (tv, tt):
+                            arr[nbase + k], arr[nbase + h] = arr[nbase + h], arr[nbase + k]
+                        perm = list(range(w))
+                        perm[k], perm[h] = h, k
+                        perms[nbr] = tuple(perm)
+                stack.append((nbr, 0))
+        for t in ewds._block_tops(h):
+            if ftt[t] == 0:
+                ftt[t] = tnew
+                tnew += 1
+        for seed in seeds_per_dim[h]:
+            for j in range(h):
+                fvv[tv[off + seed * w + j]] = vnew
+                vnew += 1
+    return Renumbering(ftt, fvv, perms, cc, vbase)
+
+
+def reference_apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
+    """apply_renumbering reading each top's rows through row_of/tt_row_of."""
+    d = ewds.d
+    cc, vbase = ren.cc, ren.vbase
+    old_of = [0] * (ewds.nt + 1)
+    for t in range(1, ewds.nt + 1):
+        old_of[ren.ftt[t]] = t
+    taddr = [1]
+    for h in range(d + 1):
+        taddr.append(
+            taddr[h] + (ewds.tbase[h + 1] - ewds.tbase[h]) * (h + 1) - (vbase[h + 1] - vbase[h])
+        )
+    iibnd = [ewds.tbase[h] + vbase[h + 1] - vbase[h] - cc[h] * h for h in range(d + 1)]
+    iitaddr = [taddr[h] + (iibnd[h] - ewds.tbase[h] - cc[h]) * h for h in range(d + 1)]
+
+    def swapped(row, t):
+        perm = ren.perms.get(t)
+        return list(row) if perm is None else [row[p] for p in perm]
+
+    tvpp = [0]
+    ttpp = [0] * (ewds.size + 1)
+    for h in range(d + 1):
+        for t in range(ewds.tbase[h], ewds.tbase[h + 1]):
+            old = old_of[t]
+            new_row = [ren.fvv[v] for v in swapped(ewds.row_of(old), old)]
+            base = ewds.tbase_addr[h] + (t - ewds.tbase[h]) * (h + 1)
+            for k, nbr in enumerate(swapped(ewds.tt_row_of(old), old)):
+                ttpp[base + k] = ren.ftt[nbr] if nbr > 0 else nbr
+            if t < ewds.tbase[h] + cc[h]:
+                continue
+            tvpp.extend(new_row[:h] if t < iibnd[h] else new_row)
+    return ImplicitEwds(
+        d=d, nt=ewds.nt, nv=ewds.nv, tbase=list(ewds.tbase),
+        tbase_addr=list(ewds.tbase_addr), cc=cc, vbase=vbase, taddr=taddr,
+        iibnd=iibnd, iitaddr=iitaddr, tvpp=tvpp, ttpp=ttpp, renumbering=ren,
+    )
+
+
+def _fields(ren: Renumbering) -> tuple:
+    return ren.ftt, ren.fvv, sorted(ren.perms.items()), ren.cc, ren.vbase
+
+
+def assert_matches_reference(ew: Ewds) -> None:
+    ren, ref = compute_renumbering(ew), reference_compute_renumbering(ew)
+    assert _fields(ren) == _fields(ref)
+    imp, want = apply_renumbering(ew, ren), reference_apply_renumbering(ew, ref)
+    assert imp.dump_bytes() == want.dump_bytes()
+    assert (imp.iibnd, imp.iitaddr) == (want.iibnd, want.iitaddr)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +262,10 @@ def test_lookup_guards(imp_mixed):
         imp.tv_lookup(2, 5, 4)
     with pytest.raises(OutOfRange):
         imp.tv_lookup(3, 6, 1)
+    # as Ewds.row_of: a top outside 1..NT is unknown
+    for t in (0, -1, imp.nt + 1, imp.nt + 2):
+        with pytest.raises(UnknownTop):
+            imp.row_of(t)
 
 
 def test_requires_iqm(mixed, bouquet):
@@ -154,3 +315,89 @@ def test_random_iqm_roundtrip():
         assert sorted(ren.fvv[1:]) == list(range(1, ew.nv + 1)), seed
         _assert_roundtrip(ew, ren, imp)
     assert hits == 40
+
+
+# sha256 prefixes of ImplicitEwds.dump_bytes() and of the renumbering's
+# fields, taken before the encoding moved to block slices
+FROZEN = {
+    "perforated_cube(3)": ("14284bf679af102d29eeb8a4d98964de", "e942e355be50eb417fdc6bbe9c11d545"),
+    "perforated_cube(4)": ("a923ad47a3806bb447705ff935ae2d23", "a350906e9bce9925bd52d9eb824bd3f3"),
+    "kuhn_cube(4)": ("2e7e38de4f1301a3cfdce0ded11e5c85", "baf7f9534f40ea5628b827bbfd859140"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_encoding_is_frozen(name, perforated_cube):
+    c = kuhn_cube(4) if name == "kuhn_cube(4)" else perforated_cube(int(name[-2]))
+    ew = Ewds.build(decompose(c))
+    ren = compute_renumbering(ew)
+    got = (
+        hashlib.sha256(apply_renumbering(ew, ren).dump_bytes()).hexdigest()[:32],
+        hashlib.sha256(repr(_fields(ren)).encode()).hexdigest()[:32],
+    )
+    assert got == FROZEN[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["fan", "mixed", "cones", "bouquet", "pinched", "pinched_edge", "pinched_edge_cone"]
+)
+def test_fixtures_match_reference(name, request):
+    ew = Ewds.build(decompose(request.getfixturevalue(name)))
+    if name == "cones":
+        assert -1 in ew.ttp  # a DIAMOND slot, which FTT must leave as it is
+    assert_matches_reference(ew)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+def test_encoding_matches_reference(seed, d):
+    assert_matches_reference(Ewds.build(decompose(random_complex(seed=seed, max_tops=30, d=d))))
+
+
+def test_renumbering_of_another_decomposition_is_refused(mixed):
+    small = Ewds.build(decompose(mixed))
+    big = Ewds.build(decompose(kuhn_cube(2)))
+    for ew, other in ((small, big), (big, small)):
+        with pytest.raises(BadRenumbering):
+            apply_renumbering(ew, compute_renumbering(other))
+
+
+def _mangled(ren: Renumbering, **changes) -> Renumbering:
+    parts = dict(ftt=list(ren.ftt), fvv=list(ren.fvv), perms=dict(ren.perms),
+                 cc=list(ren.cc), vbase=list(ren.vbase))
+    parts.update(changes)
+    return Renumbering(**parts)
+
+
+def test_renumbering_that_does_not_fit_is_refused(imp_mixed):
+    ew, ren, _ = imp_mixed  # blocks 1..2, 3..4, 5..6, 7..9; top 6 exchanged
+    swap = list(ren.ftt)
+    swap[2], swap[3] = swap[3], swap[2]  # a vertex and an edge trade blocks
+    cases = [
+        _mangled(ren, ftt=swap),
+        _mangled(ren, ftt=ren.ftt[:1] + [1] * ew.nt),
+        _mangled(ren, fvv=ren.fvv[:1] + [1] * ew.nv),
+        _mangled(ren, fvv=ren.fvv[:-1]),
+        _mangled(ren, cc=ren.cc[:-1]),
+        _mangled(ren, cc=[2, 1, 3, 1]),
+        _mangled(ren, vbase=ren.vbase[:-1] + [ew.nv + 2]),
+        _mangled(ren, vbase=[1, 4, 5, 10, 16]),
+        _mangled(ren, perms={6: (0, 2)}),
+        _mangled(ren, perms={6: (0, 0, 1)}),
+        _mangled(ren, perms={4: (0, 2, 1)}),
+        _mangled(ren, perms={ew.nt + 1: (0,)}),
+    ]
+    for bad in cases:
+        with pytest.raises(BadRenumbering):
+            apply_renumbering(ew, bad)
+    assert issubclass(BadRenumbering, TopologyError)
+
+
+@pytest.mark.slow
+def test_encoding_matches_reference_at_benchmark_scale(perforated_grid):
+    cube = kuhn_cube(12)
+    rng = random.Random(12)
+    perforated = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
+    # 6 000 and 7 258 tets, and 10 512 4-simplices
+    for c in (kuhn_cube(10), perforated, perforated_grid(5, 4, 5)):
+        assert_matches_reference(Ewds.build(decompose(c)))

@@ -31,6 +31,7 @@ from nmdecomp.oracle import (
 )
 from nmdecomp.renumber import compute_renumbering
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
+from test_implicit import assert_matches_reference, reference_compute_renumbering
 
 seeds = st.integers(min_value=0, max_value=10_000)
 dims = st.integers(min_value=1, max_value=4)
@@ -96,20 +97,25 @@ def test_is_iqm_matches_oracle(seed, d):
 @settings(max_examples=60, deadline=None)
 @given(seeds, dims)
 def test_renumbering_rejects_exactly_non_iqm_components(seed, d):
-    # the packed flood check in compute_renumbering against is_iqm, on
-    # hand-built decompositions whose components need not be IQM or regular
+    # the corner-class check in compute_renumbering against is_iqm and
+    # against the reference's per-vertex facet floods, on hand-built
+    # decompositions whose components need not be IQM or regular
     c = draw(seed, d)
     rng = random.Random(seed)
     half = c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
     for x in (c, half):
         fake = DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
         expected = any(not k.is_iqm() for k in fake.components)
-        try:
-            compute_renumbering(Ewds.build(fake))
-        except NotIqm:
-            assert expected
-        else:
-            assert not expected
+        ew = Ewds.build(fake)
+        for renumber in (compute_renumbering, reference_compute_renumbering):
+            try:
+                renumber(ew)
+            except NotIqm:
+                assert expected
+            else:
+                assert not expected
+        if not expected:
+            assert_matches_reference(ew)
 
 
 @settings(max_examples=30, deadline=None)
