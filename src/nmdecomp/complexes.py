@@ -181,9 +181,6 @@ class Complex:
             self._vt = vt
         return self._vt
 
-    def tops_of_vertex(self, v: int) -> set[int]:
-        return set(self._vertex_tops().get(v, ()))
-
     # -- stars, links, orders ----------------------------------------------
 
     def star(self, gamma: Iterable[int]) -> set[int]:

@@ -17,23 +17,23 @@ A simplex is recorded when one of its vertices splits (a copy per
 component) or when its star inside one component is cut into patches:
 at a facet of order three or more (a diamond), or at a pinch, where
 parts of its star meet in the simplex but share no facet through it.
-The harvest reads the stars of the paper's v_nra set, which covers the
+The harvest marks the copies of the paper's v_nra set, which covers the
 first two, and of the vertices that one counting pass over the tables
 (pinch_suspects, the twice-chi count of vertex links that
-`Complex.is_manifold` also runs) finds where a pinch may be.  Of the
-union of those stars it reads only the faces that hold a harvested
-vertex, and it walks no patch: the patches of a face short of a facet
-are union-find classes of its (top, face) corners glued across order-2
-facets, and a facet's patches follow from its TTP entry, since two
-cofaces are one patch and each coface of a boundary facet or of a
-diamond is one.  With that, a query on gamma walks gamma's own star:
-from the representatives of each copy, or from any top spanning the
-single copy.  That top comes from the face table, one dict from every
-face of 2..w-1 vertices of a width-w source top to a packed top spanning
-it; vertices and whole top rows need no entry.  The pass that fills it
-also fills the row list, parallel to TVP, which holds each packed top's
-source vertex ids in ascending order: a query reads its faces off those
-slices, with no copy map lookup and no sort per face.
+`Complex.is_manifold` also runs) finds where a pinch may be.  One pass
+over the rows of each block reads, in every row that holds a marked
+copy, the faces that hold one, and it walks no star and no patch: the
+patches of a face short of a facet are union-find classes of its (top,
+face) corners glued across order-2 facets, and a facet's patches follow
+from its TTP entry, since two cofaces are one patch and each coface of a
+boundary facet or of a diamond is one.  With that, a query on gamma
+walks gamma's own star: from the representatives of each copy, or from
+any top spanning the single copy.  That top comes from the face table,
+one dict from every face of 2..w-1 vertices of a width-w source top to a
+packed top spanning it; vertices and whole top rows need no entry.  The
+pass that fills it also fills the row list, parallel to TVP, which holds
+each packed top's source vertex ids in ascending order: a query reads
+its faces off those slices, with no copy map lookup and no sort per face.
 """
 
 from __future__ import annotations
@@ -359,10 +359,11 @@ def v_nra_vertices(
     """The paper's non-regular-adjacency vertices, in source ids.
 
     The splitting vertices plus the vertices of tops with an order>=3
-    facet (a diamond in their adjacency row).  stats() counts their stars.
-    Harvesting them finds every key with several copies or a diamond, but
-    not an edge pinched between tets while neither of its vertices splits:
-    pinch_suspects adds the vertices where that may happen.
+    facet (a diamond in their adjacency row).  stats() counts the tops of
+    their stars.  The rows that hold their copies give build_splitmap
+    every key with several copies or a diamond, but not an edge pinched
+    between tets while neither of its vertices splits: pinch_suspects adds
+    the vertices where that may happen.
     """
     out = {v for v, cs in copies_of.items() if len(cs) > 1}
     tvp, ttp = ewds.tvp, ewds.ttp
@@ -478,10 +479,12 @@ def build_splitmap(
 ) -> Splitmap:
     """Harvest split simplices from the stars of the given source vertices.
 
-    Only faces of 2..w-1 slots that hold a harvested copy are read; no
-    other face can be split.  The patches of a smaller face are classes of
-    corners, a corner being a (top, slot subset) pair of the union of the
-    harvested stars.  Corners are numbered in ascending top order, and for
+    One pass over the rows of each block finds the slots that hold a copy
+    of a harvested vertex; the rows with such a slot are the harvested
+    stars, and of them only faces of 2..w-1 slots that hold such a slot
+    are read, since no other face can be split.  The patches of a smaller
+    face are classes of corners, a corner being a (top, slot subset) pair
+    of those rows.  Corners are numbered in ascending top order, and for
     every order-2 facet shared by tops t < u, union_min joins each corner
     inside it in t with the corner of the same vertices in u.  Each class
     is one patch, and its root corner lies in the patch's smallest top,
@@ -500,13 +503,8 @@ def build_splitmap(
 
     The splitmap is complete when vertices holds v_nra and the pinch
     suspects: every split simplex has a vertex among them, so all of its
-    star is read.  A dimension block all of whose vertices are harvested,
-    as every block of dimension >= 4 is, is read whole: a decomposition's
-    components are regular IQMs, so the star of each vertex is connected
-    across facets inside its VTSTAR's block, and the floods of the
-    block's vertices would reach every top of it.  The floods of the other
-    harvested vertices tick the counter as s0h does; a block read whole
-    and the unions are not counted.
+    star is read.  No star is walked, and neither the rows read nor the
+    unions are counted, so counter is not ticked.
     """
     harvested = [vp for v in vertices for vp in copies_of.get(v, ())]
     if not harvested:
@@ -515,43 +513,28 @@ def build_splitmap(
     for vp in harvested:
         marked[vp] = 1
     tvp, ttp = ewds.tvp, ewds.ttp
-    gathered: set[int] = set()
-    for h in range(ewds.d + 1):
-        block = tvp[ewds.tbase_addr[h] : ewds.tbase_addr[h + 1]]
-        if block and all(map(marked.__getitem__, block)):
-            # every vertex marked: read the block whole, and mark its
-            # vertices 2, which flood nothing
-            gathered.update(range(ewds.tbase[h], ewds.tbase[h + 1]))
-            for x in block:
-                marked[x] = 2
-    for vp in harvested:
-        if marked[vp] == 1:
-            gathered.update(ewds.s0h(vp, counter))
-    tops = sorted(gathered)
     kinds = _copy_kinds(ewds, copies_of)
     found: dict[Simplex, list[int]] = {}  # key -> representatives
     for h in range(2, ewds.d + 1):  # narrower rows have no such face
         w = h + 1
         off = ewds.tbase_addr[h] - ewds.tbase[h] * w
-        lo = bisect_left(tops, ewds.tbase[h])
-        block = tops[lo : bisect_left(tops, ewds.tbase[h + 1], lo)]
-        # number the corners, top by top
+        # number the corners of the rows that hold a harvested slot
         at: dict[int, tuple[int, tuple]] = {}  # top -> (first corner, layout)
         n = 0
-        for t in block:
+        for t in range(ewds.tbase[h], ewds.tbase[h + 1]):
             base = off + t * w
             mask = 0
             for k in range(w):
                 if marked[tvp[base + k]]:
                     mask |= 1 << k
-            layout = _corner_layout(w, mask)
-            at[t] = (n, layout)
-            n += len(layout[0])
+            if mask:
+                layout = _corner_layout(w, mask)
+                at[t] = (n, layout)
+                n += len(layout[0])
         # glue the corners across order-2 facets
         parent = list(range(n))
         if n:
-            for t in block:
-                first, (_, _, in_facet, _) = at[t]
+            for t, (first, (_, _, in_facet, _)) in at.items():
                 base = off + t * w
                 row = tvp[base : base + w]
                 for k in range(w):
@@ -566,8 +549,7 @@ def build_splitmap(
                                 s |= bit[j]
                             union_min(parent, first + p, ufirst + upos[s])
         # one record per patch: each root corner and each facet's cofaces
-        for t in block:
-            c, (corners, _, _, facets) = at[t]
+        for t, (c, (corners, _, _, facets)) in at.items():
             base = off + t * w
             row = tvp[base : base + w]
             srow = [sigma_n[x] for x in row]

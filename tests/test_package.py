@@ -4,6 +4,7 @@ import pytest
 
 import nmdecomp
 from nmdecomp import nonmanifold
+from nmdecomp.counters import OpCounter
 from nmdecomp.fixtures import load_tv
 
 
@@ -32,3 +33,6 @@ def test_names_the_benchmark_reads(monkeypatch):
     src = nm.ewds.source.source
     tops = {tuple(sorted(src.row(t))) for t in src.top_ids}
     assert nm.trie.num_words == len({f for f in src.all_faces() if len(f) > 1} - tops)
+    # the traced run passes its harvest counter fifth, positionally
+    args = (nm.ewds, nm.sigma_n, nm.copies_of, nm.v_nra)
+    assert nonmanifold.build_splitmap(*args, OpCounter()) == nonmanifold.build_splitmap(*args)
