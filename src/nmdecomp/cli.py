@@ -133,6 +133,8 @@ def cmd_query(args) -> int:
     if not m:
         raise BadRelation(f"relation {args.rel!r} is not of the form S<n><m>")
     n, mm = int(m.group(1)), int(m.group(2))
+    if n >= mm:  # before reading the input
+        raise BadRelation(f"S{n}{mm}: need 0 <= n < m")
     c = _read_complex(args.input)
     gamma = resolve_tokens(c, args.simplex)
     check_relation(gamma, n, mm)  # before the pipeline, which is the slow part

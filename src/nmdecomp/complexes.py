@@ -77,7 +77,7 @@ class ClassifyFlags:
 class Complex:
     """Immutable simplicial complex over the TV relation."""
 
-    __slots__ = ("_tv", "_labels", "_vt", "_dim")
+    __slots__ = ("_tv", "_labels", "_vt", "_dim", "_tops")
 
     def __init__(
         self,
@@ -100,6 +100,7 @@ class Complex:
         self._labels = dict(labels) if labels else None
         self._vt: dict[int, set[int]] | None = None
         self._dim: int | None = None
+        self._tops: list[int] | None = None
         if validate:
             self._check_maximality()
 
@@ -124,7 +125,10 @@ class Complex:
 
     @property
     def top_ids(self) -> list[int]:
-        return sorted(self._tv)
+        """Sorted top ids, computed once; callers must not mutate the list."""
+        if self._tops is None:
+            self._tops = sorted(self._tv)
+        return self._tops
 
     @property
     def num_tops(self) -> int:
@@ -137,7 +141,7 @@ class Complex:
         return tid in self._tv
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._tv))
+        return iter(self.top_ids)
 
     def row(self, tid: int) -> tuple[int, ...]:
         """Vertex tuple of a top simplex, in input order."""
@@ -181,7 +185,7 @@ class Complex:
             self._vt = vt
         return self._vt
 
-    # -- stars, links, orders ----------------------------------------------
+    # -- stars -------------------------------------------------------------
 
     def star(self, gamma: Iterable[int]) -> set[int]:
         """Ids of the top simplices containing gamma (empty set allowed)."""
@@ -195,20 +199,7 @@ class Complex:
             return set()
         return set.intersection(*sets)
 
-    def order_of(self, gamma: Iterable[int]) -> int:
-        """Number of top cofaces; 0 for a non-face."""
-        return len(self.star(gamma))
-
     # -- face enumeration --------------------------------------------------
-
-    def faces_of_dim(self, m: int) -> set[Simplex]:
-        """All m-faces, deduplicated across tops."""
-        out: set[Simplex] = set()
-        for row in self._tv.values():
-            srt = sorted(row)
-            if len(srt) >= m + 1:
-                out.update(itertools.combinations(srt, m + 1))
-        return out
 
     def all_faces(self) -> set[Simplex]:
         out: set[Simplex] = set()

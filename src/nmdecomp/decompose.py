@@ -8,7 +8,10 @@ most-split one that cuts only along non-manifold simplices.  One pass over
 the tops' own facets finds the pairs, and list-based union-finds over the
 corner ids and then the top indices give the classes and the components,
 so the work is linear in the size of the input, up to sorting.
-`Complex.is_iqm` counts the same corner classes.
+`Complex.is_iqm` counts the same corner classes, so every component is an
+initial quasi-manifold by construction, and `decompose` records that on
+its result (`DecompositionResult.iqm`): the encoding trusts the record
+and checks only results built any other way.
 
 Per source vertex, copies are ordered by link dimension, then smallest
 star top.  The first keeps the original id, so sigma is the identity on
@@ -19,10 +22,9 @@ link splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-# canonical_pairs is re-exported, so it can still be imported from here
-from .complexes import Complex, canonical_pairs, glued_corners
+from .complexes import Complex, glued_corners
 from .errors import InvalidComplex
 
 
@@ -35,6 +37,8 @@ class DecompositionResult:
     components: list[Complex]
     sigma: dict[int, int]          # copy id -> original id, total
     cc: list[int] = field(default_factory=list)  # components per dimension
+    # set by decompose alone: its components are IQMs by construction
+    iqm: bool = field(default=False, compare=False)
 
     @classmethod
     def from_parts(
@@ -154,4 +158,4 @@ def decompose(c: Complex) -> DecompositionResult:
     """Standard decomposition of a non-empty complex."""
     if c.num_tops == 0:
         raise InvalidComplex("cannot decompose an empty complex")
-    return decomposition_from_corners(c, glued_corners(c))
+    return replace(decomposition_from_corners(c, glued_corners(c)), iqm=True)

@@ -354,19 +354,3 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
         t: tuple(new_id[(t, v)] for v in source.row(t)) for t in source.top_ids
     }
     return Complex(out_rows)
-
-
-# -- face-number laws used as test invariants --------------------------------
-
-
-def closed_surface_law(c: Complex) -> bool:
-    """3*f2 == 2*f1 on closed surfaces."""
-    f = face_counts(c)
-    return 3 * f[2] == 2 * f[1]
-
-
-def pseudo_boundary_law(c: Complex) -> bool:
-    """(d+1)*f_d <= 2*f_{d-1} - (d+1) for pseudomanifolds with boundary."""
-    d = c.dim
-    f = face_counts(c)
-    return (d + 1) * f[d] <= 2 * f[d - 1] - (d + 1)

@@ -13,16 +13,17 @@ vertex, which keeps the final h*CC numbers of every vertex block aligned
 with their seeds and the region arithmetic exact.  A top whose opposite
 vertex is already taken stays unpaired and is stored in full.
 
-The pairing needs initial quasi-manifold components.  The check is one
-union-find over corners, the (top, slot) addresses of TVP: each TTP pair
-joins the corners of the vertices its two tops share, and a vertex whose
-corners fall into more than one class has a star that is not connected
-across manifold facets.  The DFS reads TTP alone to step between tops:
-fill_tt writes every order-2 pair both ways and two tops of one block
-share at most one facet, so the slot of a neighbour that holds the top
-the walk came from is the slot opposite their shared facet, and its
-vertex is the one the neighbour adds.  `apply_renumbering` then reads
-each dimension block of TVP/TTP as one slice, in implicit top order.
+The pairing needs initial quasi-manifold components.  `decompose` builds
+them so and records that on its result; any other result, hand-built with
+`from_parts` or read off a gluing state, has each component checked with
+`Complex.is_iqm`, the corner rule that `decompose` glues by.
+
+The DFS reads TTP alone to step between tops: fill_tt writes every
+order-2 pair both ways and two tops of one block share at most one facet,
+so the slot of a neighbour that holds the top the walk came from is the
+slot opposite their shared facet, and its vertex is the one the neighbour
+adds.  `apply_renumbering` then reads each dimension block of TVP/TTP as
+one slice, in implicit top order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import BadRenumbering, NotIqm, OutOfRange, UnknownTop, UnknownVertex
-from .unionfind import union_min
 from .winged import BOTTOM, DIAMOND, Ewds
 
 MAGIC_IMPLICIT = b"EWD\x01"
@@ -52,51 +52,13 @@ class Renumbering:
         return self.perms.get(t, ())
 
 
-def _check_iqm(ewds: Ewds) -> None:
-    """Raise NotIqm unless the corners of every vertex form one class.
-
-    A corner is a TVP address, one (top, slot) pair.  For every TTP pair
-    t < u, union_min joins the corners of the w-1 vertices the two tops
-    share, so the classes of a vertex's corners are the pieces of its star
-    connected across manifold facets that contain it.  TTP links only tops
-    of one dimension block, so a star that spans two blocks is two classes
-    as well.  One class per vertex is exactly the IQM condition on regular
-    components; since every vertex has a corner, that holds when the roots
-    number NV.
-    """
-    tv, tt = ewds.tvp, ewds.ttp
-    parent = list(range(ewds.size + 1))
-    for h in range(1, ewds.d + 1):
-        w = h + 1
-        lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
-        off = lo - ewds.tbase[h] * w
-        for a, u in enumerate(tt[lo:hi], lo):
-            t, i = divmod(a - off, w)
-            if u <= t:
-                continue  # boundary, diamond, or joined from u's side
-            base, ubase = a - i, off + u * w
-            for b in range(base, base + w):
-                if b != a:
-                    c = tv.index(tv[b], ubase, ubase + w)
-                    if parent[b] != parent[c]:  # else one class already
-                        union_min(parent, b, c)
-    roots = [tv[a] for a in range(1, ewds.size + 1) if parent[a] == a]
-    if len(roots) != ewds.nv:
-        roots.sort()
-        v = next(x for x, y in zip(roots, roots[1:]) if x == y)
-        raise NotIqm(
-            f"the star of vertex {ewds.vertex_old[v]} falls into "
-            f"{roots.count(v)} pieces across its facets: its component is not an IQM"
-        )
-
-
 def compute_renumbering(ewds: Ewds) -> Renumbering:
     """Seed-and-pair numbering of a packed decomposition.
 
     Requires every component to be an initial quasi-manifold: otherwise
     vertex stars may fall apart and the pairing invariants do not hold.
-    The check joins (top, slot) corners across TTP pairs and raises
-    NotIqm when some vertex's corners form more than one class.
+    A result of `decompose` carries that proof; on any other, the first
+    component that fails `Complex.is_iqm` raises NotIqm.
 
     The DFS of a block walks TTP.  fill_tt writes every order-2 pair both
     ways, and two tops of one block share at most one facet, so the slot
@@ -104,8 +66,14 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     that holds the top it came from; the vertex there is the one the
     neighbour adds.
     """
-    _check_iqm(ewds)
     dec = ewds.source
+    if not dec.iqm:
+        for comp in dec.components:
+            if not comp.is_iqm():
+                raise NotIqm(
+                    f"the component of top {comp.top_ids[0]} is not an "
+                    "initial quasi-manifold"
+                )
     d = ewds.d
     nv = ewds.nv
     ftt = [0] * (ewds.nt + 1)

@@ -20,6 +20,7 @@ from nmdecomp.nonmanifold import build_nm_layer
 from nmdecomp.oracle import oracle_decompose, oracle_snm, random_complex
 from nmdecomp.renumber import apply_renumbering, compute_renumbering
 from nmdecomp.winged import Ewds
+from helpers import faces_of_dim, order_of
 
 
 def test_criterion_01_fan_tables(fan):
@@ -125,7 +126,7 @@ def test_criterion_05_cone_script_and_check(cones, cones_script):
     xyz = resolve_tokens(cones, ["x", "y", "z"])
     assert set(npf) == {xyz}
     assert sorted(npf[xyz]) == [34, 35, 36]
-    assert cones.order_of(xyz) == 3
+    assert order_of(cones, xyz) == 3
 
 
 def test_criterion_06_partial_cone_script(cones, cones_partial_script):
@@ -185,7 +186,7 @@ def test_criterion_08_random_sweep_matches_oracles():
         assert pasted == c.rows(), seed
         nm = build_nm_layer(Ewds.build(dec))
         for n in range(c.dim):
-            for gamma in c.faces_of_dim(n):
+            for gamma in faces_of_dim(c, n):
                 for m in range(n + 1, c.dim + 1):
                     assert nm.snm_global(gamma, n, m) == \
                         oracle_snm(c, gamma, n, m), (seed, gamma, n, m)

@@ -191,6 +191,17 @@ def test_query_bad_relation(tvfile, capsys, monkeypatch):
     assert code == 1 and "BadRelation" in err
 
 
+@pytest.mark.parametrize("rel", ["S22", "S30"])
+def test_query_bad_relation_before_reading_input(tmp_path, capsys, rel):
+    # n >= m is refused from the relation name alone, so a missing input
+    # is never opened
+    missing = str(tmp_path / "missing.tv")
+    code, _, err = run(
+        capsys, "query", missing, "--rel", rel, "--simplex", "1", "2", "2"
+    )
+    assert code == 1 and "BadRelation" in err
+
+
 def test_query_unknown_token(tvfile, capsys):
     code, _, err = run(
         capsys, "query", tvfile("fix_c.tv"), "--rel", "S01", "--simplex", "zz"

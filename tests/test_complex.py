@@ -20,6 +20,7 @@ from nmdecomp.errors import (
     TopologyError,
     UnknownToken,
 )
+from helpers import faces_of_dim, order_of
 
 
 def test_parse_numeric_tokens_keep_ids(fan):
@@ -131,15 +132,15 @@ def test_star_and_link(fan):
 
 
 def test_order_of(fan):
-    assert fan.order_of([2, 4]) == 3
-    assert fan.order_of([1]) == 1
+    assert order_of(fan, [2, 4]) == 3
+    assert order_of(fan, [1]) == 1
     # non-face order is 0 by convention
-    assert fan.order_of([1, 6]) == 0
+    assert order_of(fan, [1, 6]) == 0
 
 
 def test_faces_and_counts(fan):
-    assert len(fan.faces_of_dim(0)) == 6
-    assert len(fan.faces_of_dim(3)) == 3
+    assert len(faces_of_dim(fan, 0)) == 6
+    assert len(faces_of_dim(fan, 3)) == 3
 
 
 def test_h_connected_components(mixed):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nmdecomp.complexes import parse_tv
+from nmdecomp.complexes import canonical_pairs, parse_tv
 from nmdecomp.decompose import decompose
 from nmdecomp.errors import (
     NotPseudomanifoldPair,
@@ -174,8 +174,6 @@ def test_partial_cone_script(cones, cones_partial_script):
 def test_exploded_decomposition_matches_decompose(mixed):
     # gluing back every canonical pair from the exploded state reproduces
     # the standard decomposition
-    from nmdecomp.decompose import canonical_pairs
-
     st = GluingState.totally_exploded(mixed)
     for pair in sorted(canonical_pairs(mixed), key=sorted):
         t1, t2 = sorted(pair)

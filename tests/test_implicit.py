@@ -7,7 +7,8 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmdecomp.decompose import decompose
+from nmdecomp.complexes import Complex, canonical_pairs, parse_tv
+from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import (
     BadRenumbering,
     NotIqm,
@@ -16,8 +17,9 @@ from nmdecomp.errors import (
     UnknownTop,
     UnknownVertex,
 )
+from nmdecomp.gluing import GluingState
 from nmdecomp.meshes import kuhn_cube
-from nmdecomp.oracle import random_complex
+from nmdecomp.oracle import oracle_decompose, random_complex
 from nmdecomp.renumber import (
     MAGIC_IMPLICIT,
     ImplicitEwds,
@@ -272,13 +274,70 @@ def test_requires_iqm(mixed, bouquet):
     # components are IQM by construction, so this must not raise
     compute_renumbering(Ewds.build(decompose(mixed)))
     # a manually assembled non-IQM ewds is rejected
-    from nmdecomp.complexes import parse_tv
-    from nmdecomp.decompose import DecompositionResult
-
     src = parse_tv("simplex 1: 1 2\nsimplex 2: 2 3\nsimplex 3: 2 4\n")
     fake = DecompositionResult.from_parts(src, src, {v: v for v in src.vertices})
     with pytest.raises(NotIqm):
         compute_renumbering(Ewds.build(fake))
+
+
+def _encoded(ew: Ewds) -> tuple:
+    ren = compute_renumbering(ew)
+    return _fields(ren), apply_renumbering(ew, ren).dump_bytes()
+
+
+@pytest.mark.parametrize("name", ["mixed", "cones"])
+def test_glued_decomposition_is_checked_then_encoded_as_decompose(name, request, monkeypatch):
+    # gluing every canonical pair back reaches decompose's result, but
+    # without its IQM record, so the encoding checks each component first
+    c = request.getfixturevalue(name)
+    state = GluingState.totally_exploded(c)
+    for pair in sorted(canonical_pairs(c), key=sorted):
+        state.pmglue(*sorted(pair))
+    got, want = state.current_decomposition(), decompose(c)
+    assert not got.iqm and want.iqm
+    assert got == want
+    checked = []
+    is_iqm = Complex.is_iqm
+
+    def counted(self):
+        checked.append(self)
+        return is_iqm(self)
+
+    monkeypatch.setattr(Complex, "is_iqm", counted)
+    assert _encoded(Ewds.build(got)) == _encoded(Ewds.build(want))
+    assert checked == got.components
+
+
+def test_glued_bowtie_is_not_iqm():
+    # two triangles glued at their one shared vertex: a pinch in one component
+    state = GluingState.totally_exploded(parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n"))
+    state.veq(1, 2, 3)
+    with pytest.raises(NotIqm, match="top 1 "):
+        compute_renumbering(Ewds.build(state.current_decomposition()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+def test_only_decompose_records_iqm(seed, d):
+    c = random_complex(seed=seed, max_tops=12, d=d)
+    dec = decompose(c)
+    assert dec.iqm
+    assert not oracle_decompose(c).iqm
+    assert not DecompositionResult.from_parts(c, dec.nabla, dec.sigma).iqm
+
+
+def test_encoding_trusts_decompose(monkeypatch, mixed, cones, perforated_cube, perforated_grid):
+    # decompose's results carry their IQM proof: with the check broken,
+    # every encoding comes out as before
+    complexes = [mixed, cones, perforated_cube(0), perforated_grid(3, 4, 0)]
+    tables = [Ewds.build(decompose(c)) for c in complexes]
+    want = [_encoded(ew) for ew in tables]
+
+    def no_check(self):
+        raise AssertionError("checked a component that decompose built")
+
+    monkeypatch.setattr(Complex, "is_iqm", no_check)
+    assert [_encoded(ew) for ew in tables] == want
 
 
 def test_implicit_dump(imp_mixed):

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmdecomp.complexes import Complex, format_tv, parse_tv, simplex
-from nmdecomp.decompose import canonical_pairs, decompose
+from nmdecomp.complexes import Complex, canonical_pairs, format_tv, parse_tv, simplex
+from nmdecomp.decompose import decompose
 from nmdecomp.errors import DimensionUnsupported, NotAFace
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import (
