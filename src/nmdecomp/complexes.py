@@ -87,7 +87,10 @@ class Complex:
     ):
         store: dict[int, tuple[int, ...]] = {}
         for tid, row in tv.items():
-            row = tuple(row)
+            try:
+                row = tuple(row)
+            except TypeError:
+                raise InvalidComplex(f"simplex {tid!r} is not a sequence of vertex ids") from None
             if not row:
                 raise InvalidComplex(f"empty simplex for id {tid}")
             if len(set(row)) != len(row):

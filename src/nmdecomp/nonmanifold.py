@@ -26,14 +26,21 @@ copy, the faces that hold one, and it walks no star and no patch: the
 patches of a face short of a facet are union-find classes of its (top,
 face) corners glued across order-2 facets, and a facet's patches follow
 from its TTP entry, since two cofaces are one patch and each coface of a
-boundary facet or of a diamond is one.  With that, a query on gamma
-walks gamma's own star: from the representatives of each copy, or from
-any top spanning the single copy.  That top comes from the face table,
-one dict from every face of 2..w-1 vertices of a width-w source top to a
-packed top spanning it; vertices and whole top rows need no entry.  The
-pass that fills it also fills the row list, parallel to TVP, which holds
-each packed top's source vertex ids in ascending order: a query reads
-its faces off those slices, with no copy map lookup and no sort per face.
+boundary facet or of a diamond is one.
+
+With that, a query on gamma is one loop over the copies of gamma, each
+with the tops its walk starts from.  A vertex's copies come from the
+copy map, each seeded with its VTSTAR top.  A splitmap key's copies come
+with the representatives of their patches.  Any other gamma has one
+copy, in the top that the face table returns: one dict from every face
+of 2..w-1 vertices of a width-w source top to a packed top spanning it;
+vertices and whole top rows need no entry.  The loop skips a copy whose
+dimension block is too narrow to hold an m-face, walks the star of each
+other copy with `Ewds.walk`, and `_add_faces` reads the m-faces off the
+tops reached.  The pass that fills the face table also fills the row
+list, parallel to TVP, which holds each packed top's source vertex ids in
+ascending order: a query reads its faces off those slices, with no copy
+map lookup and no sort per face.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from typing import Iterable
 from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
-from .errors import BadRelation, NotIncident, NotInTrie, UnknownVertex
+from .errors import BadRelation, NotIncident, NotInTrie
 from .unionfind import union_min
 from .winged import DIAMOND, Ewds
 
@@ -65,48 +72,18 @@ def travel_star(
     """Tops reachable from t across facets containing gamma, ascending.
 
     gamma is given in packed vertex ids and must span part of t's row.
-    Crossing only order-2 facets, the walk covers one adjacency patch of
-    gamma's star; boundary and higher-order facets stop it.  fill_tt pairs
-    cofaces block by block, so TTP links a top only to tops of its own
-    dimension block: the walk validates t once and finds every other row
-    by arithmetic.  Each visited top spans gamma and counts one visit and
+    Crossing only order-2 facets, `Ewds.walk` covers one adjacency patch of
+    gamma's star.  Each visited top spans gamma and counts one visit and
     one expansion per slot outside gamma.
     """
     gset = set(gamma)
     w, off = ewds.row_layout(t)
     if not gset.issubset(ewds.tvp[off + t * w : off + t * w + w]):
         raise NotIncident(f"simplex {sorted(gset)} is not spanned by top {t}")
-    visited = _patch(ewds.tvp, ewds.ttp, w, off, gset, (t,))
+    visited = ewds.walk(gset, (t,))
     counter.visits += len(visited)
     counter.expansions += len(visited) * (w - len(gset))
     return sorted(visited)
-
-
-def _patch(
-    tvp: list[int],
-    ttp: list[int],
-    w: int,
-    off: int,
-    gset: set[int],
-    seeds: Iterable[int],
-) -> set[int]:
-    """Tops that walks from seeds reach across facets containing gset.
-
-    travel_star on a block layout, from several seeds, without checks or
-    counting.  Every visited top spans gset, so the walk crosses at each
-    slot whose vertex lies outside it.
-    """
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        base = off + stack.pop() * w
-        for k in range(base, base + w):
-            if tvp[k] not in gset:
-                u = ttp[k]
-                if u > 0 and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return seen
 
 
 def check_relation(gamma: Simplex, n: int, m: int) -> None:
@@ -176,26 +153,28 @@ class NmLayer:
     # -- relation operations -----------------------------------------------
 
     def _add_faces(
-        self, out: set[Simplex], tops: list[int], gamma: Simplex, m: int
+        self,
+        out: set[Simplex],
+        tops: Iterable[int],
+        gamma: Simplex,
+        m: int,
+        w: int,
+        off: int,
     ) -> int:
         """Add to out the m-faces, in source ids, of tops that contain gamma.
 
         Every top in tops spans the same copy of the source simplex gamma,
-        so all of them lie in one dimension block.  The face table's row
-        list holds each top's source ids, ascending, at its TVP addresses,
-        so every face is read off those slices already sorted: the whole
-        slice when m is the block's dimension, gamma plus one link vertex
-        when m = n + 1, and otherwise the combinations of the slice that
-        contain gamma.  Returns the number of faces enumerated, which a
-        query counts as comparisons.
+        so all of them lie in the one dimension block of row width w and
+        offset off, which is at least m + 1 slots wide.  The face table's
+        row list holds each top's source ids, ascending, at its TVP
+        addresses, so every face is read off those slices already sorted:
+        the whole slice when m is the block's dimension, gamma plus one
+        link vertex when m = n + 1, and otherwise the combinations of the
+        slice that contain gamma.  Returns the number of faces enumerated,
+        which a query counts as comparisons.
         """
-        if not tops:
-            return 0
-        w, off = self.ewds.row_layout(tops[0])
         free = w - len(gamma)
         need = m + 1 - len(gamma)
-        if need > free:
-            return 0
         rows = self.trie.rows
         slices = [rows[off + t * w : off + t * w + w] for t in tops]
         if need == free:
@@ -214,59 +193,37 @@ class NmLayer:
             else:
                 gset = set(gamma)
                 out.update([f for f in faces if gset.issubset(f)])
-        return len(tops) * math.comb(free, need)
+        return len(slices) * math.comb(free, need)
 
-    def _copy_star(
-        self, cp: Simplex, seeds: Iterable[int], counter: OpCounter = NULL_COUNTER
-    ) -> list[int]:
-        """Tops that walks from seeds reach across facets containing cp.
-
-        cp is a copy in packed ids and every seed spans it.  A copy lives in
-        one component, so all seeds and the walks share one block layout;
-        the walks tick the counter as travel_star does.
-        """
-        ew = self.ewds
-        w, off = ew.row_layout(next(iter(seeds)))
-        visited = _patch(ew.tvp, ew.ttp, w, off, set(cp), seeds)
-        counter.visits += len(visited)
-        counter.expansions += len(visited) * (w - len(cp))
-        return list(visited)
-
-    def snh_given(
-        self, gamma: Iterable[int], t: int, counter: OpCounter = NULL_COUNTER
-    ) -> list[int]:
-        """Star tops of the copy of source simplex gamma living in top t.
-
-        Walks from the splitmap representatives of that copy when gamma is
-        a key (its star may fall into several patches), from t itself
-        otherwise: the splitmap records every simplex with a split star,
-        so the walk reaches the copy's whole star either way.
-        """
-        gamma = simplex(gamma)
+    def _copy_in(self, gamma: Simplex, t: int) -> Simplex:
+        """The copy of source simplex gamma in packed top t, in packed ids,
+        ascending; raises NotIncident when t spans none."""
         w, off = self.ewds.row_layout(t)
         sigma_n = self.sigma_n
         row = self.ewds.tvp[off + t * w : off + t * w + w]
         cp = tuple(sorted([x for x in row if sigma_n[x] in gamma]))
         if len(cp) != len(gamma):
             raise NotIncident(f"top {t} spans no copy of {gamma}")
-        reps = self.splitmap.get(gamma, {}).get(cp)
-        return sorted(self._copy_star(cp, reps or (t,), counter))
+        return cp
 
-    def s0m_global(
-        self, v: int, m: int, counter: OpCounter = NULL_COUNTER
-    ) -> set[Simplex]:
-        """m-simplices of the source incident to vertex v, all copies pooled."""
-        copies = self.copies_of.get(v)
-        if copies is None:
-            raise UnknownVertex(f"unknown source vertex {v}")
-        out: set[Simplex] = set()
-        for vp in copies:
-            t0 = self.ewds.vtstar_of(vp)
-            if self.ewds.dim_of_top(t0) < m:
-                continue  # component too small to hold m-faces
-            tops = self.ewds.s0h(vp, counter)
-            counter.comparisons += self._add_faces(out, tops, (v,), m)
-        return out
+    def snh_given(
+        self, gamma: Iterable[int], t: int, counter: OpCounter = NULL_COUNTER
+    ) -> list[int]:
+        """Star tops of the copy of source simplex gamma living in top t.
+
+        `Ewds.walk` starts from the splitmap representatives of that copy
+        when gamma is a key (its star may fall into several patches), from
+        t itself otherwise: the splitmap records every simplex with a split
+        star, so the walk reaches the copy's whole star either way.  Ticks
+        the counter as travel_star does.
+        """
+        gamma = simplex(gamma)
+        cp = self._copy_in(gamma, t)
+        reps = self.splitmap.get(gamma, {}).get(cp)
+        tops = self.ewds.walk(set(cp), reps or (t,))
+        counter.visits += len(tops)
+        counter.expansions += len(tops) * (self.ewds.dim_of_top(t) + 1 - len(cp))
+        return sorted(tops)
 
     def snm_global(
         self,
@@ -278,44 +235,55 @@ class NmLayer:
         """m-simplices of the source incident to the n-simplex gamma.
 
         Total: a gamma that is not a face of the source yields the empty
-        set.  A vertex pools the stars of its copies.  For n >= 1 the query
-        walks gamma's own star: from the representatives of each copy when
-        gamma is a splitmap key, otherwise from the top that the face table
-        returns, and reads the m-faces off the tops it reaches.  Raises
-        BadRelation as check_relation does, and when gamma's vertices
-        cannot be hashed or sorted.
+        set.  One loop walks the star of each copy of gamma from its seed
+        tops.  A vertex's copies come from the copy map, each seeded with
+        its VTSTAR top; a splitmap key's copies and their representatives
+        come from its entry; any other gamma has one copy, found in the top
+        that the face table returns.  A copy whose dimension block is m or
+        fewer slots wide holds no m-face and is skipped; `Ewds.walk` covers
+        the star of every other copy, which ticks one visit per top and one
+        expansion per slot outside the copy, and `_add_faces` reads the
+        m-faces off the tops it reaches.  Raises BadRelation as
+        check_relation does, and when gamma's vertices cannot be hashed or
+        sorted.
         """
         try:
             gamma = simplex(gamma)
         except TypeError:
             raise BadRelation(f"gamma {gamma!r} is not a set of vertex ids") from None
         check_relation(gamma, n, m)
+        ew = self.ewds
         if n == 0:
-            if gamma[0] not in self.copies_of:
-                return set()
-            return self.s0m_global(gamma[0], m, counter)
-        entry = self.splitmap.get(gamma)
-        if entry is None:
+            vtstar = ew.vtstar
+            copies = [((vp,), (vtstar[vp],)) for vp in self.copies_of.get(gamma[0], ())]
+        elif (entry := self.splitmap.get(gamma)) is not None:
+            copies = entry.items()
+        else:
             try:
                 hint = self.trie.lookup(gamma, counter)
             except NotInTrie:
                 return set()
-            stars = [self.snh_given(gamma, hint, counter)]
-        else:
-            stars = [self._copy_star(cp, reps, counter) for cp, reps in entry.items()]
+            copies = [(self._copy_in(gamma, hint), (hint,))]
         out: set[Simplex] = set()
-        for tops in stars:
-            counter.comparisons += self._add_faces(out, tops, gamma, m)
+        for cp, seeds in copies:
+            w, off = ew.row_layout(next(iter(seeds)))
+            if w <= m:
+                continue  # too narrow to hold an m-face
+            tops = ew.walk(set(cp), seeds)
+            counter.visits += len(tops)
+            counter.expansions += len(tops) * (w - len(cp))
+            counter.comparisons += self._add_faces(out, tops, gamma, m, w, off)
         return out
 
     # -- compression accounting --------------------------------------------
 
     def nsp_tops(self) -> set[int]:
         """Tops incident to a copy of a non-regular-adjacency vertex."""
+        ew = self.ewds
         out: set[int] = set()
         for v in self.v_nra:
             for vp in self.copies_of.get(v, ()):
-                out.update(self.ewds.s0h(vp))
+                out |= ew.walk({vp}, (ew.vtstar_of(vp),))
         return out
 
     def stats(self) -> dict:

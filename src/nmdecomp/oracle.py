@@ -12,8 +12,9 @@ to read components off nabla and the oracle uses to split links.  That
 finder runs on the list union-find that `decompose` uses too, so its
 independent check is the brute-force BFS of `test_components_match_bfs` in
 `tests/test_properties.py`.  `oracle_splitmap` walks patches with
-`nonmanifold.travel_star`, the walk the queries use; `build_splitmap` walks
-none, so the two share no code past the packed tables.  `oracle_is_manifold`
+`nonmanifold.travel_star`, which runs `Ewds.walk`, the walk every query
+uses; `build_splitmap` walks none, so the two share no code past the
+packed tables.  `oracle_is_manifold`
 classifies every vertex link as a surface, where `Complex.is_manifold`
 counts 2E - T - B per vertex (`complexes.twice_chi_misses`): the two share
 the count's inputs, not its code.

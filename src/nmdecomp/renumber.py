@@ -186,6 +186,8 @@ class ImplicitEwds:
 
     def tv_lookup(self, h: int, t: int, k: int) -> int:
         """Vertex at slot k of implicit top t (dimension h)."""
+        if type(h) is not int or type(t) is not int or type(k) is not int:
+            raise OutOfRange(f"dimension {h!r}, top {t!r} and slot {k!r} must be ints")
         if not 0 <= h <= self.d:
             raise OutOfRange(f"dimension {h} out of range 0..{self.d}")
         if not self.tbase[h] <= t < self.tbase[h + 1]:
@@ -203,15 +205,15 @@ class ImplicitEwds:
         return self.tvpp[self.iitaddr[h] + (t - self.iibnd[h]) * (h + 1) + k - 1]
 
     def row_of(self, t: int) -> tuple[int, ...]:
-        if not 1 <= t <= self.nt:
-            raise UnknownTop(f"top {t} out of range 1..{self.nt}")
+        if type(t) is not int or not 1 <= t <= self.nt:
+            raise UnknownTop(f"top {t!r} out of range 1..{self.nt}")
         h = bisect_right(self.tbase, t, hi=self.d + 1) - 1
         return tuple(self.tv_lookup(h, t, k) for k in range(1, h + 2))
 
     def vtstar_lookup(self, v: int) -> int:
         """An incident top of implicit vertex v, by region arithmetic alone."""
-        if not 1 <= v <= self.nv:
-            raise UnknownVertex(f"vertex {v} out of range 1..{self.nv}")
+        if type(v) is not int or not 1 <= v <= self.nv:
+            raise UnknownVertex(f"vertex {v!r} out of range 1..{self.nv}")
         h = bisect_right(self.vbase, v, hi=self.d + 1) - 1
         if h == 0 or v < self.vbase[h + 1] - self.cc[h] * h:
             return self.tbase[h] + (v - self.vbase[h])  # its seed or pair top

@@ -11,6 +11,10 @@ the addressing below relies on.
 TTP slot k of a top holds its neighbour across the facet opposite vertex
 slot k: 0 means the facet is on the boundary, -1 that it has three or more
 cofaces and adjacency is not a function there.
+
+`Ewds.walk` is the package's one TTP flood: from seed tops across the
+facets that contain a given simplex.  S0h is VTSTAR plus that walk, and
+the non-manifold layer walks the star of every query through it too.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import Iterable
 
 from .complexes import facet_slots
 from .counters import NULL_COUNTER, OpCounter
@@ -111,8 +116,8 @@ class Ewds:
         return self.tbase_addr[self.d + 1] - 1
 
     def dim_of_top(self, t: int) -> int:
-        if not 1 <= t <= self.nt:
-            raise UnknownTop(f"top {t} out of range 1..{self.nt}")
+        if type(t) is not int or not 1 <= t <= self.nt:
+            raise UnknownTop(f"top {t!r} out of range 1..{self.nt}")
         return bisect_right(self.tbase, t, hi=self.d + 1) - 1
 
     def row_layout(self, t: int) -> tuple[int, int]:
@@ -134,8 +139,8 @@ class Ewds:
         return tuple(self.ttp[off + t * w : off + t * w + w])
 
     def vtstar_of(self, v: int) -> int:
-        if not 1 <= v <= self.nv:
-            raise UnknownVertex(f"vertex {v} out of range 1..{self.nv}")
+        if type(v) is not int or not 1 <= v <= self.nv:
+            raise UnknownVertex(f"vertex {v!r} out of range 1..{self.nv}")
         return self.vtstar[v]
 
     # -- adjacency fill ----------------------------------------------------
@@ -187,33 +192,44 @@ class Ewds:
 
     # -- queries -----------------------------------------------------------
 
-    def s0h(self, v: int, counter: OpCounter = NULL_COUNTER) -> list[int]:
-        """All tops of v's component incident to v, by facet flooding.
+    def walk(self, gset: set[int], seeds: Iterable[int]) -> set[int]:
+        """Tops that walks from seeds reach across facets containing gset.
 
-        Walks top-to-top across facets containing v, so it stays correct
-        exactly when the star of v is manifold-connected, which initial
-        quasi-manifolds guarantee.  fill_tt pairs cofaces block by block,
-        so TTP links a top only to tops of its own dimension block: the
-        flood validates its start top once and reaches every other row by
-        arithmetic.  Counts one visit per top and one expansion per slot
-        of each visited top.
+        Every seed spans gset, and so does every top the walk reaches: it
+        crosses at each slot whose vertex lies outside gset, and only
+        order-2 facets, so boundary and higher-order facets stop it.
+        fill_tt pairs cofaces block by block, so TTP links a top only to
+        tops of its own dimension block: the walk finds the layout of its
+        first seed and every other row by arithmetic.  It neither checks
+        nor counts; its callers do both.
         """
-        start = self.vtstar_of(v)
-        w, off = self.row_layout(start)
+        seen = set(seeds)
+        w, off = self.row_layout(next(iter(seen)))
         tvp, ttp = self.tvp, self.ttp
-        seen = {start}
-        stack = [start]
+        stack = list(seen)
         while stack:
             base = off + stack.pop() * w
             for k in range(base, base + w):
-                if tvp[k] == v:
-                    continue  # crossing here would leave the star
-                u = ttp[k]
-                if u > 0 and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+                if tvp[k] not in gset:
+                    u = ttp[k]
+                    if u > 0 and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+        return seen
+
+    def s0h(self, v: int, counter: OpCounter = NULL_COUNTER) -> list[int]:
+        """All tops of v's component incident to v, ascending.
+
+        S0h is VTSTAR plus `walk`: the walk from v's VTSTAR top across
+        facets containing v stays correct exactly when the star of v is
+        manifold-connected, which initial quasi-manifolds guarantee.
+        Counts one visit per top and one expansion per slot of each
+        visited top.
+        """
+        start = self.vtstar_of(v)
+        seen = self.walk({v}, (start,))
         counter.visits += len(seen)
-        counter.expansions += len(seen) * w
+        counter.expansions += len(seen) * (self.dim_of_top(start) + 1)
         return sorted(seen)
 
     # -- serialization -----------------------------------------------------

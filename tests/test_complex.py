@@ -119,6 +119,12 @@ def test_bad_input_raises_invalid_complex(make):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("row", [None, 5])
+def test_row_that_is_no_sequence_names_its_top(row):
+    with pytest.raises(InvalidComplex, match="simplex 7 "):
+        Complex({7: row})
+
+
 def test_row_order_preserved(mixed):
     # input order is significant, rows are never sorted on ingest
     assert mixed.row(5) == (6, 5, 8)

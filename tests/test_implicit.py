@@ -270,6 +270,21 @@ def test_lookup_guards(imp_mixed):
             imp.row_of(t)
 
 
+@pytest.mark.parametrize("x", [1.5, 2.0, True, "1"], ids=repr)
+def test_ids_that_are_not_ints_are_unknown(imp_mixed, x):
+    # an id of another type, even one equal to an int, names nothing
+    ew, _, imp = imp_mixed
+    for lookup in (imp.row_of, ew.row_of, ew.tt_row_of, ew.dim_of_top):
+        with pytest.raises(UnknownTop):
+            lookup(x)
+    for lookup in (imp.vtstar_lookup, ew.vtstar_of):
+        with pytest.raises(UnknownVertex):
+            lookup(x)
+    for args in ((0, x, 1), (x, 1, 1), (0, 1, x)):
+        with pytest.raises(OutOfRange):
+            imp.tv_lookup(*args)
+
+
 def test_requires_iqm(mixed, bouquet):
     # components are IQM by construction, so this must not raise
     compute_renumbering(Ewds.build(decompose(mixed)))
