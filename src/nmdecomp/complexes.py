@@ -17,11 +17,12 @@ start[i] + k is slot k of the i-th top in top_ids order (`corner_layout`).
 `glued_corners` merges the corners of each such pair in a union-find
 parent array.  `decompose` turns those corner classes into vertices, and
 `Complex.is_iqm` asks for exactly one class per vertex, so both read the
-same rule.  `winged.Ewds.fill_tt` calls `facet_slots` on its packed blocks.
-`Complex.classify` reads one such pass for every flag.  Manifold
-recognition builds no link: in 3-D it is the twice-chi count of vertex
-links (`twice_chi_misses`) that `nonmanifold.pinch_suspects` runs too,
-which `oracle.oracle_is_manifold` checks by classifying each link.
+same rule.  Set-up makes one `facet_slots` pass, in `decompose`, whose
+table also gives the decomposition's TT relation; `Complex.classify`
+reads one such pass for every flag.  Manifold recognition builds no link:
+in 3-D it is the twice-chi count of vertex links (`twice_chi_misses`)
+that `nonmanifold.pinch_suspects` runs too, which
+`oracle.oracle_is_manifold` checks by classifying each link.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionUnsupported,
@@ -43,7 +43,7 @@ from .errors import (
     UnknownToken,
     UnknownTop,
 )
-from .unionfind import flatten, union_min
+from .unionfind import classes, flatten, union_min
 
 Simplex = tuple  # sorted duplicate-free tuple of vertex ids
 
@@ -111,17 +111,46 @@ class Complex:
 
     def _check_maximality(self) -> None:
         """Raise InvalidComplex on a vertex id that is not an integer, and
-        NotTop on a stored simplex that is a face of another."""
-        vt = self._vertex_tops()
-        for v in vt:
+        NotTop on the first stored simplex that is a face of another, naming
+        the smallest such other.
+
+        A row of the widest width can lie only in an equal row, so a set of
+        frozensets finds those; only the vertices of narrower rows get
+        vertex -> tops sets.
+        """
+        for v in self._vertex_ids():
             if type(v) is not int:
                 raise InvalidComplex(f"vertex id {v!r} is not an integer")
-        for tid, row in self._tv.items():
-            cofaces = set.intersection(*(vt[v] for v in row)) if row else set()
-            if len(cofaces) > 1:
-                other = min(t for t in cofaces if t != tid)
+        rows = self._tv
+        width = max(map(len, rows.values()), default=0)
+        inside: dict[int, int] = {}  # top -> smallest other top containing it
+        wide = [frozenset(r) for r in rows.values() if len(r) == width]
+        if len(set(wide)) < len(wide):
+            equal: dict[frozenset, list[int]] = {}
+            for t, r in rows.items():
+                if len(r) == width:
+                    equal.setdefault(frozenset(r), []).append(t)
+            for same in equal.values():
+                if len(same) > 1:
+                    for t in same:
+                        inside[t] = min(u for u in same if u != t)
+        narrow = [t for t, r in rows.items() if len(r) < width]
+        if narrow:
+            vt: dict[int, set[int]] = {v: set() for t in narrow for v in rows[t]}
+            low = vt.keys()
+            for t, r in rows.items():
+                if not low.isdisjoint(r):
+                    for v in r:
+                        if v in vt:
+                            vt[v].add(t)
+            for t in narrow:
+                cofaces = set.intersection(*(vt[v] for v in rows[t]))
+                if len(cofaces) > 1:
+                    inside[t] = min(u for u in cofaces if u != t)
+        for t in rows:
+            if t in inside:
                 raise NotTop(
-                    f"stored simplex {tid} is a face of stored simplex {other}", tid
+                    f"stored simplex {t} is a face of stored simplex {inside[t]}", t
                 )
 
     # -- basic accessors ---------------------------------------------------
@@ -164,11 +193,11 @@ class Complex:
 
     @property
     def vertices(self) -> list[int]:
-        return sorted(self._vertex_tops())
+        return sorted(self._vertex_ids())
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertex_tops())
+        return len(self._vertex_ids())
 
     def label_of(self, v: int) -> str:
         if self._labels and v in self._labels:
@@ -177,9 +206,17 @@ class Complex:
 
     @property
     def labels(self) -> dict[int, str]:
-        return {v: self.label_of(v) for v in self._vertex_tops()}
+        return {v: self.label_of(v) for v in self._vertex_ids()}
+
+    def _vertex_ids(self) -> Collection[int]:
+        """The vertices in order of first appearance, read off the rows
+        unless the vertex -> tops map already exists."""
+        if self._vt is not None:
+            return self._vt.keys()
+        return dict.fromkeys(itertools.chain.from_iterable(self._tv.values())).keys()
 
     def _vertex_tops(self) -> dict[int, set[int]]:
+        """Vertex -> ids of the tops holding it, built on the first star()."""
         if self._vt is None:
             vt: dict[int, set[int]] = {}
             for tid, row in self._tv.items():
@@ -234,10 +271,7 @@ class Complex:
                 j = first.setdefault(face, i)
                 if j != i:
                     union_min(parent, i, j)
-        by_root: dict[int, list[int]] = {}
-        for i, r in enumerate(flatten(parent)):
-            by_root.setdefault(r, []).append(tops[i])
-        return list(by_root.values())
+        return classes(flatten(parent), tops)
 
     # -- classification ----------------------------------------------------
 
@@ -255,12 +289,12 @@ class Complex:
         d = 2, and for d = 3 a sphere or a disk once `twice_chi_misses`
         passes the vertex.
         """
-        return self._classify(*_corner_facets(self))
+        return self._classify(*corner_facets(self))
 
     def classify_with_faces(self) -> tuple[ClassifyFlags, dict[Simplex, list[int]]]:
         """classify() and non_pseudomanifold_faces() from one facet pass,
         which is what `nmdecomp check` reports."""
-        flat, start, slots = _corner_facets(self)
+        flat, start, slots = corner_facets(self)
         return self._classify(flat, start, slots), self._high_order_facets(start, slots)
 
     def _classify(self, flat: list[int], start: list[int], slots: dict) -> ClassifyFlags:
@@ -268,14 +302,14 @@ class Complex:
         regular = self.is_regular()
         # a regular complex's facets are its (d-1)-faces
         thin = regular and all(type(s) is int or len(s) == 2 for s in slots.values())
-        iqm = regular and _class_count(_glue(self, flat, start, slots)) == self.num_vertices
+        iqm = regular and _class_count(glue_pairs(self, flat, start, slots)) == self.num_vertices
         pseudo = thin and (d < 1 or _facet_connected(start, slots))
         # every facet of a pseudomanifold is a manifold facet, so its vertex
         # stars are connected across facets exactly when they are IQM stars
         quasi = pseudo and iqm
         manifold = None if d > 3 else thin and iqm
         if manifold and d == 3:  # the count runs in dense vertex ids
-            ids = {v: i for i, v in enumerate(self._vertex_tops())}
+            ids = {v: i for i, v in enumerate(self._vertex_ids())}
             dense = list(map(ids.__getitem__, flat))
             open_slots = [k for k in slots.values() if type(k) is int]
             manifold = not twice_chi_misses(dense, 0, len(dense), open_slots, len(ids))
@@ -297,7 +331,7 @@ class Complex:
 
     def non_pseudomanifold_faces(self) -> dict[Simplex, list[int]]:
         """(d-1)-faces of order > 2 with their sorted coface lists."""
-        _, start, slots = _corner_facets(self)
+        _, start, slots = corner_facets(self)
         return self._high_order_facets(start, slots)
 
     def _high_order_facets(self, start: list[int], slots: dict) -> dict[Simplex, list[int]]:
@@ -314,7 +348,7 @@ class Complex:
         """(d-1)-faces with exactly one top coface."""
         if not self.is_regular():
             raise NotRegular("boundary is defined for regular complexes")
-        _, _, slots = _corner_facets(self)
+        _, _, slots = corner_facets(self)
         return {f for f, k in slots.items() if type(k) is int}
 
     # -- misc --------------------------------------------------------------
@@ -389,7 +423,7 @@ def corner_layout(c: Complex) -> tuple[list[int], list[int]]:
     return flat, start
 
 
-def _corner_facets(c: Complex) -> tuple[list[int], list[int], dict]:
+def corner_facets(c: Complex) -> tuple[list[int], list[int], dict]:
     """c's `corner_layout` and the `facet_slots` of its rows."""
     flat, start = corner_layout(c)
     widths = (b - a for a, b in zip(start, start[1:]))
@@ -401,7 +435,7 @@ def _manifold_facets(
 ) -> Iterator[tuple[Simplex, int, int]]:
     """Each facet whose star is exactly two tops, with those tops' indices.
 
-    Indices count in top_ids order, over c's `_corner_facets`.  Each top
+    Indices count in top_ids order, over c's `corner_facets`.  Each top
     offers only its own facets, so the two are one dimension above the
     facet.  A facet of a widest top lies in no other top; any other needs
     its star counted.
@@ -424,7 +458,7 @@ def canonical_pairs(c: Complex) -> set[frozenset]:
     the standard decomposition.
     """
     tops = c.top_ids
-    _, start, slots = _corner_facets(c)
+    _, start, slots = corner_facets(c)
     return {
         frozenset((tops[i], tops[j])) for _, i, j in _manifold_facets(c, start, slots)
     }
@@ -438,13 +472,22 @@ def glued_corners(c: Complex) -> list[int]:
     decomposition, and c is an initial quasi-manifold when it is regular
     with one class per vertex.
     """
-    return _glue(c, *_corner_facets(c))
+    return glue_pairs(c, *corner_facets(c))
 
 
-def _glue(c: Complex, flat: list[int], start: list[int], slots: dict) -> list[int]:
+def glue_pairs(
+    c: Complex, flat: list[int], start: list[int], slots: dict, tops: list[int] | None = None
+) -> list[int]:
+    """`glued_corners` over c's `corner_facets`.  Given a union-find parent
+    list over top indices, it joins each pair's tops there too, which
+    leaves the 0-connected classes of the decomposition: its tops share a
+    vertex only through a chain of canonical pairs.
+    """
     parent = list(range(len(flat)))
     index = flat.index
     for facet, i, j in _manifold_facets(c, start, slots):
+        if tops is not None:
+            union_min(tops, i, j)
         si, sj = start[i], start[j]
         ei, ej = start[i + 1], start[j + 1]
         for v in facet:

@@ -5,13 +5,19 @@ one per slot of each top, and glues them back across every manifold facet
 pair: two tops sharing a facet that no other top contains.  Here each
 corner class becomes one vertex of the decomposition, which is the unique
 most-split one that cuts only along non-manifold simplices.  One pass over
-the tops' own facets finds the pairs, and list-based union-finds over the
-corner ids and then the top indices give the classes and the components,
-so the work is linear in the size of the input, up to sorting.
-`Complex.is_iqm` counts the same corner classes, so every component is an
-initial quasi-manifold by construction, and `decompose` records that on
-its result (`DecompositionResult.iqm`): the encoding trusts the record
-and checks only results built any other way.
+the tops' own facets finds the pairs, and the pair loop runs list-based
+union-finds over the corner ids and over the top indices at once, which
+give the classes and the components, so the work is linear in the size of
+the input, up to sorting.  `Complex.is_iqm` counts the same corner
+classes, so every component is an initial quasi-manifold by construction,
+and `decompose` records that on its result (`DecompositionResult.iqm`):
+the encoding trusts the record and checks only results built any other
+way.
+
+The same facet pass gives the TT relation of the decomposition
+(`DecompositionResult.tt`, see `facet_neighbours`): its facets are the
+source's facets with their cofaces grouped by the copies they hold, so
+`winged.Ewds.build` only repacks it.
 
 Per source vertex, copies are ordered by link dimension, then smallest
 star top.  The first keeps the original id, so sigma is the identity on
@@ -22,10 +28,18 @@ link splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import sub
+from typing import Sequence
 
-from .complexes import Complex, glued_corners
+from .complexes import Complex, corner_facets, glue_pairs
 from .errors import InvalidComplex
+from .unionfind import classes, flatten
+
+BOTTOM = 0    # facet on the boundary
+DIAMOND = -1  # facet with three or more cofaces
 
 
 @dataclass(frozen=True)
@@ -36,6 +50,10 @@ class DecompositionResult:
     nabla: Complex
     components: list[Complex]
     sigma: dict[int, int]          # copy id -> original id, total
+    # nabla's TT relation, one entry per flat corner of nabla in
+    # `corner_layout` order (see `facet_neighbours`), which
+    # `winged.Ewds.build` repacks into TTP
+    tt: array = field(compare=False, repr=False)
     cc: list[int] = field(default_factory=list)  # components per dimension
     # set by decompose alone: its components are IQMs by construction
     iqm: bool = field(default=False, compare=False)
@@ -44,19 +62,14 @@ class DecompositionResult:
     def from_parts(
         cls, source: Complex, nabla: Complex, sigma: dict[int, int]
     ) -> "DecompositionResult":
-        """Package a decomposition, deriving its components and cc.
+        """Package a decomposition, deriving its components, cc and TT.
 
         Components are the 0-connected classes of nabla
         (`Complex.h_connected_components(0)`), sorted by dimension, then
-        smallest top.
+        smallest top, and TT comes from nabla's own facet pass.
         """
-        groups = nabla.h_connected_components(0)
-        groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
-        components = [nabla.subcomplex(g) for g in groups]
-        cc = [0] * (nabla.dim + 1)
-        for comp in components:
-            cc[comp.dim] += 1
-        return cls(source, nabla, components, dict(sigma), cc)
+        tt = facet_neighbours(*corner_facets(nabla))
+        return _assemble(source, nabla, sigma, nabla.h_connected_components(0), tt)
 
     # -- sigma views -------------------------------------------------------
 
@@ -97,10 +110,68 @@ def copy_label(original_label: str, copy_id: int, copy_index: int) -> str:
     return f"{original_label}_{copy_index}"
 
 
-def decomposition_from_corners(
-    source: Complex, root: list[int]
+def _assemble(
+    source: Complex,
+    nabla: Complex,
+    sigma: dict[int, int],
+    groups: list[list[int]],
+    tt: array,
+    iqm: bool = False,
 ) -> DecompositionResult:
-    """Number the corner classes of source and package the result.
+    """The result whose components are the given classes of nabla's tops,
+    each in ascending order, listed by smallest top."""
+    groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
+    components = [nabla.subcomplex(g) for g in groups]
+    cc = [0] * (nabla.dim + 1)
+    for comp in components:
+        cc[comp.dim] += 1
+    return DecompositionResult(source, nabla, components, dict(sigma), tt, cc, iqm)
+
+
+def facet_neighbours(vertex: Sequence[int], start: list[int], slots: dict) -> array:
+    """The TT relation of a decomposition on the flat corners of its tops.
+
+    slots is the `complexes.facet_slots` table of the rows that start lays
+    out, and vertex names the vertex of each corner in the decomposition,
+    which keeps the tops and slots of those rows: two corners share a name
+    exactly when they are one vertex there.  Each entry is the 1-based
+    index in start of the top across the facet opposite its corner, BOTTOM
+    on the boundary or DIAMOND.  A decomposition's facets are the rows'
+    facets with their cofaces grouped by the vertices of the facet: a
+    group of one is BOTTOM, of two a pair, and of three or more DIAMOND.
+    The two cofaces of a facet of a widest row share it in both callers'
+    decompositions, since `decompose` glues that canonical pair and
+    `from_parts` passes nabla's own rows, so they pair with no per-vertex
+    work.
+    """
+    widths = list(map(sub, start[1:], start))
+    widest = max(widths, default=0)
+    owner = list(chain.from_iterable(map(repeat, range(1, len(start)), widths)))
+    tt = array("i", bytes(4 * len(vertex)))
+    for facet, ks in slots.items():
+        if type(ks) is int:
+            continue
+        if len(ks) == 2 and len(facet) + 1 == widest:
+            a, b = ks
+            tt[a], tt[b] = owner[b], owner[a]
+            continue
+        groups: dict[frozenset, list[int]] = {}
+        for k in ks:
+            i = owner[k]
+            key = frozenset(vertex[start[i - 1] : k] + vertex[k + 1 : start[i]])
+            groups.setdefault(key, []).append(k)
+        for group in groups.values():
+            if len(group) == 2:
+                a, b = group
+                tt[a], tt[b] = owner[b], owner[a]
+            elif len(group) > 2:
+                for k in group:
+                    tt[k] = DIAMOND
+    return tt
+
+
+def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int, int]]:
+    """nabla and sigma of the decomposition with the given corner classes.
 
     root names the class of each flat corner of source (see
     `complexes.corner_layout`) by the class's smallest corner, so a class
@@ -112,26 +183,26 @@ def decomposition_from_corners(
     tops = source.top_ids
     rows = [source.row(t) for t in tops]
     width = [0] * len(root)  # class -> widest top holding it
-    classes: dict[int, list[int]] = {}  # vertex -> its classes, by smallest top
+    by_vertex: dict[int, list[int]] = {}  # vertex -> its classes, by smallest top
     k = 0
     for row in rows:
         w = len(row)
         for v in row:
             r = root[k]
             if r == k:
-                classes.setdefault(v, []).append(r)
+                by_vertex.setdefault(v, []).append(r)
             if w > width[r]:
                 width[r] = w
             k += 1
 
     label_of = source.label_of
-    labels = {v: label_of(v) for v in classes}
+    labels = {v: label_of(v) for v in by_vertex}
     sigma: dict[int, int] = {}
     copy_of = [0] * len(root)  # class -> vertex id in the decomposition
-    next_id = max(classes) + 1
-    for v in sorted(classes):
+    next_id = max(by_vertex) + 1
+    for v in sorted(by_vertex):
         # a class's top width is its link dimension plus two
-        group = classes[v]
+        group = by_vertex[v]
         if len(group) > 1:
             group.sort(key=width.__getitem__)  # stable: smallest top breaks ties
         for n, r in enumerate(group, start=1):
@@ -150,12 +221,36 @@ def decomposition_from_corners(
     for t, row in zip(tops, rows):
         nabla_rows[t] = tuple(flat[k : k + len(row)])
         k += len(row)
-    nabla = Complex(nabla_rows, labels=labels, validate=False)
-    return DecompositionResult.from_parts(source, nabla, sigma)
+    return Complex(nabla_rows, labels=labels, validate=False), sigma
+
+
+def decomposition_from_corners(
+    source: Complex, root: list[int]
+) -> DecompositionResult:
+    """The decomposition whose vertices are the given corner classes of
+    source (see `_number_classes`), packaged by `from_parts`."""
+    return DecompositionResult.from_parts(source, *_number_classes(source, root))
+
+
+def _standard_gluing(c: Complex) -> tuple[list[int], list[int], array]:
+    """From one facet pass over c: the class of each flat corner, the
+    flattened union-find over top indices that the pair loop joins, and
+    the TT relation, read off the facet table with the corner classes as
+    the vertices.  The table is freed on return."""
+    flat, start, slots = corner_facets(c)
+    tops = list(range(c.num_tops))
+    root = glue_pairs(c, flat, start, slots, tops)
+    return root, flatten(tops), facet_neighbours(root, start, slots)
 
 
 def decompose(c: Complex) -> DecompositionResult:
-    """Standard decomposition of a non-empty complex."""
+    """Standard decomposition of a non-empty complex.
+
+    One facet pass serves it all: the pair loop glues corners and joins
+    tops, and the same table gives nabla's TT relation.
+    """
     if c.num_tops == 0:
         raise InvalidComplex("cannot decompose an empty complex")
-    return replace(decomposition_from_corners(c, glued_corners(c)), iqm=True)
+    root, tops, tt = _standard_gluing(c)
+    nabla, sigma = _number_classes(c, root)
+    return _assemble(c, nabla, sigma, classes(tops, c.top_ids), tt, iqm=True)

@@ -56,7 +56,7 @@ from typing import Iterable
 from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
-from .errors import BadRelation, NotIncident, NotInTrie
+from .errors import BadRelation, InvalidComplex, NotIncident, NotInTrie
 from .unionfind import union_min
 from .winged import DIAMOND, Ewds
 
@@ -71,12 +71,14 @@ def travel_star(
 ) -> list[int]:
     """Tops reachable from t across facets containing gamma, ascending.
 
-    gamma is given in packed vertex ids and must span part of t's row.
-    Crossing only order-2 facets, `Ewds.walk` covers one adjacency patch of
-    gamma's star.  Each visited top spans gamma and counts one visit and
-    one expansion per slot outside gamma.
+    gamma is given in packed vertex ids and must be a non-empty part of
+    t's row.  Crossing only order-2 facets, `Ewds.walk` covers one
+    adjacency patch of gamma's star.  Each visited top spans gamma and
+    counts one visit and one expansion per slot outside gamma.
     """
     gset = set(gamma)
+    if not gset:
+        raise InvalidComplex("star of the empty simplex is not defined")
     w, off = ewds.row_layout(t)
     if not gset.issubset(ewds.tvp[off + t * w : off + t * w + w]):
         raise NotIncident(f"simplex {sorted(gset)} is not spanned by top {t}")
@@ -218,6 +220,8 @@ class NmLayer:
         the counter as travel_star does.
         """
         gamma = simplex(gamma)
+        if not gamma:
+            raise InvalidComplex("star of the empty simplex is not defined")
         cp = self._copy_in(gamma, t)
         reps = self.splitmap.get(gamma, {}).get(cp)
         tops = self.ewds.walk(set(cp), reps or (t,))

@@ -18,7 +18,7 @@ them so and records that on its result; any other result, hand-built with
 `from_parts` or read off a gluing state, has each component checked with
 `Complex.is_iqm`, the corner rule that `decompose` glues by.
 
-The DFS reads TTP alone to step between tops: fill_tt writes every
+The DFS reads TTP alone to step between tops: `Ewds.build` packs every
 order-2 pair both ways and two tops of one block share at most one facet,
 so the slot of a neighbour that holds the top the walk came from is the
 slot opposite their shared facet, and its vertex is the one the neighbour
@@ -60,8 +60,8 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     A result of `decompose` carries that proof; on any other, the first
     component that fails `Complex.is_iqm` raises NotIqm.
 
-    The DFS of a block walks TTP.  fill_tt writes every order-2 pair both
-    ways, and two tops of one block share at most one facet, so the slot
+    The DFS of a block walks TTP.  `Ewds.build` packs every order-2 pair
+    both ways, and two tops of one block share at most one facet, so the slot
     by which the walk enters a neighbour is the one slot of its TTP row
     that holds the top it came from; the vertex there is the one the
     neighbour adds.

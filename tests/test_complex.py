@@ -1,8 +1,10 @@
 """Core complex container: parsing, incidence, classification."""
 
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmdecomp import complexes
 from nmdecomp.complexes import (
@@ -13,6 +15,7 @@ from nmdecomp.complexes import (
     simplex,
 )
 from nmdecomp.decompose import decompose
+from nmdecomp.oracle import random_complex
 from nmdecomp.errors import (
     InvalidComplex,
     NotTop,
@@ -91,6 +94,84 @@ def test_parse_names_the_line_of_a_non_maximal_simplex(text, line_no, top):
 def test_tops_are_maximal():
     with pytest.raises(NotTop):
         Complex({1: (1, 2, 3), 2: (1, 2)})
+
+
+def reference_maximality(rows: dict) -> None:
+    """The maximality check over a vertex -> tops dict of sets, after the
+    row check that Complex makes first."""
+    for tid, row in rows.items():
+        if len(set(row)) != len(row):
+            raise InvalidComplex(f"repeated vertex in simplex {tid}")
+    vt: dict = {}
+    for tid, row in rows.items():
+        for v in row:
+            vt.setdefault(v, set()).add(tid)
+    for v in vt:
+        if type(v) is not int:
+            raise InvalidComplex(f"vertex id {v!r} is not an integer")
+    for tid, row in rows.items():
+        cofaces = set.intersection(*(vt[v] for v in row))
+        if len(cofaces) > 1:
+            other = min(t for t in cofaces if t != tid)
+            raise NotTop(f"stored simplex {tid} is a face of stored simplex {other}", tid)
+
+
+def _outcome(check, rows):
+    try:
+        check(rows)
+    except (InvalidComplex, NotTop) as exc:
+        return type(exc), str(exc), getattr(exc, "top", None)
+    return None
+
+
+# (kind, which top, put the new row first) -> one injected row
+injections = st.lists(
+    st.tuples(
+        st.sampled_from(["duplicate", "face", "not-int", "bool"]),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    injections,
+    st.booleans(),
+)
+def test_maximality_matches_reference(seed, d, inject, empty):
+    # duplicates and faces of tops, listed first or last, vertex ids that
+    # are no ints or equal an int, and the empty complex
+    rng = random.Random(seed)
+    rows = {} if empty else random_complex(seed=seed, max_tops=12, d=d).rows()
+    for kind, k, first in inject:
+        if not rows:
+            break
+        old = list(rows.values())[k % len(rows)]
+        if kind == "duplicate":
+            new = tuple(rng.sample(old, len(old)))
+        elif kind == "face":
+            new = tuple(rng.sample(old, rng.randint(1, len(old))))
+        else:
+            new = tuple(old[:-1]) + (True if kind == "bool" else f"{old[-1]}x",)
+        tid = max(rows) + 1 + k % 5
+        rows = {tid: new, **rows} if first else {**rows, tid: new}
+    want = _outcome(reference_maximality, rows)
+    assert _outcome(Complex, rows) == want
+    if not rows or any(type(v) is not int for r in rows.values() for v in r):
+        return
+    text = "".join(f"simplex {t}: {' '.join(map(str, r))}\n" for t, r in rows.items())
+    try:
+        parse_tv(text)
+    except ParseError as exc:
+        line_no = list(rows).index(want[2]) + 1
+        assert (exc.line_no, exc.__cause__.top) == (line_no, want[2])
+        assert str(exc) == f"line {line_no}: {want[1]}"
+    else:
+        assert want is None
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,68 @@
 """Flat winged tables: layout, addressing, star walks, binary dump."""
 
 import hashlib
+import random
+from itertools import repeat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nmdecomp import complexes
+from nmdecomp.complexes import Complex, facet_slots, format_tv, parse_tv
 from nmdecomp.counters import OpCounter
-from nmdecomp.decompose import decompose
+from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import ParseError, UnknownTop, UnknownVertex
+from nmdecomp.meshes import kuhn_cube
+from nmdecomp.nonmanifold import build_nm_layer
+from nmdecomp.oracle import random_complex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
+
+
+# -- reference: TTP and VTSTAR from a facet pass per packed block ------------
+
+
+def reference_fill_tt(ew: Ewds) -> tuple[list[int], list[int]]:
+    """TTP and VTSTAR from one `facet_slots` call per packed block.
+
+    A facet maps to the TVP addresses of the slots opposite it, and the TTP
+    entry for that facet sits at the same address.  Order-1 facets get
+    BOTTOM, order-2 facets mutual references, and every coface of a facet
+    of order three or more gets DIAMOND.  VTSTAR[v] is the smallest coface
+    of the lexicographically first facet containing v, in the lowest block
+    that holds v.
+    """
+    tvp = ew.tvp
+    ttp = [0] + [BOTTOM] * ew.size
+    vtstar = [0] * (ew.nv + 1)
+    for t in range(ew.tbase[0], ew.tbase[1]):
+        vtstar[tvp[ew.tbase_addr[0] + t - ew.tbase[0]]] = t
+    for h in range(1, ew.d + 1):
+        w = h + 1
+        lo, hi = ew.tbase_addr[h], ew.tbase_addr[h + 1]
+        top_at = list(range(ew.tbase[h], ew.tbase[h + 1]))
+        slots = facet_slots(tvp, zip(range(lo, hi, w), repeat(w)))
+        for face in sorted(slots):
+            opp = slots[face]
+            if type(opp) is int:
+                first = top_at[(opp - lo) // w]
+            elif len(opp) == 2:
+                a, b = opp
+                first = top_at[(a - lo) // w]
+                ttp[a] = top_at[(b - lo) // w]
+                ttp[b] = first
+            else:
+                first = top_at[(opp[0] - lo) // w]
+                for a in opp:
+                    ttp[a] = DIAMOND
+            for v in face:
+                if not vtstar[v]:
+                    vtstar[v] = first
+    return ttp, vtstar
+
+
+def assert_tt_matches_reference(dec: DecompositionResult) -> None:
+    ew = Ewds.build(dec)
+    assert (ew.ttp, ew.vtstar) == reference_fill_tt(ew)
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +242,73 @@ def test_perforated_tables_are_frozen(seed, perforated_cube):
         hashlib.sha256(Ewds.build(dec).dump_bytes()).hexdigest()[:32],
     )
     assert got == FROZEN[seed]
+
+
+# -- TTP and VTSTAR against the per-block reference --------------------------
+
+
+def _half(c: Complex, seed: int) -> Complex:
+    rng = random.Random(seed)
+    return c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+def test_tt_matches_reference(seed, d):
+    # decompose's TT comes from the source's facet table, from_parts' from
+    # nabla's own; hand-built components need not be IQM or regular
+    c = random_complex(seed=seed, max_tops=30, d=d)
+    for x in (c, _half(c, seed)):
+        assert_tt_matches_reference(decompose(x))
+        assert_tt_matches_reference(
+            DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
+        )
+
+
+@pytest.mark.parametrize("name", ["cones", "pinched_edge_cone", "perforated_cube"])
+def test_tt_matches_reference_on_split_facets(name, request):
+    # order-3 facets whose cofaces split across copies, whole and halved
+    c = request.getfixturevalue(name)
+    if name == "perforated_cube":
+        c = c(0)
+    for x in (c, _half(c, 1), _half(c, 2)):
+        dec = decompose(x)
+        assert_tt_matches_reference(dec)
+        assert_tt_matches_reference(DecompositionResult.from_parts(x, dec.nabla, dec.sigma))
+
+
+@pytest.mark.slow
+def test_tt_matches_reference_on_4d_grids(perforated_grid):
+    # 4-D Kuhn grids of 3**4 cubes less 30 %, and one of 5**4 cubes
+    for seed in range(10):
+        assert_tt_matches_reference(decompose(perforated_grid(3, 4, seed)))
+    assert_tt_matches_reference(decompose(perforated_grid(5, 4, 5)))
+
+
+def test_setup_computes_each_fact_once(monkeypatch, mixed, cones, perforated_cube):
+    # one facet pass from parse_tv to the non-manifold layer; the pair loop
+    # gives decompose its components, and maximality builds no vertex map
+    calls = []
+    real = complexes.facet_slots
+    monkeypatch.setattr(complexes, "facet_slots", lambda *a: calls.append(1) or real(*a))
+
+    def no_components(self, h):
+        raise AssertionError("decompose joined tops a second time")
+
+    monkeypatch.setattr(Complex, "h_connected_components", no_components)
+    for c in (mixed, cones, perforated_cube(0)):
+        text = format_tv(c)
+        calls.clear()
+        build_nm_layer(Ewds.build(decompose(parse_tv(text))))
+        assert len(calls) == 1
+
+    def no_vertex_map(self):
+        raise AssertionError("built the vertex -> tops map")
+
+    monkeypatch.setattr(Complex, "_vertex_tops", no_vertex_map)
+    build_nm_layer(Ewds.build(decompose(parse_tv(format_tv(kuhn_cube(3))))))
+
+
+def test_walk_from_no_seeds(ew_mixed):
+    assert ew_mixed.walk({9}, ()) == set()
+    assert ew_mixed.walk(set(), []) == set()

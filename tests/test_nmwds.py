@@ -8,7 +8,7 @@ import pytest
 from nmdecomp.complexes import Complex, resolve_tokens
 from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import BadRelation, NotIncident
+from nmdecomp.errors import BadRelation, InvalidComplex, NotIncident
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer, build_splitmap, pinch_suspects, travel_star
 from nmdecomp.oracle import oracle_snm, oracle_splitmap, oracle_star, random_complex
@@ -23,6 +23,26 @@ def nm_mixed(mixed):
 @pytest.fixture(scope="module")
 def nm_cones(cones):
     return build_nm_layer(Ewds.build(decompose(cones)))
+
+
+@pytest.mark.parametrize(
+    "star",
+    [
+        lambda nm: travel_star(nm.ewds, [], 1),
+        lambda nm: nm.snh_given([], 1),
+        lambda nm: nm.snh_given((), 2),
+    ],
+    ids=["travel_star", "snh_given", "snh_given-top-2"],
+)
+def test_star_of_the_empty_simplex_is_refused(star):
+    # an empty gamma is spanned by every top: refused, as Complex.star does,
+    # not answered with the whole component
+    strip = Complex({1: (1, 2, 3), 2: (2, 3, 4)})
+    nm = build_nm_layer(Ewds.build(decompose(strip)))
+    with pytest.raises(InvalidComplex):
+        star(nm)
+    with pytest.raises(InvalidComplex):
+        strip.star(())
 
 
 def test_v_nra_auto_mixed(nm_mixed):
