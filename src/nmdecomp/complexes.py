@@ -8,15 +8,21 @@ sorted vertex tuples.
 
 Vertex ids are positive integers.  Files may label vertices with arbitrary
 alphanumeric tokens; the token table is kept so output can speak the file's
-labels.
+labels.  `parse_tv` accepts a line with one regex match over the whole line,
+which holds the id and every token, and checks the distinct tokens, not
+each occurrence, for two numerals naming one vertex.  The per-line rules
+that give each fault its message run only once a fault is found, to name
+its line.
 
 The manifold-facet rule lives here too, on flat integer corners: corner
 start[i] + k is slot k of the i-th top in top_ids order (`corner_layout`).
-`facet_slots` maps every facet to the slots opposite it in its cofaces;
-`canonical_pairs` keeps the facets that no other top contains, and
-`glued_corners` merges the corners of each such pair in a union-find
-parent array.  `decompose` turns those corner classes into vertices, and
-`Complex.is_iqm` asks for exactly one class per vertex, so both read the
+`corner_facets` adds the owner list, which maps each corner to the 1-based
+index of its top, the index TT entries use, and `facet_slots` maps every
+facet to the slots opposite it in its cofaces.  `canonical_pairs` keeps
+the facets that no other top contains, reading their two tops off the
+owner list, and `glued_corners` merges the corners of each such pair in a
+union-find parent array.  `decompose` turns those corner classes into
+vertices, and `Complex.is_iqm` asks for exactly one class per vertex, so both read the
 same rule.  Set-up makes one `facet_slots` pass, in `decompose`, whose
 table also gives the decomposition's TT relation; `Complex.classify`
 reads one such pass for every flag.  Manifold recognition builds no link:
@@ -29,8 +35,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
+from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -93,12 +99,22 @@ class Complex:
                 raise InvalidComplex(f"simplex {tid!r} is not a sequence of vertex ids") from None
             if not row:
                 raise InvalidComplex(f"empty simplex for id {tid}")
-            if len(set(row)) != len(row):
+            try:
+                repeated = len(set(row)) != len(row)
+            except TypeError:
+                raise InvalidComplex(f"simplex {tid!r} holds an unhashable vertex id") from None
+            if repeated:
                 raise InvalidComplex(f"repeated vertex in simplex {tid}")
             try:
                 store[int(tid)] = row
             except (TypeError, ValueError):
                 raise InvalidComplex(f"top id {tid!r} is not an integer") from None
+        if len(store) < len(tv):  # two ids converted to one
+            first: dict[int, object] = {}
+            for tid in tv:
+                other = first.setdefault(int(tid), tid)
+                if other != tid:
+                    raise InvalidComplex(f"top ids {other!r} and {tid!r} both name top {int(tid)}")
         self._tv = store
         self._labels = dict(labels) if labels else None
         self._vt: dict[int, set[int]] | None = None
@@ -294,16 +310,20 @@ class Complex:
     def classify_with_faces(self) -> tuple[ClassifyFlags, dict[Simplex, list[int]]]:
         """classify() and non_pseudomanifold_faces() from one facet pass,
         which is what `nmdecomp check` reports."""
-        flat, start, slots = corner_facets(self)
-        return self._classify(flat, start, slots), self._high_order_facets(start, slots)
+        flat, start, owner, slots = corner_facets(self)
+        return self._classify(flat, start, owner, slots), self._high_order_facets(owner, slots)
 
-    def _classify(self, flat: list[int], start: list[int], slots: dict) -> ClassifyFlags:
+    def _classify(
+        self, flat: list[int], start: list[int], owner: list[int], slots: dict
+    ) -> ClassifyFlags:
         d = self.dim
         regular = self.is_regular()
         # a regular complex's facets are its (d-1)-faces
         thin = regular and all(type(s) is int or len(s) == 2 for s in slots.values())
-        iqm = regular and _class_count(glue_pairs(self, flat, start, slots)) == self.num_vertices
-        pseudo = thin and (d < 1 or _facet_connected(start, slots))
+        iqm = regular and (
+            _class_count(glue_pairs(self, flat, start, owner, slots)) == self.num_vertices
+        )
+        pseudo = thin and (d < 1 or _facet_connected(self.num_tops, owner, slots))
         # every facet of a pseudomanifold is a manifold facet, so its vertex
         # stars are connected across facets exactly when they are IQM stars
         quasi = pseudo and iqm
@@ -331,15 +351,15 @@ class Complex:
 
     def non_pseudomanifold_faces(self) -> dict[Simplex, list[int]]:
         """(d-1)-faces of order > 2 with their sorted coface lists."""
-        _, start, slots = corner_facets(self)
-        return self._high_order_facets(start, slots)
+        _, _, owner, slots = corner_facets(self)
+        return self._high_order_facets(owner, slots)
 
-    def _high_order_facets(self, start: list[int], slots: dict) -> dict[Simplex, list[int]]:
+    def _high_order_facets(self, owner: list[int], slots: dict) -> dict[Simplex, list[int]]:
         d = self.dim
         tops = self.top_ids
         # only a d-top has a facet of d vertices; slots ascend with the top
         return {
-            f: [tops[bisect_right(start, k) - 1] for k in ks]
+            f: [tops[owner[k] - 1] for k in ks]
             for f, ks in slots.items()
             if len(f) == d and type(ks) is tuple and len(ks) > 2
         }
@@ -348,7 +368,7 @@ class Complex:
         """(d-1)-faces with exactly one top coface."""
         if not self.is_regular():
             raise NotRegular("boundary is defined for regular complexes")
-        _, _, slots = corner_facets(self)
+        *_, slots = corner_facets(self)
         return {f for f, k in slots.items() if type(k) is int}
 
     # -- misc --------------------------------------------------------------
@@ -423,22 +443,32 @@ def corner_layout(c: Complex) -> tuple[list[int], list[int]]:
     return flat, start
 
 
-def corner_facets(c: Complex) -> tuple[list[int], list[int], dict]:
-    """c's `corner_layout` and the `facet_slots` of its rows."""
+def corner_facets(c: Complex) -> tuple[list[int], list[int], list[int], dict]:
+    """c's `corner_layout`, the owner list of its corners and the
+    `facet_slots` of its rows.
+
+    owner[k] is the 1-based index in top_ids of the top holding corner k,
+    the index TT entries use, so that top's corners are
+    start[owner[k] - 1] up to start[owner[k]].  Every reader of one facet
+    pass maps a slot to its top through this one list.
+    """
     flat, start = corner_layout(c)
-    widths = (b - a for a, b in zip(start, start[1:]))
-    return flat, start, facet_slots(flat, zip(start, widths))
+    widths = list(map(sub, start[1:], start))
+    tops = range(1, len(start))
+    owner = list(itertools.chain.from_iterable(map(itertools.repeat, tops, widths)))
+    return flat, start, owner, facet_slots(flat, zip(start, widths))
 
 
 def _manifold_facets(
-    c: Complex, start: list[int], slots: dict
+    c: Complex, owner: list[int], slots: dict
 ) -> Iterator[tuple[Simplex, int, int]]:
-    """Each facet whose star is exactly two tops, with those tops' indices.
+    """Each facet whose star is exactly two tops, with those tops' 1-based
+    indices, read off the owner list of c's `corner_facets`.
 
-    Indices count in top_ids order, over c's `corner_facets`.  Each top
-    offers only its own facets, so the two are one dimension above the
-    facet.  A facet of a widest top lies in no other top; any other needs
-    its star counted.
+    This is the one manifold-facet rule, which `glue_pairs` and
+    `canonical_pairs` both read.  Each top offers only its own facets, so
+    the two are one dimension above the facet.  A facet of a widest top
+    lies in no other top; any other needs its star counted.
     """
     widest = c.dim + 1
     for facet, ks in slots.items():
@@ -447,7 +477,7 @@ def _manifold_facets(
         if len(facet) + 1 < widest and len(c.star(facet)) != 2:
             continue
         a, b = ks
-        yield facet, bisect_right(start, a) - 1, bisect_right(start, b) - 1
+        yield facet, owner[a], owner[b]
 
 
 def canonical_pairs(c: Complex) -> set[frozenset]:
@@ -458,9 +488,9 @@ def canonical_pairs(c: Complex) -> set[frozenset]:
     the standard decomposition.
     """
     tops = c.top_ids
-    _, start, slots = corner_facets(c)
+    _, _, owner, slots = corner_facets(c)
     return {
-        frozenset((tops[i], tops[j])) for _, i, j in _manifold_facets(c, start, slots)
+        frozenset((tops[i - 1], tops[j - 1])) for _, i, j in _manifold_facets(c, owner, slots)
     }
 
 
@@ -476,31 +506,37 @@ def glued_corners(c: Complex) -> list[int]:
 
 
 def glue_pairs(
-    c: Complex, flat: list[int], start: list[int], slots: dict, tops: list[int] | None = None
+    c: Complex,
+    flat: list[int],
+    start: list[int],
+    owner: list[int],
+    slots: dict,
+    tops: list[int] | None = None,
 ) -> list[int]:
     """`glued_corners` over c's `corner_facets`.  Given a union-find parent
-    list over top indices, it joins each pair's tops there too, which
-    leaves the 0-connected classes of the decomposition: its tops share a
-    vertex only through a chain of canonical pairs.
+    list over the 1-based top indices (entry 0 stays alone), it joins each
+    pair's tops there too, which leaves the 0-connected classes of the
+    decomposition: its tops share a vertex only through a chain of
+    canonical pairs.
     """
     parent = list(range(len(flat)))
     index = flat.index
-    for facet, i, j in _manifold_facets(c, start, slots):
+    for facet, i, j in _manifold_facets(c, owner, slots):
         if tops is not None:
             union_min(tops, i, j)
-        si, sj = start[i], start[j]
-        ei, ej = start[i + 1], start[j + 1]
+        si, sj = start[i - 1], start[j - 1]
+        ei, ej = start[i], start[j]
         for v in facet:
             union_min(parent, index(v, si, ei), index(v, sj, ej))
     return flatten(parent)
 
 
-def _facet_connected(start: list[int], slots: dict) -> bool:
-    """Are the tops one class when joined across shared facets, each of
+def _facet_connected(n: int, owner: list[int], slots: dict) -> bool:
+    """Are the n tops one class when joined across shared facets, each of
     which has exactly two cofaces?"""
-    parent = list(range(len(start) - 1))
+    parent = list(range(n))
     for a, b in (ks for ks in slots.values() if type(ks) is tuple):
-        union_min(parent, bisect_right(start, a) - 1, bisect_right(start, b) - 1)
+        union_min(parent, owner[a] - 1, owner[b] - 1)
     return _class_count(flatten(parent)) <= 1
 
 
@@ -548,8 +584,14 @@ def twice_chi_misses(
 
 # -- .tv file format ---------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+# One match accepts a line: blank, a comment, or a simplex with its id and
+# every token; a line holds no line break, so \s stays within it.
+_TV_LINE_RE = re.compile(
+    r"\s*(?:simplex\s+(\d+)\s*:\s*([A-Za-z0-9_][\sA-Za-z0-9_]*))?(?:#.*)?"
+)
+# the per-line rules, which name the fault of a line
 _LINE_RE = re.compile(r"^simplex\s+(\d+)\s*:\s*(.*)$")
+_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 def parse_tv(text: str) -> Complex:
@@ -560,55 +602,87 @@ def parse_tv(text: str) -> Complex:
     order, so ids are reproducible.  Raises ParseError for a file with no
     simplices, for two tokens, such as "01" and "1", naming one vertex, and
     at the line of a stored simplex that is a face of another.
+
+    One match of `_TV_LINE_RE` accepts each line (`_tv_rows`), and the
+    numeral check compares the distinct tokens.  Only when a line, a
+    repeated id, a repeated token or two numerals fail does `_first_fault`
+    run the per-line rules, to raise the fault of the first line that
+    breaks one.
     """
-    raw: list[tuple[int, int, list[str]]] = []
+    rows, labels = _tv_rows(text)
+    try:
+        return Complex(rows, labels=labels)
+    except InvalidComplex:  # a token repeated in one simplex
+        raise _first_fault(text) from None
+    except NotTop as exc:
+        found = enumerate(map(_TV_LINE_RE.fullmatch, text.splitlines()), start=1)
+        line_no = next(no for no, m in found if m[1] and int(m[1]) == exc.top)
+        raise ParseError(str(exc), line_no) from exc
+
+
+def _tv_rows(text: str) -> tuple[dict[int, tuple[int, ...]], dict[int, str]]:
+    """The rows of a .tv text by id, and the label of each vertex id.
+
+    Raises the ParseError of `_first_fault` when a line, an id or a token
+    breaks a rule.  Its intermediate lists are freed on return, before
+    `Complex` checks the rows.
+    """
+    found = [m and m.groups() for m in map(_TV_LINE_RE.fullmatch, text.splitlines())]
+    if None in found:
+        raise _first_fault(text)
+    simplices = [g for g in found if g[0]]
+    if not simplices:
+        raise ParseError("no simplices")
+    ids, toks = zip(*simplices)
+    tids = list(map(int, ids))
+    toks = list(map(str.split, toks))
+    tokens = set().union(*toks)
+    if all(map(str.isdigit, tokens)):
+        to_id = {t: int(t) for t in tokens}
+    else:
+        to_id = {t: i for i, t in enumerate(sorted(tokens), start=1)}
+    labels = {i: t for t, i in to_id.items()}
+    if len(set(tids)) < len(tids) or len(labels) < len(to_id):
+        raise _first_fault(text)
+    return dict(zip(tids, [tuple(map(to_id.__getitem__, r)) for r in toks])), labels
+
+
+def _first_fault(text: str) -> ParseError:
+    """The ParseError of the first line that breaks a per-line rule, else
+    of the first token that names the vertex of an earlier, other numeral.
+
+    `parse_tv` calls it once it has found such a fault, so it names one.
+    """
     seen_ids: set[int] = set()
-    tokens: set[str] = set()
+    raw: list[tuple[int, list[str]]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         m = _LINE_RE.match(stripped)
         if not m:
-            raise ParseError(f"expected 'simplex <id>: <tok> ...', got {line!r}", line_no)
+            return ParseError(f"expected 'simplex <id>: <tok> ...', got {line!r}", line_no)
         tid = int(m.group(1))
         if tid in seen_ids:
-            raise ParseError(f"duplicate simplex id {tid}", line_no)
+            return ParseError(f"duplicate simplex id {tid}", line_no)
         seen_ids.add(tid)
         toks = m.group(2).split()
         if not toks:
-            raise ParseError("simplex with no vertices", line_no)
+            return ParseError("simplex with no vertices", line_no)
         for tok in toks:
             if not _TOKEN_RE.match(tok):
-                raise ParseError(f"bad vertex token {tok!r}", line_no)
+                return ParseError(f"bad vertex token {tok!r}", line_no)
         if len(set(toks)) != len(toks):
-            raise ParseError("repeated vertex token in one simplex", line_no)
-        tokens.update(toks)
-        raw.append((line_no, tid, toks))
-
-    if not raw:
-        raise ParseError("no simplices")
-    if all(t.isdigit() for t in tokens):
-        to_id = {t: int(t) for t in tokens}
-        first: dict[int, str] = {}
-        for line_no, _, toks in raw:
-            for tok in toks:
-                other = first.setdefault(to_id[tok], tok)
-                if other != tok:
-                    raise ParseError(
-                        f"tokens {other!r} and {tok!r} both name vertex {to_id[tok]}",
-                        line_no,
-                    )
-    else:
-        to_id = {t: i for i, t in enumerate(sorted(tokens), start=1)}
-    labels = {i: t for t, i in to_id.items()}
-
-    rows = {tid: tuple(to_id[t] for t in toks) for _, tid, toks in raw}
-    try:
-        return Complex(rows, labels=labels)
-    except NotTop as exc:
-        line_no = next(no for no, tid, _ in raw if tid == exc.top)
-        raise ParseError(str(exc), line_no) from exc
+            return ParseError("repeated vertex token in one simplex", line_no)
+        raw.append((line_no, toks))
+    first: dict[int, str] = {}
+    for line_no, toks in raw:
+        for tok in toks:
+            other = first.setdefault(int(tok), tok)
+            if other != tok:
+                message = f"tokens {other!r} and {tok!r} both name vertex {int(tok)}"
+                return ParseError(message, line_no)
+    raise AssertionError("parse_tv found a fault that no .tv rule names")
 
 
 def format_tv(c: Complex) -> str:

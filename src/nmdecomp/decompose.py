@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from operator import sub
 from typing import Sequence
 
@@ -128,25 +127,25 @@ def _assemble(
     return DecompositionResult(source, nabla, components, dict(sigma), tt, cc, iqm)
 
 
-def facet_neighbours(vertex: Sequence[int], start: list[int], slots: dict) -> array:
+def facet_neighbours(
+    vertex: Sequence[int], start: list[int], owner: list[int], slots: dict
+) -> array:
     """The TT relation of a decomposition on the flat corners of its tops.
 
-    slots is the `complexes.facet_slots` table of the rows that start lays
-    out, and vertex names the vertex of each corner in the decomposition,
-    which keeps the tops and slots of those rows: two corners share a name
-    exactly when they are one vertex there.  Each entry is the 1-based
-    index in start of the top across the facet opposite its corner, BOTTOM
-    on the boundary or DIAMOND.  A decomposition's facets are the rows'
-    facets with their cofaces grouped by the vertices of the facet: a
-    group of one is BOTTOM, of two a pair, and of three or more DIAMOND.
+    start, owner and slots are the `complexes.corner_facets` of rows with
+    the tops and slots of the decomposition's rows, and vertex names the
+    vertex of each corner in the decomposition: two corners share a name
+    exactly when they are one vertex there.  Each entry is the top across
+    the facet opposite its corner, by its 1-based index as in owner, or
+    BOTTOM on the boundary, or DIAMOND.  A decomposition's facets are the
+    rows' facets with their cofaces grouped by the vertices of the facet:
+    a group of one is BOTTOM, of two a pair, and of three or more DIAMOND.
     The two cofaces of a facet of a widest row share it in both callers'
     decompositions, since `decompose` glues that canonical pair and
     `from_parts` passes nabla's own rows, so they pair with no per-vertex
     work.
     """
-    widths = list(map(sub, start[1:], start))
-    widest = max(widths, default=0)
-    owner = list(chain.from_iterable(map(repeat, range(1, len(start)), widths)))
+    widest = max(map(sub, start[1:], start), default=0)
     tt = array("i", bytes(4 * len(vertex)))
     for facet, ks in slots.items():
         if type(ks) is int:
@@ -237,10 +236,10 @@ def _standard_gluing(c: Complex) -> tuple[list[int], list[int], array]:
     flattened union-find over top indices that the pair loop joins, and
     the TT relation, read off the facet table with the corner classes as
     the vertices.  The table is freed on return."""
-    flat, start, slots = corner_facets(c)
-    tops = list(range(c.num_tops))
-    root = glue_pairs(c, flat, start, slots, tops)
-    return root, flatten(tops), facet_neighbours(root, start, slots)
+    flat, start, owner, slots = corner_facets(c)
+    tops = list(range(c.num_tops + 1))  # by 1-based top index
+    root = glue_pairs(c, flat, start, owner, slots, tops)
+    return root, flatten(tops)[1:], facet_neighbours(root, start, owner, slots)
 
 
 def decompose(c: Complex) -> DecompositionResult:

@@ -1,6 +1,7 @@
 """Core complex container: parsing, incidence, classification."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from nmdecomp.complexes import (
     simplex,
 )
 from nmdecomp.decompose import decompose
+from nmdecomp.meshes import kuhn_brick, kuhn_cube
 from nmdecomp.oracle import random_complex
 from nmdecomp.errors import (
     InvalidComplex,
@@ -89,6 +91,186 @@ def test_parse_names_the_line_of_a_non_maximal_simplex(text, line_no, top):
     assert exc.value.line_no == line_no
     assert str(exc.value).startswith(f"line {line_no}: stored simplex {top} ")
     assert isinstance(exc.value.__cause__, NotTop) and exc.value.__cause__.top == top
+
+
+# -- reference: the line-by-line .tv parser ---------------------------------
+
+_REF_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_REF_LINE_RE = re.compile(r"^simplex\s+(\d+)\s*:\s*(.*)$")
+
+
+def reference_parse_tv(text: str) -> Complex:
+    """The .tv parser that checks every rule on every line as it reads it:
+    one token regex per occurrence, then the "01"/"1" check over every
+    occurrence in file order."""
+    raw: list[tuple[int, int, list[str]]] = []
+    seen_ids: set[int] = set()
+    tokens: set[str] = set()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        m = _REF_LINE_RE.match(stripped)
+        if not m:
+            raise ParseError(f"expected 'simplex <id>: <tok> ...', got {line!r}", line_no)
+        tid = int(m.group(1))
+        if tid in seen_ids:
+            raise ParseError(f"duplicate simplex id {tid}", line_no)
+        seen_ids.add(tid)
+        toks = m.group(2).split()
+        if not toks:
+            raise ParseError("simplex with no vertices", line_no)
+        for tok in toks:
+            if not _REF_TOKEN_RE.match(tok):
+                raise ParseError(f"bad vertex token {tok!r}", line_no)
+        if len(set(toks)) != len(toks):
+            raise ParseError("repeated vertex token in one simplex", line_no)
+        tokens.update(toks)
+        raw.append((line_no, tid, toks))
+
+    if not raw:
+        raise ParseError("no simplices")
+    if all(t.isdigit() for t in tokens):
+        to_id = {t: int(t) for t in tokens}
+        first: dict[int, str] = {}
+        for line_no, _, toks in raw:
+            for tok in toks:
+                other = first.setdefault(to_id[tok], tok)
+                if other != tok:
+                    raise ParseError(
+                        f"tokens {other!r} and {tok!r} both name vertex {to_id[tok]}",
+                        line_no,
+                    )
+    else:
+        to_id = {t: i for i, t in enumerate(sorted(tokens), start=1)}
+    labels = {i: t for t, i in to_id.items()}
+
+    rows = {tid: tuple(to_id[t] for t in toks) for _, tid, toks in raw}
+    try:
+        return Complex(rows, labels=labels)
+    except NotTop as exc:
+        line_no = next(no for no, tid, _ in raw if tid == exc.top)
+        raise ParseError(str(exc), line_no) from exc
+
+
+def _parsed(parse, text: str):
+    """The rows and labels parse gives, or what it raised: type, message,
+    line and cause."""
+    try:
+        c = parse(text)
+    except Exception as exc:
+        cause = exc.__cause__
+        return (
+            type(exc),
+            str(exc),
+            getattr(exc, "line_no", None),
+            cause and (type(cause), str(cause), getattr(cause, "top", None)),
+        )
+    return list(c.rows().items()), c.labels
+
+
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = ["", " ", "  ", "\t", "\xa0", " \t\xa0", "\x1f", "\u3000"]
+_ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))  # Nd digits
+
+
+@st.composite
+def tv_texts(draw) -> str:
+    """.tv texts whose lines are mostly good simplices, with blank lines,
+    comments, every line break of str.splitlines, odd spaces, numerals in
+    other forms, and faults of every kind in any order."""
+    space, gap = st.sampled_from(_SPACES), st.sampled_from(_SPACES[1:])
+    pool = ["1", "2", "3", "4", "5", "6", "7", "8"]
+    if draw(st.booleans()):
+        pool[:5] = ["a", "b", "c", "B", "x_1"]
+    # rows of one width, which are faces of others only when equal, or of any
+    width = st.integers(1, 4) if draw(st.booleans()) else st.just(draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        pool += ["06", "007"]  # the vertices of "6" and "7", if every token is a numeral
+    if draw(st.integers(0, 5)) == 0:
+        pool.append(draw(st.sampled_from(["a-b", "\xe9", "\u0661", "1.5", "#"])))  # no token
+    others = ["blank", "comment", "garbage", "no-vertices", "repeated", "duplicate"]
+    kinds = ["simplex"] * draw(st.integers(0, 8))
+    kinds = draw(st.permutations(kinds + draw(st.lists(st.sampled_from(others), max_size=3))))
+    out = []
+    ids: list[int] = []
+    for k, kind in enumerate(kinds, start=1):
+        if kind == "blank":
+            line = draw(space)
+        elif kind == "comment":
+            line = draw(space) + "# simplex 9: a"
+        elif kind == "garbage":
+            line = draw(st.sampled_from(["nonsense", "simplex1: a", "simplex 1 a", ": a"]))
+        else:
+            tid = draw(st.sampled_from(ids)) if kind == "duplicate" and ids else k
+            ids.append(tid)
+            num = draw(st.sampled_from([str(tid), f"0{tid}", str(tid).translate(_ARABIC)]))
+            n = 0 if kind == "no-vertices" else draw(width)
+            toks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
+            if kind == "repeated":
+                toks.append(toks[0])
+            body = "".join(tok + draw(gap) for tok in toks)
+            line = (
+                draw(space) + "simplex" + draw(gap) + num + draw(space) + ":" + draw(space) + body
+            )
+        if draw(st.integers(0, 4)) == 0:
+            line += draw(st.sampled_from(["#", " # x", "#a b # c"]))
+        out.append(line + draw(st.sampled_from(_BREAKS)))
+    text = "".join(out)
+    return text if draw(st.booleans()) else text.rstrip("".join(_BREAKS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tv_texts())
+def test_parse_tv_matches_reference(text):
+    assert _parsed(parse_tv, text) == _parsed(reference_parse_tv, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "simplex 1: 1 2\nsimplex 2: 01 3\nnonsense\n",
+        "simplex 1: 1 2\nsimplex 2: 1 2 3\nsimplex 3:\n",
+        "simplex 1: 01 2\nsimplex 2: 1 3\nsimplex 1: 4 5\n",
+        "simplex 1: 01 2\nsimplex 2: 1 3 3\n",
+        "simplex 1: 1 2\nsimplex 2: 1 2 3\nsimplex 3: 4 04\n",
+        "simplex 1: a b\nsimplex 2: a b c\nsimplex 3: d d\n",
+        "simplex 1: a b\r\nsimplex 2: a b c\r\n",
+        "simplex 1: a b # c\x85simplex\u20282: a d\x1c\n",
+        "simplex \u0661: a\xa0b\x1fc\u2029simplex 02: b\tc d",
+        "# only\x0b\x0c  \n",
+    ],
+    ids=[
+        "bad-line-before-alias",
+        "no-vertices-after-face",
+        "duplicate-id-after-alias",
+        "repeated-token-after-alias",
+        "alias-after-face",
+        "repeated-token-after-face",
+        "crlf-face",
+        "break-inside-a-line",
+        "unicode-id-and-spaces",
+        "comments-only",
+    ],
+)
+def test_parse_tv_names_the_first_fault_as_reference(text):
+    assert _parsed(parse_tv, text) == _parsed(reference_parse_tv, text)
+
+
+@pytest.mark.slow
+def test_parse_tv_matches_reference_at_benchmark_scale():
+    # the ball, a brick less a seeded 30 % of its unit cubes, and 200 small
+    # random complexes of every dimension, written and read back
+    brick = kuhn_brick(12, 10, 8)
+    rng = random.Random(30)
+    dropped = set(rng.sample(range(brick.num_tops // 6), round(0.3 * brick.num_tops / 6)))
+    perforated = brick.subcomplex(t for t in brick.top_ids if (t - 1) // 6 not in dropped)
+    small = [random_complex(seed, 40, 1 + seed % 4) for seed in range(200)]
+    for c in [kuhn_cube(10), perforated, *small]:
+        text = format_tv(c)
+        got = _parsed(parse_tv, text)
+        assert got == _parsed(reference_parse_tv, text)
+        assert got[0] == list(c.rows().items())
 
 
 def test_tops_are_maximal():
@@ -198,6 +380,21 @@ def test_bad_input_raises_invalid_complex(make):
         make()
     assert isinstance(info.value, TopologyError)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "tv, message",
+    [
+        ({1: (1, 2), "1": (3, 4)}, "top ids 1 and '1' both name top 1"),
+        ({"07": (1, 2), 3: (2, 3), 7: (3, 4)}, "top ids '07' and 7 both name top 7"),
+        ({1: ([1], 2)}, "simplex 1 holds an unhashable vertex id"),
+    ],
+    ids=["colliding-ids", "colliding-ids-apart", "unhashable-vertex"],
+)
+def test_invalid_complex_names_the_top(tv, message):
+    for validate in (True, False):
+        with pytest.raises(InvalidComplex, match=re.escape(message)):
+            Complex(tv, validate=validate)
 
 
 @pytest.mark.parametrize("row", [None, 5])
