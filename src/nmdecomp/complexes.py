@@ -18,14 +18,15 @@ The manifold-facet rule lives here too, on flat integer corners: corner
 start[i] + k is slot k of the i-th top in top_ids order (`corner_layout`).
 `corner_facets` adds the owner list, which maps each corner to the 1-based
 index of its top, the index TT entries use, and `facet_slots` maps every
-facet to the slots opposite it in its cofaces.  `canonical_pairs` keeps
+facet to the slots opposite it in its cofaces.  `_manifold_facets` keeps
 the facets that no other top contains, reading their two tops off the
-owner list, and `glued_corners` merges the corners of each such pair in a
-union-find parent array.  `decompose` turns those corner classes into
-vertices, and `Complex.is_iqm` asks for exactly one class per vertex, so both read the
-same rule.  Set-up makes one `facet_slots` pass, in `decompose`, whose
-table also gives the decomposition's TT relation; `Complex.classify`
-reads one such pass for every flag.  Manifold recognition builds no link:
+owner list: `canonical_pairs` lists their pairs, the ones
+`gluing.GluingState.pmglue` accepts, and `glue_pairs` merges the corners
+of each pair in a union-find parent array.  `decompose` turns those corner
+classes into vertices, and `Complex.is_iqm` asks for exactly one class per
+vertex, so all of them read the same rule.  Set-up makes one `facet_slots`
+pass, in `decompose`, whose table also gives the decomposition's TT
+relation; `Complex.classify` reads one such pass for every flag.  Manifold recognition builds no link:
 in 3-D it is the twice-chi count of vertex links (`twice_chi_misses`)
 that `nonmanifold.pinch_suspects` runs too, which
 `oracle.oracle_is_manifold` checks by classifying each link.
@@ -42,7 +43,6 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     DimensionUnsupported,
     InvalidComplex,
-    NotAFace,
     NotRegular,
     NotTop,
     ParseError,
@@ -57,6 +57,16 @@ Simplex = tuple  # sorted duplicate-free tuple of vertex ids
 def simplex(verts: Iterable[int]) -> Simplex:
     """Normalize an iterable of vertex ids into a sorted duplicate-free tuple."""
     return tuple(sorted(set(verts)))
+
+
+def _top_id(tid: object) -> int:
+    """tid as a top id: an int that is no bool, or a string int() reads."""
+    if isinstance(tid, (int, str)) and not isinstance(tid, bool):
+        try:
+            return int(tid)
+        except ValueError:
+            pass
+    raise InvalidComplex(f"top id {tid!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -105,16 +115,13 @@ class Complex:
                 raise InvalidComplex(f"simplex {tid!r} holds an unhashable vertex id") from None
             if repeated:
                 raise InvalidComplex(f"repeated vertex in simplex {tid}")
-            try:
-                store[int(tid)] = row
-            except (TypeError, ValueError):
-                raise InvalidComplex(f"top id {tid!r} is not an integer") from None
+            store[tid if type(tid) is int else _top_id(tid)] = row
         if len(store) < len(tv):  # two ids converted to one
             first: dict[int, object] = {}
             for tid in tv:
-                other = first.setdefault(int(tid), tid)
+                other = first.setdefault(_top_id(tid), tid)
                 if other != tid:
-                    raise InvalidComplex(f"top ids {other!r} and {tid!r} both name top {int(tid)}")
+                    raise InvalidComplex(f"top ids {other!r} and {tid!r} both name top {_top_id(tid)}")
         self._tv = store
         self._labels = dict(labels) if labels else None
         self._vt: dict[int, set[int]] | None = None
@@ -225,10 +232,7 @@ class Complex:
         return {v: self.label_of(v) for v in self._vertex_ids()}
 
     def _vertex_ids(self) -> Collection[int]:
-        """The vertices in order of first appearance, read off the rows
-        unless the vertex -> tops map already exists."""
-        if self._vt is not None:
-            return self._vt.keys()
+        """The vertices in order of first appearance, read off the rows."""
         return dict.fromkeys(itertools.chain.from_iterable(self._tv.values())).keys()
 
     def _vertex_tops(self) -> dict[int, set[int]]:
@@ -276,8 +280,8 @@ class Complex:
         top.  Tops of dimension < h hold no h-face, so they sit in singleton
         classes.
         """
-        if h < 0:
-            raise ValueError("h must be >= 0")
+        if type(h) is not int or h < 0:
+            raise InvalidComplex(f"h must be an int >= 0, got {h!r}")
         tops = self.top_ids
         parent = list(range(len(tops)))
         first: dict = {}  # h-face -> index of the first top holding it
@@ -341,7 +345,9 @@ class Complex:
         That is, gluing the exploded corners across manifold facet pairs
         leaves exactly one corner class per vertex.
         """
-        return self.is_regular() and _class_count(glued_corners(self)) == self.num_vertices
+        return self.is_regular() and (
+            _class_count(glue_pairs(self, *corner_facets(self))) == self.num_vertices
+        )
 
     def is_manifold(self) -> bool:
         """Combinatorial-manifold test, defined for d <= 3 only (see classify)."""
@@ -494,17 +500,6 @@ def canonical_pairs(c: Complex) -> set[frozenset]:
     }
 
 
-def glued_corners(c: Complex) -> list[int]:
-    """Class of each flat corner of c, glued across every canonical pair.
-
-    Corners are numbered as in `corner_layout`, and a class is named by its
-    smallest corner.  Each class is one vertex of the standard
-    decomposition, and c is an initial quasi-manifold when it is regular
-    with one class per vertex.
-    """
-    return glue_pairs(c, *corner_facets(c))
-
-
 def glue_pairs(
     c: Complex,
     flat: list[int],
@@ -513,11 +508,15 @@ def glue_pairs(
     slots: dict,
     tops: list[int] | None = None,
 ) -> list[int]:
-    """`glued_corners` over c's `corner_facets`.  Given a union-find parent
-    list over the 1-based top indices (entry 0 stays alone), it joins each
-    pair's tops there too, which leaves the 0-connected classes of the
-    decomposition: its tops share a vertex only through a chain of
-    canonical pairs.
+    """Class of each flat corner of c, glued across every canonical pair,
+    from c's `corner_facets`.
+
+    Corners are numbered as in `corner_layout`, and a class is named by its
+    smallest corner.  Each class is one vertex of the standard
+    decomposition.  Given a union-find parent list over the 1-based top
+    indices (entry 0 stays alone), it joins each pair's tops there too,
+    which leaves the 0-connected classes of the decomposition: its tops
+    share a vertex only through a chain of canonical pairs.
     """
     parent = list(range(len(flat)))
     index = flat.index

@@ -8,7 +8,7 @@ default shared NULL_COUNTER makes the common path branch-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

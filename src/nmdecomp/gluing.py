@@ -4,7 +4,10 @@ The state is a partition of the (top, slot) corners of the source.  Fully
 exploded, every corner is its own class; gluing instructions merge classes,
 never split them, so any run of instructions reaches a quotient of the
 source complex.
-Scripts drive the same operations from text files.
+Scripts drive the same operations from text files, and
+`oracle.random_complex` drives the lab to generate its complexes.
+`pmglue` accepts exactly `complexes.canonical_pairs`, the manifold-facet
+rule that `decompose` glues by.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complexes import Complex, corner_layout, resolve_tokens
+from .complexes import Complex, canonical_pairs, corner_layout, resolve_tokens
 from .decompose import DecompositionResult, decomposition_from_corners
 from .errors import (
     NotPseudomanifoldPair,
@@ -36,10 +39,7 @@ class GluingState:
         self._flat, start = corner_layout(source)
         self._first = dict(zip(source.top_ids, start))
         self._parent = list(range(len(self._flat)))
-
-    @classmethod
-    def totally_exploded(cls, source: Complex) -> "GluingState":
-        return cls(source)
+        self._pairs: set[frozenset] | None = None  # canonical_pairs, on the first pmglue
 
     def _glue_corners(self, t1: int, t2: int, shared: Iterable[int]) -> None:
         index, first = self._flat.index, self._first
@@ -67,23 +67,18 @@ class GluingState:
     def pmglue(self, t1: int, t2: int) -> None:
         """Glue along a shared facet of order two.
 
-        Both tops must have the same dimension d, share exactly d vertices,
-        and that facet must have no further cofaces in the source; this is
-        the static counterpart of a manifold-style face identification.
+        The two tops must be one of the source's `canonical_pairs`: they
+        share a facet that no other top contains.  This is the static
+        counterpart of a manifold-style face identification.
         """
         r1, r2 = self.source.row(t1), self.source.row(t2)
-        shared = set(r1) & set(r2)
-        d = len(r1) - 1
-        if (
-            d < 1
-            or len(r2) - 1 != d
-            or len(shared) != d
-            or len(self.source.star(sorted(shared))) != 2
-        ):
+        if self._pairs is None:
+            self._pairs = canonical_pairs(self.source)
+        if frozenset((t1, t2)) not in self._pairs:
             raise NotPseudomanifoldPair(
                 f"tops {t1} and {t2} do not meet along an order-2 facet"
             )
-        self._glue_corners(t1, t2, shared)
+        self._glue_corners(t1, t2, set(r1) & set(r2))
 
     # -- views -------------------------------------------------------------
 

@@ -88,6 +88,17 @@ def travel_star(
     return sorted(visited)
 
 
+def _copy_in(ewds: Ewds, sigma_n: list[int], gamma: Simplex, t: int) -> Simplex:
+    """The copy of source simplex gamma in packed top t, in packed ids,
+    ascending; raises NotIncident when t spans none."""
+    w, off = ewds.row_layout(t)
+    row = ewds.tvp[off + t * w : off + t * w + w]
+    cp = tuple(sorted([x for x in row if sigma_n[x] in gamma]))
+    if len(cp) != len(gamma):
+        raise NotIncident(f"top {t} spans no copy of {gamma}")
+    return cp
+
+
 def check_relation(gamma: Simplex, n: int, m: int) -> None:
     """Raise BadRelation unless n and m are ints with 0 <= n < m and the
     simplex gamma has n + 1 vertices."""
@@ -197,17 +208,6 @@ class NmLayer:
                 out.update([f for f in faces if gset.issubset(f)])
         return len(slices) * math.comb(free, need)
 
-    def _copy_in(self, gamma: Simplex, t: int) -> Simplex:
-        """The copy of source simplex gamma in packed top t, in packed ids,
-        ascending; raises NotIncident when t spans none."""
-        w, off = self.ewds.row_layout(t)
-        sigma_n = self.sigma_n
-        row = self.ewds.tvp[off + t * w : off + t * w + w]
-        cp = tuple(sorted([x for x in row if sigma_n[x] in gamma]))
-        if len(cp) != len(gamma):
-            raise NotIncident(f"top {t} spans no copy of {gamma}")
-        return cp
-
     def snh_given(
         self, gamma: Iterable[int], t: int, counter: OpCounter = NULL_COUNTER
     ) -> list[int]:
@@ -222,7 +222,7 @@ class NmLayer:
         gamma = simplex(gamma)
         if not gamma:
             raise InvalidComplex("star of the empty simplex is not defined")
-        cp = self._copy_in(gamma, t)
+        cp = _copy_in(self.ewds, self.sigma_n, gamma, t)
         reps = self.splitmap.get(gamma, {}).get(cp)
         tops = self.ewds.walk(set(cp), reps or (t,))
         counter.visits += len(tops)
@@ -267,7 +267,7 @@ class NmLayer:
                 hint = self.trie.lookup(gamma, counter)
             except NotInTrie:
                 return set()
-            copies = [(self._copy_in(gamma, hint), (hint,))]
+            copies = [(_copy_in(ew, self.sigma_n, gamma, hint), (hint,))]
         out: set[Simplex] = set()
         for cp, seeds in copies:
             w, off = ew.row_layout(next(iter(seeds)))
@@ -550,9 +550,7 @@ def build_splitmap(
         if len(reps) > 1:
             entry: dict[Simplex, set[int]] = {}
             for t in reps:
-                w, off = ewds.row_layout(t)
-                cp = [x for x in tvp[off + t * w : off + t * w + w] if sigma_n[x] in key]
-                entry.setdefault(tuple(sorted(cp)), set()).add(t)
+                entry.setdefault(_copy_in(ewds, sigma_n, key, t), set()).add(t)
             smap[key] = entry
     return smap
 

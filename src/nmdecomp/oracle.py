@@ -4,13 +4,17 @@ Everything here trades speed for obviousness: queries scan every top simplex,
 the decomposition follows its definition (split every vertex whose
 recursively decomposed link falls apart, then read off components), and the
 random generator produces complexes by explode-and-glue so results always
-live in the decomposition lattice of something.
+live in the decomposition lattice of something.  The generator drives the
+gluing lab (`gluing.GluingState`) with `veq` instructions and numbers its
+corner classes; the lab's `pmglue` accepts exactly
+`complexes.canonical_pairs`, the rule `decompose` glues by.
 
-The oracle shares three pieces with the main path: the Complex type, the
-result record, and `Complex.h_connected_components`, which the record uses
-to read components off nabla and the oracle uses to split links.  That
-finder runs on the list union-find that `decompose` uses too, so its
-independent check is the brute-force BFS of `test_components_match_bfs` in
+`oracle_decompose` uses no lab.  It shares three pieces with the main
+path: the Complex type, the result record, and
+`Complex.h_connected_components`, which the record uses to read
+components off nabla and the oracle uses to split links.  That finder
+runs on the list union-find that `decompose` uses too, so its independent
+check is the brute-force BFS of `test_components_match_bfs` in
 `tests/test_properties.py`.  `oracle_splitmap` walks patches with
 `nonmanifold.travel_star`, which runs `Ewds.walk`, the walk every query
 uses; `build_splitmap` walks none, so the two share no code past the
@@ -27,11 +31,11 @@ import random
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .complexes import Complex, Simplex, corner_layout, simplex
+from .complexes import Complex, Simplex, simplex
 from .decompose import DecompositionResult
 from .errors import DimensionUnsupported, NotAFace
+from .gluing import GluingState
 from .nonmanifold import Splitmap, travel_star
-from .unionfind import flatten, union_min
 from .winged import Ewds
 
 
@@ -316,13 +320,7 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
         row = next(r for r in cand if frozenset(r) == fs)
         rows[i] = row
     source = Complex(rows, validate=False)
-
-    flat, start = corner_layout(source)
-    first = dict(zip(source.top_ids, start))  # top -> its first corner
-    parent = list(range(len(flat)))
-
-    def glue(t1: int, t2: int, v: int) -> None:
-        union_min(parent, flat.index(v, first[t1]), flat.index(v, first[t2]))
+    state = GluingState(source)
 
     sharing = [
         (t1, t2)
@@ -335,22 +333,15 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
             shared = sorted(set(source.row(t1)) & set(source.row(t2)))
             if rng.random() < 0.7:
                 for v in shared:
-                    glue(t1, t2, v)
+                    state.veq(t1, t2, v)
             else:
-                glue(t1, t2, shared[rng.randrange(len(shared))])
+                state.veq(t1, t2, shared[rng.randrange(len(shared))])
 
-    root = flatten(parent)
-    classes: dict[int, dict] = {}
-    for t in source.top_ids:
-        for k, v in enumerate(source.row(t), start=first[t]):
-            classes.setdefault(v, {}).setdefault(root[k], set()).add(t)
+    # one id per class, by source vertex, then smallest top
     new_id: dict[tuple, int] = {}
-    counter = 0
-    for v in sorted(classes):
-        for tops in sorted(classes[v].values(), key=min):
-            counter += 1
-            for t in tops:
-                new_id[(t, v)] = counter
+    for n, (v, tops) in enumerate(sorted(state.corner_classes()), start=1):
+        for t in tops:
+            new_id[(t, v)] = n
     out_rows = {
         t: tuple(new_id[(t, v)] for v in source.row(t)) for t in source.top_ids
     }

@@ -28,12 +28,11 @@ one slice, in implicit top order.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import BadRenumbering, NotIqm, OutOfRange, UnknownTop, UnknownVertex
-from .winged import BOTTOM, DIAMOND, Ewds
+from .winged import BOTTOM, DIAMOND, Ewds, pack_dump
 
 MAGIC_IMPLICIT = b"EWD\x01"
 
@@ -80,10 +79,9 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     fvv = [0] * (nv + 1)  # 0 = unassigned, -1 = reserved for a seed slot
     perms: dict[int, tuple[int, ...]] = {}
 
-    cc = [0] * (d + 1)
+    cc = list(dec.cc)
     seeds: list[list[int]] = [[] for _ in range(d + 1)]
     for comp in dec.components:
-        cc[comp.dim] += 1
         seeds[comp.dim].append(ewds.top_new[comp.top_ids[0]])
     # components are vertex-disjoint and, being IQMs, each lies in one
     # block, so a vertex belongs to the block of its VTSTAR top
@@ -222,18 +220,9 @@ class ImplicitEwds:
     # -- serialization -----------------------------------------------------
 
     def dump_bytes(self) -> bytes:
-        head = struct.pack("<4sIII", MAGIC_IMPLICIT, self.d, self.nt, self.nv)
-        parts = [head]
-        for arr in (
-            self.tvpp[1:],
-            self.ttpp[1:],
-            self.tbase[: self.d + 1],
-            self.tbase_addr[: self.d + 1],
-            self.taddr,
-            self.vbase,
-        ):
-            parts.append(struct.pack(f"<{len(arr)}i", *arr))
-        return b"".join(parts)
+        d = self.d
+        tables = (self.tvpp[1:], self.ttpp[1:], self.tbase[: d + 1], self.tbase_addr[: d + 1])
+        return pack_dump(MAGIC_IMPLICIT, d, self.nt, self.nv, (*tables, self.taddr, self.vbase))
 
 
 def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:

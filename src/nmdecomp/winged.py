@@ -235,17 +235,19 @@ class Ewds:
     # -- serialization -----------------------------------------------------
 
     def dump_bytes(self) -> bytes:
-        head = struct.pack("<4sIII", MAGIC, self.d, self.nt, self.nv)
-        parts = [head]
-        for arr in (
-            self.tvp[1:],
-            self.ttp[1:],
-            self.vtstar[1:],
-            self.tbase[: self.d + 1],
-            self.tbase_addr[: self.d + 1],
-        ):
-            parts.append(struct.pack(f"<{len(arr)}i", *arr))
-        return b"".join(parts)
+        d = self.d
+        tables = (self.tvp[1:], self.ttp[1:], self.vtstar[1:], self.tbase[: d + 1])
+        return pack_dump(MAGIC, d, self.nt, self.nv, (*tables, self.tbase_addr[: d + 1]))
+
+
+def pack_dump(magic: bytes, d: int, nt: int, nv: int, arrays: Iterable[list[int]]) -> bytes:
+    """A binary dump: the `<4sIII` header of magic, d, nt and nv, then each
+    array as little-endian int32s, end to end.  Both dumps are written
+    here, and `parse_dump` reads the `Ewds` one back."""
+    parts = [struct.pack("<4sIII", magic, d, nt, nv)]
+    for arr in arrays:
+        parts.append(struct.pack(f"<{len(arr)}i", *arr))
+    return b"".join(parts)
 
 
 def parse_dump(data: bytes) -> dict:

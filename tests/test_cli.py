@@ -132,6 +132,16 @@ def test_decompose_outputs(tvfile, tmp_path, capsys):
     assert (outdir / "ewds.bin").read_bytes()[:4] == b"EWD\x00"
 
 
+def test_decompose_text_of_an_identity(tvfile, capsys):
+    code, out, _ = run(capsys, "decompose", tvfile("fix_a.tv"))
+    assert code == 0
+    assert out == (
+        "components: 1  cc: 0 0 0 1\n"
+        "decomposition is the identity: already initial quasi-manifold\n"
+        "NS: 0\nNC: 0\nNSP: 0\nphi: 0\nH_hat: 0.00\n"
+    )
+
+
 def test_decompose_components_parse_back(tvfile, tmp_path, capsys):
     from nmdecomp.complexes import parse_tv
 
@@ -323,6 +333,38 @@ def test_tables_json(capsys):
     assert doc["tbase"] == [1, 3, 5, 7]
     assert doc["tv"]["5"] == [6, 13, 8]
     assert doc["splitmap"]["6 8"] == {"6 8": [5], "14 15": [9]}
+
+
+def test_tables_json_fig_a_and_fig_b_opt(capsys):
+    code, out, _ = run(capsys, "tables", "--json", "fig-a")
+    assert code == 0
+    assert json.loads(out) == {
+        "figure": "fig-a",
+        "tv": {"1": [1, 2, 3, 4], "2": [2, 3, 4, 5], "3": [2, 4, 5, 6]},
+        "vtstar": [1, 1, 1, 1, 2, 3],
+        "tt": {"1": [2, 0, 0, 0], "2": [0, 3, 0, 1], "3": [0, 0, 0, 2]},
+    }
+    code, out, _ = run(capsys, "tables", "--json", "fig-b-opt")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {
+        "figure", "fvv", "ftt", "cc", "vbase", "taddr", "iibnd", "iitaddr",
+        "tvpp", "tv", "vtstar",
+    }
+    assert doc["figure"] == "fig-b-opt"
+    assert doc["fvv"] == [1, 2, 5, 3, 4, 8, 7, 6, 14, 13, 10, 15, 9, 11, 12]
+    assert doc["tvpp"] == [3, 8, 9, 14, 15, 10, 14, 10, 11]
+    assert doc["vtstar"] == [1, 2, 3, 4, 3, 5, 6, 5, 5, 7, 8, 9, 7, 7, 7]
+    assert doc["cc"] == [2, 1, 1, 1]
+
+
+def test_gen_json(capsys):
+    code, out, _ = run(capsys, "gen", "--json", "--seed", "3", "--max-tops", "5", "--dim", "2")
+    assert code == 0
+    text = run(capsys, "gen", "--seed", "3", "--max-tops", "5", "--dim", "2")[1]
+    assert json.loads(out) == {
+        "seed": 3, "num_tops": 2, "dim": 2, "num_vertices": 5, "tv": text,
+    }
 
 
 def test_gen_roundtrip(tmp_path, capsys):

@@ -20,6 +20,7 @@ from nmdecomp.meshes import kuhn_brick, kuhn_cube
 from nmdecomp.oracle import random_complex
 from nmdecomp.errors import (
     InvalidComplex,
+    NotRegular,
     NotTop,
     ParseError,
     TopologyError,
@@ -365,6 +366,8 @@ def test_maximality_matches_reference(seed, d, inject, empty):
         lambda: Complex({"a": (1,)}),
         lambda: Complex({1: (1, 2)}).star(()),
         lambda: decompose(Complex({1: ("x", "y")})),
+        lambda: Complex({1: (1, 2)}).h_connected_components(-1),
+        lambda: Complex({1: (1, 2)}).h_connected_components(1.5),
     ],
     ids=[
         "empty-top",
@@ -373,6 +376,8 @@ def test_maximality_matches_reference(seed, d, inject, empty):
         "top-id-not-int",
         "star-of-nothing",
         "vertex-not-int",
+        "h-negative",
+        "h-not-int",
     ],
 )
 def test_bad_input_raises_invalid_complex(make):
@@ -388,8 +393,19 @@ def test_bad_input_raises_invalid_complex(make):
         ({1: (1, 2), "1": (3, 4)}, "top ids 1 and '1' both name top 1"),
         ({"07": (1, 2), 3: (2, 3), 7: (3, 4)}, "top ids '07' and 7 both name top 7"),
         ({1: ([1], 2)}, "simplex 1 holds an unhashable vertex id"),
+        # only ints and strings that int() reads name tops
+        ({1.5: (1, 2)}, "top id 1.5 is not an integer"),
+        ({2.0: (1, 2)}, "top id 2.0 is not an integer"),
+        ({True: (1, 2)}, "top id True is not an integer"),
     ],
-    ids=["colliding-ids", "colliding-ids-apart", "unhashable-vertex"],
+    ids=[
+        "colliding-ids",
+        "colliding-ids-apart",
+        "unhashable-vertex",
+        "float-id",
+        "integral-float-id",
+        "bool-id",
+    ],
 )
 def test_invalid_complex_names_the_top(tv, message):
     for validate in (True, False):
@@ -494,7 +510,9 @@ def test_non_pseudomanifold_faces(cones, fan):
     assert fan.non_pseudomanifold_faces() == {}
 
 
-def test_boundary_and_euler(fan):
+def test_boundary_and_euler(fan, mixed):
+    with pytest.raises(NotRegular):
+        mixed.boundary()
     # solid ball: its boundary is a 2-sphere worth of triangles
     bnd = fan.boundary()
     assert all(len(f) == 3 for f in bnd)

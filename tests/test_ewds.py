@@ -199,6 +199,11 @@ def test_dump_roundtrip(ew_mixed, ew_fan):
         pytest.param(lambda b: b"", id="empty"),
         pytest.param(lambda b: b + b"\0", id="pad-1"),
         pytest.param(lambda b: b + b"\0" * 4, id="pad-4"),
+        # directories intact, one int more than they describe before them
+        pytest.param(
+            lambda b: b[: -8 * (b[4] + 1)] + bytes(4) + b[-8 * (b[4] + 1) :],
+            id="int-before-dirs",
+        ),
         pytest.param(lambda b: b"EWD\x01" + b[4:], id="bad-magic"),
     ],
 )

@@ -14,7 +14,7 @@ from nmdecomp.gluing import GluingState, parse_glue_script, run_glue_script
 
 
 def test_exploded_start(claw):
-    st = GluingState.totally_exploded(claw)
+    st = GluingState(claw)
     # one corner class per (top, vertex) incidence
     assert all(len(ts) == 1 for _, ts in st.corner_classes())
     assert st.splitting_vertices() == [
@@ -23,7 +23,7 @@ def test_exploded_start(claw):
 
 
 def test_veq_merges_single_vertex(claw):
-    st = GluingState.totally_exploded(claw)
+    st = GluingState(claw)
     st.veq(1, 2, 1)  # token j
     assert [1, 2] in st.classes_of_vertex(1)
     # k remains split
@@ -31,20 +31,20 @@ def test_veq_merges_single_vertex(claw):
 
 
 def test_veq_requires_shared_vertex(claw):
-    st = GluingState.totally_exploded(claw)
+    st = GluingState(claw)
     with pytest.raises(NotSharedVertex):
         st.veq(1, 4, 6)  # q not in top 4
 
 
 def test_veq_idempotent(claw):
-    st = GluingState.totally_exploded(claw)
+    st = GluingState(claw)
     st.veq(1, 2, 1)
     st.veq(1, 2, 1)  # silently no-ops
     assert [1, 2] in st.classes_of_vertex(1)
 
 
 def test_glue_merges_all_shared(claw):
-    st = GluingState.totally_exploded(claw)
+    st = GluingState(claw)
     st.glue(1, 2)  # share j and k
     assert [1, 2] in st.classes_of_vertex(1)
     assert [1, 2] in st.classes_of_vertex(2)
@@ -52,28 +52,28 @@ def test_glue_merges_all_shared(claw):
 
 def test_glue_disjoint_is_void():
     c = parse_tv("simplex 1: 1 2\nsimplex 2: 3 4\n")
-    st = GluingState.totally_exploded(c)
+    st = GluingState(c)
     with pytest.raises(VoidInstruction):
         st.glue(1, 2)
 
 
 def test_pmglue_accepts_order2_facets(claw):
-    st = GluingState.totally_exploded(claw)
+    st = GluingState(claw)
     st.pmglue(2, 4)  # triangles 2,4 share edge {j,l} of order 2
     assert [2, 4] in st.classes_of_vertex(1)
 
 
 def test_pmglue_rejects_bad_pairs(claw, fan):
-    st = GluingState.totally_exploded(claw)
+    st = GluingState(claw)
     # tops 1,2 share {j,k}, but {j,k} has order 3: not a pseudomanifold pair
     with pytest.raises(NotPseudomanifoldPair):
         st.pmglue(1, 2)
     # dim-0 tops can never pmglue
     pts = parse_tv("simplex 1: 1\nsimplex 2: 2\n")
     with pytest.raises(NotPseudomanifoldPair):
-        GluingState.totally_exploded(pts).pmglue(1, 2)
+        GluingState(pts).pmglue(1, 2)
     # tets of the fan do pmglue along their shared triangles
-    st = GluingState.totally_exploded(fan)
+    st = GluingState(fan)
     st.pmglue(1, 2)
     st.pmglue(2, 3)
     assert st.is_isomorphic_to_source()
@@ -174,7 +174,7 @@ def test_partial_cone_script(cones, cones_partial_script):
 def test_exploded_decomposition_matches_decompose(mixed):
     # gluing back every canonical pair from the exploded state reproduces
     # the standard decomposition
-    st = GluingState.totally_exploded(mixed)
+    st = GluingState(mixed)
     for pair in sorted(canonical_pairs(mixed), key=sorted):
         t1, t2 = sorted(pair)
         st.glue(t1, t2)

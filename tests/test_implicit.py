@@ -264,6 +264,9 @@ def test_lookup_guards(imp_mixed):
         imp.tv_lookup(2, 5, 4)
     with pytest.raises(OutOfRange):
         imp.tv_lookup(3, 6, 1)
+    for h in (-1, imp.d + 1):
+        with pytest.raises(OutOfRange, match="dimension"):
+            imp.tv_lookup(h, 1, 1)
     # as Ewds.row_of: a top outside 1..NT is unknown
     for t in (0, -1, imp.nt + 1, imp.nt + 2):
         with pytest.raises(UnknownTop):
@@ -305,7 +308,7 @@ def test_glued_decomposition_is_checked_then_encoded_as_decompose(name, request,
     # gluing every canonical pair back reaches decompose's result, but
     # without its IQM record, so the encoding checks each component first
     c = request.getfixturevalue(name)
-    state = GluingState.totally_exploded(c)
+    state = GluingState(c)
     for pair in sorted(canonical_pairs(c), key=sorted):
         state.pmglue(*sorted(pair))
     got, want = state.current_decomposition(), decompose(c)
@@ -325,7 +328,7 @@ def test_glued_decomposition_is_checked_then_encoded_as_decompose(name, request,
 
 def test_glued_bowtie_is_not_iqm():
     # two triangles glued at their one shared vertex: a pinch in one component
-    state = GluingState.totally_exploded(parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n"))
+    state = GluingState(parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n"))
     state.veq(1, 2, 3)
     with pytest.raises(NotIqm, match="top 1 "):
         compute_renumbering(Ewds.build(state.current_decomposition()))

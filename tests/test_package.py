@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names, and the names its modules import."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,23 @@ def test_names_the_benchmark_reads(monkeypatch):
     # the traced run passes its harvest counter fifth, positionally
     args = (nm.ewds, nm.sigma_n, nm.copies_of, nm.v_nra)
     assert nonmanifold.build_splitmap(*args, OpCounter()) == nonmanifold.build_splitmap(*args)
+
+
+def test_modules_read_every_import():
+    # no linter runs on the package, so this stands in for its unused-import
+    # rule: a module-level import whose name the module never reads
+    unused = []
+    for path in sorted(Path(nmdecomp.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

@@ -365,7 +365,7 @@ def test_vtstar_is_first_facet_rule(seed, d):
 def test_exploded_gluing_matches_decompose(seed, d):
     # the gluing lab's corner union-find and decompose's facet pass agree
     c = draw(seed, d)
-    st = GluingState.totally_exploded(c)
+    st = GluingState(c)
     for pair in sorted(canonical_pairs(c), key=sorted):
         st.pmglue(*sorted(pair))
     got, want = st.current_decomposition(), decompose(c)
