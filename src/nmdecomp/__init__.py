@@ -45,7 +45,6 @@ from .nonmanifold import (
     build_ft_trie,
     build_nm_layer,
     build_splitmap,
-    travel_star,
 )
 from .oracle import (
     labeled_isomorphic,
@@ -114,5 +113,4 @@ __all__ = [
     "run_glue_script",
     "simplex",
     "token_map",
-    "travel_star",
 ]

@@ -41,9 +41,7 @@ from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
-    DimensionUnsupported,
     InvalidComplex,
-    NotRegular,
     NotTop,
     ParseError,
     UnknownToken,
@@ -312,8 +310,9 @@ class Complex:
         return self._classify(*corner_facets(self))
 
     def classify_with_faces(self) -> tuple[ClassifyFlags, dict[Simplex, list[int]]]:
-        """classify() and non_pseudomanifold_faces() from one facet pass,
-        which is what `nmdecomp check` reports."""
+        """classify() and the (d-1)-faces of order > 2, each with its sorted
+        coface list, from one facet pass, which is what `nmdecomp check`
+        reports."""
         flat, start, owner, slots = corner_facets(self)
         return self._classify(flat, start, owner, slots), self._high_order_facets(owner, slots)
 
@@ -349,17 +348,6 @@ class Complex:
             _class_count(glue_pairs(self, *corner_facets(self))) == self.num_vertices
         )
 
-    def is_manifold(self) -> bool:
-        """Combinatorial-manifold test, defined for d <= 3 only (see classify)."""
-        if self.dim > 3:
-            raise DimensionUnsupported("manifold recognition not attempted for d > 3")
-        return self.classify().manifold_le3
-
-    def non_pseudomanifold_faces(self) -> dict[Simplex, list[int]]:
-        """(d-1)-faces of order > 2 with their sorted coface lists."""
-        _, _, owner, slots = corner_facets(self)
-        return self._high_order_facets(owner, slots)
-
     def _high_order_facets(self, owner: list[int], slots: dict) -> dict[Simplex, list[int]]:
         d = self.dim
         tops = self.top_ids
@@ -369,13 +357,6 @@ class Complex:
             for f, ks in slots.items()
             if len(f) == d and type(ks) is tuple and len(ks) > 2
         }
-
-    def boundary(self) -> set[Simplex]:
-        """(d-1)-faces with exactly one top coface."""
-        if not self.is_regular():
-            raise NotRegular("boundary is defined for regular complexes")
-        *_, slots = corner_facets(self)
-        return {f for f, k in slots.items() if type(k) is int}
 
     # -- misc --------------------------------------------------------------
 

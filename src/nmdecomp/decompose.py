@@ -1,6 +1,6 @@
 """Standard decomposition into initial quasi-manifold components.
 
-`complexes.glued_corners` explodes the input into flat integer corners,
+`complexes.glue_pairs` explodes the input into flat integer corners,
 one per slot of each top, and glues them back across every manifold facet
 pair: two tops sharing a facet that no other top contains.  Here each
 corner class becomes one vertex of the decomposition, which is the unique

@@ -38,10 +38,6 @@ class NotAFace(TopologyError):
     """The given simplex is not a face of any top simplex."""
 
 
-class NotRegular(TopologyError):
-    """Operation requires a uniformly d-dimensional complex."""
-
-
 class DimensionUnsupported(TopologyError):
     """Manifold recognition is only attempted for d <= 3."""
 

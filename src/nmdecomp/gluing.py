@@ -98,13 +98,6 @@ class GluingState:
                 by_root.setdefault(roots[k], (flat[k], []))[1].append(t)
         return sorted(by_root.values(), key=lambda c: (c[1][0], c[0]))
 
-    def classes_of_vertex(self, v: int) -> list[list[int]]:
-        """Corner classes of one source vertex, as sorted top-id lists."""
-        return sorted(
-            (tops for w, tops in self.corner_classes() if w == v),
-            key=lambda tops: tops[0],
-        )
-
     def splitting_vertices(self) -> list[int]:
         """Source vertices currently present in more than one class."""
         count: dict[int, int] = {}

@@ -20,7 +20,7 @@ parts of its star meet in the simplex but share no facet through it.
 The harvest marks the copies of the paper's v_nra set, which covers the
 first two, and of the vertices that one counting pass over the tables
 (pinch_suspects, the twice-chi count of vertex links that
-`Complex.is_manifold` also runs) finds where a pinch may be.  One pass
+`Complex.classify` also runs) finds where a pinch may be.  One pass
 over the rows of each block reads, in every row that holds a marked
 copy, the faces that hold one, and it walks no star and no patch: the
 patches of a face short of a facet are union-find classes of its (top,
@@ -56,36 +56,11 @@ from typing import Iterable
 from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
-from .errors import BadRelation, InvalidComplex, NotIncident, NotInTrie
+from .errors import BadRelation, NotIncident, NotInTrie
 from .unionfind import union_min
 from .winged import DIAMOND, Ewds
 
 Splitmap = dict[Simplex, dict[Simplex, set[int]]]
-
-
-def travel_star(
-    ewds: Ewds,
-    gamma: Iterable[int],
-    t: int,
-    counter: OpCounter = NULL_COUNTER,
-) -> list[int]:
-    """Tops reachable from t across facets containing gamma, ascending.
-
-    gamma is given in packed vertex ids and must be a non-empty part of
-    t's row.  Crossing only order-2 facets, `Ewds.walk` covers one
-    adjacency patch of gamma's star.  Each visited top spans gamma and
-    counts one visit and one expansion per slot outside gamma.
-    """
-    gset = set(gamma)
-    if not gset:
-        raise InvalidComplex("star of the empty simplex is not defined")
-    w, off = ewds.row_layout(t)
-    if not gset.issubset(ewds.tvp[off + t * w : off + t * w + w]):
-        raise NotIncident(f"simplex {sorted(gset)} is not spanned by top {t}")
-    visited = ewds.walk(gset, (t,))
-    counter.visits += len(visited)
-    counter.expansions += len(visited) * (w - len(gset))
-    return sorted(visited)
 
 
 def _copy_in(ewds: Ewds, sigma_n: list[int], gamma: Simplex, t: int) -> Simplex:
@@ -207,27 +182,6 @@ class NmLayer:
                 gset = set(gamma)
                 out.update([f for f in faces if gset.issubset(f)])
         return len(slices) * math.comb(free, need)
-
-    def snh_given(
-        self, gamma: Iterable[int], t: int, counter: OpCounter = NULL_COUNTER
-    ) -> list[int]:
-        """Star tops of the copy of source simplex gamma living in top t.
-
-        `Ewds.walk` starts from the splitmap representatives of that copy
-        when gamma is a key (its star may fall into several patches), from
-        t itself otherwise: the splitmap records every simplex with a split
-        star, so the walk reaches the copy's whole star either way.  Ticks
-        the counter as travel_star does.
-        """
-        gamma = simplex(gamma)
-        if not gamma:
-            raise InvalidComplex("star of the empty simplex is not defined")
-        cp = _copy_in(self.ewds, self.sigma_n, gamma, t)
-        reps = self.splitmap.get(gamma, {}).get(cp)
-        tops = self.ewds.walk(set(cp), reps or (t,))
-        counter.visits += len(tops)
-        counter.expansions += len(tops) * (self.ewds.dim_of_top(t) + 1 - len(cp))
-        return sorted(tops)
 
     def snm_global(
         self,

@@ -16,10 +16,9 @@ components off nabla and the oracle uses to split links.  That finder
 runs on the list union-find that `decompose` uses too, so its independent
 check is the brute-force BFS of `test_components_match_bfs` in
 `tests/test_properties.py`.  `oracle_splitmap` walks patches with
-`nonmanifold.travel_star`, which runs `Ewds.walk`, the walk every query
-uses; `build_splitmap` walks none, so the two share no code past the
-packed tables.  `oracle_is_manifold`
-classifies every vertex link as a surface, where `Complex.is_manifold`
+`Ewds.walk`, the walk every query uses; `build_splitmap` walks none, so
+the two share no code past the packed tables.  `oracle_is_manifold`
+classifies every vertex link as a surface, where `Complex.classify`
 counts 2E - T - B per vertex (`complexes.twice_chi_misses`): the two share
 the count's inputs, not its code.
 """
@@ -33,9 +32,9 @@ from typing import Iterable, Mapping
 
 from .complexes import Complex, Simplex, simplex
 from .decompose import DecompositionResult
-from .errors import DimensionUnsupported, NotAFace
+from .errors import DimensionUnsupported, InvalidComplex, NotAFace
 from .gluing import GluingState
-from .nonmanifold import Splitmap, travel_star
+from .nonmanifold import Splitmap
 from .winged import Ewds
 
 
@@ -127,9 +126,9 @@ def oracle_splitmap(ewds: Ewds, sigma_n: list[int]) -> Splitmap:
     """The splitmap by walking the patch of every face of every top.
 
     For every packed top and every subset of 2..w-1 of its slots,
-    travel_star gives the patch of that face.  Patches are grouped by
-    source key and copy, each represented by its smallest top, and a key
-    is kept when it has more than one copy or more than one patch.
+    `Ewds.walk` from that top gives the patch of that face.  Patches are
+    grouped by source key and copy, each represented by its smallest top,
+    and a key is kept when it has more than one copy or more than one patch.
     """
     found: Splitmap = {}
     for t in range(1, ewds.nt + 1):
@@ -137,7 +136,7 @@ def oracle_splitmap(ewds: Ewds, sigma_n: list[int]) -> Splitmap:
         for r in range(2, len(row)):
             for cp in itertools.combinations(row, r):
                 key = tuple(sorted(sigma_n[x] for x in cp))
-                rep = min(travel_star(ewds, cp, t))
+                rep = min(ewds.walk(set(cp), (t,)))
                 found.setdefault(key, {}).setdefault(cp, set()).add(rep)
     return {
         key: entry
@@ -296,7 +295,11 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
     Random top simplices over a small vertex pool are exploded and partially
     reglued with a random instruction mix, and the resulting decomposition is
     returned; by construction it is a member of a decomposition lattice.
+    Raises InvalidComplex, before drawing, unless max_tops and d are ints
+    with max_tops >= 1 and d >= 0.
     """
+    if type(max_tops) is not int or type(d) is not int or max_tops < 1 or d < 0:
+        raise InvalidComplex(f"need ints max_tops >= 1 and d >= 0, got {max_tops!r} and {d!r}")
     rng = random.Random(seed)
     nt = rng.randint(1, max_tops)
     pool = list(range(1, rng.randint(d + 2, 3 * (d + 1)) + 1))

@@ -13,8 +13,10 @@ slot k: 0 means the facet is on the boundary, -1 that it has three or more
 cofaces and adjacency is not a function there.
 
 `Ewds.walk` is the package's one TTP flood: from seed tops across the
-facets that contain a given simplex.  S0h is VTSTAR plus that walk, and
-the non-manifold layer walks the star of every query through it too.
+facets that contain a given simplex.  The walk from VTSTAR[v] across
+facets that hold v covers v's star in its component, since every component
+is an initial quasi-manifold, and the non-manifold layer walks the star of
+every query through it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable
 
-from .counters import NULL_COUNTER, OpCounter
 from .decompose import BOTTOM, DIAMOND, DecompositionResult
 from .errors import ParseError, UnknownTop, UnknownVertex
 
@@ -216,21 +217,6 @@ class Ewds:
                         seen.add(u)
                         stack.append(u)
         return seen
-
-    def s0h(self, v: int, counter: OpCounter = NULL_COUNTER) -> list[int]:
-        """All tops of v's component incident to v, ascending.
-
-        S0h is VTSTAR plus `walk`: the walk from v's VTSTAR top across
-        facets containing v stays correct exactly when the star of v is
-        manifold-connected, which initial quasi-manifolds guarantee.
-        Counts one visit per top and one expansion per slot of each
-        visited top.
-        """
-        start = self.vtstar_of(v)
-        seen = self.walk({v}, (start,))
-        counter.visits += len(seen)
-        counter.expansions += len(seen) * (self.dim_of_top(start) + 1)
-        return sorted(seen)
 
     # -- serialization -----------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Face counts that only tests ask of a complex."""
 
+from collections import Counter
 from itertools import combinations
 
 
@@ -16,3 +17,9 @@ def faces_of_dim(c, m):
         if len(row) >= m + 1:
             out.update(combinations(row, m + 1))
     return out
+
+
+def boundary(c):
+    """(d-1)-faces of a regular complex c with exactly one top coface."""
+    cofaces = Counter(f for t in c.top_ids for f in combinations(sorted(c.row(t)), c.dim))
+    return {f for f, n in cofaces.items() if n == 1}

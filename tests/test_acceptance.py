@@ -122,7 +122,7 @@ def test_criterion_05_cone_script_and_check(cones, cones_script):
     assert any(e.kind == "assert-pass" for e in out.events)
     assert out.state.is_isomorphic_to_source()
     assert out.state.splitting_vertices() == []
-    npf = cones.non_pseudomanifold_faces()
+    npf = cones.classify_with_faces()[1]
     xyz = resolve_tokens(cones, ["x", "y", "z"])
     assert set(npf) == {xyz}
     assert sorted(npf[xyz]) == [34, 35, 36]
@@ -145,7 +145,7 @@ def test_criterion_06_partial_cone_script(cones, cones_partial_script):
         1, 2, 3, 7, 8, 9, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
         26, 27, 28, 29, 30, 31, 32, 33,
     ]
-    assert dec.nabla.non_pseudomanifold_faces() == {}
+    assert dec.nabla.classify_with_faces()[1] == {}
 
 
 def test_criterion_07_small_fixture_decompositions(bouquet, two_edges, pinched):

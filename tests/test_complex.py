@@ -20,13 +20,12 @@ from nmdecomp.meshes import kuhn_brick, kuhn_cube
 from nmdecomp.oracle import random_complex
 from nmdecomp.errors import (
     InvalidComplex,
-    NotRegular,
     NotTop,
     ParseError,
     TopologyError,
     UnknownToken,
 )
-from helpers import faces_of_dim, order_of
+from helpers import boundary, faces_of_dim, order_of
 
 
 def test_parse_numeric_tokens_keep_ids(fan):
@@ -499,22 +498,22 @@ def test_classify_reads_one_facet_pass(monkeypatch, fan, mixed, cones, pinched, 
         calls.clear()
         flags, npm = c.classify_with_faces()
         assert len(calls) == 1
-        assert (flags, npm) == (c.classify(), c.non_pseudomanifold_faces())
+        assert flags == c.classify()
+        stars = {f: sorted(c.star(f)) for f in faces_of_dim(c, c.dim - 1)}
+        assert npm == {f: tops for f, tops in stars.items() if len(tops) > 2}
 
 
 def test_non_pseudomanifold_faces(cones, fan):
-    npm = cones.non_pseudomanifold_faces()
+    npm = cones.classify_with_faces()[1]
     xyz = resolve_tokens(cones, ["x", "y", "z"])
     assert set(npm) == {xyz}
     assert npm[xyz] == [34, 35, 36]
-    assert fan.non_pseudomanifold_faces() == {}
+    assert fan.classify_with_faces()[1] == {}
 
 
-def test_boundary_and_euler(fan, mixed):
-    with pytest.raises(NotRegular):
-        mixed.boundary()
+def test_boundary_and_euler(fan):
     # solid ball: its boundary is a 2-sphere worth of triangles
-    bnd = fan.boundary()
+    bnd = boundary(fan)
     assert all(len(f) == 3 for f in bnd)
     assert len(bnd) == 8
     verts = {v for f in bnd for v in f}

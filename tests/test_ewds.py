@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from nmdecomp import complexes
 from nmdecomp.complexes import Complex, facet_slots, format_tv, parse_tv
-from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import ParseError, UnknownTop, UnknownVertex
 from nmdecomp.meshes import kuhn_cube
@@ -164,13 +163,14 @@ def test_diamond_marks(cones):
 
 
 def test_s0h_walks(ew_mixed):
-    assert ew_mixed.s0h(7) == [6]
-    assert ew_mixed.s0h(9) == [7, 8, 9]
-    assert ew_mixed.s0h(1) == [1]
-    assert ew_mixed.s0h(13) == [5, 6]
-    counter = OpCounter()
-    ew_mixed.s0h(9, counter)
-    assert counter.visits == 3
+    # S0h: the walk from a vertex's VTSTAR top across the facets holding it
+    def s0h(v):
+        return sorted(ew_mixed.walk({v}, (ew_mixed.vtstar[v],)))
+
+    assert s0h(7) == [6]
+    assert s0h(9) == [7, 8, 9]
+    assert s0h(1) == [1]
+    assert s0h(13) == [5, 6]
 
 
 def test_dump_roundtrip(ew_mixed, ew_fan):

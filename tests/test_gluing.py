@@ -13,21 +13,26 @@ from nmdecomp.errors import (
 from nmdecomp.gluing import GluingState, parse_glue_script, run_glue_script
 
 
+def classes_of(state, v):
+    """The corner classes of source vertex v, as sorted top-id lists."""
+    return [tops for w, tops in state.corner_classes() if w == v]
+
+
 def test_exploded_start(claw):
     st = GluingState(claw)
     # one corner class per (top, vertex) incidence
     assert all(len(ts) == 1 for _, ts in st.corner_classes())
     assert st.splitting_vertices() == [
-        v for v in claw.vertices if len(st.classes_of_vertex(v)) > 1
+        v for v in claw.vertices if len(classes_of(st, v)) > 1
     ]
 
 
 def test_veq_merges_single_vertex(claw):
     st = GluingState(claw)
     st.veq(1, 2, 1)  # token j
-    assert [1, 2] in st.classes_of_vertex(1)
+    assert [1, 2] in classes_of(st, 1)
     # k remains split
-    assert all(len(cls) == 1 for cls in st.classes_of_vertex(2))
+    assert all(len(cls) == 1 for cls in classes_of(st, 2))
 
 
 def test_veq_requires_shared_vertex(claw):
@@ -40,14 +45,14 @@ def test_veq_idempotent(claw):
     st = GluingState(claw)
     st.veq(1, 2, 1)
     st.veq(1, 2, 1)  # silently no-ops
-    assert [1, 2] in st.classes_of_vertex(1)
+    assert [1, 2] in classes_of(st, 1)
 
 
 def test_glue_merges_all_shared(claw):
     st = GluingState(claw)
     st.glue(1, 2)  # share j and k
-    assert [1, 2] in st.classes_of_vertex(1)
-    assert [1, 2] in st.classes_of_vertex(2)
+    assert [1, 2] in classes_of(st, 1)
+    assert [1, 2] in classes_of(st, 2)
 
 
 def test_glue_disjoint_is_void():
@@ -60,7 +65,7 @@ def test_glue_disjoint_is_void():
 def test_pmglue_accepts_order2_facets(claw):
     st = GluingState(claw)
     st.pmglue(2, 4)  # triangles 2,4 share edge {j,l} of order 2
-    assert [2, 4] in st.classes_of_vertex(1)
+    assert [2, 4] in classes_of(st, 1)
 
 
 def test_pmglue_rejects_bad_pairs(claw, fan):
@@ -168,7 +173,7 @@ def test_partial_cone_script(cones, cones_partial_script):
         26, 27, 28, 29, 30, 31, 32, 33,
     ]
     # each pasted strip is now pseudomanifold on its own
-    assert dec.nabla.non_pseudomanifold_faces() == {}
+    assert dec.nabla.classify_with_faces()[1] == {}
 
 
 def test_exploded_decomposition_matches_decompose(mixed):

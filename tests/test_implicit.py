@@ -41,7 +41,7 @@ def reference_compute_renumbering(ewds: Ewds) -> Renumbering:
     for v in ewds.tvp[1:]:
         star[v] += 1
     for v in range(1, ewds.nv + 1):
-        reached = len(ewds.s0h(v))
+        reached = len(ewds.walk({v}, (ewds.vtstar[v],)))
         if reached != star[v]:
             raise NotIqm(f"facet flood of vertex {ewds.vertex_old[v]} falls short")
 

@@ -8,9 +8,9 @@ import pytest
 from nmdecomp.complexes import Complex, resolve_tokens
 from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import BadRelation, InvalidComplex, NotIncident
+from nmdecomp.errors import BadRelation, NotIncident
 from nmdecomp.meshes import kuhn_cube
-from nmdecomp.nonmanifold import build_nm_layer, build_splitmap, pinch_suspects, travel_star
+from nmdecomp.nonmanifold import _copy_in, build_nm_layer, build_splitmap, pinch_suspects
 from nmdecomp.oracle import oracle_snm, oracle_splitmap, oracle_star, random_complex
 from nmdecomp.winged import Ewds
 
@@ -23,26 +23,6 @@ def nm_mixed(mixed):
 @pytest.fixture(scope="module")
 def nm_cones(cones):
     return build_nm_layer(Ewds.build(decompose(cones)))
-
-
-@pytest.mark.parametrize(
-    "star",
-    [
-        lambda nm: travel_star(nm.ewds, [], 1),
-        lambda nm: nm.snh_given([], 1),
-        lambda nm: nm.snh_given((), 2),
-    ],
-    ids=["travel_star", "snh_given", "snh_given-top-2"],
-)
-def test_star_of_the_empty_simplex_is_refused(star):
-    # an empty gamma is spanned by every top: refused, as Complex.star does,
-    # not answered with the whole component
-    strip = Complex({1: (1, 2, 3), 2: (2, 3, 4)})
-    nm = build_nm_layer(Ewds.build(decompose(strip)))
-    with pytest.raises(InvalidComplex):
-        star(nm)
-    with pytest.raises(InvalidComplex):
-        strip.star(())
 
 
 def test_v_nra_auto_mixed(nm_mixed):
@@ -71,35 +51,24 @@ def test_splitmap_cones(nm_cones, cones):
 
 def test_travel_star_is_one_patch(nm_cones, cones):
     ew = nm_cones.ewds
-    xyz = resolve_tokens(cones, ["x", "y", "z"])
+    xyz = resolve_tokens(cones, ["x", "y", "z"])  # the packing keeps these ids
     t34 = ew.top_new[34]
-    visited = travel_star(ew, xyz, t34)
     # the diamond mark fences each cavity tet into its own patch
-    assert visited == [t34]
-    with pytest.raises(NotIncident):
-        travel_star(ew, (1, 2), t34)
+    assert ew.walk(set(xyz), (t34,)) == {t34}
 
 
 def test_travel_star_covers_the_patch(nm_mixed):
     # tops 7,8 share the order-2 triangle {9,12,11}, so the patch of the
     # edge {9,11} spans all three tets
-    assert set(travel_star(nm_mixed.ewds, (9, 11), 8)) == {7, 8, 9}
+    assert nm_mixed.ewds.walk({9, 11}, (8,)) == {7, 8, 9}
 
 
-def test_snh_given_cones(nm_cones, cones):
-    # tops are addressed in packed ids; the cavity tets sit at the tail
+def test_copy_in_names_the_copy_a_top_spans(nm_cones, cones):
     ew = nm_cones.ewds
     xyz = resolve_tokens(cones, ["x", "y", "z"])
-    got = nm_cones.snh_given(xyz, ew.top_new[34])
-    assert sorted(ew.top_old[t] for t in got) == [34, 35, 36]
+    assert _copy_in(ew, nm_cones.sigma_n, xyz, ew.top_new[34]) == xyz
     with pytest.raises(NotIncident):
-        nm_cones.snh_given(xyz, ew.top_new[1])
-
-
-def test_snh_given_mixed(nm_mixed):
-    # key simplex: reaches both tops of its patch set
-    assert nm_mixed.snh_given((6, 8), 5) == [5]
-    assert nm_mixed.snh_given((9, 11), 8) == [7, 8, 9]
+        _copy_in(ew, nm_cones.sigma_n, xyz, ew.top_new[1])
 
 
 def test_snm_global_mixed_all_faces(nm_mixed, mixed):
@@ -128,14 +97,9 @@ def _check_all_faces(nm, src):
             assert nm.snm_global(gamma, n, m) == set()
 
 
-def test_queries_walk_no_s0h(monkeypatch, mixed, cones, perforated_cube):
-    # every relation, vertices included, walks through Ewds.walk alone
-    def refuse(*args, **kwargs):
-        raise AssertionError("Ewds.s0h called by a query")
-
-    monkeypatch.setattr(Ewds, "s0h", refuse)
-    for src in (mixed, cones, perforated_cube(0)):
-        _check_all_faces(build_nm_layer(Ewds.build(decompose(src))), src)
+def test_snm_global_perforated_cube_all_faces(perforated_cube):
+    src = perforated_cube(0)
+    _check_all_faces(build_nm_layer(Ewds.build(decompose(src))), src)
 
 
 @pytest.mark.parametrize("gamma, m", [((6, 8), 2), ((6, 8), 3), ((6,), 2), ((6,), 3)])
@@ -145,15 +109,15 @@ def test_narrow_copies_are_not_walked(nm_mixed, mixed, gamma, m):
     # copies hold an m-face, so only their stars are walked
     ew = nm_mixed.ewds
     if len(gamma) == 1:
-        stars = [ew.s0h(vp) for vp in nm_mixed.copies_of[gamma[0]]]
+        stars = [ew.walk({vp}, (ew.vtstar[vp],)) for vp in nm_mixed.copies_of[gamma[0]]]
     else:
         entry = nm_mixed.splitmap[gamma]
         assert len({ew.dim_of_top(min(reps)) for reps in entry.values()}) == 2
-        stars = [travel_star(ew, cp, min(reps)) for cp, reps in entry.items()]
+        stars = [ew.walk(set(cp), reps) for cp, reps in entry.items()]
     counter = OpCounter()
     n = len(gamma) - 1
     assert nm_mixed.snm_global(gamma, n, m, counter) == oracle_snm(mixed, gamma, n, m)
-    wide = [tops for tops in stars if ew.dim_of_top(tops[0]) >= m]
+    wide = [tops for tops in stars if ew.dim_of_top(min(tops)) >= m]
     assert (len(wide) < len(stars)) == (m == 3)
     assert counter.visits == sum(map(len, wide))
 
@@ -201,13 +165,13 @@ def test_pinched_simplices_are_splitmap_keys(name, pinches, request):
     assert sorted(nm.splitmap) == pinches
     ew = nm.ewds
     for gamma in pinches:
-        (reps,) = nm.splitmap[gamma].values()
+        ((cp, reps),) = nm.splitmap[gamma].items()
         assert len(reps) == 2
         star = oracle_star(src, gamma)
         assert len(star) == 4
-        for t in star:
-            got = nm.snh_given(gamma, ew.top_new[t])
-            assert sorted(ew.top_old[u] for u in got) == sorted(star)
+        # the walk from both representatives covers the star, one copy wide
+        assert {ew.top_old[u] for u in ew.walk(set(cp), reps)} == star
+        assert {_copy_in(ew, nm.sigma_n, gamma, ew.top_new[t]) for t in star} == {cp}
         n = len(gamma) - 1
         for m in range(n + 1, src.dim + 1):
             assert nm.snm_global(gamma, n, m) == oracle_snm(src, gamma, n, m)
@@ -239,7 +203,7 @@ def test_splitmap_ignores_harvest_order_on_perforated_cubes(seed, perforated_cub
     for entry in nm.splitmap.values():
         for cp, reps in entry.items():
             for rep in reps:
-                assert rep == min(travel_star(ew, cp, rep))
+                assert rep == min(ew.walk(set(cp), (rep,)))
 
 
 def test_fin_facet_is_recorded_from_its_smaller_coface():
@@ -251,7 +215,7 @@ def test_fin_facet_is_recorded_from_its_smaller_coface():
     nm = build_nm_layer(Ewds.build(decompose(Complex(rows))))
     ew = nm.ewds
     stars = [
-        (travel_star(ew, cp, rep), rep)
+        (ew.walk(set(cp), (rep,)), rep)
         for cp, reps in nm.splitmap[(1, 2, 14)].items()
         for rep in reps
     ]
@@ -275,10 +239,10 @@ def test_build_nm_layer_walks_no_star(monkeypatch, mixed, cones, perforated_cube
     tables = [Ewds.build(decompose(c)) for c in complexes]
     want = [build_nm_layer(ew).splitmap for ew in tables]
 
-    def no_star_walk(self, v, counter=None):
-        raise AssertionError(f"walked the star of {v}")
+    def no_star_walk(self, gset, seeds):
+        raise AssertionError(f"walked the star of {sorted(gset)}")
 
-    monkeypatch.setattr(Ewds, "s0h", no_star_walk)
+    monkeypatch.setattr(Ewds, "walk", no_star_walk)
     assert [build_nm_layer(ew).splitmap for ew in tables] == want
     assert all(want)
 

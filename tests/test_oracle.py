@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nmdecomp.complexes import Complex, canonical_pairs, format_tv, parse_tv, simplex
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import DimensionUnsupported, NotAFace
+from nmdecomp.errors import DimensionUnsupported, InvalidComplex, NotAFace
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import (
     _boundary_cycles,
@@ -22,6 +22,7 @@ from nmdecomp.oracle import (
     oracle_star,
     random_complex,
 )
+from helpers import boundary
 
 
 def test_oracle_star_matches_complex(fan, mixed):
@@ -104,6 +105,16 @@ def test_random_complex_bounds():
             assert len(set(row)) == len(row)
 
 
+@pytest.mark.parametrize(
+    "max_tops, d",
+    [(0, 3), (-2, 3), (5, -1), (5, -3), (2.5, 3), (5, 2.0), ("5", 2), (5, None), (True, 2)],
+)
+def test_random_complex_refuses_bad_sizes(max_tops, d):
+    # refused before drawing, with the package's error, still a ValueError
+    with pytest.raises(InvalidComplex):
+        random_complex(1, max_tops, d)
+
+
 def test_random_complex_in_lattice():
     # every draw must sit in the gluing lattice of its own exploded source,
     # i.e. re-decomposing and pasting copies back recovers it
@@ -174,7 +185,7 @@ def test_boundary_cycles_under_a_cone(rows, manifold, cycles):
     # the cone's apex 99 has the surface as its link
     surface = Complex(dict(enumerate(rows, start=1)))
     cone = Complex({t: row + (99,) for t, row in enumerate(rows, start=1)})
-    assert cone.is_manifold() is manifold
+    assert cone.classify().manifold_le3 is manifold
     assert oracle_is_manifold(cone) is manifold
     assert _boundary_cycles(surface) == cycles
 
@@ -182,8 +193,6 @@ def test_boundary_cycles_under_a_cone(rows, manifold, cycles):
 def test_manifold_recognition_stops_above_dimension_3(pinched_edge_cone):
     with pytest.raises(DimensionUnsupported):
         oracle_is_manifold(pinched_edge_cone)
-    with pytest.raises(DimensionUnsupported):
-        pinched_edge_cone.is_manifold()
     assert pinched_edge_cone.classify().manifold_le3 is None
 
 
@@ -191,10 +200,10 @@ def test_manifold_recognition_stops_above_dimension_3(pinched_edge_cone):
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_is_manifold_matches_oracle(seed, d):
     c = random_complex(seed, 20, d)
-    assert c.is_manifold() is oracle_is_manifold(c)
+    assert c.classify().manifold_le3 is oracle_is_manifold(c)
 
 
-SPHERE = sorted(kuhn_cube(2).boundary())  # 48 triangles over vertices 1..27
+SPHERE = sorted(boundary(kuhn_cube(2)))  # 48 triangles over vertices 1..27
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,11 +214,11 @@ def test_is_manifold_matches_oracle_on_cones(holes, seed):
     cone = Complex(
         {i: f + (100,) for i, f in enumerate(SPHERE, start=1) if i - 1 not in holes}
     )
-    assert cone.is_manifold() is oracle_is_manifold(cone)
+    assert cone.classify().manifold_le3 is oracle_is_manifold(cone)
     # and the cone over a random 2-complex, pure or not
     base = random_complex(seed, 12, 2)
     cone = Complex({t: base.row(t) + (1000,) for t in base.top_ids})
-    assert cone.is_manifold() is oracle_is_manifold(cone)
+    assert cone.classify().manifold_le3 is oracle_is_manifold(cone)
 
 
 @pytest.mark.slow
@@ -221,7 +230,7 @@ def test_is_manifold_matches_oracle_on_perforated_cubes():
     c = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
     seen = set()
     for comp in decompose(c).components:
-        got = comp.is_manifold()
+        got = comp.classify().manifold_le3
         assert got is oracle_is_manifold(comp)
         seen.add(got)
     # 60 pieces of kuhn_cube(3) cut the same way, and their components
@@ -230,7 +239,7 @@ def test_is_manifold_matches_oracle_on_perforated_cubes():
         rng = random.Random(seed)
         piece = small.subcomplex(rng.sample(small.top_ids, round(0.7 * small.num_tops)))
         for x in [piece, *decompose(piece).components]:
-            got = x.is_manifold()
+            got = x.classify().manifold_le3
             assert got is oracle_is_manifold(x), seed
             seen.add(got)
     assert seen == {True, False}

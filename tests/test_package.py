@@ -59,3 +59,22 @@ def test_modules_read_every_import():
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_every_error_has_a_raise_site():
+    # a TopologyError subclass that no module raises is dead API: each one
+    # in errors.py, the base aside, must be named in some raise statement
+    src = Path(nmdecomp.__file__).parent
+    tree = ast.parse((src / "errors.py").read_text())
+    errors = {"TopologyError"}
+    for stmt in tree.body:  # a subclass follows its base in the file
+        if isinstance(stmt, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in errors for b in stmt.bases
+        ):
+            errors.add(stmt.name)
+    raised = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name))
+    assert sorted(errors - raised - {"TopologyError"}) == []

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmdecomp.complexes import canonical_pairs, parse_tv, simplex
+from nmdecomp.complexes import Complex, canonical_pairs, parse_tv, simplex
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import NotInTrie, NotIqm, TopologyError
 from nmdecomp.fixtures import load_text, load_tv
@@ -16,7 +16,6 @@ from nmdecomp.nonmanifold import (
     build_sigma_maps,
     build_splitmap,
     pinch_suspects,
-    travel_star,
     v_nra_vertices,
 )
 from nmdecomp.oracle import (
@@ -78,6 +77,37 @@ def test_decompose_idempotent(seed, d):
     c = draw(seed, d)
     dec = decompose(c)
     assert decompose(dec.nabla).is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims, seeds)
+def test_decomposition_is_unique_under_relabelling(seed, d, relabel):
+    # injective new vertex and top ids, each row and the order of the rows
+    # shuffled: the standard decomposition is the same, mapped back
+    c = draw(seed, d, max_tops=30)
+    rng = random.Random(relabel)
+    vmap = dict(zip(c.vertices, rng.sample(range(1, 5 * c.num_vertices + 1), c.num_vertices)))
+    tmap = dict(zip(c.top_ids, rng.sample(range(1, 5 * c.num_tops + 1), c.num_tops)))
+    rows = [(tmap[t], rng.sample([vmap[v] for v in c.row(t)], len(c.row(t)))) for t in c.top_ids]
+    rng.shuffle(rows)
+    vold = {new: old for old, new in vmap.items()}.__getitem__
+    told = {new: old for old, new in tmap.items()}.__getitem__
+
+    def summary(src, vold, told):
+        # the (top, source vertex) corners of each vertex of nabla, in c's ids
+        dec = decompose(src)
+        by_copy = {}
+        for t in dec.nabla.top_ids:
+            for x in dec.nabla.row(t):
+                by_copy.setdefault(x, set()).add((told(t), vold(dec.sigma[x])))
+        corners = {frozenset(cl) for cl in by_copy.values()}
+        size = len(Ewds.build(dec).dump_bytes())
+        return corners, dec.ns, dec.nc, dec.cc, len(dec.components), size
+
+    def same(x):
+        return x
+
+    assert summary(Complex(dict(rows)), vold, told) == summary(c, same, same)
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,7 +219,7 @@ def test_splitmap_ignores_harvest_order(seed, d):
     for entry in nm.splitmap.values():
         for cp, reps in entry.items():
             for rep in reps:
-                assert rep == min(travel_star(ew, cp, rep))
+                assert rep == min(ew.walk(set(cp), (rep,)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,7 +264,8 @@ def test_s0h_is_packed_star(seed, d):
     dec = decompose(c)
     ew = Ewds.build(dec)
     for vold in dec.nabla.vertices:
-        got = ew.s0h(ew.vertex_new[vold])
+        v = ew.vertex_new[vold]
+        got = sorted(ew.walk({v}, (ew.vtstar[v],)))
         want = sorted(ew.top_new[t] for t in oracle_star(dec.nabla, [vold]))
         assert got == want
 
