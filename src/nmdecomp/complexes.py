@@ -1,41 +1,44 @@
 """Abstract simplicial complexes stored as the TV relation.
 
-A complex is a finite map from top-simplex ids to their vertex tuples.  Only
-maximal simplices are stored; every face query is answered by enumeration
-from the tops.  Rows keep the order in which their vertices were given (the
-winged tables inherit that order), while query arguments and results use
-sorted vertex tuples.
+A complex is one row store: its sorted top ids, every row's vertices end
+to end in that order, and the row offsets, which `Complex.position` and
+`corner_layout` serve.  Only maximal simplices are stored; every face
+query is answered by enumeration from the tops.  Rows keep the order in
+which their vertices were given (the winged tables inherit that order),
+while query arguments and results use sorted vertex tuples.
 
-Vertex ids are positive integers.  Files may label vertices with arbitrary
-alphanumeric tokens; the token table is kept so output can speak the file's
-labels.  `parse_tv` accepts a line with one regex match over the whole line,
-which holds the id and every token, and checks the distinct tokens, not
-each occurrence, for two numerals naming one vertex.  The per-line rules
-that give each fault its message run only once a fault is found, to name
-its line.
+Vertex ids are int ids, not bools, of any sign.  Files may label vertices
+with arbitrary alphanumeric tokens; the token table is kept so output can
+speak the file's labels.  `parse_tv` accepts a line with one regex match
+over the whole line, which holds the id and every token, and checks the
+distinct tokens, not each occurrence, for two numerals naming one vertex.
+The per-line rules that give each fault its message run only once a fault
+is found, to name its line.
 
-The manifold-facet rule lives here too, on flat integer corners: corner
-start[i] + k is slot k of the i-th top in top_ids order (`corner_layout`).
-`corner_facets` adds the owner list, which maps each corner to the 1-based
-index of its top, the index TT entries use, and `facet_slots` maps every
-facet to the slots opposite it in its cofaces.  `_manifold_facets` keeps
-the facets that no other top contains, reading their two tops off the
-owner list: `canonical_pairs` lists their pairs, the ones
-`gluing.GluingState.pmglue` accepts, and `glue_pairs` merges the corners
-of each pair in a union-find parent array.  `decompose` turns those corner
-classes into vertices, and `Complex.is_iqm` asks for exactly one class per
-vertex, so all of them read the same rule.  Set-up makes one `facet_slots`
-pass, in `decompose`, whose table also gives the decomposition's TT
-relation; `Complex.classify` reads one such pass for every flag.  Manifold recognition builds no link:
-in 3-D it is the twice-chi count of vertex links (`twice_chi_misses`)
-that `nonmanifold.pinch_suspects` runs too, which
-`oracle.oracle_is_manifold` checks by classifying each link.
+The manifold-facet rule lives here too, on the store's flat corners:
+corner start[i] + k is slot k of the i-th top in top_ids order, and
+`corner_layout` hands out those two lists.  `corner_facets` adds the
+owner list, which maps each corner to the 1-based index of its top, the
+index TT entries use, and `facet_slots` maps every facet to the slots
+opposite it in its cofaces.  `_manifold_facets` keeps the facets that no
+other top contains, reading their two tops off the owner list:
+`canonical_pairs` lists their pairs, the ones `gluing.GluingState.pmglue`
+accepts, and `glue_pairs` merges the corners of each pair in a union-find
+parent array.  `decompose` turns those corner classes into vertices, and
+`Complex.is_iqm` asks for exactly one class per vertex, so all of them
+read the same rule.  Set-up makes one `facet_slots` pass, in `decompose`,
+whose table also gives the decomposition's TT relation;
+`Complex.classify` reads one such pass for every flag.  Manifold
+recognition builds no link: in 3-D it is the twice-chi count of vertex
+links (`twice_chi_misses`) that `nonmanifold.pinch_suspects` runs too,
+which `oracle.oracle_is_manifold` checks by classifying each link.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import sub
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -89,9 +92,10 @@ class ClassifyFlags:
 
 
 class Complex:
-    """Immutable simplicial complex over the TV relation."""
+    """Immutable simplicial complex over the TV relation, in one row store
+    whose offsets end with the corner count."""
 
-    __slots__ = ("_tv", "_labels", "_vt", "_dim", "_tops")
+    __slots__ = ("_store_ids", "_store_flat", "_store_start", "_labels", "_vt", "_dim")
 
     def __init__(
         self,
@@ -99,7 +103,8 @@ class Complex:
         labels: Mapping[int, str] | None = None,
         validate: bool = True,
     ):
-        store: dict[int, tuple[int, ...]] = {}
+        ids: list[int] = []
+        rows: list[tuple[int, ...]] = []
         for tid, row in tv.items():
             try:
                 row = tuple(row)
@@ -113,103 +118,85 @@ class Complex:
                 raise InvalidComplex(f"simplex {tid!r} holds an unhashable vertex id") from None
             if repeated:
                 raise InvalidComplex(f"repeated vertex in simplex {tid}")
-            store[tid if type(tid) is int else _top_id(tid)] = row
-        if len(store) < len(tv):  # two ids converted to one
+            ids.append(tid if type(tid) is int else _top_id(tid))
+            rows.append(row)
+        if len(set(ids)) < len(ids):  # two ids converted to one
             first: dict[int, object] = {}
             for tid in tv:
                 other = first.setdefault(_top_id(tid), tid)
                 if other != tid:
                     raise InvalidComplex(f"top ids {other!r} and {tid!r} both name top {_top_id(tid)}")
-        self._tv = store
-        self._labels = dict(labels) if labels else None
-        self._vt: dict[int, set[int]] | None = None
-        self._dim: int | None = None
-        self._tops: list[int] | None = None
         if validate:
-            self._check_maximality()
+            _check_maximality(ids, rows)
+        if ids != sorted(ids):  # the store holds the rows in id order
+            ids, rows = map(list, zip(*sorted(zip(ids, rows))))
+        flat = list(itertools.chain.from_iterable(rows))
+        self._set(ids, flat, list(itertools.accumulate(map(len, rows), initial=0)), labels)
 
     # -- construction ------------------------------------------------------
 
-    def _check_maximality(self) -> None:
-        """Raise InvalidComplex on a vertex id that is not an integer, and
-        NotTop on the first stored simplex that is a face of another, naming
-        the smallest such other.
+    def _set(self, ids: list, flat: list, start: list, labels: Mapping | None) -> "Complex":
+        """Take the given store, unchecked."""
+        self._store_ids, self._store_flat, self._store_start = ids, flat, start
+        self._labels = dict(labels) if labels else None
+        self._vt: dict[int, set[int]] | None = None
+        self._dim: int | None = None
+        return self
 
-        A row of the widest width can lie only in an equal row, so a set of
-        frozensets finds those; only the vertices of narrower rows get
-        vertex -> tops sets.
-        """
-        for v in self._vertex_ids():
-            if type(v) is not int:
-                raise InvalidComplex(f"vertex id {v!r} is not an integer")
-        rows = self._tv
-        width = max(map(len, rows.values()), default=0)
-        inside: dict[int, int] = {}  # top -> smallest other top containing it
-        wide = [frozenset(r) for r in rows.values() if len(r) == width]
-        if len(set(wide)) < len(wide):
-            equal: dict[frozenset, list[int]] = {}
-            for t, r in rows.items():
-                if len(r) == width:
-                    equal.setdefault(frozenset(r), []).append(t)
-            for same in equal.values():
-                if len(same) > 1:
-                    for t in same:
-                        inside[t] = min(u for u in same if u != t)
-        narrow = [t for t, r in rows.items() if len(r) < width]
-        if narrow:
-            vt: dict[int, set[int]] = {v: set() for t in narrow for v in rows[t]}
-            low = vt.keys()
-            for t, r in rows.items():
-                if not low.isdisjoint(r):
-                    for v in r:
-                        if v in vt:
-                            vt[v].add(t)
-            for t in narrow:
-                cofaces = set.intersection(*(vt[v] for v in rows[t]))
-                if len(cofaces) > 1:
-                    inside[t] = min(u for u in cofaces if u != t)
-        for t in rows:
-            if t in inside:
-                raise NotTop(
-                    f"stored simplex {t} is a face of stored simplex {inside[t]}", t
-                )
+    def with_corners(self, flat: list[int], labels: Mapping[int, str] | None) -> "Complex":
+        """This complex's tops, sharing its ids and offsets, with corner k
+        (see `corner_layout`) holding vertex flat[k].  The rows are not
+        checked: each must hold distinct vertex ids."""
+        return Complex.__new__(Complex)._set(self._store_ids, flat, self._store_start, labels)
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def top_ids(self) -> list[int]:
-        """Sorted top ids, computed once; callers must not mutate the list."""
-        if self._tops is None:
-            self._tops = sorted(self._tv)
-        return self._tops
+        """Sorted top ids, the store's own list; callers must not mutate it."""
+        return self._store_ids
 
     @property
     def num_tops(self) -> int:
-        return len(self._tv)
-
-    def __len__(self) -> int:
-        return len(self._tv)
+        return len(self._store_ids)
 
     def __contains__(self, tid: int) -> bool:
-        return tid in self._tv
+        try:
+            self.position(tid)
+        except UnknownTop:
+            return False
+        return True
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.top_ids)
+    def position(self, tid: int) -> int:
+        """Index of top tid in top_ids, by bisect; UnknownTop if none."""
+        ids = self._store_ids
+        i = bisect_left(ids, tid) if type(tid) is int else len(ids)
+        if i == len(ids) or ids[i] != tid:
+            raise UnknownTop(f"no top simplex {tid!r}")
+        return i
 
     def row(self, tid: int) -> tuple[int, ...]:
         """Vertex tuple of a top simplex, in input order."""
-        try:
-            return self._tv[tid]
-        except KeyError:
-            raise UnknownTop(f"no top simplex {tid}") from None
+        i = self.position(tid)
+        return tuple(self._store_flat[self._store_start[i] : self._store_start[i + 1]])
 
     def dim_of(self, tid: int) -> int:
         return len(self.row(tid)) - 1
 
+    def _widths(self) -> Iterator[int]:
+        """The row widths, in top_ids order."""
+        start = self._store_start
+        return map(sub, start[1:], start)
+
+    def _rows(self) -> Iterator[tuple[int, ...]]:
+        """The rows as tuples, in top_ids order."""
+        flat, start = self._store_flat, self._store_start
+        return map(tuple, map(flat.__getitem__, map(slice, start, start[1:])))
+
     @property
     def dim(self) -> int:
         if self._dim is None:
-            self._dim = max((len(r) - 1 for r in self._tv.values()), default=-1)
+            self._dim = max(self._widths(), default=0) - 1
         return self._dim
 
     @property
@@ -230,16 +217,16 @@ class Complex:
         return {v: self.label_of(v) for v in self._vertex_ids()}
 
     def _vertex_ids(self) -> Collection[int]:
-        """The vertices in order of first appearance, read off the rows."""
-        return dict.fromkeys(itertools.chain.from_iterable(self._tv.values())).keys()
+        """The vertices in order of first appearance in the store."""
+        return dict.fromkeys(self._store_flat).keys()
 
     def _vertex_tops(self) -> dict[int, set[int]]:
         """Vertex -> ids of the tops holding it, built on the first star()."""
         if self._vt is None:
             vt: dict[int, set[int]] = {}
-            for tid, row in self._tv.items():
-                for v in row:
-                    vt.setdefault(v, set()).add(tid)
+            owners = map(itertools.repeat, self._store_ids, self._widths())
+            for v, tid in zip(self._store_flat, itertools.chain.from_iterable(owners)):
+                vt.setdefault(v, set()).add(tid)
             self._vt = vt
         return self._vt
 
@@ -255,13 +242,15 @@ class Complex:
             sets = [vt[v] for v in gamma]
         except KeyError:
             return set()
+        except TypeError:
+            raise InvalidComplex(f"star of {gamma!r}: unhashable vertex id") from None
         return set.intersection(*sets)
 
     # -- face enumeration --------------------------------------------------
 
     def all_faces(self) -> set[Simplex]:
         out: set[Simplex] = set()
-        for row in self._tv.values():
+        for row in self._rows():
             srt = sorted(row)
             for k in range(1, len(srt) + 1):
                 out.update(itertools.combinations(srt, k))
@@ -280,22 +269,19 @@ class Complex:
         """
         if type(h) is not int or h < 0:
             raise InvalidComplex(f"h must be an int >= 0, got {h!r}")
-        tops = self.top_ids
-        parent = list(range(len(tops)))
+        parent = list(range(self.num_tops))
         first: dict = {}  # h-face -> index of the first top holding it
-        for i, t in enumerate(tops):
-            row = self._tv[t]
+        for i, row in enumerate(self._rows()):
             for face in row if h == 0 else itertools.combinations(sorted(row), h + 1):
                 j = first.setdefault(face, i)
                 if j != i:
                     union_min(parent, i, j)
-        return classes(flatten(parent), tops)
+        return classes(flatten(parent), self._store_ids)
 
     # -- classification ----------------------------------------------------
 
     def is_regular(self) -> bool:
-        d = self.dim
-        return all(len(r) == d + 1 for r in self._tv.values())
+        return len(set(self._widths())) <= 1
 
     def classify(self) -> ClassifyFlags:
         """Every flag from one `facet_slots` pass: facet orders, connectivity
@@ -361,27 +347,69 @@ class Complex:
     # -- misc --------------------------------------------------------------
 
     def subcomplex(self, top_ids: Iterable[int]) -> "Complex":
-        """The given tops, with the labels of their own vertices only."""
-        rows = {t: self._tv[t] for t in top_ids}
-        labels = self._labels
-        if labels:
-            labels = {v: labels[v] for r in rows.values() for v in r if v in labels}
-        return Complex(rows, labels=labels, validate=False)
+        """The given tops, in any order, with their own vertices' labels: a
+        slice of this store, or all of it, not checked again."""
+        ids, flat, start = self._store_ids, self._store_flat, self._store_start
+        tids = list(top_ids)
+        if tids != ids or not {int}.issuperset(map(type, tids)):
+            ids, flat, start = [], [], [0]
+            for i in sorted(set(map(self.position, tids))):
+                ids.append(self._store_ids[i])
+                flat += self._store_flat[self._store_start[i] : self._store_start[i + 1]]
+                start.append(len(flat))
+        own = self._labels
+        labels = own and {v: own[v] for v in dict.fromkeys(flat) if v in own}
+        return Complex.__new__(Complex)._set(ids, flat, start, labels)
 
     def rows(self) -> dict[int, tuple[int, ...]]:
-        return dict(self._tv)
+        return dict(zip(self._store_ids, self._rows()))
 
     def simplex_set(self) -> set[Simplex]:
-        return {tuple(sorted(r)) for r in self._tv.values()}
+        return {tuple(sorted(r)) for r in self._rows()}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Complex) and self._tv == other._tv
+        same_ids = isinstance(other, Complex) and self.top_ids == other.top_ids
+        return same_ids and corner_layout(self) == corner_layout(other)
 
     def __hash__(self):
-        return hash(frozenset((t, frozenset(r)) for t, r in self._tv.items()))
+        return hash((tuple(self._store_ids), tuple(self._store_flat)))
 
     def __repr__(self) -> str:
         return f"Complex({self.num_tops} tops, d={self.dim})"
+
+
+def _check_maximality(ids: list[int], rows: list[tuple[int, ...]]) -> None:
+    """Raise InvalidComplex on the first vertex id that is no int, and NotTop
+    on the first row that is a face of another, naming the smallest such
+    other; the ids and rows come in input order.
+
+    A row of the widest width can lie only in an equal row, so unless a set
+    of frozensets finds two equal ones, only the narrower rows are looked
+    up, in vertex -> tops sets for their own vertices alone.
+    """
+    if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        bad = next(v for v in itertools.chain.from_iterable(rows) if type(v) is not int)
+        raise InvalidComplex(f"vertex id {bad!r} is not an integer")
+    width = max(map(len, rows), default=0)
+    wide = [frozenset(r) for r in rows if len(r) == width]
+    equal = len(set(wide)) < len(wide)
+    inside: dict[int, int] = {}  # top -> smallest other top containing it
+    looked_up = [(t, r) for t, r in zip(ids, rows) if equal or len(r) < width]
+    if looked_up:
+        vt: dict[int, set[int]] = {v: set() for _, r in looked_up for v in r}
+        low = vt.keys()
+        for t, r in zip(ids, rows):
+            if not low.isdisjoint(r):
+                for v in r:
+                    if v in vt:
+                        vt[v].add(t)
+        for t, r in looked_up:
+            cofaces = set.intersection(*(vt[v] for v in r))
+            if len(cofaces) > 1:
+                inside[t] = min(u for u in cofaces if u != t)
+    for t in ids:
+        if t in inside:
+            raise NotTop(f"stored simplex {t} is a face of stored simplex {inside[t]}", t)
 
 
 # -- flat corners and the manifold-facet rule --------------------------------
@@ -417,17 +445,13 @@ def facet_slots(
 
 
 def corner_layout(c: Complex) -> tuple[list[int], list[int]]:
-    """The flat corners of c and where each top's corners start.
+    """The flat corners of c and where each top's corners start, which
+    callers must not mutate: c's own store.
 
     Corner start[i] + k is slot k of the i-th top in top_ids order, and
     flat holds its vertex; start has a final entry, the corner count.
     """
-    flat: list[int] = []
-    start = [0]
-    for t in c.top_ids:
-        flat.extend(c.row(t))
-        start.append(len(flat))
-    return flat, start
+    return c._store_flat, c._store_start
 
 
 def corner_facets(c: Complex) -> tuple[list[int], list[int], list[int], dict]:
@@ -667,8 +691,8 @@ def _first_fault(text: str) -> ParseError:
 
 def format_tv(c: Complex) -> str:
     lines = [
-        f"simplex {tid}: " + " ".join(c.label_of(v) for v in c.row(tid))
-        for tid in c.top_ids
+        f"simplex {tid}: " + " ".join(map(c.label_of, row))
+        for tid, row in zip(c.top_ids, c._rows())
     ]
     return "\n".join(lines) + "\n"
 

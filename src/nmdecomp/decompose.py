@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from operator import sub
 from typing import Sequence
 
-from .complexes import Complex, corner_facets, glue_pairs
+from .complexes import Complex, corner_facets, corner_layout, glue_pairs
 from .errors import InvalidComplex
 from .unionfind import classes, flatten
 
@@ -118,9 +118,9 @@ def _assemble(
     iqm: bool = False,
 ) -> DecompositionResult:
     """The result whose components are the given classes of nabla's tops,
-    each in ascending order, listed by smallest top."""
-    groups.sort(key=lambda g: (max(nabla.dim_of(t) for t in g), g[0]))
-    components = [nabla.subcomplex(g) for g in groups]
+    each in ascending order, listed by dimension, then smallest top: slices
+    of nabla's store, not checked again."""
+    components = sorted(map(nabla.subcomplex, groups), key=lambda c: (c.dim, c.top_ids[0]))
     cc = [0] * (nabla.dim + 1)
     for comp in components:
         cc[comp.dim] += 1
@@ -177,22 +177,19 @@ def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int
     is first met in its smallest top.  Each class becomes one vertex.  Per
     source vertex, ascending, the classes are ordered by link dimension,
     then smallest top: the first keeps the vertex's id and label, the
-    others take fresh ids in turn.
+    others take fresh ids in turn.  nabla shares source's top ids and row
+    offsets, and its rows are not checked again.
     """
-    tops = source.top_ids
-    rows = [source.row(t) for t in tops]
+    flat, start = corner_layout(source)
     width = [0] * len(root)  # class -> widest top holding it
     by_vertex: dict[int, list[int]] = {}  # vertex -> its classes, by smallest top
-    k = 0
-    for row in rows:
-        w = len(row)
-        for v in row:
+    for s, e in zip(start, start[1:]):
+        for k in range(s, e):
             r = root[k]
             if r == k:
-                by_vertex.setdefault(v, []).append(r)
-            if w > width[r]:
-                width[r] = w
-            k += 1
+                by_vertex.setdefault(flat[k], []).append(r)
+            if e - s > width[r]:
+                width[r] = e - s
 
     label_of = source.label_of
     labels = {v: label_of(v) for v in by_vertex}
@@ -213,14 +210,7 @@ def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int
                 labels[vid] = copy_label(labels[v], vid, n)
             sigma[vid] = v
             copy_of[r] = vid
-
-    flat = [copy_of[r] for r in root]
-    nabla_rows: dict[int, tuple[int, ...]] = {}
-    k = 0
-    for t, row in zip(tops, rows):
-        nabla_rows[t] = tuple(flat[k : k + len(row)])
-        k += len(row)
-    return Complex(nabla_rows, labels=labels, validate=False), sigma
+    return source.with_corners([copy_of[r] for r in root], labels), sigma
 
 
 def decomposition_from_corners(

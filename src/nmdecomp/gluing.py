@@ -30,21 +30,21 @@ from .unionfind import flatten, union_min
 class GluingState:
     """Partition of corners of the source complex, coarsened by gluing.
 
-    Corners are the flat ids of `complexes.corner_layout`, and the
-    partition is a union-find parent array over them.
+    Corners are the flat ids of `complexes.corner_layout`, read in place
+    through `Complex.position`, and the partition is a union-find parent
+    array over them.
     """
 
     def __init__(self, source: Complex):
         self.source = source
-        self._flat, start = corner_layout(source)
-        self._first = dict(zip(source.top_ids, start))
+        self._flat, self._start = corner_layout(source)
         self._parent = list(range(len(self._flat)))
         self._pairs: set[frozenset] | None = None  # canonical_pairs, on the first pmglue
 
     def _glue_corners(self, t1: int, t2: int, shared: Iterable[int]) -> None:
-        index, first = self._flat.index, self._first
-        s1, s2 = first[t1], first[t2]
-        e1, e2 = s1 + len(self.source.row(t1)), s2 + len(self.source.row(t2))
+        index, start, position = self._flat.index, self._start, self.source.position
+        i1, i2 = position(t1), position(t2)
+        s1, s2, e1, e2 = start[i1], start[i2], start[i1 + 1], start[i2 + 1]
         for v in shared:
             union_min(self._parent, index(v, s1, e1), index(v, s2, e2))
 
@@ -92,9 +92,9 @@ class GluingState:
         Classes come ordered by smallest top, then vertex.
         """
         by_root: dict[int, tuple[int, list[int]]] = {}
-        flat, roots = self._flat, self.roots()
-        for t, s in self._first.items():
-            for k in range(s, s + len(self.source.row(t))):
+        flat, start, roots = self._flat, self._start, self.roots()
+        for i, t in enumerate(self.source.top_ids):
+            for k in range(start[i], start[i + 1]):
                 by_root.setdefault(roots[k], (flat[k], []))[1].append(t)
         return sorted(by_root.values(), key=lambda c: (c[1][0], c[0]))
 

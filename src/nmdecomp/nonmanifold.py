@@ -53,7 +53,7 @@ from itertools import chain, combinations, compress, count, repeat
 from operator import not_
 from typing import Iterable
 
-from .complexes import Simplex, simplex, twice_chi_misses
+from .complexes import Simplex, corner_layout, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie
@@ -512,15 +512,16 @@ def build_splitmap(
 def build_ft_trie(ewds: Ewds) -> FaceTops:
     """Face table and row list of the source complex of ewds, in one pass.
 
-    The source tops are read in packed order, so each sorted row lands at
-    its TVP addresses by appending; a face shared by several tops keeps the
-    last of them.
+    The source's rows are read off its store in packed order, so each
+    sorted row lands at its TVP addresses by appending; a face shared by
+    several tops keeps the last of them.
     """
-    row_of = ewds.source.source.row
+    flat, start = corner_layout(ewds.source.source)
+    new_of = list(map(ewds.top_new.__getitem__, ewds.source.source.top_ids))
     faces: dict[Simplex, int] = {}
     rows = [0]
-    for top, t in enumerate(ewds.top_old[1:], 1):
-        row = sorted(row_of(t))
+    for top, i in enumerate(sorted(range(len(new_of)), key=new_of.__getitem__), 1):
+        row = sorted(flat[start[i] : start[i + 1]])
         rows.extend(row)
         for r in range(2, len(row)):
             for face in combinations(row, r):

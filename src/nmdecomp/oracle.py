@@ -40,7 +40,7 @@ from .winged import Ewds
 
 def oracle_star(c: Complex, gamma: Iterable[int]) -> set[int]:
     g = set(gamma)
-    return {t for t in c.top_ids if g <= set(c.row(t))}
+    return {t for t, row in c.rows().items() if g <= set(row)}
 
 
 def oracle_snm(c: Complex, gamma: Iterable[int], n: int, m: int) -> set[Simplex]:
@@ -49,8 +49,8 @@ def oracle_snm(c: Complex, gamma: Iterable[int], n: int, m: int) -> set[Simplex]
     assert len(g) - 1 == n, "n must be the dimension of gamma"
     gset = set(g)
     out: set[Simplex] = set()
-    for t in c.top_ids:
-        row = sorted(c.row(t))
+    for row in c.rows().values():
+        row = sorted(row)
         if not gset <= set(row):
             continue
         rest = [v for v in row if v not in gset]
@@ -62,21 +62,19 @@ def oracle_snm(c: Complex, gamma: Iterable[int], n: int, m: int) -> set[Simplex]
     return out
 
 
-def _decomposed_components(c: Complex) -> list[list[int]]:
-    """Connected components of the standard decomposition, as top-id lists.
-
-    Used on link complexes during recursion: only the partition of the tops
-    matters there, so copies get throwaway local ids.
-    """
-    rows = {t: list(c.row(t)) for t in c.top_ids}
-    next_local = max(c.vertices, default=0) + 1
+def _split(c: Complex) -> tuple[Complex, dict[int, int]]:
+    """c with one new vertex per extra star part of each splitting vertex,
+    numbered from above c's vertices, and the copy map."""
+    rows = {t: list(row) for t, row in c.rows().items()}
+    sigma = {v: v for v in c.vertices}
+    next_id = max(c.vertices, default=0) + 1
     for v, parts in _split_partitions(c):
         for comp in parts[1:]:
+            sigma[next_id] = v
             for t in comp:
-                rows[t] = [next_local if x == v else x for x in rows[t]]
-            next_local += 1
-    split = Complex({t: tuple(r) for t, r in rows.items()}, validate=False)
-    return split.h_connected_components(0)
+                rows[t] = [next_id if x == v else x for x in rows[t]]
+            next_id += 1
+    return Complex({t: tuple(r) for t, r in rows.items()}, validate=False), sigma
 
 
 def _split_partitions(c: Complex) -> list[tuple[int, list[list[int]]]]:
@@ -93,7 +91,7 @@ def _split_partitions(c: Complex) -> list[tuple[int, list[list[int]]]]:
         if not lk.num_tops:
             continue  # v is itself a point top
         h = lk.dim
-        parts = _decomposed_components(lk)
+        parts = _split(lk)[0].h_connected_components(0)  # its decomposed components
         if (h > 0 and len(parts) > 1) or (h == 0 and len(parts) > 2):
             parts.sort(key=lambda comp: (max(lk.dim_of(t) for t in comp), min(comp)))
             out.append((v, parts))
@@ -108,18 +106,7 @@ def oracle_decompose(c: Complex) -> DecompositionResult:
     and when the decomposed link falls apart it introduces one vertex copy
     per link component, rewriting that component's star tops.
     """
-    rows = {t: list(c.row(t)) for t in c.top_ids}
-    sigma = {v: v for v in c.vertices}
-    next_id = max(c.vertices, default=0) + 1
-    for v, parts in _split_partitions(c):
-        for comp in parts[1:]:
-            sigma[next_id] = v
-            for t in comp:
-                rows[t] = [next_id if x == v else x for x in rows[t]]
-            next_id += 1
-
-    nabla = Complex({t: tuple(r) for t, r in rows.items()}, validate=False)
-    return DecompositionResult.from_parts(c, nabla, sigma)
+    return DecompositionResult.from_parts(c, *_split(c))
 
 
 def oracle_splitmap(ewds: Ewds, sigma_n: list[int]) -> Splitmap:
@@ -199,8 +186,8 @@ def euler_all_faces(c: Complex) -> int:
 def _face_tops(c: Complex, h: int) -> dict[Simplex, list[int]]:
     """Each h-face -> the tops holding it, by scanning every top."""
     by_face: dict[Simplex, list[int]] = {}
-    for t in c.top_ids:
-        for face in itertools.combinations(sorted(c.row(t)), h + 1):
+    for t, row in c.rows().items():
+        for face in itertools.combinations(sorted(row), h + 1):
             by_face.setdefault(face, []).append(t)
     return by_face
 
@@ -209,7 +196,7 @@ def _is_path_or_cycle(lk: Complex) -> bool:
     """True when a 1-complex is a single simple path or cycle."""
     if lk.dim != 1 or not lk.is_regular():
         return False
-    degree = Counter(itertools.chain.from_iterable(map(lk.row, lk.top_ids)))
+    degree = Counter(itertools.chain.from_iterable(lk.rows().values()))
     return max(degree.values()) <= 2 and len(lk.h_connected_components(0)) <= 1
 
 
@@ -282,7 +269,7 @@ def labeled_isomorphic(a: Complex, b: Complex, relabel: Mapping[int, int]) -> bo
     for v in a.vertices:
         if v not in relabel:
             raise ValueError(f"relabel map not total: missing {v}")
-    relabelled = {tuple(sorted(relabel[v] for v in a.row(t))) for t in a.top_ids}
+    relabelled = {tuple(sorted(relabel[v] for v in row)) for row in a.rows().values()}
     return relabelled == b.simplex_set()
 
 
@@ -328,12 +315,12 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
     sharing = [
         (t1, t2)
         for t1, t2 in itertools.combinations(source.top_ids, 2)
-        if set(source.row(t1)) & set(source.row(t2))
+        if set(rows[t1]) & set(rows[t2])
     ]
     if sharing:
         for _ in range(rng.randint(0, 3 * len(source.top_ids))):
             t1, t2 = sharing[rng.randrange(len(sharing))]
-            shared = sorted(set(source.row(t1)) & set(source.row(t2)))
+            shared = sorted(set(rows[t1]) & set(rows[t2]))
             if rng.random() < 0.7:
                 for v in shared:
                     state.veq(t1, t2, v)
@@ -345,7 +332,5 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
     for n, (v, tops) in enumerate(sorted(state.corner_classes()), start=1):
         for t in tops:
             new_id[(t, v)] = n
-    out_rows = {
-        t: tuple(new_id[(t, v)] for v in source.row(t)) for t in source.top_ids
-    }
+    out_rows = {t: tuple(new_id[(t, v)] for v in row) for t, row in rows.items()}
     return Complex(out_rows)

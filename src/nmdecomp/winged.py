@@ -24,9 +24,9 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable
 
+from .complexes import corner_layout
 from .decompose import BOTTOM, DIAMOND, DecompositionResult
 from .errors import ParseError, UnknownTop, UnknownVertex
 
@@ -55,19 +55,20 @@ class Ewds:
 
     @classmethod
     def build(cls, dec: DecompositionResult) -> "Ewds":
+        """Pack dec: tops go to the blocks their components' row offsets
+        give, and TVP and TTP are read off nabla's store and dec.tt."""
         nabla = dec.nabla
         d = nabla.dim
 
         # a top goes to the block of its own dimension: the same as its
         # component's, except in a hand-built non-regular component
         blocks: list[list[int]] = [[] for _ in range(d + 1)]
-        verts: set[int] = set()
         for comp in dec.components:
-            for t in comp.top_ids:
-                row = comp.row(t)
-                blocks[len(row) - 1].append(t)
-                verts.update(row)
-        vertex_old = [0] + sorted(verts)
+            cstart = corner_layout(comp)[1]
+            for t, s, e in zip(comp.top_ids, cstart, cstart[1:]):
+                blocks[e - s - 1].append(t)
+        flat, start = corner_layout(nabla)  # the rows of all the components
+        vertex_old = [0] + sorted(set(flat))
         counts = [len(block) for block in blocks]
         top_old = [0] + [t for block in blocks for t in block]
         nt = len(top_old) - 1
@@ -83,22 +84,21 @@ class Ewds:
             tbase_addr.append(tbase_addr[h] + (h + 1) * (tbase[h + 1] - tbase[h]))
 
         # the blocks' rows lie end to end in top order, and so do their TT
-        # rows, repacked from dec.tt, where index i names the i-th of
-        # nabla's top_ids and index -1 is DIAMOND.  TTP and VTSTAR name
-        # each top by one int object of a list made here, in packed order;
-        # pointing them at the `top_new` values instead made encodings and
-        # queries on a 6 000-tet ball 2-4 % slower (Python 3.11, 2 vCPUs)
-        ids = nabla.top_ids
-        first = dict(zip(ids, accumulate(map(len, map(nabla.row, ids)), initial=0)))
+        # rows, repacked from dec.tt, which runs parallel to nabla's flat
+        # corners and names a top by its 1-based index in nabla's top_ids,
+        # -1 being DIAMOND.  TTP and VTSTAR name each top by one int object
+        # of a list made here, in packed order; pointing them at the
+        # `top_new` values instead made encodings and queries on a 6 000-tet
+        # ball 2-4 % slower (Python 3.11, 2 vCPUs)
+        new_of = list(map(top_new.__getitem__, nabla.top_ids))
         top_at = list(range(nt + 1))
-        packed = [BOTTOM, *map(top_at.__getitem__, map(top_new.__getitem__, ids)), DIAMOND]
+        packed = [BOTTOM, *map(top_at.__getitem__, new_of), DIAMOND]
         tt = dec.tt
         tvp, ttp = [0], [0]
-        for t in top_old[1:]:
-            row = nabla.row(t)
-            k = first[t]
-            tvp.extend(map(vertex_new.__getitem__, row))
-            ttp.extend(map(packed.__getitem__, tt[k : k + len(row)]))
+        for i in sorted(range(len(new_of)), key=new_of.__getitem__):  # in packed order
+            s, e = start[i], start[i + 1]
+            tvp.extend(map(vertex_new.__getitem__, flat[s:e]))
+            ttp.extend(map(packed.__getitem__, tt[s:e]))
 
         ew = cls(
             d=d,

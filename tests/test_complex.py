@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nmdecomp import complexes
 from nmdecomp.complexes import (
     Complex,
+    corner_layout,
     format_tv,
     parse_tv,
     resolve_tokens,
@@ -24,6 +25,7 @@ from nmdecomp.errors import (
     ParseError,
     TopologyError,
     UnknownToken,
+    UnknownTop,
 )
 from helpers import boundary, faces_of_dim, order_of
 
@@ -284,13 +286,15 @@ def reference_maximality(rows: dict) -> None:
     for tid, row in rows.items():
         if len(set(row)) != len(row):
             raise InvalidComplex(f"repeated vertex in simplex {tid}")
+    # every occurrence: as dict keys, True and 1.0 would fold into an earlier 1
+    for row in rows.values():
+        for v in row:
+            if type(v) is not int:
+                raise InvalidComplex(f"vertex id {v!r} is not an integer")
     vt: dict = {}
     for tid, row in rows.items():
         for v in row:
             vt.setdefault(v, set()).add(tid)
-    for v in vt:
-        if type(v) is not int:
-            raise InvalidComplex(f"vertex id {v!r} is not an integer")
     for tid, row in rows.items():
         cofaces = set.intersection(*(vt[v] for v in row))
         if len(cofaces) > 1:
@@ -412,6 +416,53 @@ def test_invalid_complex_names_the_top(tv, message):
             Complex(tv, validate=validate)
 
 
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ({1: (1, 2, 3), 2: (True, 3, 4)}, "True"),
+        ({2: (True, 3, 4), 1: (1, 2, 3)}, "True"),
+        ({1: (1, 2), 2: (1.0, 3)}, "1.0"),
+        ({2: (1.0, 3), 1: (1, 2)}, "1.0"),
+    ],
+    ids=["bool-after-int", "bool-first", "float-after-int", "float-first"],
+)
+def test_vertex_equal_to_an_int_is_still_no_int(rows, bad):
+    # True == 1 and 1.0 == 1, so a check on the distinct vertices would let
+    # them through behind an earlier 1; every occurrence is checked
+    with pytest.raises(InvalidComplex, match=f"vertex id {re.escape(bad)} is not an integer"):
+        Complex(rows)
+
+
+@pytest.mark.parametrize(
+    "lookup, error",
+    [
+        (lambda c: c.subcomplex([999]), UnknownTop),
+        (lambda c: c.subcomplex(t for t in (1, "2")), UnknownTop),
+        (lambda c: c.row(True), UnknownTop),
+        (lambda c: c.row(1.0), UnknownTop),
+        (lambda c: c.row(0), UnknownTop),
+        (lambda c: c.dim_of(4), UnknownTop),
+        (lambda c: c.position([1]), UnknownTop),
+        (lambda c: c.star([[1]]), InvalidComplex),
+    ],
+    ids=[
+        "subcomplex-unknown",
+        "subcomplex-str",
+        "row-bool",
+        "row-float",
+        "row-below",
+        "dim-of-above",
+        "position-unhashable",
+        "star-unhashable",
+    ],
+)
+def test_lookups_raise_typed_errors(lookup, error):
+    c = Complex({1: (1, 2, 3), 2: (2, 3, 4), 3: (4, 5)})
+    with pytest.raises(error):
+        lookup(c)
+    assert True not in c and 1 in c and 999 not in c
+
+
 @pytest.mark.parametrize("row", [None, 5])
 def test_row_that_is_no_sequence_names_its_top(row):
     with pytest.raises(InvalidComplex, match="simplex 7 "):
@@ -531,6 +582,11 @@ def test_subcomplex(mixed):
     assert sub.top_ids == [7, 8, 9]
     assert sub.row(7) == mixed.row(7)
     assert sub.dim == 3
+    # any order, repeats and generators give the same slice of the store
+    assert mixed.subcomplex(t for t in (9, 7, 8, 7)) == sub
+    # all of the tops in id order share the store
+    whole = mixed.subcomplex(mixed.top_ids)
+    assert whole == mixed and corner_layout(whole)[0] is corner_layout(mixed)[0]
 
 
 def test_simplex_helper():

@@ -61,6 +61,23 @@ def test_modules_read_every_import():
     assert unused == []
 
 
+def test_only_complexes_reads_the_row_store():
+    # the row store is Complex's layout: other modules go through
+    # corner_layout, position and the public methods, so a change of the
+    # layout stays in complexes.py.  Its fields are named after no attribute
+    # of any other class, so a read of one by name is a read of the store.
+    fields = set(nmdecomp.Complex.__slots__)
+    assert {"_store_ids", "_store_flat", "_store_start"} <= fields
+    readers = []
+    for path in sorted(Path(nmdecomp.__file__).parent.rglob("*.py")):
+        if path.name == "complexes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in fields:
+                readers.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert readers == []
+
+
 def test_every_error_has_a_raise_site():
     # a TopologyError subclass that no module raises is dead API: each one
     # in errors.py, the base aside, must be named in some raise statement

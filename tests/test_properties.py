@@ -6,7 +6,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmdecomp.complexes import Complex, canonical_pairs, parse_tv, simplex
+from nmdecomp.complexes import (
+    Complex,
+    canonical_pairs,
+    corner_layout,
+    format_tv,
+    parse_tv,
+    simplex,
+)
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import NotInTrie, NotIqm, TopologyError
 from nmdecomp.fixtures import load_text, load_tv
@@ -77,6 +84,28 @@ def test_decompose_idempotent(seed, d):
     c = draw(seed, d)
     dec = decompose(c)
     assert decompose(dec.nabla).is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims, seeds)
+def test_row_store_ignores_insertion_order(seed, d, order):
+    c = draw(seed, d, max_tops=30)
+    rng = random.Random(order)
+    rows = list(c.rows().items())
+    rng.shuffle(rows)
+    shuffled = Complex(dict(rows))
+    assert shuffled == c and hash(shuffled) == hash(c)
+    assert list(shuffled.rows().items()) == list(c.rows().items())
+    assert shuffled.top_ids == c.top_ids == sorted(t for t, _ in rows)
+    assert format_tv(shuffled) == format_tv(c)
+    ids = list(c.top_ids)
+    rng.shuffle(ids)
+    assert c.subcomplex(ids) == c
+    assert parse_tv(format_tv(c)) == c
+    # nabla is a new flat array over the source's ids and offsets
+    dec = decompose(shuffled)
+    assert corner_layout(dec.nabla)[1] is corner_layout(dec.source)[1]
+    assert dec.nabla.top_ids is dec.source.top_ids
 
 
 @settings(max_examples=60, deadline=None)
