@@ -690,8 +690,24 @@ def _first_fault(text: str) -> ParseError:
 
 
 def format_tv(c: Complex) -> str:
+    """The .tv text that `parse_tv` reads back as c, in labels.  Raises
+    InvalidComplex on no tops, or at the first id or label, in line order, that
+    it cannot write: a negative id, a label that is no [A-Za-z0-9_]+ token, or
+    one read as another vertex's (by number, in a file of numerals)."""
+    if not c.top_ids:
+        raise InvalidComplex("a .tv file holds at least one simplex")
+    if c.top_ids[0] < 0:
+        raise InvalidComplex(f"top id {c.top_ids[0]} is negative")
+    labels = {v: c.label_of(v) for v in c._vertex_ids()}  # in line order
+    numerals = all(map(str.isdigit, labels.values()))
+    seen: dict = {}  # what parse_tv reads a label as -> its first vertex
+    for v, label in labels.items():
+        if not _TOKEN_RE.fullmatch(label):
+            raise InvalidComplex(f"vertex label {label!r} is not a .tv token")
+        if (other := seen.setdefault(int(label) if numerals else label, v)) != v:
+            raise InvalidComplex(f"vertex label {label!r} of vertex {v} reads as vertex {other}")
     lines = [
-        f"simplex {tid}: " + " ".join(map(c.label_of, row))
+        f"simplex {tid}: " + " ".join(map(labels.__getitem__, row))
         for tid, row in zip(c.top_ids, c._rows())
     ]
     return "\n".join(lines) + "\n"

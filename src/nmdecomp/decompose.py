@@ -72,15 +72,12 @@ class DecompositionResult:
 
     # -- sigma views -------------------------------------------------------
 
-    def sigma_inverse(self) -> dict[int, tuple[int, ...]]:
+    def splitting_classes(self) -> dict[int, tuple[int, ...]]:
+        """original -> its copies, ascending, for the vertices that split."""
         inv: dict[int, list[int]] = {}
         for copy, orig in self.sigma.items():
             inv.setdefault(orig, []).append(copy)
-        return {v: tuple(sorted(cs)) for v, cs in inv.items()}
-
-    def splitting_classes(self) -> dict[int, tuple[int, ...]]:
-        """original -> copies, restricted to vertices that actually split."""
-        return {v: cs for v, cs in self.sigma_inverse().items() if len(cs) > 1}
+        return {v: tuple(sorted(cs)) for v, cs in inv.items() if len(cs) > 1}
 
     @property
     def splitting_vertices(self) -> list[int]:
@@ -95,8 +92,6 @@ class DecompositionResult:
     def nc(self) -> int:
         """Total number of copies of splitting vertices (originals included)."""
         return sum(len(cs) for cs in self.splitting_classes().values())
-
-    # -- misc --------------------------------------------------------------
 
     def is_identity(self) -> bool:
         return all(copy == orig for copy, orig in self.sigma.items())
@@ -177,8 +172,9 @@ def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int
     is first met in its smallest top.  Each class becomes one vertex.  Per
     source vertex, ascending, the classes are ordered by link dimension,
     then smallest top: the first keeps the vertex's id and label, the
-    others take fresh ids in turn.  nabla shares source's top ids and row
-    offsets, and its rows are not checked again.
+    others take fresh ids in turn, and copy labels skip tokens in use, such
+    as an input's "a_2".  nabla shares source's top ids and row offsets,
+    and its rows are not checked again.
     """
     flat, start = corner_layout(source)
     width = [0] * len(root)  # class -> widest top holding it
@@ -193,6 +189,7 @@ def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int
 
     label_of = source.label_of
     labels = {v: label_of(v) for v in by_vertex}
+    used = set(labels.values())
     sigma: dict[int, int] = {}
     copy_of = [0] * len(root)  # class -> vertex id in the decomposition
     next_id = max(by_vertex) + 1
@@ -207,7 +204,12 @@ def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int
             else:
                 vid = next_id
                 next_id += 1
-                labels[vid] = copy_label(labels[v], vid, n)
+                label, k = copy_label(labels[v], vid, n), n
+                while label in used:
+                    k += 1
+                    label = f"{labels[v]}_{k}"
+                labels[vid] = label
+                used.add(label)
             sigma[vid] = v
             copy_of[r] = vid
     return source.with_corners([copy_of[r] for r in root], labels), sigma

@@ -2,45 +2,28 @@
 
 The packed tables answer everything inside one component.  Queries about
 the original complex need two extra ingredients: the vertex copy map
-sigma (copies -> original vertex) and the splitmap, which lists every
-simplex whose star falls into several adjacency patches, or into several
-components, with its copies and one representative top per patch of each
-copy; the representative is the smallest top of its patch.  Everything
-else stays implicit: a simplex absent from the splitmap has a single copy,
-found through sigma inside any top that spans it, and one patch, which a
-star walk from that top covers.
+sigma (copies -> original vertex; `sigma_n` in packed ids) and the
+splitmap, which lists every simplex whose star falls into several
+adjacency patches, or into several components, with its copies and one
+representative top per patch of each copy, the smallest top of the
+patch.  Everything else stays implicit: a simplex absent from the
+splitmap has a single copy, found through sigma inside any top that
+spans it, and one patch, which a star walk from that top covers.  Vertex
+couples are never keys: the copy map answers them.
 
-Vertex couples are never splitmap keys: the copy map already answers
-them, so recording starts at dimension one.
+A simplex is recorded when one of its vertices splits, or when its star
+inside one component is cut at a diamond (a facet of order three or
+more) or at a pinch.  `build_splitmap` harvests the rows holding copies
+of the paper's v_nra vertices and of the `pinch_suspects`, and walks no
+star.  A query on gamma is one loop over its copies, each walked with
+`Ewds.walk` from its seed tops: a vertex's from the copy map, a key's
+from the splitmap, any other gamma's from the face table (`FaceTops`).
 
-A simplex is recorded when one of its vertices splits (a copy per
-component) or when its star inside one component is cut into patches:
-at a facet of order three or more (a diamond), or at a pinch, where
-parts of its star meet in the simplex but share no facet through it.
-The harvest marks the copies of the paper's v_nra set, which covers the
-first two, and of the vertices that one counting pass over the tables
-(pinch_suspects, the twice-chi count of vertex links that
-`Complex.classify` also runs) finds where a pinch may be.  One pass
-over the rows of each block reads, in every row that holds a marked
-copy, the faces that hold one, and it walks no star and no patch: the
-patches of a face short of a facet are union-find classes of its (top,
-face) corners glued across order-2 facets, and a facet's patches follow
-from its TTP entry, since two cofaces are one patch and each coface of a
-boundary facet or of a diamond is one.
-
-With that, a query on gamma is one loop over the copies of gamma, each
-with the tops its walk starts from.  A vertex's copies come from the
-copy map, each seeded with its VTSTAR top.  A splitmap key's copies come
-with the representatives of their patches.  Any other gamma has one
-copy, in the top that the face table returns: one dict from every face
-of 2..w-1 vertices of a width-w source top to a packed top spanning it;
-vertices and whole top rows need no entry.  The loop skips a copy whose
-dimension block is too narrow to hold an m-face, walks the star of each
-other copy with `Ewds.walk`, and `_add_faces` reads the m-faces off the
-tops reached.  The pass that fills the face table also fills the row
-list, parallel to TVP, which holds each packed top's source vertex ids in
-ascending order: a query reads its faces off those slices, with no copy
-map lookup and no sort per face.
+Every stage works in packed ids, on the tables and sigma_n, which is
+read once off the decomposition through `Ewds.vertex_old`: the face
+table and its row list are TVP mapped through sigma_n, and the splitmap
+and v_nra read TVP and TTP.  Of the decomposition, only sigma and the
+components' vertices are read.
 """
 
 from __future__ import annotations
@@ -53,7 +36,7 @@ from itertools import chain, combinations, compress, count, repeat
 from operator import not_
 from typing import Iterable
 
-from .complexes import Simplex, corner_layout, simplex, twice_chi_misses
+from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie
@@ -89,7 +72,7 @@ def check_relation(gamma: Simplex, n: int, m: int) -> None:
 
 class FaceTops:
     """The face table and the row list, both filled in one pass over the
-    source tops.
+    packed rows mapped through sigma.
 
     faces maps every face of 2..w-1 vertices of some width-w top, as a
     sorted tuple of source ids, to a packed top that spans it.  Any such top
@@ -245,8 +228,9 @@ class NmLayer:
         return out
 
     def stats(self) -> dict:
-        dec = self.ewds.source
-        ns, nc = dec.ns, dec.nc
+        """NS and NC, off the copy map, and the paper's NSP, phi and H_hat."""
+        split = [len(cs) for cs in self.copies_of.values() if len(cs) > 1]
+        ns, nc = len(split), sum(split)
         d = self.ewds.d
         nsp = len(self.nsp_tops())
         phi = max(0, (2 ** (d + 1) - (d + 3)) * nsp)
@@ -266,15 +250,12 @@ class NmLayer:
 def build_sigma_maps(
     ewds: Ewds, dec: DecompositionResult
 ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Packed-id copy maps from the decomposition's vertex-level sigma."""
-    sigma_n = [0] * (ewds.nv + 1)
+    """Packed-id copy maps from the decomposition's sigma, copies ascending."""
+    sigma_n = [0, *map(dec.sigma.__getitem__, ewds.vertex_old[1:])]
     copies: dict[int, list[int]] = {}
     for vp in range(1, ewds.nv + 1):
-        src = dec.sigma[ewds.vertex_old[vp]]
-        sigma_n[vp] = src
-        copies.setdefault(src, []).append(vp)
-    copies_of = {v: tuple(sorted(cs)) for v, cs in copies.items()}
-    return sigma_n, copies_of
+        copies.setdefault(sigma_n[vp], []).append(vp)
+    return sigma_n, {v: tuple(cs) for v, cs in copies.items()}
 
 
 def v_nra_vertices(
@@ -370,8 +351,7 @@ def _copy_kinds(ewds: Ewds, copies_of: dict[int, tuple[int, ...]]) -> bytearray:
     """Per packed vertex: 1 when it is the only copy of its source vertex,
     2 when another copy of that vertex lies in its component, 0 otherwise.
 
-    A copy's component is that of its VTSTAR top, read off one pass over
-    the decomposition's components.
+    Components are vertex-disjoint, so their own vertices give each copy's.
     """
     kinds = bytearray(ewds.nv + 1)
     split = []
@@ -381,14 +361,10 @@ def _copy_kinds(ewds: Ewds, copies_of: dict[int, tuple[int, ...]]) -> bytearray:
         else:
             split.append(cs)
     if split:
-        comp_of = [0] * (ewds.nt + 1)
-        top_new = ewds.top_new
-        for ci, comp in enumerate(ewds.source.components):
-            for t in comp.top_ids:
-                comp_of[top_new[t]] = ci
-        vtstar = ewds.vtstar
+        # decomposition vertex -> its component
+        comp_of = {v: ci for ci, comp in enumerate(ewds.source.components) for v in comp.vertices}
         for cs in split:
-            comps = [comp_of[vtstar[x]] for x in cs]
+            comps = [comp_of[ewds.vertex_old[x]] for x in cs]
             if len(set(comps)) < len(comps):
                 for x, ci in zip(cs, comps):
                     if comps.count(ci) > 1:
@@ -509,23 +485,22 @@ def build_splitmap(
     return smap
 
 
-def build_ft_trie(ewds: Ewds) -> FaceTops:
-    """Face table and row list of the source complex of ewds, in one pass.
-
-    The source's rows are read off its store in packed order, so each
-    sorted row lands at its TVP addresses by appending; a face shared by
-    several tops keeps the last of them.
-    """
-    flat, start = corner_layout(ewds.source.source)
-    new_of = list(map(ewds.top_new.__getitem__, ewds.source.source.top_ids))
+def build_ft_trie(ewds: Ewds, sigma_n: list[int]) -> FaceTops:
+    """Face table and row list of the source complex, from TVP mapped
+    through sigma_n in one go: each block's rows, sorted in packed order,
+    land at their TVP addresses by appending; a face shared by several
+    tops keeps the last of them."""
+    src = list(map(sigma_n.__getitem__, ewds.tvp))
     faces: dict[Simplex, int] = {}
     rows = [0]
-    for top, i in enumerate(sorted(range(len(new_of)), key=new_of.__getitem__), 1):
-        row = sorted(flat[start[i] : start[i + 1]])
-        rows.extend(row)
-        for r in range(2, len(row)):
-            for face in combinations(row, r):
-                faces[face] = top
+    for h in range(ewds.d + 1):
+        w, lo, hi = h + 1, ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
+        for top, k in zip(ewds._block_tops(h), range(lo, hi, w)):
+            row = sorted(src[k : k + w])
+            rows.extend(row)
+            for r in range(2, w):
+                for face in combinations(row, r):
+                    faces[face] = top
     return FaceTops(faces, rows)
 
 
@@ -535,10 +510,9 @@ def build_nm_layer(ewds: Ewds) -> NmLayer:
     The splitmap harvests v_nra and the pinch suspects; the layer keeps
     v_nra alone, which stats() reads.
     """
-    dec = ewds.source
-    sigma_n, copies_of = build_sigma_maps(ewds, dec)
+    sigma_n, copies_of = build_sigma_maps(ewds, ewds.source)
     nra = v_nra_vertices(ewds, sigma_n, copies_of)
     harvest = pinch_suspects(ewds, sigma_n)
     harvest.update(nra)
     smap = build_splitmap(ewds, sigma_n, copies_of, harvest)
-    return NmLayer(ewds, sigma_n, copies_of, smap, nra, build_ft_trie(ewds))
+    return NmLayer(ewds, sigma_n, copies_of, smap, nra, build_ft_trie(ewds, sigma_n))

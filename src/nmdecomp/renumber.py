@@ -59,11 +59,9 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     A result of `decompose` carries that proof; on any other, the first
     component that fails `Complex.is_iqm` raises NotIqm.
 
-    The DFS of a block walks TTP.  `Ewds.build` packs every order-2 pair
-    both ways, and two tops of one block share at most one facet, so the slot
-    by which the walk enters a neighbour is the one slot of its TTP row
-    that holds the top it came from; the vertex there is the one the
-    neighbour adds.
+    The DFS of a block walks TTP, as the module says.  Each seed is its
+    component's first top: an IQM lies in one block, which `Ewds.build`
+    fills with its components' tops end to end, in order.
     """
     dec = ewds.source
     if not dec.iqm:
@@ -81,8 +79,10 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
 
     cc = list(dec.cc)
     seeds: list[list[int]] = [[] for _ in range(d + 1)]
+    nxt = ewds.tbase[: d + 1]  # per block, the first top of the next component
     for comp in dec.components:
-        seeds[comp.dim].append(ewds.top_new[comp.top_ids[0]])
+        seeds[comp.dim].append(nxt[comp.dim])
+        nxt[comp.dim] += comp.num_tops
     # components are vertex-disjoint and, being IQMs, each lies in one
     # block, so a vertex belongs to the block of its VTSTAR top
     anchors = sorted(ewds.vtstar[1:])

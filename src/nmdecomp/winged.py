@@ -35,7 +35,9 @@ MAGIC = b"EWD\x00"
 
 @dataclass
 class Ewds:
-    """Packed decomposition with O(1) top/vertex lookups."""
+    """Packed decomposition with O(1) top/vertex lookups, in packed ids:
+    top_old and vertex_old map them back to the decomposition's, and no
+    map goes the other way once `build` returns."""
 
     d: int
     nt: int
@@ -48,15 +50,15 @@ class Ewds:
     top_old: list[int]     # new top id -> decomposition top id, index 0 unused
     vertex_old: list[int]  # new vertex id -> decomposition vertex id
     source: DecompositionResult = field(repr=False)
-    top_new: dict[int, int] = field(repr=False, default_factory=dict)
-    vertex_new: dict[int, int] = field(repr=False, default_factory=dict)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, dec: DecompositionResult) -> "Ewds":
         """Pack dec: tops go to the blocks their components' row offsets
-        give, and TVP and TTP are read off nabla's store and dec.tt."""
+        give, each block holding its components' tops end to end in the
+        order of dec.components, and TVP and TTP are read off nabla's store
+        and dec.tt."""
         nabla = dec.nabla
         d = nabla.dim
 
@@ -69,27 +71,24 @@ class Ewds:
                 blocks[e - s - 1].append(t)
         flat, start = corner_layout(nabla)  # the rows of all the components
         vertex_old = [0] + sorted(set(flat))
-        counts = [len(block) for block in blocks]
         top_old = [0] + [t for block in blocks for t in block]
         nt = len(top_old) - 1
         nv = len(vertex_old) - 1
         top_new = {old: new for new, old in enumerate(top_old) if new}
         vertex_new = {old: new for new, old in enumerate(vertex_old) if new}
 
-        tbase = [1]
-        for h in range(d + 1):
-            tbase.append(tbase[h] + counts[h])
-        tbase_addr = [1]
-        for h in range(d + 1):
-            tbase_addr.append(tbase_addr[h] + (h + 1) * (tbase[h + 1] - tbase[h]))
+        tbase, tbase_addr = [1], [1]
+        for h, block in enumerate(blocks):
+            tbase.append(tbase[h] + len(block))
+            tbase_addr.append(tbase_addr[h] + (h + 1) * len(block))
 
         # the blocks' rows lie end to end in top order, and so do their TT
         # rows, repacked from dec.tt, which runs parallel to nabla's flat
         # corners and names a top by its 1-based index in nabla's top_ids,
         # -1 being DIAMOND.  TTP and VTSTAR name each top by one int object
-        # of a list made here, in packed order; pointing them at the
-        # `top_new` values instead made encodings and queries on a 6 000-tet
-        # ball 2-4 % slower (Python 3.11, 2 vCPUs)
+        # of a list made here, in packed order; pointing them at the values
+        # of the old-to-new top map instead made encodings and queries on a
+        # 6 000-tet ball 2-4 % slower (Python 3.11, 2 vCPUs)
         new_of = list(map(top_new.__getitem__, nabla.top_ids))
         top_at = list(range(nt + 1))
         packed = [BOTTOM, *map(top_at.__getitem__, new_of), DIAMOND]
@@ -111,8 +110,6 @@ class Ewds:
             vtstar=[0] * (nv + 1),
             top_old=top_old,
             vertex_old=vertex_old,
-            top_new=top_new,
-            vertex_new=vertex_new,
             source=dec,
         )
         ew._fill_vtstar(top_at)
@@ -240,7 +237,9 @@ def parse_dump(data: bytes) -> dict:
     """Unpack a binary dump back into named integer arrays.
 
     Raises ParseError on a short header, a wrong magic number, block
-    directories that do not chain, or a length that disagrees with them.
+    directories that do not chain, a length that disagrees with them, or
+    the first entry outside its table: TVP 1..NV, VTSTAR 1..NT, and TTP
+    BOTTOM, DIAMOND or a top of its own block.
     """
     if len(data) < 16:
         raise ParseError(f"dump of {len(data)} bytes is shorter than its header")
@@ -267,21 +266,29 @@ def parse_dump(data: bytes) -> dict:
         raise ParseError(
             f"dump of {len(data)} bytes, expected {16 + 4 * (2 * size + nv) + dirs}"
         )
-    off = 16
-
-    def take(n: int) -> list[int]:
-        nonlocal off
-        vals = list(struct.unpack_from(f"<{n}i", data, off))
-        off += 4 * n
-        return vals
-
+    body = list(struct.unpack_from(f"<{2 * size + nv}i", data, 16))
+    tvp, ttp, vtstar = body[:size], body[size : 2 * size], body[2 * size :]
+    _check_entries("TVP", tvp, 1, range(1, nv + 1))
+    for lo, hi, top, end in zip(tbase_addr, tbase_addr[1:] + [size + 1], bounds, bounds[1:]):
+        _check_entries("TTP", ttp[lo - 1 : hi - 1], lo, range(top, end), (BOTTOM, DIAMOND))
+    _check_entries("VTSTAR", vtstar, 1, range(1, nt + 1))
     return {
         "d": d,
         "nt": nt,
         "nv": nv,
-        "tvp": take(size),
-        "ttp": take(size),
-        "vtstar": take(nv),
+        "tvp": tvp,
+        "ttp": ttp,
+        "vtstar": vtstar,
         "tbase": tbase,
         "tbase_addr": tbase_addr,
     }
+
+
+def _check_entries(name: str, entries: list, first: int, ids: range, marks: tuple = ()) -> None:
+    """Raise ParseError at the first entry in neither ids nor marks, naming
+    table name and the entry's index, entries[0] being at first."""
+    vals = set(entries).difference(marks)
+    if vals and (min(vals) < ids.start or max(vals) >= ids.stop):
+        i = next(i for i, x in enumerate(entries) if x not in ids and x not in marks)
+        allowed = ", ".join(map(str, (*marks, f"{ids.start}..{ids.stop - 1}")))
+        raise ParseError(f"{name}[{first + i}] = {entries[i]} is not in {allowed}")

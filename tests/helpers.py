@@ -1,4 +1,5 @@
-"""Face counts that only tests ask of a complex."""
+"""Face counts and label rows that only tests ask of a complex, and the
+packed id of a decomposition id."""
 
 from collections import Counter
 from itertools import combinations
@@ -17,6 +18,17 @@ def faces_of_dim(c, m):
         if len(row) >= m + 1:
             out.update(combinations(row, m + 1))
     return out
+
+
+def label_rows(c):
+    """Top id -> its row in vertex labels, which a .tv round trip keeps."""
+    return {t: tuple(map(c.label_of, row)) for t, row in c.rows().items()}
+
+
+def packed(old_ids, x):
+    """The packed id whose entry in old_ids, `Ewds.top_old` or
+    `Ewds.vertex_old`, is the decomposition id x."""
+    return old_ids.index(x, 1)
 
 
 def boundary(c):

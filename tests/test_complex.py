@@ -27,7 +27,7 @@ from nmdecomp.errors import (
     UnknownToken,
     UnknownTop,
 )
-from helpers import boundary, faces_of_dim, order_of
+from helpers import boundary, faces_of_dim, label_rows, order_of
 
 
 def test_parse_numeric_tokens_keep_ids(fan):
@@ -49,6 +49,35 @@ def test_parse_roundtrip(fan, cones):
         again = parse_tv(format_tv(c))
         assert again.rows() == c.rows()
         assert again.labels == c.labels
+
+
+@pytest.mark.parametrize(
+    "c, fault",
+    [
+        pytest.param(Complex({}), "at least one simplex", id="no-tops"),
+        pytest.param(Complex({1: (-1, 2, 3)}), "'-1'", id="negative-vertex"),
+        pytest.param(Complex({-1: (1, 2, 3), 2: (3, 4)}), "top id -1", id="negative-top"),
+        pytest.param(Complex({1: (1, 2)}, labels={1: "a b"}), "'a b'", id="space"),
+        pytest.param(Complex({1: (1, 2)}, labels={1: "a\n"}), "'a\\n'", id="newline"),
+        pytest.param(Complex({1: (1, 2)}, labels={1: ""}), "''", id="empty"),
+        pytest.param(Complex({1: (1, 2), 2: (2, 3)}, labels={1: "a", 3: "a"}), "'a'", id="twice"),
+        pytest.param(
+            Complex({1: (1, 2)}, labels={1: "01", 2: "1"}), "'1' of vertex 2", id="one-numeral"
+        ),
+    ],
+)
+def test_format_tv_rejects_what_parse_tv_reads_otherwise(c, fault):
+    # a negative id, a label that is no token, or one that reads as another
+    # vertex's raises, naming the first such id or label in line order
+    with pytest.raises(InvalidComplex, match=re.escape(fault)):
+        format_tv(c)
+
+
+def test_format_tv_writes_mixed_numerals():
+    # "01" and "1" name one vertex only in a file of numerals
+    c = Complex({1: (1, 2), 2: (2, 3)}, labels={1: "01", 2: "1", 3: "x"})
+    assert format_tv(c) == "simplex 1: 01 1\nsimplex 2: 1 x\n"
+    assert label_rows(parse_tv(format_tv(c))) == label_rows(c)
 
 
 def test_parse_rejects_garbage():

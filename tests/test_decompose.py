@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from nmdecomp.complexes import parse_tv
+from nmdecomp.complexes import format_tv, parse_tv
 from nmdecomp.decompose import copy_label, decompose
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import oracle_decompose
+from helpers import label_rows
 
 
 def test_mixed_rows(mixed):
@@ -139,6 +140,24 @@ def test_component_labels_cover_own_vertices(mixed, bouquet):
     for c in (mixed, bouquet):
         for comp in decompose(c).components:
             assert set(comp._labels) == set(comp.vertices)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the copy of a would be a_2, the token of vertex 2
+        "simplex 1: a b c\nsimplex 2: a d e\nsimplex 3: d a_2\n",
+        # the copy of 3 would be 7, the token of vertex 2 in lexicographic order
+        "simplex 1: 3 x y\nsimplex 2: 3 a b\nsimplex 3: 7\n",
+    ],
+)
+def test_copy_labels_skip_tokens_in_use(text):
+    src = parse_tv(text)
+    nabla = decompose(src).nabla
+    labels = list(nabla.labels.values())
+    assert nabla.num_vertices > src.num_vertices
+    assert len(set(labels)) == len(labels) == nabla.num_vertices
+    assert label_rows(parse_tv(format_tv(nabla))) == label_rows(nabla)
 
 
 def test_copy_label_helper():

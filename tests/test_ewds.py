@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+import struct
 from itertools import repeat
 
 import pytest
@@ -11,10 +13,12 @@ from nmdecomp import complexes
 from nmdecomp.complexes import Complex, facet_slots, format_tv, parse_tv
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import ParseError, UnknownTop, UnknownVertex
+from nmdecomp.fixtures import load_tv
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer
 from nmdecomp.oracle import random_complex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
+from helpers import packed
 
 
 # -- reference: TTP and VTSTAR from a facet pass per packed block ------------
@@ -144,7 +148,7 @@ def test_addressed_lookups(ew_mixed):
 def test_repack_maps(ew_mixed, mixed):
     # this fixture packs to itself: component order matches input id order
     assert ew_mixed.top_old[1:] == list(range(1, 10))
-    assert ew_mixed.top_new == {t: t for t in range(1, 10)}
+    assert ew_mixed.top_old == list(range(10))  # index 0 unused, no other top
     assert ew_mixed.vertex_old[1:] == list(range(1, 16))
 
 
@@ -152,14 +156,14 @@ def test_repack_nontrivial(cones):
     ew = Ewds.build(decompose(cones))
     # 27 tops renumber contiguously; the cavity tets move to the tail
     assert ew.nt == 27
-    assert ew.top_new[34] == 25 and ew.top_new[36] == 27
-    assert ew.row_of(25) == tuple(ew.vertex_new[v] for v in cones.row(34))
+    assert packed(ew.top_old, 34) == 25 and packed(ew.top_old, 36) == 27
+    assert ew.row_of(25) == tuple(packed(ew.vertex_old, v) for v in cones.row(34))
 
 
 def test_diamond_marks(cones):
     ew = Ewds.build(decompose(cones))
     for t in (34, 35, 36):
-        assert DIAMOND in ew.tt_row_of(ew.top_new[t])
+        assert DIAMOND in ew.tt_row_of(packed(ew.top_old, t))
 
 
 def test_s0h_walks(ew_mixed):
@@ -205,6 +209,13 @@ def test_dump_roundtrip(ew_mixed, ew_fan):
             id="int-before-dirs",
         ),
         pytest.param(lambda b: b"EWD\x01" + b[4:], id="bad-magic"),
+        # entries outside their tables: cones has NV 21 and NT 27, all tets
+        pytest.param(lambda b: overwrite(b, "TVP", 1, 22), id="tvp-above-nv"),
+        pytest.param(lambda b: overwrite(b, "TVP", 5, 0), id="tvp-zero"),
+        pytest.param(lambda b: overwrite(b, "TTP", 1, -7), id="ttp-below-diamond"),
+        pytest.param(lambda b: overwrite(b, "TTP", 3, 28), id="ttp-above-nt"),
+        pytest.param(lambda b: overwrite(b, "VTSTAR", 1, 0), id="vtstar-zero"),
+        pytest.param(lambda b: overwrite(b, "VTSTAR", 21, 28), id="vtstar-above-nt"),
     ],
 )
 def test_parse_dump_rejects_malformed(cones, mangle):
@@ -212,6 +223,27 @@ def test_parse_dump_rejects_malformed(cones, mangle):
     parse_dump(data)
     with pytest.raises(ParseError):
         parse_dump(mangle(data))
+
+
+def overwrite(data, table, k, value):
+    """data with entry k (1-based) of table TVP, TTP or VTSTAR set to value."""
+    d, _, nv = struct.unpack_from("<III", data, 4)
+    size = (len(data) - 16 - 4 * nv - 8 * (d + 1)) // 8
+    at = 16 + 4 * {"TVP": 0, "TTP": size, "VTSTAR": 2 * size}[table] + 4 * (k - 1)
+    return data[:at] + struct.pack("<i", value) + data[at + 4 :]
+
+
+@pytest.mark.parametrize(
+    "table, k, value",
+    [("TVP", 1, 999), ("TTP", 1, -7), ("TTP", 3, 9), ("TTP", 13, 3), ("VTSTAR", 15, 10)],
+)
+def test_parse_dump_names_an_entry_outside_its_table(table, k, value):
+    # fix_b: NV 15, NT 9; blocks of tops 1-2, 3-4, 5-6 and 7-9 at TVP/TTP
+    # 1, 3, 7 and 13; a TTP entry names a top of its own block, or 0 or -1
+    ew = Ewds.build(decompose(load_tv("fix_b.tv")))
+    assert (ew.nv, ew.nt, ew.tbase, ew.tbase_addr) == (15, 9, [1, 3, 5, 7, 10], [1, 3, 7, 13, 25])
+    with pytest.raises(ParseError, match=re.escape(f"{table}[{k}] = {value} ")):
+        parse_dump(overwrite(ew.dump_bytes(), table, k, value))
 
 
 def test_flat_layout_invariant(ew_mixed, ew_fan):

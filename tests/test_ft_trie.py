@@ -9,9 +9,10 @@ from nmdecomp.complexes import parse_tv
 from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
 from nmdecomp.errors import NotInTrie
-from nmdecomp.nonmanifold import build_ft_trie
+from nmdecomp.nonmanifold import build_ft_trie, build_sigma_maps
 from nmdecomp.oracle import random_complex
 from nmdecomp.winged import Ewds
+from helpers import packed
 
 
 @pytest.fixture()
@@ -19,8 +20,13 @@ def pair():
     return parse_tv("simplex 1: 1 2 3\nsimplex 2: 2 3 4\n")
 
 
+def face_table(ew):
+    """The face table of ew, built from its tables and its copy map."""
+    return build_ft_trie(ew, build_sigma_maps(ew, ew.source)[0])
+
+
 def table(c):
-    return build_ft_trie(Ewds.build(decompose(c)))
+    return face_table(Ewds.build(decompose(c)))
 
 
 def proper_faces(c):
@@ -35,7 +41,7 @@ def proper_faces(c):
 
 def test_insert_and_lookup(pair):
     ew = Ewds.build(decompose(pair))
-    trie = build_ft_trie(ew)
+    trie = face_table(ew)
     assert ew.top_old[trie.lookup((1, 2))] == 1
     assert ew.top_old[trie.lookup((2, 3))] in (1, 2)
     assert ew.top_old[trie.lookup((3, 4))] == 2
@@ -45,7 +51,7 @@ def test_entries_are_the_faces_between_vertex_and_top(pair):
     draws = [random_complex(seed=s, max_tops=12, d=s % 4 + 1) for s in range(8)]
     for c in [pair, *draws]:
         ew = Ewds.build(decompose(c))
-        trie = build_ft_trie(ew)
+        trie = face_table(ew)
         assert set(trie.faces) == proper_faces(c)
         for gamma in trie.faces:
             assert ew.top_old[trie.lookup(gamma)] in c.star(gamma)
@@ -61,9 +67,9 @@ def test_lookup_returns_packed_tops():
     # the source ids 10 and 20 are no packed ids; the table answers in packed ids
     c = parse_tv("simplex 10: 1 2 3 4\nsimplex 20: 1 5\n")
     ew = Ewds.build(decompose(c))
-    trie = build_ft_trie(ew)
-    assert trie.lookup((1, 2, 3)) == ew.top_new[10]
-    assert trie.lookup((2, 4)) == ew.top_new[10]
+    trie = face_table(ew)
+    assert trie.lookup((1, 2, 3)) == packed(ew.top_old, 10)
+    assert trie.lookup((2, 4)) == packed(ew.top_old, 10)
 
 
 @pytest.mark.parametrize(

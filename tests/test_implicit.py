@@ -28,6 +28,7 @@ from nmdecomp.renumber import (
     compute_renumbering,
 )
 from nmdecomp.winged import Ewds
+from helpers import packed
 
 
 # -- reference: the renumbering a vertex and a top at a time ----------------
@@ -55,7 +56,7 @@ def reference_compute_renumbering(ewds: Ewds) -> Renumbering:
     seeds_per_dim: dict[int, list[int]] = {h: [] for h in range(d + 1)}
     for comp in dec.components:
         cc[comp.dim] += 1
-        seeds_per_dim[comp.dim].append(ewds.top_new[comp.top_ids[0]])
+        seeds_per_dim[comp.dim].append(packed(ewds.top_old, comp.top_ids[0]))
     anchors = sorted(ewds.vtstar[1:])
     nv_per_dim = [
         bisect_left(anchors, ewds.tbase[h + 1]) - bisect_left(anchors, ewds.tbase[h])

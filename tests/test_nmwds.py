@@ -1,5 +1,6 @@
 """Non-manifold layer: splitmap, sigma translation, global queries."""
 
+import dataclasses
 import itertools
 import random
 
@@ -12,7 +13,9 @@ from nmdecomp.errors import BadRelation, NotIncident
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import _copy_in, build_nm_layer, build_splitmap, pinch_suspects
 from nmdecomp.oracle import oracle_snm, oracle_splitmap, oracle_star, random_complex
+from nmdecomp.renumber import compute_renumbering
 from nmdecomp.winged import Ewds
+from helpers import packed
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,7 @@ def test_splitmap_cones(nm_cones, cones):
 def test_travel_star_is_one_patch(nm_cones, cones):
     ew = nm_cones.ewds
     xyz = resolve_tokens(cones, ["x", "y", "z"])  # the packing keeps these ids
-    t34 = ew.top_new[34]
+    t34 = packed(ew.top_old, 34)
     # the diamond mark fences each cavity tet into its own patch
     assert ew.walk(set(xyz), (t34,)) == {t34}
 
@@ -66,9 +69,9 @@ def test_travel_star_covers_the_patch(nm_mixed):
 def test_copy_in_names_the_copy_a_top_spans(nm_cones, cones):
     ew = nm_cones.ewds
     xyz = resolve_tokens(cones, ["x", "y", "z"])
-    assert _copy_in(ew, nm_cones.sigma_n, xyz, ew.top_new[34]) == xyz
+    assert _copy_in(ew, nm_cones.sigma_n, xyz, packed(ew.top_old, 34)) == xyz
     with pytest.raises(NotIncident):
-        _copy_in(ew, nm_cones.sigma_n, xyz, ew.top_new[1])
+        _copy_in(ew, nm_cones.sigma_n, xyz, packed(ew.top_old, 1))
 
 
 def test_snm_global_mixed_all_faces(nm_mixed, mixed):
@@ -95,6 +98,26 @@ def _check_all_faces(nm, src):
         n = len(gamma) - 1
         for m in range(n + 1, d + 1):
             assert nm.snm_global(gamma, n, m) == set()
+
+
+def test_layer_stands_on_the_tables_and_the_copy_map(mixed, cones, perforated_cube):
+    # with the decomposition's source and nabla gone, the layer and the
+    # renumbering come out the same: they read the packed tables, sigma and
+    # the components alone.  Draw 1354 has two copies of a vertex in one
+    # component.
+    for src in (mixed, cones, perforated_cube(0), random_complex(1354, 40, 3)):
+        dec = decompose(src)
+        ew = Ewds.build(dec)
+        want, want_ren = build_nm_layer(ew), compute_renumbering(ew)
+        ew.source = dataclasses.replace(dec, source=None, nabla=None)
+        got = build_nm_layer(ew)
+        assert got.stats() == want.stats()
+        assert (got.splitmap, got.trie.faces) == (want.splitmap, want.trie.faces)
+        for gamma in src.all_faces():
+            n = len(gamma) - 1
+            for m in range(n + 1, src.dim + 1):
+                assert got.snm_global(gamma, n, m) == want.snm_global(gamma, n, m)
+        assert compute_renumbering(ew) == want_ren
 
 
 def test_snm_global_perforated_cube_all_faces(perforated_cube):
@@ -171,7 +194,7 @@ def test_pinched_simplices_are_splitmap_keys(name, pinches, request):
         assert len(star) == 4
         # the walk from both representatives covers the star, one copy wide
         assert {ew.top_old[u] for u in ew.walk(set(cp), reps)} == star
-        assert {_copy_in(ew, nm.sigma_n, gamma, ew.top_new[t]) for t in star} == {cp}
+        assert {_copy_in(ew, nm.sigma_n, gamma, packed(ew.top_old, t)) for t in star} == {cp}
         n = len(gamma) - 1
         for m in range(n + 1, src.dim + 1):
             assert nm.snm_global(gamma, n, m) == oracle_snm(src, gamma, n, m)

@@ -15,7 +15,7 @@ from nmdecomp.complexes import (
     simplex,
 )
 from nmdecomp.decompose import DecompositionResult, decompose
-from nmdecomp.errors import NotInTrie, NotIqm, TopologyError
+from nmdecomp.errors import InvalidComplex, NotInTrie, NotIqm, TopologyError
 from nmdecomp.fixtures import load_text, load_tv
 from nmdecomp.gluing import GluingState, run_glue_script
 from nmdecomp.nonmanifold import (
@@ -34,7 +34,7 @@ from nmdecomp.oracle import (
 )
 from nmdecomp.renumber import compute_renumbering
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import order_of
+from helpers import label_rows, order_of, packed
 from test_implicit import assert_matches_reference, reference_compute_renumbering
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -106,6 +106,36 @@ def test_row_store_ignores_insertion_order(seed, d, order):
     dec = decompose(shuffled)
     assert corner_layout(dec.nabla)[1] is corner_layout(dec.source)[1]
     assert dec.nabla.top_ids is dec.source.top_ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, dims, st.integers(-50, 50), st.integers(-50, 50))
+def test_format_tv_writes_what_parse_tv_reads(seed, d, top_shift, vertex_shift):
+    # ids of any sign: format_tv raises, for a negative id alone, or writes
+    # the text that parse_tv reads back as the same rows in labels
+    c = draw(seed, d)
+    c = Complex({t + top_shift: [v + vertex_shift for v in r] for t, r in c.rows().items()})
+    try:
+        text = format_tv(c)
+    except InvalidComplex:
+        assert c.top_ids[0] < 0 or c.vertices[0] < 0
+        return
+    assert label_rows(parse_tv(text)) == label_rows(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims, seeds)
+def test_copy_labels_read_back(seed, d, relabel):
+    # tokens that copy labels could take, numerals among them, label the
+    # draw; its decomposition is written and read back as it is
+    c = draw(seed, d)
+    pool = [f"{x}{s}" for x in ("a", "b", "40") for s in ("", "_2", "_3")]
+    pool += map(str, range(40))
+    tokens = dict(zip(c.vertices, random.Random(relabel).sample(pool, c.num_vertices)))
+    rows = c.rows().items()
+    src = parse_tv("".join(f"simplex {t}: {' '.join(map(tokens.get, r))}\n" for t, r in rows))
+    nabla = decompose(src).nabla
+    assert label_rows(parse_tv(format_tv(nabla))) == label_rows(nabla)
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,8 +289,8 @@ def test_ewds_tables_consistent(seed, d):
     ew = Ewds.build(dec)
     # TV rows are the component rows under the vertex repack
     for told in dec.nabla.top_ids:
-        t = ew.top_new[told]
-        assert ew.row_of(t) == tuple(ew.vertex_new[v] for v in dec.nabla.row(told))
+        t = packed(ew.top_old, told)
+        assert ew.row_of(t) == tuple(packed(ew.vertex_old, v) for v in dec.nabla.row(told))
     # TT entries are mutual and share the right facet
     for t in range(1, ew.nt + 1):
         row, tt = ew.row_of(t), ew.tt_row_of(t)
@@ -293,9 +323,9 @@ def test_s0h_is_packed_star(seed, d):
     dec = decompose(c)
     ew = Ewds.build(dec)
     for vold in dec.nabla.vertices:
-        v = ew.vertex_new[vold]
+        v = packed(ew.vertex_old, vold)
         got = sorted(ew.walk({v}, (ew.vtstar[v],)))
-        want = sorted(ew.top_new[t] for t in oracle_star(dec.nabla, [vold]))
+        want = sorted(packed(ew.top_old, t) for t in oracle_star(dec.nabla, [vold]))
         assert got == want
 
 
