@@ -15,28 +15,32 @@ A simplex is recorded when one of its vertices splits, or when its star
 inside one component is cut at a diamond (a facet of order three or
 more) or at a pinch.  `build_splitmap` harvests the rows holding copies
 of the paper's v_nra vertices and of the `pinch_suspects`, and walks no
-star.  A query on gamma is one loop over its copies, each walked with
-`Ewds.walk` from its seed tops: a vertex's from the copy map, a key's
-from the splitmap, any other gamma's from the face table (`FaceTops`).
+star.  Of those rows it reads only the faces that can be keys: a face
+that may have several copies, or whose vertices are all harvested, as
+those of a face cut into several patches inside one component are.  A
+query on gamma is one loop over its copies, each walked with `Ewds.walk`
+from its seed tops: a vertex's from the copy map, a key's from the
+splitmap, any other gamma's from the face table (`FaceTops`).
 
 Every stage works in packed ids, on the tables and sigma_n, which is
 read once off the decomposition through `Ewds.vertex_old`: the face
 table and its row list are TVP mapped through sigma_n, and the splitmap
 and v_nra read TVP and TTP.  Of the decomposition, only sigma and the
-components' vertices are read.
+components' sizes are read.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, compress, count, repeat
-from operator import not_
+from operator import not_, sub
 from typing import Iterable
 
-from .complexes import Simplex, simplex, twice_chi_misses
+from .complexes import Simplex, corner_layout, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie
@@ -315,24 +319,48 @@ def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
     return out
 
 
+# per-slot flags of the harvest's row layout
+SINGLE, TWIN, HARVESTED = 1, 2, 4
+
+
 @cache
-def _corner_layout(w: int, mask: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """The corners and harvested facets of a width-w row whose harvested
-    slots are mask.
+def _row_layout(flags: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple] | None:
+    """The faces that the harvest reads in a row whose slots carry these
+    flags (SINGLE or TWIN from `_copy_kinds`, and HARVESTED), or None when
+    no slot is HARVESTED.
 
     Returns the slots of each corner (every subset of 2..w-2 slots that
-    holds a slot of mask, by ascending bitmask), the position of each
-    bitmask among the corners (-1 for the others), per slot k the
-    (position, slots) of the corners inside the facet opposite k, and
-    (k, bitmask, slots) of every facet that holds a slot of mask.
+    holds a HARVESTED slot and fails the one-copy or the one-patch test of
+    `build_splitmap`, by ascending bitmask), the position of each bitmask
+    among the corners (-1 for the others), per slot k the (position,
+    slots) of the corners inside the facet opposite k, and (k, slots, one
+    copy) of every facet that holds a HARVESTED slot.
     """
+    w = len(flags)
     full = (1 << w) - 1
+    harvested = single = twin = 0
+    for j, f in enumerate(flags):
+        if f & HARVESTED:
+            harvested |= 1 << j
+        if f & SINGLE:
+            single |= 1 << j
+        elif f & TWIN:
+            twin |= 1 << j
+    if not harvested:
+        return None
 
     def slots(idx: int) -> tuple[int, ...]:
         return tuple(j for j in range(w) if idx >> j & 1)
 
+    def one_copy(idx: int) -> bool:
+        return bool(idx & single) and not idx & twin
+
     corners = [
-        idx for idx in range(3, full) if idx & mask and 2 <= idx.bit_count() <= w - 2
+        idx
+        for idx in range(3, full)
+        if idx & harvested
+        and 2 <= idx.bit_count() <= w - 2
+        and not (one_copy(idx) and idx & ~harvested)
     ]
     position = [-1] * (full + 1)
     for p, idx in enumerate(corners):
@@ -342,33 +370,51 @@ def _corner_layout(w: int, mask: int) -> tuple[tuple, tuple, tuple, tuple]:
         for k in range(w)
     )
     facets = tuple(
-        (k, full ^ 1 << k, slots(full ^ 1 << k)) for k in range(w) if (full ^ 1 << k) & mask
+        (k, slots(full ^ 1 << k), one_copy(full ^ 1 << k))
+        for k in range(w)
+        if (full ^ 1 << k) & harvested
     )
     return tuple(map(slots, corners)), tuple(position), in_facet, facets
 
 
 def _copy_kinds(ewds: Ewds, copies_of: dict[int, tuple[int, ...]]) -> bytearray:
-    """Per packed vertex: 1 when it is the only copy of its source vertex,
-    2 when another copy of that vertex lies in its component, 0 otherwise.
+    """Per packed vertex: SINGLE when it is the only copy of its source
+    vertex, TWIN when another copy of that vertex lies in its component, 0
+    otherwise.
 
-    Components are vertex-disjoint, so their own vertices give each copy's.
+    A copy lies in the component of its VTSTAR top, found by a bisect over
+    the first tops of the components' runs: `Ewds.build` lays each block
+    out as its components' tops end to end, in decomposition order, so a
+    component of one dimension is one run.
     """
-    kinds = bytearray(ewds.nv + 1)
-    split = []
-    for cs in copies_of.values():
-        if len(cs) == 1:
-            kinds[cs[0]] = 1
-        else:
-            split.append(cs)
-    if split:
-        # decomposition vertex -> its component
-        comp_of = {v: ci for ci, comp in enumerate(ewds.source.components) for v in comp.vertices}
-        for cs in split:
-            comps = [comp_of[ewds.vertex_old[x]] for x in cs]
-            if len(set(comps)) < len(comps):
-                for x, ci in zip(cs, comps):
-                    if comps.count(ci) > 1:
-                        kinds[x] = 2
+    kinds = bytearray([SINGLE]) * (ewds.nv + 1)
+    kinds[0] = 0
+    split = [cs for cs in copies_of.values() if len(cs) > 1]
+    if not split:
+        return kinds
+    for cs in split:
+        for x in cs:
+            kinds[x] = 0
+    runs: list[list[tuple[int, int]]] = [[] for _ in range(ewds.d + 1)]
+    nxt = ewds.tbase[: ewds.d + 1]  # per block, the first top of the next run
+    for ci, comp in enumerate(ewds.source.components):
+        start = corner_layout(comp)[1]
+        n, w = len(start) - 1, comp.dim + 1
+        if start[-1] == n * w:
+            widths = ((w, n),)
+        else:  # a hand-built component of several dimensions
+            widths = Counter(map(sub, start[1:], start)).items()
+        for w, n in widths:
+            runs[w - 1].append((nxt[w - 1], ci))
+            nxt[w - 1] += n
+    firsts, owner = zip(*chain.from_iterable(runs))  # ascending
+    vtstar = ewds.vtstar
+    for cs in split:
+        comps = [owner[bisect_right(firsts, vtstar[x]) - 1] for x in cs]
+        if len(set(comps)) < len(comps):
+            for x, ci in zip(cs, comps):
+                if comps.count(ci) > 1:
+                    kinds[x] = TWIN
     return kinds
 
 
@@ -381,56 +427,67 @@ def build_splitmap(
 ) -> Splitmap:
     """Harvest split simplices from the stars of the given source vertices.
 
-    One pass over the rows of each block finds the slots that hold a copy
-    of a harvested vertex; the rows with such a slot are the harvested
-    stars, and of them only faces of 2..w-1 slots that hold such a slot
-    are read, since no other face can be split.  The patches of a smaller
-    face are classes of corners, a corner being a (top, slot subset) pair
-    of those rows.  Corners are numbered in ascending top order, and for
-    every order-2 facet shared by tops t < u, union_min joins each corner
-    inside it in t with the corner of the same vertices in u.  Each class
-    is one patch, and its root corner lies in the patch's smallest top,
-    which is the representative: the splitmap depends on the set of
-    vertices, not on their order.  A facet needs no class: with two
-    cofaces it is one patch, recorded from the smaller of them, and on the
-    boundary or at a diamond each coface is a patch of its own.
+    One pass over the rows of each block flags each slot by the
+    `_copy_kinds` of its vertex and by whether it holds a copy of a
+    harvested vertex (HARVESTED); the rows with a HARVESTED slot are the
+    harvested stars.  Of them only the faces of 2..w-1 slots that can be
+    keys are read, as `_row_layout` lists them per row of flags.  Such a
+    face holds a HARVESTED slot, since no other face can be split, and can
+    have more than one record, since it fails one of these:
+    - One copy: some vertex of the face is the only copy of its source
+      vertex (SINGLE), and none has another copy in its component (TWIN).
+      Every copy of the key then holds that vertex, so lies in its
+      component, and two copies there would differ at a TWIN.
+    - One patch: some vertex of the face is not harvested.  A face whose
+      star inside one component falls into several patches has every
+      vertex in v_nra or among the pinch suspects: a pinched edge of a tet
+      block lowers the twice-chi count of both of its endpoints' links, a
+      diamond puts every vertex of its cofaces in v_nra, blocks of
+      dimension >= 4 harvest every vertex, and blocks of dimension <= 2
+      have no face smaller than a facet.
+    A facet of one copy is recorded only at a diamond: with two cofaces it
+    is one patch.  Whether a face is read depends only on its vertices, so
+    it is read in every top that spans it.
 
-    Each patch adds its representative to its source key's record, and a
-    key is kept when it has more than one record: more than one copy, or
-    more than one patch.  Only then are the records sorted into copies.  A
-    face that holds the only copy of some source vertex, and none of whose
-    vertices has another copy in its component, is the only copy of its
-    key; such a facet is one patch unless it is a diamond, so it is not
-    recorded at all.
+    The patches of a smaller face are classes of corners, a corner being a
+    (top, slot subset) pair that is read.  Corners are numbered in
+    ascending top order, and for every order-2 facet shared by tops t < u,
+    union_min joins each corner inside it in t with the corner of the same
+    vertices in u.  Each class is one patch, and its root corner lies in
+    the patch's smallest top, which is the representative: the splitmap
+    depends on the set of vertices, not on their order.  A facet needs no
+    class: with two cofaces it is one patch, recorded from the smaller of
+    them, and on the boundary or at a diamond each coface is a patch of
+    its own.  Each patch adds its representative to its source key's
+    record, and a key is kept when it has more than one record: more than
+    one copy, or more than one patch.  Only then are the records sorted
+    into copies.
 
-    The splitmap is complete when vertices holds v_nra and the pinch
-    suspects: every split simplex has a vertex among them, so all of its
-    star is read.  No star is walked, and neither the rows read nor the
-    unions are counted, so counter is not ticked.
+    Any harvest finds, whole, every key of several copies that holds a
+    harvested vertex, and every key of one copy whose vertices are all
+    harvested.  So the splitmap is complete when vertices holds v_nra and
+    the pinch suspects.  No star is walked, and neither the rows read nor
+    the unions are counted, so counter is not ticked.
     """
     harvested = [vp for v in vertices for vp in copies_of.get(v, ())]
     if not harvested:
         return {}
-    marked = bytearray(ewds.nv + 1)
+    flags = _copy_kinds(ewds, copies_of)
     for vp in harvested:
-        marked[vp] = 1
+        flags[vp] |= HARVESTED
     tvp, ttp = ewds.tvp, ewds.ttp
-    kinds = _copy_kinds(ewds, copies_of)
     found: dict[Simplex, list[int]] = {}  # key -> representatives
     for h in range(2, ewds.d + 1):  # narrower rows have no such face
         w = h + 1
-        off = ewds.tbase_addr[h] - ewds.tbase[h] * w
+        lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
+        off = lo - ewds.tbase[h] * w
         # number the corners of the rows that hold a harvested slot
         at: dict[int, tuple[int, tuple]] = {}  # top -> (first corner, layout)
         n = 0
-        for t in range(ewds.tbase[h], ewds.tbase[h + 1]):
-            base = off + t * w
-            mask = 0
-            for k in range(w):
-                if marked[tvp[base + k]]:
-                    mask |= 1 << k
-            if mask:
-                layout = _corner_layout(w, mask)
+        slot_flags = map(flags.__getitem__, tvp[lo:hi])
+        layouts = map(_row_layout, zip(*[slot_flags] * w))
+        for t, layout in zip(range(ewds.tbase[h], ewds.tbase[h + 1]), layouts):
+            if layout is not None:
                 at[t] = (n, layout)
                 n += len(layout[0])
         # glue the corners across order-2 facets
@@ -453,25 +510,17 @@ def build_splitmap(
         # one record per patch: each root corner and each facet's cofaces
         for t, (c, (corners, _, _, facets)) in at.items():
             base = off + t * w
-            row = tvp[base : base + w]
-            srow = [sigma_n[x] for x in row]
+            srow = [sigma_n[x] for x in tvp[base : base + w]]
             for slots in corners:
                 if parent[c] == c:
                     key = tuple(sorted([srow[j] for j in slots]))
                     found.setdefault(key, []).append(t)
                 c += 1
-            single = twin = 0
-            for j in range(w):
-                kind = kinds[row[j]]
-                if kind == 1:
-                    single |= 1 << j
-                elif kind:
-                    twin |= 1 << j
-            for k, idx, slots in facets:
+            for k, slots, one_copy in facets:
                 nbr = ttp[base + k]
                 if 0 < nbr < t:
                     continue  # recorded from the smaller coface
-                if nbr != DIAMOND and idx & single and not idx & twin:
+                if one_copy and nbr != DIAMOND:
                     continue  # the only copy of its key, and one patch
                 key = tuple(sorted([srow[j] for j in slots]))
                 found.setdefault(key, []).append(t)

@@ -11,7 +11,15 @@ from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
 from nmdecomp.errors import BadRelation, NotIncident
 from nmdecomp.meshes import kuhn_cube
-from nmdecomp.nonmanifold import _copy_in, build_nm_layer, build_splitmap, pinch_suspects
+from nmdecomp.nonmanifold import (
+    SINGLE,
+    TWIN,
+    _copy_in,
+    _copy_kinds,
+    build_nm_layer,
+    build_splitmap,
+    pinch_suspects,
+)
 from nmdecomp.oracle import oracle_snm, oracle_splitmap, oracle_star, random_complex
 from nmdecomp.renumber import compute_renumbering
 from nmdecomp.winged import Ewds
@@ -296,6 +304,45 @@ def test_two_copies_in_one_component_are_kept(seed, key, entry):
     assert len(split) == 1
     assert nm.splitmap[key] == entry
     assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_each_reading_clause_keeps_a_key(seed, perforated_cube):
+    # build_splitmap skips a face smaller than a facet when it holds a
+    # single-copy vertex, no twin (a vertex with another copy in its
+    # component) and a vertex outside the harvest.  Each clause alone
+    # reads some key of these cubes: the harvest clause a key of one copy,
+    # the twin clause a key with an unharvested single-copy vertex, and,
+    # under a harvest of one vertex, the single-copy clause a key whose
+    # vertices all split.
+    nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
+    ew, sigma_n = nm.ewds, nm.sigma_n
+    harvest = pinch_suspects(ew, sigma_n).union(nm.v_nra)
+    kinds = _copy_kinds(ew, nm.copies_of)
+    pinched, twinned, split = [], [], []
+    for key, entry in nm.splitmap.items():
+        if len(key) > ew.row_layout(min(next(iter(entry.values()))))[0] - 2:
+            continue  # a facet
+        flags = [{kinds[x] for x in cp} for cp in entry]
+        if len(entry) == 1 and flags[0] == {SINGLE}:
+            # one copy, two patches: read because every vertex is harvested
+            pinched.append(key)
+        elif any(
+            TWIN in f and any(kinds[x] == SINGLE and sigma_n[x] not in harvest for x in cp)
+            for f, cp in zip(flags, entry)
+        ):
+            # two copies, one of them with a twin beside an unharvested vertex
+            twinned.append(key)
+        elif len(entry) > 1 and set().union(*flags) == {0}:
+            # two copies, every vertex split and no twin
+            split.append(key)
+    assert pinched and twinned and split
+    assert nm.splitmap == oracle_splitmap(ew, sigma_n)
+    # a harvest of any vertex reads every key of several copies that holds
+    # it, whole, however few of its other vertices are harvested
+    for key in split[:5]:
+        part = build_splitmap(ew, sigma_n, nm.copies_of, key[:1])
+        assert part[key] == nm.splitmap[key]
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -19,6 +19,9 @@ from nmdecomp.errors import InvalidComplex, NotInTrie, NotIqm, TopologyError
 from nmdecomp.fixtures import load_text, load_tv
 from nmdecomp.gluing import GluingState, run_glue_script
 from nmdecomp.nonmanifold import (
+    SINGLE,
+    TWIN,
+    _copy_kinds,
     build_nm_layer,
     build_sigma_maps,
     build_splitmap,
@@ -263,6 +266,30 @@ def test_splitmap_matches_oracle(seed, d):
     # walks the patch of every face of every top
     nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
     assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_copy_kinds_match_the_components_vertices(seed, d):
+    # _copy_kinds finds a copy's component from the block layout; on
+    # hand-built decompositions whose sigma merges random vertices and
+    # whose components may hold tops of several dimensions, it agrees with
+    # the components' own vertex lists
+    c = draw(seed, d, max_tops=20)
+    rng = random.Random(seed)
+    vs = c.vertices
+    targets = vs[: max(1, len(vs) // 3)]
+    sigma = {v: rng.choice(targets) if rng.random() < 0.4 else v for v in vs}
+    dec = DecompositionResult.from_parts(c, c, sigma)
+    ew = Ewds.build(dec)
+    _, copies_of = build_sigma_maps(ew, dec)
+    comp_of = {v: ci for ci, comp in enumerate(dec.components) for v in comp.vertices}
+    want = bytearray(ew.nv + 1)
+    for cs in copies_of.values():
+        comps = [comp_of[ew.vertex_old[x]] for x in cs]
+        for x, ci in zip(cs, comps):
+            want[x] = SINGLE if len(cs) == 1 else TWIN if comps.count(ci) > 1 else 0
+    assert _copy_kinds(ew, copies_of) == want
 
 
 @settings(max_examples=40, deadline=None)
