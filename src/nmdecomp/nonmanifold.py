@@ -54,11 +54,16 @@ def _copy_in(ewds: Ewds, sigma_n: list[int], gamma: Simplex, t: int) -> Simplex:
     """The copy of source simplex gamma in packed top t, in packed ids,
     ascending; raises NotIncident when t spans none."""
     w, off = ewds.row_layout(t)
-    row = ewds.tvp[off + t * w : off + t * w + w]
-    cp = tuple(sorted([x for x in row if sigma_n[x] in gamma]))
+    cp = sorted(_copy_at(ewds.tvp, sigma_n, gamma, off + t * w, w))
     if len(cp) != len(gamma):
         raise NotIncident(f"top {t} spans no copy of {gamma}")
-    return cp
+    return tuple(cp)
+
+
+def _copy_at(tvp: list[int], sigma_n: list[int], gamma: Simplex, base: int, w: int) -> set[int]:
+    """The packed vertices of the TVP row at base, w wide, that are copies
+    of vertices of the source simplex gamma."""
+    return {x for x in tvp[base : base + w] if sigma_n[x] in gamma}
 
 
 def check_relation(gamma: Simplex, n: int, m: int) -> None:
@@ -144,9 +149,10 @@ class NmLayer:
         row list holds each top's source ids, ascending, at its TVP
         addresses, so every face is read off those slices already sorted:
         the whole slice when m is the block's dimension, gamma plus one
-        link vertex when m = n + 1, and otherwise the combinations of the
-        slice that contain gamma.  Returns the number of faces enumerated,
-        which a query counts as comparisons.
+        link vertex when m = n + 1 (placed by comparisons when gamma has
+        one or two vertices, by bisection above), and otherwise the
+        combinations of the slice that contain gamma.  Returns the number
+        of faces enumerated, which a query counts as comparisons.
         """
         free = w - len(gamma)
         need = m + 1 - len(gamma)
@@ -157,9 +163,18 @@ class NmLayer:
         elif need == 1:
             link = set(chain.from_iterable(slices))
             link.difference_update(gamma)
-            for s in link:
-                i = bisect_left(gamma, s)
-                out.add(gamma[:i] + (s,) + gamma[i:])
+            if len(gamma) == 1:
+                (a,) = gamma
+                out.update([(s, a) if s < a else (a, s) for s in link])
+            elif len(gamma) == 2:
+                a, b = gamma
+                out.update(
+                    [(s, a, b) if s < a else (a, s, b) if s < b else (a, b, s) for s in link]
+                )
+            else:
+                for s in link:
+                    i = bisect_left(gamma, s)
+                    out.add(gamma[:i] + (s,) + gamma[i:])
         else:
             faces = chain.from_iterable(map(combinations, slices, repeat(m + 1)))
             if len(gamma) == 1:  # a vertex: one membership test per face
@@ -184,37 +199,47 @@ class NmLayer:
         tops.  A vertex's copies come from the copy map, each seeded with
         its VTSTAR top; a splitmap key's copies and their representatives
         come from its entry; any other gamma has one copy, found in the top
-        that the face table returns.  A copy whose dimension block is m or
-        fewer slots wide holds no m-face and is skipped; `Ewds.walk` covers
-        the star of every other copy, which ticks one visit per top and one
-        expansion per slot outside the copy, and `_add_faces` reads the
-        m-faces off the tops it reaches.  Raises BadRelation as
-        check_relation does, and when gamma's vertices cannot be hashed or
-        sorted.
+        that the face table returns, which is read off that top's row.
+        Each copy's block is validated and laid out once.  A copy whose
+        block is m or fewer slots wide holds no m-face and is skipped;
+        `Ewds.walk_block` covers the star of every other copy in that
+        layout, which ticks one visit per top and one expansion per slot
+        outside the copy, and `_add_faces` reads the m-faces off the tops
+        it reaches.  Raises BadRelation as check_relation does, and when
+        gamma's vertices cannot be hashed or sorted or one is not an int.
         """
         try:
             gamma = simplex(gamma)
         except TypeError:
             raise BadRelation(f"gamma {gamma!r} is not a set of vertex ids") from None
+        if not {int}.issuperset(map(type, gamma)):
+            raise BadRelation(f"gamma {gamma!r} has a vertex id that is not an int")
         check_relation(gamma, n, m)
         ew = self.ewds
         if n == 0:
+            # (layout, copy, seeds) per copy, each block laid out once
             vtstar = ew.vtstar
-            copies = [((vp,), (vtstar[vp],)) for vp in self.copies_of.get(gamma[0], ())]
+            copies = [
+                (ew.row_layout(t := vtstar[vp]), {vp}, (t,))
+                for vp in self.copies_of.get(gamma[0], ())
+            ]
         elif (entry := self.splitmap.get(gamma)) is not None:
-            copies = entry.items()
+            copies = [
+                (ew.row_layout(next(iter(seeds))), set(cp), seeds)
+                for cp, seeds in entry.items()
+            ]
         else:
             try:
                 hint = self.trie.lookup(gamma, counter)
             except NotInTrie:
                 return set()
-            copies = [(_copy_in(ew, self.sigma_n, gamma, hint), (hint,))]
+            w, off = layout = ew.row_layout(hint)
+            copies = [(layout, _copy_at(ew.tvp, self.sigma_n, gamma, off + hint * w, w), (hint,))]
         out: set[Simplex] = set()
-        for cp, seeds in copies:
-            w, off = ew.row_layout(next(iter(seeds)))
+        for (w, off), cp, seeds in copies:
             if w <= m:
                 continue  # too narrow to hold an m-face
-            tops = ew.walk(set(cp), seeds)
+            tops = ew.walk_block(cp, seeds, w, off)
             counter.visits += len(tops)
             counter.expansions += len(tops) * (w - len(cp))
             counter.comparisons += self._add_faces(out, tops, gamma, m, w, off)

@@ -16,7 +16,8 @@ cofaces and adjacency is not a function there.
 facets that contain a given simplex.  The walk from VTSTAR[v] across
 facets that hold v covers v's star in its component, since every component
 is an initial quasi-manifold, and the non-manifold layer walks the star of
-every query through it.
+every query through it, in `Ewds.walk_block` once the query has laid
+out the block.
 """
 
 from __future__ import annotations
@@ -195,16 +196,38 @@ class Ewds:
         crosses at each slot whose vertex lies outside gset, and only
         order-2 facets, so boundary and higher-order facets stop it.  A
         facet's cofaces all have its width plus one, so TTP links a top
-        only to tops of its own dimension block: the walk finds the layout
-        of one seed and every other row by arithmetic.  No seeds reach no
-        tops.  It neither checks nor counts; its callers do both.
+        only to tops of its own dimension block: the walk validates one
+        seed, takes its block's `row_layout` and goes on in `walk_block`.
+        No seeds reach no tops.  It neither checks nor counts; its callers
+        do both.
+        """
+        seeds = tuple(seeds)
+        if not seeds:
+            return set()
+        w, off = self.row_layout(seeds[0])
+        return self.walk_block(gset, seeds, w, off)
+
+    def walk_block(self, gset: set[int], seeds: Iterable[int], w: int, off: int) -> set[int]:
+        """`walk` in the block whose `row_layout` is (w, off), which the
+        caller has taken from one seed; nothing is validated.
+
+        A vertex star, where gset is one vertex v, tests each slot with
+        `tvp[k] != v`, an int comparison; a larger gset tests membership.
         """
         seen = set(seeds)
         stack = list(seen)
-        if not stack:
-            return seen
-        w, off = self.row_layout(stack[-1])
         tvp, ttp = self.tvp, self.ttp
+        if len(gset) == 1:
+            (v,) = gset
+            while stack:
+                base = off + stack.pop() * w
+                for k in range(base, base + w):
+                    if tvp[k] != v:
+                        u = ttp[k]
+                        if u > 0 and u not in seen:
+                            seen.add(u)
+                            stack.append(u)
+            return seen
         while stack:
             base = off + stack.pop() * w
             for k in range(base, base + w):

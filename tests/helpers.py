@@ -1,5 +1,5 @@
-"""Face counts and label rows that only tests ask of a complex, and the
-packed id of a decomposition id."""
+"""Face counts and label rows that only tests ask of a complex, the
+packed id of a decomposition id, and a reference star walk."""
 
 from collections import Counter
 from itertools import combinations
@@ -35,3 +35,18 @@ def boundary(c):
     """(d-1)-faces of a regular complex c with exactly one top coface."""
     cofaces = Counter(f for t in c.top_ids for f in combinations(sorted(c.row(t)), c.dim))
     return {f for f, n in cofaces.items() if n == 1}
+
+
+def reference_walk(ew, gset, seeds):
+    """The tops a flood from seeds reaches across order-2 facets that
+    contain gset: one set test per slot, each row read through the checked
+    `Ewds.row_of` and `Ewds.tt_row_of`."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        t = stack.pop()
+        for x, u in zip(ew.row_of(t), ew.tt_row_of(t)):
+            if x not in gset and u > 0 and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen

@@ -1,13 +1,15 @@
 """End-to-end acceptance checks, one test per headline guarantee.
 
 The first seven pin exact table contents and decomposition results on the
-small worked fixtures.  The last three are the expensive gates: oracle
+small worked fixtures.  The last four are the expensive gates: oracle
 equivalence over a seeded random sweep, output-sensitive query cost on
-structured tetrahedral meshes, and near-linearithmic decomposition time.
+structured tetrahedral meshes, counted work per output face flat across
+their sizes, and near-linearithmic decomposition time.
 Every test asserts its own wall-clock budget so an asymptotic regression
 fails loudly rather than just slowing the suite down.
 """
 
+import itertools
 import math
 import time
 
@@ -227,6 +229,34 @@ def test_criterion_09_query_cost_is_output_sensitive():
             fits[(rn, rm)].append(worst)
     for rel, cs in fits.items():
         assert max(cs) / min(cs) <= 2.0, (rel, cs)
+    assert time.perf_counter() - t0 < 30.0
+
+
+def test_counted_work_per_output_face_is_flat():
+    """Counted work per output face of every relation S01..S23 stays flat
+    from kuhn_cube(4) to kuhn_cube(10).
+
+    The queries are all faces of the tets around the central vertex.  Their
+    stars lie inside the mesh, so they are translates of one another from
+    size to size, and a query whose work grew with the mesh would show.
+    """
+    t0 = time.perf_counter()
+    rels = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    per_face = {rel: [] for rel in rels}
+    for n in range(4, 11):
+        c = kuhn_cube(n)
+        nm = build_nm_layer(Ewds.build(decompose(c)))
+        c0 = n // 2
+        centre = 1 + c0 + (n + 1) * (c0 + (n + 1) * c0)
+        rows = [sorted(c.row(t)) for t in c.star((centre,))]
+        for rn, rm in rels:
+            counter, faces = OpCounter(), 0
+            for gamma in {f for row in rows for f in itertools.combinations(row, rn + 1)}:
+                faces += len(nm.snm_global(gamma, rn, rm, counter))
+            assert faces, (n, rn, rm)
+            per_face[(rn, rm)].append(counter.total / faces)
+    for rel, cs in per_face.items():
+        assert max(cs) / min(cs) <= 1.1, (rel, cs)
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -18,7 +18,7 @@ from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer
 from nmdecomp.oracle import random_complex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import packed
+from helpers import packed, reference_walk
 
 
 # -- reference: TTP and VTSTAR from a facet pass per packed block ------------
@@ -349,3 +349,19 @@ def test_setup_computes_each_fact_once(monkeypatch, mixed, cones, perforated_cub
 def test_walk_from_no_seeds(ew_mixed):
     assert ew_mixed.walk({9}, ()) == set()
     assert ew_mixed.walk(set(), []) == set()
+
+
+def test_walk_loops_match_a_set_test_flood(mixed, cones, perforated_cube, perforated_grid):
+    # a vertex star takes the walk's int-comparison loop and a splitmap
+    # key's copy, two or more vertices, its set-test loop: both must reach
+    # the tops of a flood that tests every slot against the set
+    for src in (mixed, cones, perforated_cube(0), perforated_grid(3, 4, 0)):
+        nm = build_nm_layer(Ewds.build(decompose(src)))
+        ew = nm.ewds
+        for v in range(1, ew.nv + 1):
+            seeds = (ew.vtstar[v],)
+            assert ew.walk({v}, seeds) == reference_walk(ew, {v}, seeds), v
+        assert nm.splitmap
+        for key, entry in nm.splitmap.items():
+            for cp, reps in entry.items():
+                assert ew.walk(set(cp), reps) == reference_walk(ew, set(cp), reps), key

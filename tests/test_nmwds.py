@@ -453,6 +453,10 @@ def test_snm_guards(nm_mixed):
         ((1, "a"), 1, 2),  # vertices that cannot be sorted
         ([[1], [2]], 1, 2),  # or hashed
         (7, 0, 1),  # no iterable at all
+        ((True,), 0, 1),  # vertex ids that are not ints
+        ((6.0,), 0, 1),
+        ((6, 8.0), 1, 2),
+        ((6, False), 1, 2),
     ],
 )
 def test_bad_query_arguments_raise_bad_relation(nm_mixed, gamma, n, m):
