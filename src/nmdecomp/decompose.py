@@ -54,7 +54,8 @@ class DecompositionResult:
     # `winged.Ewds.build` repacks into TTP
     tt: array = field(compare=False, repr=False)
     cc: list[int] = field(default_factory=list)  # components per dimension
-    # set by decompose alone: its components are IQMs by construction
+    # set by decompose alone: its components are IQMs by construction, so
+    # `winged.Ewds.build`, the one IQM gate, checks only results without it
     iqm: bool = field(default=False, compare=False)
 
     @classmethod
@@ -65,8 +66,20 @@ class DecompositionResult:
 
         Components are the 0-connected classes of nabla
         (`Complex.h_connected_components(0)`), sorted by dimension, then
-        smallest top, and TT comes from nabla's own facet pass.
+        smallest top, and TT comes from nabla's own facet pass.  Raises
+        InvalidComplex unless sigma is defined on exactly nabla's vertices
+        and maps each nabla row, slot by slot, onto the source row of the
+        same top id.
         """
+        flat, start = corner_layout(nabla)
+        try:
+            image = list(map(sigma.__getitem__, flat))
+        except (KeyError, TypeError):
+            raise InvalidComplex("sigma is not defined on every vertex of nabla") from None
+        if len(sigma) != nabla.num_vertices:
+            raise InvalidComplex("sigma names a vertex that nabla does not hold")
+        if [nabla.top_ids, start, image] != [source.top_ids, *corner_layout(source)[::-1]]:
+            raise InvalidComplex("sigma does not map nabla's rows onto the source's, top by top")
         tt = facet_neighbours(*corner_facets(nabla))
         return _assemble(source, nabla, sigma, nabla.h_connected_components(0), tt)
 

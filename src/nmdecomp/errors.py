@@ -76,7 +76,8 @@ class NotInTrie(TopologyError):
 
 
 class NotIqm(TopologyError):
-    """Renumbering requires initial-quasi-manifold components."""
+    """`Ewds.build` packs only decompositions whose components are initial
+    quasi-manifolds."""
 
 
 class BadRenumbering(TopologyError):

@@ -25,22 +25,21 @@ splitmap, any other gamma's from the face table (`FaceTops`).
 Every stage works in packed ids, on the tables and sigma_n, which is
 read once off the decomposition through `Ewds.vertex_old`: the face
 table and its row list are TVP mapped through sigma_n, and the splitmap
-and v_nra read TVP and TTP.  Of the decomposition, only sigma and the
-components' sizes are read.
+and v_nra read TVP and TTP.  Of the decomposition, only sigma is read;
+where the components sit comes from `Ewds.comp_first`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, compress, count, repeat
-from operator import not_, sub
+from operator import not_
 from typing import Iterable
 
-from .complexes import Simplex, corner_layout, simplex, twice_chi_misses
+from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
 from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie
@@ -324,8 +323,8 @@ def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
     A simplex is pinched when its star inside one component falls into
     several patches with no diamond between them.  Below dimension 3 only
     a facet can be a key short of a top, and a facet with two cofaces
-    joins them, so blocks of dimension <= 2 have no pinch.  In a tet
-    block every component is an IQM, so a vertex is clear when
+    joins them, so blocks of dimension <= 2 have no pinch.  `Ewds.build`
+    packs only IQM components, so in a tet block a vertex is clear when
     `complexes.twice_chi_misses` passes it: a pinched edge at it lowers
     the Euler characteristic of its link.  The boundary slots are the TTP
     entries 0.  Tops with a diamond put their vertices in v_nra whatever
@@ -407,39 +406,18 @@ def _copy_kinds(ewds: Ewds, copies_of: dict[int, tuple[int, ...]]) -> bytearray:
     vertex, TWIN when another copy of that vertex lies in its component, 0
     otherwise.
 
-    A copy lies in the component of its VTSTAR top, found by a bisect over
-    the first tops of the components' runs: `Ewds.build` lays each block
-    out as its components' tops end to end, in decomposition order, so a
-    component of one dimension is one run.
+    A copy lies in the component of its VTSTAR top, the last one of
+    `Ewds.comp_first` that starts at or below it: `Ewds.build` packs each
+    component, an IQM, as one run of its dimension's block.
     """
     kinds = bytearray([SINGLE]) * (ewds.nv + 1)
     kinds[0] = 0
     split = [cs for cs in copies_of.values() if len(cs) > 1]
-    if not split:
-        return kinds
+    firsts, vtstar = ewds.comp_first, ewds.vtstar
     for cs in split:
-        for x in cs:
-            kinds[x] = 0
-    runs: list[list[tuple[int, int]]] = [[] for _ in range(ewds.d + 1)]
-    nxt = ewds.tbase[: ewds.d + 1]  # per block, the first top of the next run
-    for ci, comp in enumerate(ewds.source.components):
-        start = corner_layout(comp)[1]
-        n, w = len(start) - 1, comp.dim + 1
-        if start[-1] == n * w:
-            widths = ((w, n),)
-        else:  # a hand-built component of several dimensions
-            widths = Counter(map(sub, start[1:], start)).items()
-        for w, n in widths:
-            runs[w - 1].append((nxt[w - 1], ci))
-            nxt[w - 1] += n
-    firsts, owner = zip(*chain.from_iterable(runs))  # ascending
-    vtstar = ewds.vtstar
-    for cs in split:
-        comps = [owner[bisect_right(firsts, vtstar[x]) - 1] for x in cs]
-        if len(set(comps)) < len(comps):
-            for x, ci in zip(cs, comps):
-                if comps.count(ci) > 1:
-                    kinds[x] = TWIN
+        comps = [bisect_right(firsts, vtstar[x]) for x in cs]
+        for x, ci in zip(cs, comps):
+            kinds[x] = TWIN if comps.count(ci) > 1 else 0
     return kinds
 
 

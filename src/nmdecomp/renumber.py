@@ -13,10 +13,8 @@ vertex, which keeps the final h*CC numbers of every vertex block aligned
 with their seeds and the region arithmetic exact.  A top whose opposite
 vertex is already taken stays unpaired and is stored in full.
 
-The pairing needs initial quasi-manifold components.  `decompose` builds
-them so and records that on its result; any other result, hand-built with
-`from_parts` or read off a gluing state, has each component checked with
-`Complex.is_iqm`, the corner rule that `decompose` glues by.
+The pairing needs initial quasi-manifold components, which `Ewds.build`
+guarantees: it packs no other decomposition.
 
 The DFS reads TTP alone to step between tops: `Ewds.build` packs every
 order-2 pair both ways and two tops of one block share at most one facet,
@@ -31,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .errors import BadRenumbering, NotIqm, OutOfRange, UnknownTop, UnknownVertex
+from .errors import BadRenumbering, OutOfRange, UnknownTop, UnknownVertex
 from .winged import BOTTOM, DIAMOND, Ewds, pack_dump
 
 MAGIC_IMPLICIT = b"EWD\x01"
@@ -54,35 +52,24 @@ class Renumbering:
 def compute_renumbering(ewds: Ewds) -> Renumbering:
     """Seed-and-pair numbering of a packed decomposition.
 
-    Requires every component to be an initial quasi-manifold: otherwise
-    vertex stars may fall apart and the pairing invariants do not hold.
-    A result of `decompose` carries that proof; on any other, the first
-    component that fails `Complex.is_iqm` raises NotIqm.
+    The pairing invariants hold because every component is an initial
+    quasi-manifold, so that vertex stars do not fall apart: `Ewds.build`
+    packs nothing else.
 
     The DFS of a block walks TTP, as the module says.  Each seed is its
-    component's first top: an IQM lies in one block, which `Ewds.build`
-    fills with its components' tops end to end, in order.
+    component's first top, `Ewds.comp_first`: an IQM lies in one block,
+    as one run of its tops.
     """
-    dec = ewds.source
-    if not dec.iqm:
-        for comp in dec.components:
-            if not comp.is_iqm():
-                raise NotIqm(
-                    f"the component of top {comp.top_ids[0]} is not an "
-                    "initial quasi-manifold"
-                )
     d = ewds.d
     nv = ewds.nv
     ftt = [0] * (ewds.nt + 1)
     fvv = [0] * (nv + 1)  # 0 = unassigned, -1 = reserved for a seed slot
     perms: dict[int, tuple[int, ...]] = {}
 
-    cc = list(dec.cc)
-    seeds: list[list[int]] = [[] for _ in range(d + 1)]
-    nxt = ewds.tbase[: d + 1]  # per block, the first top of the next component
-    for comp in dec.components:
-        seeds[comp.dim].append(nxt[comp.dim])
-        nxt[comp.dim] += comp.num_tops
+    firsts = ewds.comp_first  # ascending
+    bounds = [bisect_left(firsts, t) for t in ewds.tbase]
+    seeds = [firsts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    cc = list(map(len, seeds))
     # components are vertex-disjoint and, being IQMs, each lies in one
     # block, so a vertex belongs to the block of its VTSTAR top
     anchors = sorted(ewds.vtstar[1:])

@@ -4,9 +4,11 @@ All components share four arrays: TVP (top -> vertices), TTP (top -> tops
 across facets), VTSTAR (vertex -> one incident top) and the per-dimension
 directories TBase / TBaseAddr.  Top ids are repacked so tops of the same
 dimension sit in one contiguous block, dimensions ascending and components
-in decomposition order within a block; vertex ids are repacked to 1..NV
-ascending.  Rows keep the input vertex order of the decomposition, which
-the addressing below relies on.
+in decomposition order within a block, each one run, which starts at its
+`Ewds.comp_first`; vertex ids are repacked to 1..NV ascending.  Rows keep
+the input vertex order of the decomposition, which the addressing below
+relies on.  `Ewds.build` packs only initial quasi-manifold (IQM)
+components, and everything after it relies on that.
 
 TTP slot k of a top holds its neighbour across the facet opposite vertex
 slot k: 0 means the facet is on the boundary, -1 that it has three or more
@@ -15,7 +17,7 @@ cofaces and adjacency is not a function there.
 `Ewds.walk` is the package's one TTP flood: from seed tops across the
 facets that contain a given simplex.  The walk from VTSTAR[v] across
 facets that hold v covers v's star in its component, since every component
-is an initial quasi-manifold, and the non-manifold layer walks the star of
+is an IQM, and the non-manifold layer walks the star of
 every query through it, in `Ewds.walk_block` once the query has laid
 out the block.
 """
@@ -29,7 +31,7 @@ from typing import Iterable
 
 from .complexes import corner_layout
 from .decompose import BOTTOM, DIAMOND, DecompositionResult
-from .errors import ParseError, UnknownTop, UnknownVertex
+from .errors import NotIqm, ParseError, UnknownTop, UnknownVertex
 
 MAGIC = b"EWD\x00"
 
@@ -50,26 +52,31 @@ class Ewds:
     vtstar: list[int]      # 1-based, index 0 unused
     top_old: list[int]     # new top id -> decomposition top id, index 0 unused
     vertex_old: list[int]  # new vertex id -> decomposition vertex id
+    comp_first: list[int]  # each component's first top, ascending in decomposition order
     source: DecompositionResult = field(repr=False)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, dec: DecompositionResult) -> "Ewds":
-        """Pack dec: tops go to the blocks their components' row offsets
-        give, each block holding its components' tops end to end in the
-        order of dec.components, and TVP and TTP are read off nabla's store
-        and dec.tt."""
+        """Pack dec, the one gate of the IQM precondition: a result that
+        `decompose` did not build (not `dec.iqm`) raises NotIqm at its
+        first component that fails `Complex.is_iqm`.  Each component, being
+        regular, is then one run of its dimension's block, in the order of
+        dec.components, and TVP and TTP are read off nabla's store and
+        dec.tt."""
+        bad = None if dec.iqm else next((k for k in dec.components if not k.is_iqm()), None)
+        if bad is not None:
+            raise NotIqm(f"the component of top {bad.top_ids[0]} is not an initial quasi-manifold")
         nabla = dec.nabla
         d = nabla.dim
 
-        # a top goes to the block of its own dimension: the same as its
-        # component's, except in a hand-built non-regular component
         blocks: list[list[int]] = [[] for _ in range(d + 1)]
+        runs = []  # (block, index in it) of each component's first top
         for comp in dec.components:
-            cstart = corner_layout(comp)[1]
-            for t, s, e in zip(comp.top_ids, cstart, cstart[1:]):
-                blocks[e - s - 1].append(t)
+            block = blocks[comp.dim]
+            runs.append((comp.dim, len(block)))
+            block.extend(comp.top_ids)
         flat, start = corner_layout(nabla)  # the rows of all the components
         vertex_old = [0] + sorted(set(flat))
         top_old = [0] + [t for block in blocks for t in block]
@@ -82,6 +89,7 @@ class Ewds:
         for h, block in enumerate(blocks):
             tbase.append(tbase[h] + len(block))
             tbase_addr.append(tbase_addr[h] + (h + 1) * len(block))
+        comp_first = [tbase[h] + i for h, i in runs]
 
         # the blocks' rows lie end to end in top order, and so do their TT
         # rows, repacked from dec.tt, which runs parallel to nabla's flat
@@ -111,6 +119,7 @@ class Ewds:
             vtstar=[0] * (nv + 1),
             top_old=top_old,
             vertex_old=vertex_old,
+            comp_first=comp_first,
             source=dec,
         )
         ew._fill_vtstar(top_at)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from nmdecomp.complexes import format_tv, parse_tv
-from nmdecomp.decompose import copy_label, decompose
+from nmdecomp.decompose import DecompositionResult, copy_label, decompose
+from nmdecomp.errors import InvalidComplex
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import oracle_decompose
 from helpers import label_rows
@@ -195,3 +196,30 @@ def test_component_sort_dim_then_id():
     c = parse_tv("simplex 1: 1 2 3\nsimplex 2: 5 6\n")
     dec = decompose(c)
     assert [comp.top_ids for comp in dec.components] == [[2], [1]]
+
+
+def test_from_parts_takes_only_a_decomposition_of_its_source():
+    # nabla must have the source's tops, and sigma, defined on nabla's
+    # vertices alone, must send each nabla row to the source row of its
+    # top, slot by slot
+    src = parse_tv("simplex 1: 1 2 3\nsimplex 2: 2 3 4\n")
+    split = parse_tv("simplex 1: 1 2 3\nsimplex 2: 5 3 4\n")
+    dec = DecompositionResult.from_parts(src, split, {1: 1, 2: 2, 3: 3, 4: 4, 5: 2})
+    assert dec.splitting_classes() == {2: (2, 5)}
+    ident = {v: v for v in range(1, 6)}
+    bad = [
+        (src, src, {1: 1, 2: 2, 3: 3}),  # no image of vertex 4
+        (src, src, {1: 1, 2: 2, 3: 3, 4: 9}),  # a row of another complex
+        (src, src, {1: 1, 2: 2, 3: 3, 4: 4, 9: 2}),  # a copy in no row
+        (src, split, {1: 1, 2: 2, 3: 3, 4: 4, 5: 1}),
+        (src, parse_tv("simplex 1: 1 3 2\nsimplex 2: 2 3 4\n"), ident),
+        (src, parse_tv("simplex 1: 1 2 3\nsimplex 3: 2 3 4\n"), ident),
+        (  # the same corners, cut into rows elsewhere
+            parse_tv("simplex 1: 1 2\nsimplex 2: 3 4 5\n"),
+            parse_tv("simplex 1: 1 2 3\nsimplex 2: 4 5\n"),
+            ident,
+        ),
+    ]
+    for source, nabla, sigma in bad:
+        with pytest.raises(InvalidComplex):
+            DecompositionResult.from_parts(source, nabla, sigma)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from nmdecomp import complexes
 from nmdecomp.complexes import Complex, facet_slots, format_tv, parse_tv
 from nmdecomp.decompose import DecompositionResult, decompose
-from nmdecomp.errors import ParseError, UnknownTop, UnknownVertex
+from nmdecomp.errors import NotIqm, ParseError, UnknownTop, UnknownVertex
 from nmdecomp.fixtures import load_tv
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer
@@ -293,13 +293,31 @@ def _half(c: Complex, seed: int) -> Complex:
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
 def test_tt_matches_reference(seed, d):
     # decompose's TT comes from the source's facet table, from_parts' from
-    # nabla's own; hand-built components need not be IQM or regular
+    # nabla's own; a hand-built result is packed only when its components
+    # are IQM, and any other raises NotIqm
     c = random_complex(seed=seed, max_tops=30, d=d)
     for x in (c, _half(c, seed)):
         assert_tt_matches_reference(decompose(x))
-        assert_tt_matches_reference(
-            DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
-        )
+        fake = DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
+        if all(k.is_iqm() for k in fake.components):
+            assert_tt_matches_reference(fake)
+        else:
+            with pytest.raises(NotIqm):
+                Ewds.build(fake)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+def test_each_component_is_one_run_from_its_comp_first(seed, d):
+    # comp_first is ascending in decomposition order, and the tops from one
+    # entry up to the next are exactly that component's
+    dec = decompose(random_complex(seed=seed, max_tops=30, d=d))
+    ew = Ewds.build(dec)
+    assert ew.comp_first == [packed(ew.top_old, comp.top_ids[0]) for comp in dec.components]
+    assert ew.comp_first == sorted(ew.comp_first)
+    ends = ew.comp_first[1:] + [ew.nt + 1]
+    for comp, lo, hi in zip(dec.components, ew.comp_first, ends):
+        assert sorted(ew.top_old[lo:hi]) == comp.top_ids
 
 
 @pytest.mark.parametrize("name", ["cones", "pinched_edge_cone", "perforated_cube"])

@@ -292,11 +292,11 @@ def test_ids_that_are_not_ints_are_unknown(imp_mixed, x):
 def test_requires_iqm(mixed, bouquet):
     # components are IQM by construction, so this must not raise
     compute_renumbering(Ewds.build(decompose(mixed)))
-    # a manually assembled non-IQM ewds is rejected
+    # a manually assembled non-IQM decomposition is not packed
     src = parse_tv("simplex 1: 1 2\nsimplex 2: 2 3\nsimplex 3: 2 4\n")
     fake = DecompositionResult.from_parts(src, src, {v: v for v in src.vertices})
     with pytest.raises(NotIqm):
-        compute_renumbering(Ewds.build(fake))
+        Ewds.build(fake)
 
 
 def _encoded(ew: Ewds) -> tuple:
@@ -307,7 +307,7 @@ def _encoded(ew: Ewds) -> tuple:
 @pytest.mark.parametrize("name", ["mixed", "cones"])
 def test_glued_decomposition_is_checked_then_encoded_as_decompose(name, request, monkeypatch):
     # gluing every canonical pair back reaches decompose's result, but
-    # without its IQM record, so the encoding checks each component first
+    # without its IQM record, so Ewds.build checks each component first
     c = request.getfixturevalue(name)
     state = GluingState(c)
     for pair in sorted(canonical_pairs(c), key=sorted):
@@ -332,7 +332,7 @@ def test_glued_bowtie_is_not_iqm():
     state = GluingState(parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n"))
     state.veq(1, 2, 3)
     with pytest.raises(NotIqm, match="top 1 "):
-        compute_renumbering(Ewds.build(state.current_decomposition()))
+        Ewds.build(state.current_decomposition())
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,16 +347,15 @@ def test_only_decompose_records_iqm(seed, d):
 
 def test_encoding_trusts_decompose(monkeypatch, mixed, cones, perforated_cube, perforated_grid):
     # decompose's results carry their IQM proof: with the check broken,
-    # every encoding comes out as before
+    # every packing and encoding comes out as before
     complexes = [mixed, cones, perforated_cube(0), perforated_grid(3, 4, 0)]
-    tables = [Ewds.build(decompose(c)) for c in complexes]
-    want = [_encoded(ew) for ew in tables]
+    want = [_encoded(Ewds.build(decompose(c))) for c in complexes]
 
     def no_check(self):
         raise AssertionError("checked a component that decompose built")
 
     monkeypatch.setattr(Complex, "is_iqm", no_check)
-    assert [_encoded(ew) for ew in tables] == want
+    assert [_encoded(Ewds.build(decompose(c))) for c in complexes] == want
 
 
 def test_implicit_dump(imp_mixed):

@@ -1,7 +1,6 @@
 """Non-manifold layer: splitmap, sigma translation, global queries."""
 
 import dataclasses
-import itertools
 import random
 
 import pytest
@@ -109,15 +108,15 @@ def _check_all_faces(nm, src):
 
 
 def test_layer_stands_on_the_tables_and_the_copy_map(mixed, cones, perforated_cube):
-    # with the decomposition's source and nabla gone, the layer and the
-    # renumbering come out the same: they read the packed tables, sigma and
-    # the components alone.  Draw 1354 has two copies of a vertex in one
-    # component.
+    # with the decomposition's source, nabla and components gone, the layer
+    # and the renumbering come out the same: they read the packed tables,
+    # Ewds.comp_first among them, and sigma alone.  Draw 1354 has two
+    # copies of a vertex in one component.
     for src in (mixed, cones, perforated_cube(0), random_complex(1354, 40, 3)):
         dec = decompose(src)
         ew = Ewds.build(dec)
         want, want_ren = build_nm_layer(ew), compute_renumbering(ew)
-        ew.source = dataclasses.replace(dec, source=None, nabla=None)
+        ew.source = dataclasses.replace(dec, source=None, nabla=None, components=None)
         got = build_nm_layer(ew)
         assert got.stats() == want.stats()
         assert (got.splitmap, got.trie.faces) == (want.splitmap, want.trie.faces)
