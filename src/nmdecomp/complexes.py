@@ -21,7 +21,7 @@ corner start[i] + k is slot k of the i-th top in top_ids order, and
 owner list, which maps each corner to the 1-based index of its top, the
 index TT entries use, and `facet_slots` maps every facet to the slots
 opposite it in its cofaces.  `_manifold_facets` keeps the facets that no
-other top contains, reading their two tops off the owner list:
+other top contains, with the two slots opposite each of them:
 `canonical_pairs` lists their pairs, the ones `gluing.GluingState.pmglue`
 accepts, and `glue_pairs` merges the corners of each pair in a union-find
 parent array.  `decompose` turns those corner classes into vertices, and
@@ -470,16 +470,15 @@ def corner_facets(c: Complex) -> tuple[list[int], list[int], list[int], dict]:
     return flat, start, owner, facet_slots(flat, zip(start, widths))
 
 
-def _manifold_facets(
-    c: Complex, owner: list[int], slots: dict
-) -> Iterator[tuple[Simplex, int, int]]:
-    """Each facet whose star is exactly two tops, with those tops' 1-based
-    indices, read off the owner list of c's `corner_facets`.
+def _manifold_facets(c: Complex, slots: dict) -> Iterator[tuple[int, int]]:
+    """The slots (a, b) opposite each facet whose star is exactly two tops,
+    in row order, read off the `facet_slots` of c's `corner_facets`.
 
     This is the one manifold-facet rule, which `glue_pairs` and
-    `canonical_pairs` both read.  Each top offers only its own facets, so
-    the two are one dimension above the facet.  A facet of a widest top
-    lies in no other top; any other needs its star counted.
+    `canonical_pairs` both read; the owner list names the two tops.  Each
+    top offers only its own facets, so the two are one dimension above the
+    facet.  A facet of a widest top lies in no other top; any other needs
+    its star counted.
     """
     widest = c.dim + 1
     for facet, ks in slots.items():
@@ -487,8 +486,7 @@ def _manifold_facets(
             continue
         if len(facet) + 1 < widest and len(c.star(facet)) != 2:
             continue
-        a, b = ks
-        yield facet, owner[a], owner[b]
+        yield ks
 
 
 def canonical_pairs(c: Complex) -> set[frozenset]:
@@ -501,7 +499,7 @@ def canonical_pairs(c: Complex) -> set[frozenset]:
     tops = c.top_ids
     _, _, owner, slots = corner_facets(c)
     return {
-        frozenset((tops[i - 1], tops[j - 1])) for _, i, j in _manifold_facets(c, owner, slots)
+        frozenset((tops[owner[a] - 1], tops[owner[b] - 1])) for a, b in _manifold_facets(c, slots)
     }
 
 
@@ -521,17 +519,20 @@ def glue_pairs(
     decomposition.  Given a union-find parent list over the 1-based top
     indices (entry 0 stays alone), it joins each pair's tops there too,
     which leaves the 0-connected classes of the decomposition: its tops
-    share a vertex only through a chain of canonical pairs.
+    share a vertex only through a chain of canonical pairs.  The facet's
+    corners in the first top are all its slots but the opposite one, a;
+    only their partners in the second top are looked up.
     """
     parent = list(range(len(flat)))
     index = flat.index
-    for facet, i, j in _manifold_facets(c, owner, slots):
+    for a, b in _manifold_facets(c, slots):
+        i, j = owner[a], owner[b]
         if tops is not None:
             union_min(tops, i, j)
-        si, sj = start[i - 1], start[j - 1]
-        ei, ej = start[i], start[j]
-        for v in facet:
-            union_min(parent, index(v, si, ei), index(v, sj, ej))
+        sj, ej = start[j - 1], start[j]
+        for k in range(start[i - 1], start[i]):
+            if k != a:
+                union_min(parent, k, index(flat[k], sj, ej))
     return flatten(parent)
 
 

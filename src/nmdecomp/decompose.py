@@ -55,8 +55,10 @@ class DecompositionResult:
     tt: array = field(compare=False, repr=False)
     cc: list[int] = field(default_factory=list)  # components per dimension
     # set by decompose alone: its components are IQMs by construction, so
-    # `winged.Ewds.build`, the one IQM gate, checks only results without it
-    iqm: bool = field(default=False, compare=False)
+    # `winged.Ewds.build`, the one IQM gate, checks only results without it.
+    # No constructor or `dataclasses.replace` can set it, and a replace of
+    # a decompose result starts over at False.
+    iqm: bool = field(default=False, init=False, compare=False)
 
     @classmethod
     def from_parts(
@@ -123,7 +125,6 @@ def _assemble(
     sigma: dict[int, int],
     groups: list[list[int]],
     tt: array,
-    iqm: bool = False,
 ) -> DecompositionResult:
     """The result whose components are the given classes of nabla's tops,
     each in ascending order, listed by dimension, then smallest top: slices
@@ -132,7 +133,7 @@ def _assemble(
     cc = [0] * (nabla.dim + 1)
     for comp in components:
         cc[comp.dim] += 1
-    return DecompositionResult(source, nabla, components, dict(sigma), tt, cc, iqm)
+    return DecompositionResult(source, nabla, components, dict(sigma), tt, cc)
 
 
 def facet_neighbours(
@@ -257,4 +258,6 @@ def decompose(c: Complex) -> DecompositionResult:
         raise InvalidComplex("cannot decompose an empty complex")
     root, tops, tt = _standard_gluing(c)
     nabla, sigma = _number_classes(c, root)
-    return _assemble(c, nabla, sigma, classes(tops, c.top_ids), tt, iqm=True)
+    dec = _assemble(c, nabla, sigma, classes(tops, c.top_ids), tt)
+    object.__setattr__(dec, "iqm", True)  # the record, past the frozen dataclass
+    return dec

@@ -18,9 +18,11 @@ of the paper's v_nra vertices and of the `pinch_suspects`, and walks no
 star.  Of those rows it reads only the faces that can be keys: a face
 that may have several copies, or whose vertices are all harvested, as
 those of a face cut into several patches inside one component are.  A
-query on gamma is one loop over its copies, each walked with `Ewds.walk`
-from its seed tops: a vertex's from the copy map, a key's from the
-splitmap, any other gamma's from the face table (`FaceTops`).
+query on gamma checks its arguments once and is then one loop over its
+copies, each walked with `Ewds.walk_block` from its seed tops: a vertex's
+from the copy map, a key's from the splitmap, any other gamma's from the
+face table (`FaceTops`).  Those tops come from the layer's own tables, so
+the query lays out their blocks from `Ewds.block_layouts` unchecked.
 
 Every stage works in packed ids, on the tables and sigma_n, which is
 read once off the decomposition through `Ewds.vertex_old`: the face
@@ -53,16 +55,11 @@ def _copy_in(ewds: Ewds, sigma_n: list[int], gamma: Simplex, t: int) -> Simplex:
     """The copy of source simplex gamma in packed top t, in packed ids,
     ascending; raises NotIncident when t spans none."""
     w, off = ewds.row_layout(t)
-    cp = sorted(_copy_at(ewds.tvp, sigma_n, gamma, off + t * w, w))
+    base = off + t * w
+    cp = sorted([x for x in ewds.tvp[base : base + w] if sigma_n[x] in gamma])
     if len(cp) != len(gamma):
         raise NotIncident(f"top {t} spans no copy of {gamma}")
     return tuple(cp)
-
-
-def _copy_at(tvp: list[int], sigma_n: list[int], gamma: Simplex, base: int, w: int) -> set[int]:
-    """The packed vertices of the TVP row at base, w wide, that are copies
-    of vertices of the source simplex gamma."""
-    return {x for x in tvp[base : base + w] if sigma_n[x] in gamma}
 
 
 def check_relation(gamma: Simplex, n: int, m: int) -> None:
@@ -199,13 +196,16 @@ class NmLayer:
         its VTSTAR top; a splitmap key's copies and their representatives
         come from its entry; any other gamma has one copy, found in the top
         that the face table returns, which is read off that top's row.
-        Each copy's block is validated and laid out once.  A copy whose
-        block is m or fewer slots wide holds no m-face and is skipped;
-        `Ewds.walk_block` covers the star of every other copy in that
-        layout, which ticks one visit per top and one expansion per slot
-        outside the copy, and `_add_faces` reads the m-faces off the tops
-        it reaches.  Raises BadRelation as check_relation does, and when
-        gamma's vertices cannot be hashed or sorted or one is not an int.
+        The arguments are validated once, up front; every top read after
+        that comes from the layer's own tables, so each copy's block is laid
+        out by one bisection of `Ewds.tbase` into `Ewds.block_layouts`, not
+        checked again.  A copy whose block is m or fewer slots wide holds
+        no m-face and is skipped; `Ewds.walk_block` covers the star of
+        every other copy in that layout, which ticks one visit per top and
+        one expansion per slot outside the copy, and `_add_faces` reads the
+        m-faces off the tops it reaches.  Raises BadRelation as
+        check_relation does, and when gamma's vertices cannot be hashed or
+        sorted or one is not an int.
         """
         try:
             gamma = simplex(gamma)
@@ -215,25 +215,32 @@ class NmLayer:
             raise BadRelation(f"gamma {gamma!r} has a vertex id that is not an int")
         check_relation(gamma, n, m)
         ew = self.ewds
+        tbase, layouts = ew.tbase, ew.block_layouts
+        # (layout, copy, seeds) per copy, filled by plain loops: in Python
+        # 3.11 each comprehension is a function call of its own
+        copies = []
         if n == 0:
-            # (layout, copy, seeds) per copy, each block laid out once
             vtstar = ew.vtstar
-            copies = [
-                (ew.row_layout(t := vtstar[vp]), {vp}, (t,))
-                for vp in self.copies_of.get(gamma[0], ())
-            ]
+            for vp in self.copies_of.get(gamma[0], ()):
+                t = vtstar[vp]
+                copies.append((layouts[bisect_right(tbase, t) - 1], {vp}, (t,)))
         elif (entry := self.splitmap.get(gamma)) is not None:
-            copies = [
-                (ew.row_layout(next(iter(seeds))), set(cp), seeds)
-                for cp, seeds in entry.items()
-            ]
+            for cp, seeds in entry.items():
+                t = next(iter(seeds))
+                copies.append((layouts[bisect_right(tbase, t) - 1], set(cp), seeds))
         else:
             try:
                 hint = self.trie.lookup(gamma, counter)
             except NotInTrie:
                 return set()
-            w, off = layout = ew.row_layout(hint)
-            copies = [(layout, _copy_at(ew.tvp, self.sigma_n, gamma, off + hint * w, w), (hint,))]
+            w, off = layout = layouts[bisect_right(tbase, hint) - 1]
+            # the row read of `_copy_in`, repeated inline on purpose: a
+            # helper or comprehension call costs more than the read
+            sigma_n, cp = self.sigma_n, set()
+            for x in ew.tvp[off + hint * w : off + hint * w + w]:
+                if sigma_n[x] in gamma:
+                    cp.add(x)
+            copies.append((layout, cp, (hint,)))
         out: set[Simplex] = set()
         for (w, off), cp, seeds in copies:
             if w <= m:

@@ -54,6 +54,14 @@ class Ewds:
     vertex_old: list[int]  # new vertex id -> decomposition vertex id
     comp_first: list[int]  # each component's first top, ascending in decomposition order
     source: DecompositionResult = field(repr=False)
+    # (w, off) of each dimension block, the `row_layout` of its tops,
+    # derived once from tbase and tbase_addr for callers that trust a top
+    block_layouts: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.block_layouts = [
+            (h + 1, self.tbase_addr[h] - self.tbase[h] * (h + 1)) for h in range(self.d + 1)
+        ]
 
     # -- construction ------------------------------------------------------
 
@@ -141,10 +149,11 @@ class Ewds:
 
         The row of every top u in that block starts at TVP/TTP index
         off + u * w, so walkers that stay in one block validate t once and
-        find every other row by arithmetic.
+        find every other row by arithmetic.  A caller whose t comes from
+        the tables themselves reads the same pair, unchecked, as
+        `block_layouts[bisect_right(tbase, t) - 1]`.
         """
-        h = self.dim_of_top(t)
-        return h + 1, self.tbase_addr[h] - self.tbase[h] * (h + 1)
+        return self.block_layouts[self.dim_of_top(t)]
 
     def row_of(self, t: int) -> tuple[int, ...]:
         w, off = self.row_layout(t)

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import struct
+from bisect import bisect_right
 from itertools import repeat
 
 import pytest
@@ -143,6 +144,21 @@ def test_addressed_lookups(ew_mixed):
         ew_mixed.dim_of_top(10)
     with pytest.raises(UnknownVertex):
         ew_mixed.vtstar_of(16)
+
+
+def test_block_layouts_agree_with_row_layout(mixed, cones, perforated_cube, perforated_grid):
+    # snm_global lays out a top it read from the tables by one bisection of
+    # tbase into block_layouts, unchecked; row_layout validates the top
+    # first, and both must address the top's own row in its packed block
+    for src in (mixed, cones, perforated_cube(0), perforated_grid(3, 4, 0)):
+        ew = Ewds.build(decompose(src))
+        assert len(ew.block_layouts) == ew.d + 1
+        for t in range(1, ew.nt + 1):
+            w, off = ew.block_layouts[bisect_right(ew.tbase, t) - 1]
+            assert (w, off) == ew.row_layout(t), t
+            h = ew.dim_of_top(t)
+            assert w == h + 1, t
+            assert off + t * w == ew.tbase_addr[h] + (t - ew.tbase[h]) * w, t
 
 
 def test_repack_maps(ew_mixed, mixed):

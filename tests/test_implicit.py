@@ -1,5 +1,6 @@
 """Adjacency-driven renumbering and the implicit vertex table."""
 
+import dataclasses
 import hashlib
 import random
 from bisect import bisect_left
@@ -333,6 +334,41 @@ def test_glued_bowtie_is_not_iqm():
     state.veq(1, 2, 3)
     with pytest.raises(NotIqm, match="top 1 "):
         Ewds.build(state.current_decomposition())
+
+
+def test_no_caller_can_set_the_iqm_record(monkeypatch):
+    # the two triangles 1 2 3 / 3 4 5 share vertex 3: decompose splits it,
+    # and the identity decomposition is a pinch in one component, whose S01
+    # at 3 would answer 2 of the 4 edges if it were packed
+    src = parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n")
+    fake = DecompositionResult.from_parts(src, src, {v: v for v in src.vertices})
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(fake, iqm=True)
+    with pytest.raises(TypeError):
+        DecompositionResult(src, src, fake.components, fake.sigma, fake.tt, fake.cc, True)
+    with pytest.raises(NotIqm):
+        Ewds.build(fake)
+    # a replace of a decompose result starts without the record, so
+    # Ewds.build checks it: another nabla is refused, the same one checked
+    dec = decompose(src)
+    moved = dataclasses.replace(
+        dec, nabla=fake.nabla, components=fake.components, sigma=fake.sigma, tt=fake.tt
+    )
+    assert dec.iqm and not moved.iqm
+    with pytest.raises(NotIqm):
+        Ewds.build(moved)
+    checked = []
+    is_iqm = Complex.is_iqm
+
+    def counted(self):
+        checked.append(self)
+        return is_iqm(self)
+
+    monkeypatch.setattr(Complex, "is_iqm", counted)
+    same = dataclasses.replace(dec)
+    assert not same.iqm
+    assert Ewds.build(same).dump_bytes() == Ewds.build(dec).dump_bytes()
+    assert checked == same.components
 
 
 @settings(max_examples=40, deadline=None)

@@ -440,27 +440,42 @@ def test_snm_guards(nm_mixed):
         nm_mixed.snm_global((6, 8), 2, 3)
 
 
-@pytest.mark.parametrize(
-    "gamma, n, m",
-    [
-        ((), -1, 2),  # n below 0, which the vertex count alone would pass
-        ((6,), -1, 1),
-        ((6, 8), 1, 2.0),  # m not an int
-        ((6, 8), 1.0, 2),
-        ((6, 8), True, 2),
-        ((6, 8), "1", 2),
-        ((1, "a"), 1, 2),  # vertices that cannot be sorted
-        ([[1], [2]], 1, 2),  # or hashed
-        (7, 0, 1),  # no iterable at all
-        ((True,), 0, 1),  # vertex ids that are not ints
-        ((6.0,), 0, 1),
-        ((6, 8.0), 1, 2),
-        ((6, False), 1, 2),
-    ],
-)
+# each bad query with the message it raises
+BAD_QUERIES = [
+    ((), -1, 2, "S-12: need 0 <= n < m"),  # which the vertex count alone would pass
+    ((6,), -1, 1, "S-11: need 0 <= n < m"),
+    ((6, 8), 1, 2.0, "S12.0: n and m must be ints"),  # m not an int
+    ((6, 8), 1.0, 2, "S1.02: n and m must be ints"),
+    ((6, 8), True, 2, "STrue2: n and m must be ints"),
+    ((6, 8), "1", 2, "S'1'2: n and m must be ints"),
+    ((1, "a"), 1, 2, "gamma (1, 'a') is not a set of vertex ids"),  # cannot be sorted
+    ([[1], [2]], 1, 2, "gamma [[1], [2]] is not a set of vertex ids"),  # or hashed
+    (7, 0, 1, "gamma 7 is not a set of vertex ids"),  # no iterable at all
+    ((True,), 0, 1, "gamma (True,) has a vertex id that is not an int"),
+    ((6.0,), 0, 1, "gamma (6.0,) has a vertex id that is not an int"),
+    ((6, 8.0), 1, 2, "gamma (6, 8.0) has a vertex id that is not an int"),
+    # named in gamma's sorted form
+    ((6, False), 1, 2, "gamma (False, 6) has a vertex id that is not an int"),
+    ((6, 8), 1, True, "S1True: n and m must be ints"),
+    ((6, 8), 1, 1, "S11: need 0 <= n < m"),
+    ((6, 8), 2, 1, "S21: need 0 <= n < m"),
+    # gamma of the wrong length, counted once duplicates are dropped
+    ((6, 8), 2, 3, "S23: gamma needs 3 distinct vertices, got 2"),
+    ((9, 9), 1, 2, "S12: gamma needs 2 distinct vertices, got 1"),
+    ((6, 8, 9), 1, 2, "S12: gamma needs 2 distinct vertices, got 3"),
+    # gamma's own faults come first, whatever n and m are
+    ((1, "a"), 1.0, 2, "gamma (1, 'a') is not a set of vertex ids"),
+    ((6.0,), 1, 1, "gamma (6.0,) has a vertex id that is not an int"),
+]
+# 2.0 == 2 and True == 1, so a query's message is found by its repr
+BAD_QUERY_MESSAGE = {repr(q[:3]): q[3] for q in BAD_QUERIES}
+
+
+@pytest.mark.parametrize("gamma, n, m", [q[:3] for q in BAD_QUERIES])
 def test_bad_query_arguments_raise_bad_relation(nm_mixed, gamma, n, m):
-    with pytest.raises(BadRelation):
+    with pytest.raises(BadRelation) as raised:
         nm_mixed.snm_global(gamma, n, m)
+    assert str(raised.value) == BAD_QUERY_MESSAGE[repr((gamma, n, m))]
 
 
 def test_stats_mixed(nm_mixed):

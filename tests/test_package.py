@@ -97,3 +97,18 @@ def test_every_error_has_a_raise_site():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 raised.update(n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name))
     assert sorted(errors - raised - {"TopologyError"}) == []
+
+
+def test_snm_global_validates_no_copy():
+    # snm_global checks its arguments once and trusts every top it reads
+    # from the layer's tables: no per-copy validation may creep back
+    tree = ast.parse(Path(nonmanifold.__file__).read_text())
+    (layer,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "NmLayer"]
+    (query,) = [n for n in layer.body if getattr(n, "name", None) == "snm_global"]
+    called = set()
+    for node in ast.walk(query):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called.add(fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None))
+    assert called & {"row_layout", "dim_of_top"} == set()
+    assert "lookup" in called  # the face table is still asked through its one interface
