@@ -225,9 +225,9 @@ def _fig_a(as_json: bool) -> int:
 
 
 def _fig_b(as_json: bool) -> int:
-    ew = Ewds.build(decompose(load_tv("fix_b.tv")))
+    dec = decompose(load_tv("fix_b.tv"))
+    ew = Ewds.build(dec)
     nm = build_nm_layer(ew)
-    dec = ew.source
     stats = nm.stats()
     if as_json:
         out = {

@@ -160,13 +160,6 @@ class Complex:
     def num_tops(self) -> int:
         return len(self._store_ids)
 
-    def __contains__(self, tid: int) -> bool:
-        try:
-            self.position(tid)
-        except UnknownTop:
-            return False
-        return True
-
     def position(self, tid: int) -> int:
         """Index of top tid in top_ids, by bisect; UnknownTop if none."""
         ids = self._store_ids
@@ -211,10 +204,6 @@ class Complex:
         if self._labels and v in self._labels:
             return self._labels[v]
         return str(v)
-
-    @property
-    def labels(self) -> dict[int, str]:
-        return {v: self.label_of(v) for v in self._vertex_ids()}
 
     def _vertex_ids(self) -> Collection[int]:
         """The vertices in order of first appearance in the store."""

@@ -145,10 +145,6 @@ class ScriptOutcome:
     def ok(self) -> bool:
         return all(e.kind not in ("assert-fail", "error") for e in self.events)
 
-    @property
-    def dumps(self) -> list[list[str]]:
-        return [e.payload for e in self.events if e.kind == "dump"]
-
 
 def parse_glue_script(text: str) -> list[tuple[int, list[str]]]:
     """Split a script into (line number, token list) instructions."""

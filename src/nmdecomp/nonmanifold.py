@@ -2,7 +2,7 @@
 
 The packed tables answer everything inside one component.  Queries about
 the original complex need two extra ingredients: the vertex copy map
-sigma (copies -> original vertex; `sigma_n` in packed ids) and the
+sigma (copies -> original vertex; `Ewds.sigma_n` in packed ids) and the
 splitmap, which lists every simplex whose star falls into several
 adjacency patches, or into several components, with its copies and one
 representative top per patch of each copy, the smallest top of the
@@ -24,11 +24,11 @@ from the copy map, a key's from the splitmap, any other gamma's from the
 face table (`FaceTops`).  Those tops come from the layer's own tables, so
 the query lays out their blocks from `Ewds.block_layouts` unchecked.
 
-Every stage works in packed ids, on the tables and sigma_n, which is
-read once off the decomposition through `Ewds.vertex_old`: the face
-table and its row list are TVP mapped through sigma_n, and the splitmap
-and v_nra read TVP and TTP.  Of the decomposition, only sigma is read;
-where the components sit comes from `Ewds.comp_first`.
+Every stage works in packed ids, on the tables and `Ewds.sigma_n`: the
+copy lists invert sigma_n, the face table and its row list are TVP mapped
+through it, and the splitmap and v_nra read TVP and TTP.  Where the
+components sit comes from `Ewds.comp_first`.  Nothing here reads the
+decomposition, so a layer does not keep it alive.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Iterable
 
 from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
-from .decompose import DecompositionResult
 from .errors import BadRelation, NotIncident, NotInTrie
 from .unionfind import union_min
 from .winged import DIAMOND, Ewds
@@ -115,10 +114,10 @@ class FaceTops:
 
 @dataclass
 class NmLayer:
-    """Copy map, splitmap and face table for global queries."""
+    """Copy lists, splitmap and face table for global queries, over the
+    tables and the copy map `Ewds.sigma_n` of ewds."""
 
     ewds: Ewds
-    sigma_n: list[int]  # packed vertex id -> source vertex id, index 0 unused
     copies_of: dict[int, tuple[int, ...]]  # source vertex -> packed copies
     splitmap: Splitmap
     v_nra: list[int]  # the paper's set; the harvest also reads the pinch suspects
@@ -236,7 +235,7 @@ class NmLayer:
             w, off = layout = layouts[bisect_right(tbase, hint) - 1]
             # the row read of `_copy_in`, repeated inline on purpose: a
             # helper or comprehension call costs more than the read
-            sigma_n, cp = self.sigma_n, set()
+            sigma_n, cp = ew.sigma_n, set()
             for x in ew.tvp[off + hint * w : off + hint * w + w]:
                 if sigma_n[x] in gamma:
                     cp.add(x)
@@ -282,15 +281,14 @@ class NmLayer:
 # -- construction ----------------------------------------------------------
 
 
-def build_sigma_maps(
-    ewds: Ewds, dec: DecompositionResult
-) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Packed-id copy maps from the decomposition's sigma, copies ascending."""
-    sigma_n = [0, *map(dec.sigma.__getitem__, ewds.vertex_old[1:])]
+def build_sigma_maps(ewds: Ewds) -> dict[int, tuple[int, ...]]:
+    """The copy lists, source vertex -> its packed copies ascending, read
+    off `Ewds.sigma_n`."""
+    sigma_n = ewds.sigma_n
     copies: dict[int, list[int]] = {}
     for vp in range(1, ewds.nv + 1):
         copies.setdefault(sigma_n[vp], []).append(vp)
-    return sigma_n, {v: tuple(cs) for v, cs in copies.items()}
+    return {v: tuple(cs) for v, cs in copies.items()}
 
 
 def v_nra_vertices(
@@ -488,9 +486,8 @@ def build_splitmap(
     tvp, ttp = ewds.tvp, ewds.ttp
     found: dict[Simplex, list[int]] = {}  # key -> representatives
     for h in range(2, ewds.d + 1):  # narrower rows have no such face
-        w = h + 1
+        w, off = ewds.block_layouts[h]
         lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
-        off = lo - ewds.tbase[h] * w
         # number the corners of the rows that hold a harvested slot
         at: dict[int, tuple[int, tuple]] = {}  # top -> (first corner, layout)
         n = 0
@@ -569,9 +566,9 @@ def build_nm_layer(ewds: Ewds) -> NmLayer:
     The splitmap harvests v_nra and the pinch suspects; the layer keeps
     v_nra alone, which stats() reads.
     """
-    sigma_n, copies_of = build_sigma_maps(ewds, ewds.source)
+    sigma_n, copies_of = ewds.sigma_n, build_sigma_maps(ewds)
     nra = v_nra_vertices(ewds, sigma_n, copies_of)
     harvest = pinch_suspects(ewds, sigma_n)
     harvest.update(nra)
     smap = build_splitmap(ewds, sigma_n, copies_of, harvest)
-    return NmLayer(ewds, sigma_n, copies_of, smap, nra, build_ft_trie(ewds, sigma_n))
+    return NmLayer(ewds, copies_of, smap, nra, build_ft_trie(ewds, sigma_n))

@@ -27,7 +27,7 @@ one slice, in implicit top order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadRenumbering, OutOfRange, UnknownTop, UnknownVertex
 from .winged import BOTTOM, DIAMOND, Ewds, pack_dump
@@ -89,8 +89,7 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     seen = bytearray(ewds.nt + 1)
 
     for h in range(d + 1):
-        w = h + 1
-        off = ewds.tbase_addr[h] - ewds.tbase[h] * w
+        w, off = ewds.block_layouts[h]
         tidx = ewds.tbase[h]
         tnew = ewds.tbase[h] + cc[h]
         vidx = vbase[h]
@@ -165,7 +164,6 @@ class ImplicitEwds:
     iitaddr: list[int]
     tvpp: list[int]  # 1-based, stored vertex entries only
     ttpp: list[int]  # 1-based, full adjacency in implicit ids
-    renumbering: Renumbering = field(repr=False)
 
     # -- lookups -----------------------------------------------------------
 
@@ -222,9 +220,10 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
     and unpaired rows are kept whole.
 
     Raises BadRenumbering unless ren fits the tables: FTT must permute
-    each dimension block and FVV the vertices, every exchange must permute
-    the slots of a top of its width, and the vertex blocks must chain from
-    1 to NV+1, each with its seeds' slots and one vertex per paired top.
+    each dimension block and FVV the vertices, every exchange must be keyed
+    by an int top and permute, in int slots, the slots of a top of its
+    width, and the vertex blocks, in ints, must chain from 1 to NV+1, each
+    with its seeds' slots and one vertex per paired top.
     """
     d, nt, nv, tbase = ewds.d, ewds.nt, ewds.nv, ewds.tbase
     ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
@@ -233,20 +232,26 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
             f"maps for {len(ftt) - 1} tops and {len(fvv) - 1} vertices "
             f"do not fit tables of {nt} tops and {nv} vertices"
         )
-    if len(cc) != d + 1 or len(vbase) != d + 2 or vbase[0] != 1 or vbase[d + 1] != nv + 1:
+    ints = len(cc) == d + 1 and len(vbase) == d + 2 and {int}.issuperset(map(type, [*cc, *vbase]))
+    if not ints or vbase[0] != 1 or vbase[d + 1] != nv + 1:
         raise BadRenumbering(f"block directories do not fit {nv} vertices in dimension {d}")
     if sorted(fvv[1:]) != list(range(1, nv + 1)):
         raise BadRenumbering("FVV does not permute the vertices")
 
     tv, tt = list(ewds.tvp), list(ewds.ttp)
     for t, perm in ren.perms.items():
-        w = len(perm)
-        if not (0 < w <= d + 1 and tbase[w - 1] <= t < tbase[w]) or sorted(perm) != list(range(w)):
-            raise BadRenumbering(f"slot exchange {perm} does not fit top {t}")
-        base = ewds.tbase_addr[w - 1] + (t - tbase[w - 1]) * w
-        for arr in (tv, tt):
-            row = arr[base : base + w]
-            arr[base : base + w] = [row[p] for p in perm]
+        try:  # a top or slot that is no int, or no perm at all, raises TypeError
+            w = len(perm)
+            fits = type(t) is int and 0 < w <= d + 1 and tbase[w - 1] <= t < tbase[w]
+            if fits and sorted(perm) == list(range(w)):
+                base = ewds.block_layouts[w - 1][1] + t * w
+                for arr in (tv, tt):
+                    row = arr[base : base + w]
+                    arr[base : base + w] = [row[p] for p in perm]
+                continue
+        except TypeError:
+            pass
+        raise BadRenumbering(f"slot exchange {perm!r} does not fit top {t!r}")
     fnbr = [BOTTOM, *ftt[1:], DIAMOND]  # fnbr[DIAMOND] is the last entry
 
     taddr = [1]
@@ -255,7 +260,7 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
     tvpp = [0]
     ttpp = [0]
     for h in range(d + 1):
-        w = h + 1
+        w, off = ewds.block_layouts[h]
         lo, hi = tbase[h], tbase[h + 1]
         arithmetic = vbase[h + 1] - vbase[h] - cc[h] * h  # seeds and paired tops
         if not 0 <= cc[h] <= arithmetic <= hi - lo:
@@ -266,7 +271,6 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
         olds = sorted(range(lo, hi), key=ftt.__getitem__)  # in implicit order
         if list(map(ftt.__getitem__, olds)) != list(range(lo, hi)):
             raise BadRenumbering(f"FTT does not permute the dimension-{h} block")
-        off = ewds.tbase_addr[h] - lo * w
         rows = [fvv[v] for t in olds for v in tv[off + t * w : off + t * w + w]]
         ttpp += [fnbr[u] for t in olds for u in tt[off + t * w : off + t * w + w]]
         paired = rows[cc[h] * w : arithmetic * w]  # seeds are fully arithmetic
@@ -288,5 +292,4 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
         iitaddr=iitaddr,
         tvpp=tvpp,
         ttpp=ttpp,
-        renumbering=ren,
     )

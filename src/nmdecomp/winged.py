@@ -8,7 +8,10 @@ in decomposition order within a block, each one run, which starts at its
 `Ewds.comp_first`; vertex ids are repacked to 1..NV ascending.  Rows keep
 the input vertex order of the decomposition, which the addressing below
 relies on.  `Ewds.build` packs only initial quasi-manifold (IQM)
-components, and everything after it relies on that.
+components, and everything after it relies on that.  It is also the last
+code that reads a decomposition: `Ewds.sigma_n` keeps the copy map, packed
+vertex -> source vertex, and the non-manifold layer and the encoder read
+the tables and sigma_n alone.
 
 TTP slot k of a top holds its neighbour across the facet opposite vertex
 slot k: 0 means the facet is on the boundary, -1 that it has three or more
@@ -39,8 +42,9 @@ MAGIC = b"EWD\x00"
 @dataclass
 class Ewds:
     """Packed decomposition with O(1) top/vertex lookups, in packed ids:
-    top_old and vertex_old map them back to the decomposition's, and no
-    map goes the other way once `build` returns."""
+    top_old and vertex_old map them back to the decomposition's, sigma_n
+    maps each vertex to the source vertex it copies, and no map goes the
+    other way once `build` returns."""
 
     d: int
     nt: int
@@ -53,7 +57,7 @@ class Ewds:
     top_old: list[int]     # new top id -> decomposition top id, index 0 unused
     vertex_old: list[int]  # new vertex id -> decomposition vertex id
     comp_first: list[int]  # each component's first top, ascending in decomposition order
-    source: DecompositionResult = field(repr=False)
+    sigma_n: list[int]     # packed vertex id -> source vertex id, index 0 unused
     # (w, off) of each dimension block, the `row_layout` of its tops,
     # derived once from tbase and tbase_addr for callers that trust a top
     block_layouts: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
@@ -71,8 +75,8 @@ class Ewds:
         `decompose` did not build (not `dec.iqm`) raises NotIqm at its
         first component that fails `Complex.is_iqm`.  Each component, being
         regular, is then one run of its dimension's block, in the order of
-        dec.components, and TVP and TTP are read off nabla's store and
-        dec.tt."""
+        dec.components, TVP and TTP are read off nabla's store and dec.tt,
+        and sigma_n off dec.sigma.  The result keeps no reference to dec."""
         bad = None if dec.iqm else next((k for k in dec.components if not k.is_iqm()), None)
         if bad is not None:
             raise NotIqm(f"the component of top {bad.top_ids[0]} is not an initial quasi-manifold")
@@ -128,7 +132,7 @@ class Ewds:
             top_old=top_old,
             vertex_old=vertex_old,
             comp_first=comp_first,
-            source=dec,
+            sigma_n=[0, *map(dec.sigma.__getitem__, vertex_old[1:])],
         )
         ew._fill_vtstar(top_at)
         return ew
@@ -183,8 +187,9 @@ class Ewds:
         one before when v is last.  top_at[t] is the int object for top t.
         """
         tvp, vtstar, nv = self.tvp, self.vtstar, self.nv
+        off = self.block_layouts[0][1]
         for t in self._block_tops(0):
-            vtstar[tvp[self.tbase_addr[0] + t - self.tbase[0]]] = top_at[t]
+            vtstar[tvp[off + t]] = top_at[t]
         for h in range(1, self.d + 1):
             best = [[nv + 1]] * (nv + 1)  # above every facet
             star = [0] * (nv + 1)

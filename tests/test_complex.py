@@ -48,7 +48,7 @@ def test_parse_roundtrip(fan, cones):
     for c in (fan, cones):
         again = parse_tv(format_tv(c))
         assert again.rows() == c.rows()
-        assert again.labels == c.labels
+        assert label_rows(again) == label_rows(c)
 
 
 @pytest.mark.parametrize(
@@ -197,7 +197,7 @@ def _parsed(parse, text: str):
             getattr(exc, "line_no", None),
             cause and (type(cause), str(cause), getattr(cause, "top", None)),
         )
-    return list(c.rows().items()), c.labels
+    return list(c.rows().items()), label_rows(c)
 
 
 _BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -489,7 +489,10 @@ def test_lookups_raise_typed_errors(lookup, error):
     c = Complex({1: (1, 2, 3), 2: (2, 3, 4), 3: (4, 5)})
     with pytest.raises(error):
         lookup(c)
-    assert True not in c and 1 in c and 999 not in c
+    assert c.position(1) == 0
+    for tid in (True, 999):
+        with pytest.raises(UnknownTop):
+            c.position(tid)
 
 
 @pytest.mark.parametrize("row", [None, 5])

@@ -155,7 +155,7 @@ def test_component_labels_cover_own_vertices(mixed, bouquet):
 def test_copy_labels_skip_tokens_in_use(text):
     src = parse_tv(text)
     nabla = decompose(src).nabla
-    labels = list(nabla.labels.values())
+    labels = list(map(nabla.label_of, nabla.vertices))
     assert nabla.num_vertices > src.num_vertices
     assert len(set(labels)) == len(labels) == nabla.num_vertices
     assert label_rows(parse_tv(format_tv(nabla))) == label_rows(nabla)
@@ -211,6 +211,8 @@ def test_from_parts_takes_only_a_decomposition_of_its_source():
         (src, src, {1: 1, 2: 2, 3: 3}),  # no image of vertex 4
         (src, src, {1: 1, 2: 2, 3: 3, 4: 9}),  # a row of another complex
         (src, src, {1: 1, 2: 2, 3: 3, 4: 4, 9: 2}),  # a copy in no row
+        (src, src, None),  # no map at all
+        (src, src, "1234"),  # indexable, but no map of vertex ids
         (src, split, {1: 1, 2: 2, 3: 3, 4: 4, 5: 1}),
         (src, parse_tv("simplex 1: 1 3 2\nsimplex 2: 2 3 4\n"), ident),
         (src, parse_tv("simplex 1: 1 2 3\nsimplex 3: 2 3 4\n"), ident),

@@ -286,7 +286,7 @@ def test_perforated_tables_are_frozen(seed, perforated_cube):
     parts = (
         sorted(dec.nabla.rows().items()),
         sorted(dec.sigma.items()),
-        sorted(dec.nabla.labels.items()),
+        [(v, dec.nabla.label_of(v)) for v in dec.nabla.vertices],
         [comp.top_ids for comp in dec.components],
         dec.cc,
     )

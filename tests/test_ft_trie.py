@@ -9,7 +9,7 @@ from nmdecomp.complexes import parse_tv
 from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
 from nmdecomp.errors import NotInTrie
-from nmdecomp.nonmanifold import build_ft_trie, build_sigma_maps
+from nmdecomp.nonmanifold import build_ft_trie
 from nmdecomp.oracle import random_complex
 from nmdecomp.winged import Ewds
 from helpers import packed
@@ -22,7 +22,7 @@ def pair():
 
 def face_table(ew):
     """The face table of ew, built from its tables and its copy map."""
-    return build_ft_trie(ew, build_sigma_maps(ew, ew.source)[0])
+    return build_ft_trie(ew, ew.sigma_n)
 
 
 def table(c):

@@ -87,7 +87,7 @@ def test_pmglue_rejects_bad_pairs(claw, fan):
 def test_script_claw(claw, claw_script):
     out = run_glue_script(claw, claw_script)
     assert out.ok
-    dump1, dump2 = out.dumps
+    dump1, dump2 = [e.payload for e in out.events if e.kind == "dump"]
     assert dump1 == [
         "j-[1,2]",
         "j-[3]",

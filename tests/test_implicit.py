@@ -35,10 +35,10 @@ from helpers import packed
 # -- reference: the renumbering a vertex and a top at a time ----------------
 
 
-def reference_compute_renumbering(ewds: Ewds) -> Renumbering:
-    """compute_renumbering with a facet flood per vertex as its IQM check
-    and a set of the entering facet's vertices per DFS step."""
-    dec = ewds.source
+def reference_compute_renumbering(ewds: Ewds, dec: DecompositionResult) -> Renumbering:
+    """compute_renumbering of ewds, the packing of dec, with a facet flood
+    per vertex as its IQM check, the seeds read off dec's components and a
+    set of the entering facet's vertices per DFS step."""
     star = [0] * (ewds.nv + 1)  # a row lists each of its vertices once
     for v in ewds.tvp[1:]:
         star[v] += 1
@@ -159,7 +159,7 @@ def reference_apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
     return ImplicitEwds(
         d=d, nt=ewds.nt, nv=ewds.nv, tbase=list(ewds.tbase),
         tbase_addr=list(ewds.tbase_addr), cc=cc, vbase=vbase, taddr=taddr,
-        iibnd=iibnd, iitaddr=iitaddr, tvpp=tvpp, ttpp=ttpp, renumbering=ren,
+        iibnd=iibnd, iitaddr=iitaddr, tvpp=tvpp, ttpp=ttpp,
     )
 
 
@@ -167,8 +167,8 @@ def _fields(ren: Renumbering) -> tuple:
     return ren.ftt, ren.fvv, sorted(ren.perms.items()), ren.cc, ren.vbase
 
 
-def assert_matches_reference(ew: Ewds) -> None:
-    ren, ref = compute_renumbering(ew), reference_compute_renumbering(ew)
+def assert_matches_reference(ew: Ewds, dec: DecompositionResult) -> None:
+    ren, ref = compute_renumbering(ew), reference_compute_renumbering(ew, dec)
     assert _fields(ren) == _fields(ref)
     imp, want = apply_renumbering(ew, ren), reference_apply_renumbering(ew, ref)
     assert imp.dump_bytes() == want.dump_bytes()
@@ -455,16 +455,18 @@ def test_encoding_is_frozen(name, perforated_cube):
     "name", ["fan", "mixed", "cones", "bouquet", "pinched", "pinched_edge", "pinched_edge_cone"]
 )
 def test_fixtures_match_reference(name, request):
-    ew = Ewds.build(decompose(request.getfixturevalue(name)))
+    dec = decompose(request.getfixturevalue(name))
+    ew = Ewds.build(dec)
     if name == "cones":
         assert -1 in ew.ttp  # a DIAMOND slot, which FTT must leave as it is
-    assert_matches_reference(ew)
+    assert_matches_reference(ew, dec)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
 def test_encoding_matches_reference(seed, d):
-    assert_matches_reference(Ewds.build(decompose(random_complex(seed=seed, max_tops=30, d=d))))
+    dec = decompose(random_complex(seed=seed, max_tops=30, d=d))
+    assert_matches_reference(Ewds.build(dec), dec)
 
 
 def test_renumbering_of_another_decomposition_is_refused(mixed):
@@ -499,7 +501,17 @@ def test_renumbering_that_does_not_fit_is_refused(imp_mixed):
         _mangled(ren, perms={6: (0, 0, 1)}),
         _mangled(ren, perms={4: (0, 2, 1)}),
         _mangled(ren, perms={ew.nt + 1: (0,)}),
+        # mistyped entries: top 1 is a vertex, whose one slot (0,) fits
+        _mangled(ren, perms={True: (0,)}),
+        _mangled(ren, perms={"6": ren.perms[6]}),
+        _mangled(ren, perms={6: None}),
+        _mangled(ren, perms={6: (*ren.perms[6][:-1], str(ren.perms[6][-1]))}),
+        _mangled(ren, perms={6: tuple(map(float, ren.perms[6]))}),
     ]
+    for name in ("cc", "vbase"):
+        good = getattr(ren, name)
+        for entry in (None, float(good[1]), str(good[1])):
+            cases.append(_mangled(ren, **{name: [good[0], entry, *good[2:]]}))
     for bad in cases:
         with pytest.raises(BadRenumbering):
             apply_renumbering(ew, bad)
@@ -513,4 +525,5 @@ def test_encoding_matches_reference_at_benchmark_scale(perforated_grid):
     perforated = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
     # 6 000 and 7 258 tets, and 10 512 4-simplices
     for c in (kuhn_cube(10), perforated, perforated_grid(5, 4, 5)):
-        assert_matches_reference(Ewds.build(decompose(c)))
+        dec = decompose(c)
+        assert_matches_reference(Ewds.build(dec), dec)

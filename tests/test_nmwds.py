@@ -1,7 +1,8 @@
 """Non-manifold layer: splitmap, sigma translation, global queries."""
 
-import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -76,9 +77,9 @@ def test_travel_star_covers_the_patch(nm_mixed):
 def test_copy_in_names_the_copy_a_top_spans(nm_cones, cones):
     ew = nm_cones.ewds
     xyz = resolve_tokens(cones, ["x", "y", "z"])
-    assert _copy_in(ew, nm_cones.sigma_n, xyz, packed(ew.top_old, 34)) == xyz
+    assert _copy_in(ew, ew.sigma_n, xyz, packed(ew.top_old, 34)) == xyz
     with pytest.raises(NotIncident):
-        _copy_in(ew, nm_cones.sigma_n, xyz, packed(ew.top_old, 1))
+        _copy_in(ew, ew.sigma_n, xyz, packed(ew.top_old, 1))
 
 
 def test_snm_global_mixed_all_faces(nm_mixed, mixed):
@@ -108,23 +109,21 @@ def _check_all_faces(nm, src):
 
 
 def test_layer_stands_on_the_tables_and_the_copy_map(mixed, cones, perforated_cube):
-    # with the decomposition's source, nabla and components gone, the layer
-    # and the renumbering come out the same: they read the packed tables,
-    # Ewds.comp_first among them, and sigma alone.  Draw 1354 has two
-    # copies of a vertex in one component.
+    # neither the tables nor the layer keep the decomposition alive: they
+    # read the packed tables, Ewds.comp_first and Ewds.sigma_n among them,
+    # and the renumbering and every relation come out the same once it is
+    # gone.  The weakref is on the result, as Complex has no __weakref__
+    # slot.  Draw 1354 has two copies of a vertex in one component.
     for src in (mixed, cones, perforated_cube(0), random_complex(1354, 40, 3)):
         dec = decompose(src)
+        gone = weakref.ref(dec)
         ew = Ewds.build(dec)
-        want, want_ren = build_nm_layer(ew), compute_renumbering(ew)
-        ew.source = dataclasses.replace(dec, source=None, nabla=None, components=None)
-        got = build_nm_layer(ew)
-        assert got.stats() == want.stats()
-        assert (got.splitmap, got.trie.faces) == (want.splitmap, want.trie.faces)
-        for gamma in src.all_faces():
-            n = len(gamma) - 1
-            for m in range(n + 1, src.dim + 1):
-                assert got.snm_global(gamma, n, m) == want.snm_global(gamma, n, m)
+        nm, want_ren = build_nm_layer(ew), compute_renumbering(ew)
+        del dec
+        gc.collect()
+        assert gone() is None
         assert compute_renumbering(ew) == want_ren
+        _check_all_faces(nm, src)
 
 
 def test_snm_global_perforated_cube_all_faces(perforated_cube):
@@ -201,7 +200,7 @@ def test_pinched_simplices_are_splitmap_keys(name, pinches, request):
         assert len(star) == 4
         # the walk from both representatives covers the star, one copy wide
         assert {ew.top_old[u] for u in ew.walk(set(cp), reps)} == star
-        assert {_copy_in(ew, nm.sigma_n, gamma, packed(ew.top_old, t)) for t in star} == {cp}
+        assert {_copy_in(ew, ew.sigma_n, gamma, packed(ew.top_old, t)) for t in star} == {cp}
         n = len(gamma) - 1
         for m in range(n + 1, src.dim + 1):
             assert nm.snm_global(gamma, n, m) == oracle_snm(src, gamma, n, m)
@@ -216,7 +215,7 @@ def _patch_counts(smap):
 @pytest.mark.parametrize("seed", range(4))
 def test_splitmap_equals_every_vertex_harvest_on_perforated_cubes(seed, perforated_cube):
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
-    every = build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, sorted(nm.copies_of))
+    every = build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, sorted(nm.copies_of))
     assert _patch_counts(nm.splitmap) == _patch_counts(every)
 
 
@@ -227,9 +226,9 @@ def test_splitmap_ignores_harvest_order_on_perforated_cubes(seed, perforated_cub
     # is the smallest top of its patch
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
     ew = nm.ewds
-    harvest = sorted(pinch_suspects(ew, nm.sigma_n).union(nm.v_nra))
+    harvest = sorted(pinch_suspects(ew, ew.sigma_n).union(nm.v_nra))
     random.Random(seed).shuffle(harvest)
-    assert build_splitmap(ew, nm.sigma_n, nm.copies_of, harvest) == nm.splitmap
+    assert build_splitmap(ew, ew.sigma_n, nm.copies_of, harvest) == nm.splitmap
     for entry in nm.splitmap.values():
         for cp, reps in entry.items():
             for rep in reps:
@@ -251,7 +250,7 @@ def test_fin_facet_is_recorded_from_its_smaller_coface():
     ]
     assert sorted(len(star) for star, _ in stars) == [1, 2]
     assert all(rep == min(star) for star, rep in stars)
-    assert nm.splitmap == oracle_splitmap(ew, nm.sigma_n)
+    assert nm.splitmap == oracle_splitmap(ew, ew.sigma_n)
     # a triangle dangling from the interior vertex 22 of kuhn_cube(3)
     # splits that vertex, so the harvest holds one copy in a block of 162
     # tets: the rows that hold it are read, and no other
@@ -259,7 +258,7 @@ def test_fin_facet_is_recorded_from_its_smaller_coface():
     rows[max(rows) + 1] = (22, 100, 101)
     nm = build_nm_layer(Ewds.build(decompose(Complex(rows))))
     assert len(nm.copies_of[22]) == 2
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
 
 
 def test_build_nm_layer_walks_no_star(monkeypatch, mixed, cones, perforated_cube, perforated_grid):
@@ -280,7 +279,7 @@ def test_build_nm_layer_walks_no_star(monkeypatch, mixed, cones, perforated_cube
 @pytest.mark.parametrize("seed", range(4))
 def test_splitmap_matches_oracle_on_perforated_cubes(seed, perforated_cube):
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +301,7 @@ def test_two_copies_in_one_component_are_kept(seed, key, entry):
     split = [v for v in key if len(nm.copies_of[v]) > 1]
     assert len(split) == 1
     assert nm.splitmap[key] == entry
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -315,7 +314,8 @@ def test_each_reading_clause_keeps_a_key(seed, perforated_cube):
     # under a harvest of one vertex, the single-copy clause a key whose
     # vertices all split.
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
-    ew, sigma_n = nm.ewds, nm.sigma_n
+    ew = nm.ewds
+    sigma_n = ew.sigma_n
     harvest = pinch_suspects(ew, sigma_n).union(nm.v_nra)
     kinds = _copy_kinds(ew, nm.copies_of)
     pinched, twinned, split = [], [], []
@@ -350,10 +350,10 @@ def test_splitmap_matches_oracle_in_4d(seed, perforated_grid):
     # block is read, and no star is walked
     nm = build_nm_layer(Ewds.build(decompose(perforated_grid(3, 4, seed))))
     assert nm.ewds.d == 4 and nm.splitmap
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
     counter = OpCounter()
-    harvest = pinch_suspects(nm.ewds, nm.sigma_n)
-    assert build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, harvest, counter) == nm.splitmap
+    harvest = pinch_suspects(nm.ewds, nm.ewds.sigma_n)
+    assert build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, harvest, counter) == nm.splitmap
     assert counter.visits == 0
 
 
@@ -361,12 +361,12 @@ def test_splitmap_matches_oracle_in_4d(seed, perforated_grid):
 def test_splitmap_matches_oracle_in_4d_at_scale(perforated_grid):
     # 5**4 cubes less 30 %: 10 512 tops
     nm = build_nm_layer(Ewds.build(decompose(perforated_grid(5, 4, 5))))
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
 
 
 def test_empty_harvest_reads_nothing(nm_mixed):
     counter = OpCounter()
-    assert build_splitmap(nm_mixed.ewds, nm_mixed.sigma_n, nm_mixed.copies_of, [], counter) == {}
+    assert build_splitmap(nm_mixed.ewds, nm_mixed.ewds.sigma_n, nm_mixed.copies_of, [], counter) == {}
     assert (counter.visits, counter.expansions, counter.comparisons) == (0, 0, 0)
 
 
@@ -381,7 +381,7 @@ def test_snm_matches_oracle_at_benchmark_scale():
     c = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
     dec = decompose(c)
     nm = build_nm_layer(Ewds.build(dec))
-    every = build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, sorted(nm.copies_of))
+    every = build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, sorted(nm.copies_of))
     assert _patch_counts(nm.splitmap) == _patch_counts(every)
     assert every and dec.splitting_vertices
     sample = (
@@ -428,7 +428,7 @@ def test_counted_work_is_frozen(name, request):
         n = len(gamma) - 1
         for m in range(n + 1, src.dim + 1):
             nm.snm_global(gamma, n, m, queries)
-    build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, nm.v_nra, harvest)
+    build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, nm.v_nra, harvest)
     counted = [(c.visits, c.expansions, c.comparisons) for c in (queries, harvest)]
     assert counted == list(FROZEN_WORK[name])
 

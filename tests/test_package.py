@@ -27,17 +27,17 @@ def test_names_the_benchmark_reads(monkeypatch):
         monkeypatch.setattr(
             nonmanifold, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
         )
-    nm = nmdecomp.build_nm_layer(nmdecomp.Ewds.build(nmdecomp.decompose(load_tv("fix_b.tv"))))
+    src = load_tv("fix_b.tv")
+    nm = nmdecomp.build_nm_layer(nmdecomp.Ewds.build(nmdecomp.decompose(src)))
     assert sorted(calls) == ["build_ft_trie", "build_splitmap"]
     with pytest.raises(nmdecomp.NotInTrie):
         nm.trie.lookup((99, 100))
     assert type(nm.trie.num_nodes) is int and type(nm.trie.num_words) is int
     # vertices and whole top rows are no entries; every other face is one
-    src = nm.ewds.source.source
     tops = {tuple(sorted(src.row(t))) for t in src.top_ids}
     assert nm.trie.num_words == len({f for f in src.all_faces() if len(f) > 1} - tops)
     # the traced run passes its harvest counter fifth, positionally
-    args = (nm.ewds, nm.sigma_n, nm.copies_of, nm.v_nra)
+    args = (nm.ewds, nm.ewds.sigma_n, nm.copies_of, nm.v_nra)
     assert nonmanifold.build_splitmap(*args, OpCounter()) == nonmanifold.build_splitmap(*args)
 
 
@@ -77,6 +77,25 @@ def test_only_complexes_reads_the_row_store():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in fields:
                 readers.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert readers == []
+
+
+def test_layer_and_encoder_import_nothing_from_decompose():
+    # Ewds.build is the last code that reads a decomposition: the
+    # non-manifold layer and the encoder stand on the packed tables and
+    # Ewds.sigma_n alone, so neither imports anything from decompose.py
+    src = Path(nmdecomp.__file__).parent
+    readers = []
+    for name in ("nonmanifold.py", "renumber.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("decompose" in p.split(".") for p in paths):
+                readers.append(f"{name}:{node.lineno}")
     assert readers == []
 
 

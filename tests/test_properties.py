@@ -234,7 +234,7 @@ def test_renumbering_rejects_exactly_non_iqm_components(seed, d):
     for x in (c, half):
         fake = DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
         if all(map(oracle_iqm, fake.components)):
-            assert_matches_reference(Ewds.build(fake))
+            assert_matches_reference(Ewds.build(fake), fake)
         else:
             with pytest.raises(NotIqm):
                 Ewds.build(fake)
@@ -297,7 +297,7 @@ def test_splitmap_complete_over_v_nra(seed, d):
     # harvesting every vertex star finds; representatives may differ
     c = draw(seed, d, max_tops=10)
     ew = Ewds.build(decompose(c))
-    sigma_n, copies_of = build_sigma_maps(ew, ew.source)
+    sigma_n, copies_of = ew.sigma_n, build_sigma_maps(ew)
     nra = v_nra_vertices(ew, sigma_n, copies_of)
     some = build_splitmap(ew, sigma_n, copies_of, nra)
     every = build_splitmap(ew, sigma_n, copies_of, sorted(copies_of))
@@ -312,7 +312,7 @@ def test_splitmap_equals_every_vertex_harvest(seed, d):
     # the layer harvests v_nra and the pinch suspects only; harvesting every
     # vertex finds the same keys, copies and number of patches per copy
     nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
-    every = build_splitmap(nm.ewds, nm.sigma_n, nm.copies_of, sorted(nm.copies_of))
+    every = build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, sorted(nm.copies_of))
     assert {k: {cp: len(r) for cp, r in e.items()} for k, e in nm.splitmap.items()} == {
         k: {cp: len(r) for cp, r in e.items()} for k, e in every.items()
     }
@@ -324,7 +324,7 @@ def test_splitmap_matches_oracle(seed, d):
     # the layer's splitmap, representatives included, equals the one that
     # walks the patch of every face of every top
     nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,7 +353,7 @@ def test_copy_kinds_match_the_components_vertices(seed, d):
                 Ewds.build(dec)
             continue
         ew = Ewds.build(dec)
-        _, copies_of = build_sigma_maps(ew, dec)
+        copies_of = build_sigma_maps(ew)
         comp_of = {v: ci for ci, comp in enumerate(dec.components) for v in comp.vertices}
         want = bytearray(ew.nv + 1)
         for cs in copies_of.values():
@@ -370,9 +370,9 @@ def test_splitmap_ignores_harvest_order(seed, d):
     # its representatives, which are the smallest tops of their patches
     nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
     ew = nm.ewds
-    harvest = sorted(pinch_suspects(ew, nm.sigma_n).union(nm.v_nra))
+    harvest = sorted(pinch_suspects(ew, ew.sigma_n).union(nm.v_nra))
     random.Random(seed).shuffle(harvest)
-    assert build_splitmap(ew, nm.sigma_n, nm.copies_of, harvest) == nm.splitmap
+    assert build_splitmap(ew, ew.sigma_n, nm.copies_of, harvest) == nm.splitmap
     for entry in nm.splitmap.values():
         for cp, reps in entry.items():
             for rep in reps:
@@ -462,7 +462,8 @@ def test_face_table_and_row_list(seed, d):
     # 2..w-1 vertices of some width-w top
     c = draw(seed, d)
     nm = build_nm_layer(Ewds.build(decompose(c)))
-    ew, rows, sigma_n = nm.ewds, nm.trie.rows, nm.sigma_n
+    ew, rows = nm.ewds, nm.trie.rows
+    sigma_n = ew.sigma_n
     assert len(rows) == len(ew.tvp)
     for h in range(ew.d + 1):
         w = h + 1
