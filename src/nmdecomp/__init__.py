@@ -25,7 +25,6 @@ from .errors import (
     BadRenumbering,
     InvalidComplex,
     NotAFace,
-    NotIncident,
     NotInTrie,
     NotIqm,
     NotPseudomanifoldPair,
@@ -78,7 +77,6 @@ __all__ = [
     "NmLayer",
     "NotAFace",
     "NotInTrie",
-    "NotIncident",
     "NotIqm",
     "NotPseudomanifoldPair",
     "NotSharedVertex",

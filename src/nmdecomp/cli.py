@@ -224,11 +224,23 @@ def _fig_a(as_json: bool) -> int:
     return 0
 
 
+def _by_copy(ew: Ewds, key: tuple[int, ...], reps: tuple[int, ...]) -> dict:
+    """A splitmap entry's representatives grouped by the copy of key that
+    each one's row spans, copies in the order of their first
+    representative."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for t in reps:
+        cp = tuple(sorted(x for x in ew.row_of(t) if ew.sigma_n[x] in key))
+        out.setdefault(cp, []).append(t)
+    return out
+
+
 def _fig_b(as_json: bool) -> int:
     dec = decompose(load_tv("fix_b.tv"))
     ew = Ewds.build(dec)
     nm = build_nm_layer(ew)
     stats = nm.stats()
+    splitmap = {key: _by_copy(ew, key, reps) for key, reps in nm.splitmap.items()}
     if as_json:
         out = {
             "figure": "fig-b",
@@ -240,11 +252,8 @@ def _fig_b(as_json: bool) -> int:
             **_tables_json(ew),
             "sigma": {str(cp): o for cp, o in sorted(dec.sigma.items()) if cp != o},
             "splitmap": {
-                " ".join(map(str, k)): {
-                    " ".join(map(str, cp)): sorted(reps)
-                    for cp, reps in v.items()
-                }
-                for k, v in nm.splitmap.items()
+                " ".join(map(str, k)): {" ".join(map(str, cp)): reps for cp, reps in v.items()}
+                for k, v in splitmap.items()
             },
             "stats": stats,
         }
@@ -260,9 +269,9 @@ def _fig_b(as_json: bool) -> int:
     for cp, o in sorted(dec.sigma.items()):
         if cp != o:
             print(f"SIGMA {cp}: {o}")
-    for key, copies in sorted(nm.splitmap.items()):
+    for key, copies in sorted(splitmap.items()):
         parts = [
-            f"copy {' '.join(map(str, cp))} reps {' '.join(map(str, sorted(reps)))}"
+            f"copy {' '.join(map(str, cp))} reps {' '.join(map(str, reps))}"
             for cp, reps in sorted(copies.items())
         ]
         print(f"SPLITMAP {' '.join(map(str, key))}: {' ; '.join(parts)}")

@@ -66,10 +66,6 @@ class NotPseudomanifoldPair(TopologyError):
     """Pseudomanifold gluing requires a shared (d-1)-face of order 2."""
 
 
-class NotIncident(TopologyError):
-    """The given simplex is not a face of the given top simplex."""
-
-
 class NotInTrie(TopologyError):
     """The simplex is no face-table entry: not a face of the source
     complex, or a vertex, or a whole top row."""

@@ -4,12 +4,13 @@ The packed tables answer everything inside one component.  Queries about
 the original complex need two extra ingredients: the vertex copy map
 sigma (copies -> original vertex; `Ewds.sigma_n` in packed ids) and the
 splitmap, which lists every simplex whose star falls into several
-adjacency patches, or into several components, with its copies and one
-representative top per patch of each copy, the smallest top of the
-patch.  Everything else stays implicit: a simplex absent from the
-splitmap has a single copy, found through sigma inside any top that
-spans it, and one patch, which a star walk from that top covers.  Vertex
-couples are never keys: the copy map answers them.
+adjacency patches, or into several components, with one representative
+top per patch, the smallest top of the patch.  The patches are all the
+layer keeps of the connectivity: a representative's row names the copy
+it spans, through sigma.  Everything else stays implicit: a simplex
+absent from the splitmap has a single copy, found through sigma inside
+any top that spans it, and one patch, which a star walk from that top
+covers.  Vertex couples are never keys: the copy map answers them.
 
 A simplex is recorded when one of its vertices splits, or when its star
 inside one component is cut at a diamond (a facet of order three or
@@ -18,11 +19,13 @@ of the paper's v_nra vertices and of the `pinch_suspects`, and walks no
 star.  Of those rows it reads only the faces that can be keys: a face
 that may have several copies, or whose vertices are all harvested, as
 those of a face cut into several patches inside one component are.  A
-query on gamma checks its arguments once and is then one loop over its
-copies, each walked with `Ewds.walk_block` from its seed tops: a vertex's
-from the copy map, a key's from the splitmap, any other gamma's from the
-face table (`FaceTops`).  Those tops come from the layer's own tables, so
-the query lays out their blocks from `Ewds.block_layouts` unchecked.
+query on gamma checks its arguments once and then walks each patch of
+its star with `Ewds.walk_block` from a seed top: a vertex's copies from
+the copy map, each seeded with its VTSTAR top; any larger gamma from the
+splitmap's representatives, or else from the one top of the face table
+(`FaceTops`), each seed's copy read off its row.  Those tops come from
+the layer's own tables, so the query lays out their blocks from
+`Ewds.block_layouts` unchecked.
 
 Every stage works in packed ids, on the tables and `Ewds.sigma_n`: the
 copy lists invert sigma_n, the face table and its row list are TVP mapped
@@ -43,22 +46,11 @@ from typing import Iterable
 
 from .complexes import Simplex, simplex, twice_chi_misses
 from .counters import NULL_COUNTER, OpCounter
-from .errors import BadRelation, NotIncident, NotInTrie
+from .errors import BadRelation, NotInTrie
 from .unionfind import union_min
 from .winged import DIAMOND, Ewds
 
-Splitmap = dict[Simplex, dict[Simplex, set[int]]]
-
-
-def _copy_in(ewds: Ewds, sigma_n: list[int], gamma: Simplex, t: int) -> Simplex:
-    """The copy of source simplex gamma in packed top t, in packed ids,
-    ascending; raises NotIncident when t spans none."""
-    w, off = ewds.row_layout(t)
-    base = off + t * w
-    cp = sorted([x for x in ewds.tvp[base : base + w] if sigma_n[x] in gamma])
-    if len(cp) != len(gamma):
-        raise NotIncident(f"top {t} spans no copy of {gamma}")
-    return tuple(cp)
+Splitmap = dict[Simplex, tuple[int, ...]]
 
 
 def check_relation(gamma: Simplex, n: int, m: int) -> None:
@@ -115,7 +107,8 @@ class FaceTops:
 @dataclass
 class NmLayer:
     """Copy lists, splitmap and face table for global queries, over the
-    tables and the copy map `Ewds.sigma_n` of ewds."""
+    tables and the copy map `Ewds.sigma_n` of ewds.  The splitmap maps each
+    key to its patch representatives, ascending packed tops."""
 
     ewds: Ewds
     copies_of: dict[int, tuple[int, ...]]  # source vertex -> packed copies
@@ -190,21 +183,22 @@ class NmLayer:
         """m-simplices of the source incident to the n-simplex gamma.
 
         Total: a gamma that is not a face of the source yields the empty
-        set.  One loop walks the star of each copy of gamma from its seed
-        tops.  A vertex's copies come from the copy map, each seeded with
-        its VTSTAR top; a splitmap key's copies and their representatives
-        come from its entry; any other gamma has one copy, found in the top
-        that the face table returns, which is read off that top's row.
-        The arguments are validated once, up front; every top read after
-        that comes from the layer's own tables, so each copy's block is laid
-        out by one bisection of `Ewds.tbase` into `Ewds.block_layouts`, not
-        checked again.  A copy whose block is m or fewer slots wide holds
-        no m-face and is skipped; `Ewds.walk_block` covers the star of
-        every other copy in that layout, which ticks one visit per top and
-        one expansion per slot outside the copy, and `_add_faces` reads the
-        m-faces off the tops it reaches.  Raises BadRelation as
-        check_relation does, and when gamma's vertices cannot be hashed or
-        sorted or one is not an int.
+        set.  One loop walks each patch of gamma's star from its seed top.
+        A vertex's copies come from the copy map, each seeded with its
+        VTSTAR top.  A larger gamma's seeds are its splitmap
+        representatives, one per patch, or else the one top that the face
+        table returns; each seed's copy of gamma is read off its row.  The
+        arguments are validated once, up front; every top read after that
+        comes from the layer's own tables, so each seed's block is laid out
+        by one bisection of `Ewds.tbase` into `Ewds.block_layouts`, not
+        checked again.  A patch whose block is m or fewer slots wide holds
+        no m-face and is skipped; `Ewds.walk_block` covers every other
+        patch in that layout, which ticks one visit per top and one
+        expansion per slot outside the copy, and `_add_faces` reads the
+        m-faces off the tops it reaches.  The patches are disjoint, so no
+        top is visited twice.  Raises BadRelation as check_relation does,
+        and when gamma's vertices cannot be hashed or sorted or one is not
+        an int.
         """
         try:
             gamma = simplex(gamma)
@@ -215,36 +209,36 @@ class NmLayer:
         check_relation(gamma, n, m)
         ew = self.ewds
         tbase, layouts = ew.tbase, ew.block_layouts
-        # (layout, copy, seeds) per copy, filled by plain loops: in Python
+        # (layout, copy, seed) per patch, filled by plain loops: in Python
         # 3.11 each comprehension is a function call of its own
-        copies = []
+        patches = []
         if n == 0:
             vtstar = ew.vtstar
             for vp in self.copies_of.get(gamma[0], ()):
                 t = vtstar[vp]
-                copies.append((layouts[bisect_right(tbase, t) - 1], {vp}, (t,)))
-        elif (entry := self.splitmap.get(gamma)) is not None:
-            for cp, seeds in entry.items():
-                t = next(iter(seeds))
-                copies.append((layouts[bisect_right(tbase, t) - 1], set(cp), seeds))
+                patches.append((layouts[bisect_right(tbase, t) - 1], {vp}, t))
         else:
-            try:
-                hint = self.trie.lookup(gamma, counter)
-            except NotInTrie:
-                return set()
-            w, off = layout = layouts[bisect_right(tbase, hint) - 1]
-            # the row read of `_copy_in`, repeated inline on purpose: a
-            # helper or comprehension call costs more than the read
-            sigma_n, cp = ew.sigma_n, set()
-            for x in ew.tvp[off + hint * w : off + hint * w + w]:
-                if sigma_n[x] in gamma:
-                    cp.add(x)
-            copies.append((layout, cp, (hint,)))
+            seeds = self.splitmap.get(gamma)
+            if seeds is None:
+                try:
+                    seeds = (self.trie.lookup(gamma, counter),)
+                except NotInTrie:
+                    return set()
+            # each seed's copy is read off its row in place: a helper or
+            # comprehension call costs more than the read
+            sigma_n, tvp = ew.sigma_n, ew.tvp
+            for t in seeds:
+                w, off = layout = layouts[bisect_right(tbase, t) - 1]
+                cp = set()
+                for x in tvp[off + t * w : off + t * w + w]:
+                    if sigma_n[x] in gamma:
+                        cp.add(x)
+                patches.append((layout, cp, t))
         out: set[Simplex] = set()
-        for (w, off), cp, seeds in copies:
+        for (w, off), cp, t in patches:
             if w <= m:
                 continue  # too narrow to hold an m-face
-            tops = ew.walk_block(cp, seeds, w, off)
+            tops = ew.walk_block(cp, t, w, off)
             counter.visits += len(tops)
             counter.expansions += len(tops) * (w - len(cp))
             counter.comparisons += self._add_faces(out, tops, gamma, m, w, off)
@@ -291,11 +285,7 @@ def build_sigma_maps(ewds: Ewds) -> dict[int, tuple[int, ...]]:
     return {v: tuple(cs) for v, cs in copies.items()}
 
 
-def v_nra_vertices(
-    ewds: Ewds,
-    sigma_n: list[int],
-    copies_of: dict[int, tuple[int, ...]],
-) -> list[int]:
+def v_nra_vertices(ewds: Ewds, copies_of: dict[int, tuple[int, ...]]) -> list[int]:
     """The paper's non-regular-adjacency vertices, in source ids.
 
     The splitting vertices plus the vertices of tops with an order>=3
@@ -306,7 +296,7 @@ def v_nra_vertices(
     the vertices where that may happen.
     """
     out = {v for v, cs in copies_of.items() if len(cs) > 1}
-    tvp, ttp = ewds.tvp, ewds.ttp
+    tvp, ttp, sigma_n = ewds.tvp, ewds.ttp, ewds.sigma_n
     for h in range(ewds.d + 1):
         w = h + 1
         lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
@@ -322,7 +312,7 @@ def v_nra_vertices(
     return sorted(out)
 
 
-def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
+def pinch_suspects(ewds: Ewds) -> set[int]:
     """Source vertices whose star may hold a pinched simplex.
 
     A simplex is pinched when its star inside one component falls into
@@ -336,7 +326,7 @@ def pinch_suspects(ewds: Ewds, sigma_n: list[int]) -> set[int]:
     the count says.  In blocks of dimension >= 4 every vertex is a
     suspect.  One pass over TVP/TTP.
     """
-    tvp, ttp, n = ewds.tvp, ewds.ttp, ewds.nv + 1
+    tvp, ttp, sigma_n, n = ewds.tvp, ewds.ttp, ewds.sigma_n, ewds.nv + 1
     out: set[int] = set()
     for h in range(3, ewds.d + 1):
         lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
@@ -468,8 +458,10 @@ def build_splitmap(
     them, and on the boundary or at a diamond each coface is a patch of
     its own.  Each patch adds its representative to its source key's
     record, and a key is kept when it has more than one record: more than
-    one copy, or more than one patch.  Only then are the records sorted
-    into copies.
+    one copy, or more than one patch, as a top spans only one copy of a
+    key.  Its entry is the tuple of those representatives, ascending and
+    distinct, since the rows are read in packed top order; no copy is
+    formed, as each representative's row names its own.
 
     Any harvest finds, whole, every key of several copies that holds a
     harvested vertex, and every key of one copy whose vertices are all
@@ -531,22 +523,15 @@ def build_splitmap(
                     continue  # the only copy of its key, and one patch
                 key = tuple(sorted([srow[j] for j in slots]))
                 found.setdefault(key, []).append(t)
-    smap: Splitmap = {}
-    for key, reps in found.items():
-        if len(reps) > 1:
-            entry: dict[Simplex, set[int]] = {}
-            for t in reps:
-                entry.setdefault(_copy_in(ewds, sigma_n, key, t), set()).add(t)
-            smap[key] = entry
-    return smap
+    return {key: tuple(reps) for key, reps in found.items() if len(reps) > 1}
 
 
-def build_ft_trie(ewds: Ewds, sigma_n: list[int]) -> FaceTops:
+def build_ft_trie(ewds: Ewds) -> FaceTops:
     """Face table and row list of the source complex, from TVP mapped
-    through sigma_n in one go: each block's rows, sorted in packed order,
-    land at their TVP addresses by appending; a face shared by several
-    tops keeps the last of them."""
-    src = list(map(sigma_n.__getitem__, ewds.tvp))
+    through `Ewds.sigma_n` in one go: each block's rows, sorted in packed
+    order, land at their TVP addresses by appending; a face shared by
+    several tops keeps the last of them."""
+    src = list(map(ewds.sigma_n.__getitem__, ewds.tvp))
     faces: dict[Simplex, int] = {}
     rows = [0]
     for h in range(ewds.d + 1):
@@ -566,9 +551,9 @@ def build_nm_layer(ewds: Ewds) -> NmLayer:
     The splitmap harvests v_nra and the pinch suspects; the layer keeps
     v_nra alone, which stats() reads.
     """
-    sigma_n, copies_of = ewds.sigma_n, build_sigma_maps(ewds)
-    nra = v_nra_vertices(ewds, sigma_n, copies_of)
-    harvest = pinch_suspects(ewds, sigma_n)
+    copies_of = build_sigma_maps(ewds)
+    nra = v_nra_vertices(ewds, copies_of)
+    harvest = pinch_suspects(ewds)
     harvest.update(nra)
-    smap = build_splitmap(ewds, sigma_n, copies_of, harvest)
-    return NmLayer(ewds, copies_of, smap, nra, build_ft_trie(ewds, sigma_n))
+    smap = build_splitmap(ewds, ewds.sigma_n, copies_of, harvest)
+    return NmLayer(ewds, copies_of, smap, nra, build_ft_trie(ewds))

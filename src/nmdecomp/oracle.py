@@ -109,27 +109,24 @@ def oracle_decompose(c: Complex) -> DecompositionResult:
     return DecompositionResult.from_parts(c, *_split(c))
 
 
-def oracle_splitmap(ewds: Ewds, sigma_n: list[int]) -> Splitmap:
+def oracle_splitmap(ewds: Ewds) -> Splitmap:
     """The splitmap by walking the patch of every face of every top.
 
     For every packed top and every subset of 2..w-1 of its slots,
-    `Ewds.walk` from that top gives the patch of that face.  Patches are
-    grouped by source key and copy, each represented by its smallest top,
-    and a key is kept when it has more than one copy or more than one patch.
+    `Ewds.walk` from that top gives the patch of that face.  Each patch is
+    represented by its smallest top, and a key is kept, with its
+    representatives ascending, when it has more than one: more than one
+    copy or more than one patch, as a top spans one copy of a key.
     """
-    found: Splitmap = {}
+    sigma_n = ewds.sigma_n
+    found: dict[Simplex, set[int]] = {}
     for t in range(1, ewds.nt + 1):
         row = sorted(ewds.row_of(t))
         for r in range(2, len(row)):
             for cp in itertools.combinations(row, r):
                 key = tuple(sorted(sigma_n[x] for x in cp))
-                rep = min(ewds.walk(set(cp), (t,)))
-                found.setdefault(key, {}).setdefault(cp, set()).add(rep)
-    return {
-        key: entry
-        for key, entry in found.items()
-        if len(entry) > 1 or any(len(reps) > 1 for reps in entry.values())
-    }
+                found.setdefault(key, set()).add(min(ewds.walk(set(cp), (t,))))
+    return {key: tuple(sorted(reps)) for key, reps in found.items() if len(reps) > 1}
 
 
 # -- manifold recognition by link surfaces ----------------------------------

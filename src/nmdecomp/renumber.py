@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import BadRenumbering, OutOfRange, UnknownTop, UnknownVertex
 from .winged import BOTTOM, DIAMOND, Ewds, pack_dump
@@ -219,21 +220,26 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
     rows are dropped from TVPP, paired rows keep all but their last slot
     and unpaired rows are kept whole.
 
-    Raises BadRenumbering unless ren fits the tables: FTT must permute
-    each dimension block and FVV the vertices, every exchange must be keyed
-    by an int top and permute, in int slots, the slots of a top of its
-    width, and the vertex blocks, in ints, must chain from 1 to NV+1, each
-    with its seeds' slots and one vertex per paired top.
+    Raises BadRenumbering unless ren fits the tables: FTT, FVV, CC and
+    VBase must be lists of ints and perms a dict, FTT must permute each
+    dimension block and FVV the vertices, every exchange must be keyed by
+    an int top and permute, in int slots, the slots of a top of its width,
+    and the vertex blocks must chain from 1 to NV+1, each with its seeds'
+    slots and one vertex per paired top.
     """
     d, nt, nv, tbase = ewds.d, ewds.nt, ewds.nv, ewds.tbase
-    ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
+    maps = ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
+    # one type pass over every map: a bool or float equal to the right id
+    # would pass the value checks below, and a None or str fail them bare
+    lists = {list}.issuperset(map(type, maps)) and type(ren.perms) is dict
+    if not lists or not {int}.issuperset(map(type, chain(*maps))):
+        raise BadRenumbering("FTT, FVV, CC and VBase must be lists of ints, perms a dict")
     if len(ftt) != nt + 1 or len(fvv) != nv + 1:
         raise BadRenumbering(
             f"maps for {len(ftt) - 1} tops and {len(fvv) - 1} vertices "
             f"do not fit tables of {nt} tops and {nv} vertices"
         )
-    ints = len(cc) == d + 1 and len(vbase) == d + 2 and {int}.issuperset(map(type, [*cc, *vbase]))
-    if not ints or vbase[0] != 1 or vbase[d + 1] != nv + 1:
+    if len(cc) != d + 1 or len(vbase) != d + 2 or vbase[0] != 1 or vbase[d + 1] != nv + 1:
         raise BadRenumbering(f"block directories do not fit {nv} vertices in dimension {d}")
     if sorted(fvv[1:]) != list(range(1, nv + 1)):
         raise BadRenumbering("FVV does not permute the vertices")

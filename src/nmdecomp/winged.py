@@ -9,7 +9,8 @@ in decomposition order within a block, each one run, which starts at its
 the input vertex order of the decomposition, which the addressing below
 relies on.  `Ewds.build` packs only initial quasi-manifold (IQM)
 components, and everything after it relies on that.  It is also the last
-code that reads a decomposition: `Ewds.sigma_n` keeps the copy map, packed
+code that reads a decomposition: its maps from packed to decomposition
+ids live only while it runs, `Ewds.sigma_n` keeps the copy map, packed
 vertex -> source vertex, and the non-manifold layer and the encoder read
 the tables and sigma_n alone.
 
@@ -42,9 +43,8 @@ MAGIC = b"EWD\x00"
 @dataclass
 class Ewds:
     """Packed decomposition with O(1) top/vertex lookups, in packed ids:
-    top_old and vertex_old map them back to the decomposition's, sigma_n
-    maps each vertex to the source vertex it copies, and no map goes the
-    other way once `build` returns."""
+    sigma_n maps each vertex to the source vertex it copies, and no map
+    leads back to the decomposition's ids once `build` returns."""
 
     d: int
     nt: int
@@ -54,8 +54,6 @@ class Ewds:
     tvp: list[int]         # 1-based, index 0 unused
     ttp: list[int]
     vtstar: list[int]      # 1-based, index 0 unused
-    top_old: list[int]     # new top id -> decomposition top id, index 0 unused
-    vertex_old: list[int]  # new vertex id -> decomposition vertex id
     comp_first: list[int]  # each component's first top, ascending in decomposition order
     sigma_n: list[int]     # packed vertex id -> source vertex id, index 0 unused
     # (w, off) of each dimension block, the `row_layout` of its tops,
@@ -129,8 +127,6 @@ class Ewds:
             tvp=tvp,
             ttp=ttp,
             vtstar=[0] * (nv + 1),
-            top_old=top_old,
-            vertex_old=vertex_old,
             comp_first=comp_first,
             sigma_n=[0, *map(dec.sigma.__getitem__, vertex_old[1:])],
         )
@@ -220,25 +216,29 @@ class Ewds:
         order-2 facets, so boundary and higher-order facets stop it.  A
         facet's cofaces all have its width plus one, so TTP links a top
         only to tops of its own dimension block: the walk validates one
-        seed, takes its block's `row_layout` and goes on in `walk_block`.
-        No seeds reach no tops.  It neither checks nor counts; its callers
-        do both.
+        seed, takes its block's `row_layout` and goes on in `walk_block`
+        from each seed that no earlier seed's walk reached.  No seeds reach
+        no tops.  It neither checks nor counts; its callers do both.
         """
         seeds = tuple(seeds)
         if not seeds:
             return set()
         w, off = self.row_layout(seeds[0])
-        return self.walk_block(gset, seeds, w, off)
+        seen: set[int] = set()
+        for t in seeds:
+            if t not in seen:
+                seen |= self.walk_block(gset, t, w, off)
+        return seen
 
-    def walk_block(self, gset: set[int], seeds: Iterable[int], w: int, off: int) -> set[int]:
-        """`walk` in the block whose `row_layout` is (w, off), which the
-        caller has taken from one seed; nothing is validated.
+    def walk_block(self, gset: set[int], seed: int, w: int, off: int) -> set[int]:
+        """`walk` from one seed in the block whose `row_layout` is (w, off),
+        which the caller has taken from that seed; nothing is validated.
 
         A vertex star, where gset is one vertex v, tests each slot with
         `tvp[k] != v`, an int comparison; a larger gset tests membership.
         """
-        seen = set(seeds)
-        stack = list(seen)
+        seen = {seed}
+        stack = [seed]
         tvp, ttp = self.tvp, self.ttp
         if len(gset) == 1:
             (v,) = gset

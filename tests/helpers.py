@@ -1,5 +1,6 @@
 """Face counts and label rows that only tests ask of a complex, the
-packed id of a decomposition id, and a reference star walk."""
+packed ids of a decomposition, splitmap entries grouped by copy, and a
+reference star walk."""
 
 from collections import Counter
 from itertools import combinations
@@ -25,10 +26,30 @@ def label_rows(c):
     return {t: tuple(map(c.label_of, row)) for t, row in c.rows().items()}
 
 
+def packed_ids(dec):
+    """The decomposition ids of `Ewds.build`'s packed ids, as two lists
+    indexed by packed id, index 0 unused: (tops, vertices).  Vertices
+    ascend; tops run by component dimension, in decomposition order."""
+    comps = sorted(dec.components, key=lambda k: k.dim)  # stable
+    tops = [0] + [t for k in comps for t in k.top_ids]
+    return tops, [0, *dec.nabla.vertices]
+
+
 def packed(old_ids, x):
-    """The packed id whose entry in old_ids, `Ewds.top_old` or
-    `Ewds.vertex_old`, is the decomposition id x."""
+    """The packed id whose entry in old_ids, a list of `packed_ids`, is the
+    decomposition id x."""
     return old_ids.index(x, 1)
+
+
+def by_copy(ew, key, reps):
+    """A splitmap entry as {copy: set of its representatives}: each
+    representative's copy of key, packed vertex ids ascending, is read off
+    its row through `Ewds.sigma_n`."""
+    out = {}
+    for t in reps:
+        cp = tuple(sorted(x for x in ew.row_of(t) if ew.sigma_n[x] in key))
+        out.setdefault(cp, set()).add(t)
+    return out
 
 
 def boundary(c):

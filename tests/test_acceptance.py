@@ -71,7 +71,10 @@ def test_criterion_03_mixed_nonmanifold_layer(mixed):
     assert ew.nv == 15
     assert dec.splitting_classes() == {5: (5, 13), 6: (6, 14), 8: (8, 15)}
     nm = build_nm_layer(ew)
-    assert nm.splitmap == {(6, 8): {(6, 8): {5}, (14, 15): {9}}}
+    assert nm.splitmap == {(6, 8): (5, 9)}
+    # top 5 spans copy (6, 8) of the key and top 9 copy (14, 15)
+    assert sorted(x for x in ew.row_of(5) if ew.sigma_n[x] in (6, 8)) == [6, 8]
+    assert sorted(x for x in ew.row_of(9) if ew.sigma_n[x] in (6, 8)) == [14, 15]
 
 
 def test_criterion_04_mixed_implicit_tables(mixed):

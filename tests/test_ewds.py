@@ -19,7 +19,7 @@ from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer
 from nmdecomp.oracle import random_complex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import packed, reference_walk
+from helpers import by_copy, packed, packed_ids, reference_walk
 
 
 # -- reference: TTP and VTSTAR from a facet pass per packed block ------------
@@ -163,23 +163,33 @@ def test_block_layouts_agree_with_row_layout(mixed, cones, perforated_cube, perf
 
 def test_repack_maps(ew_mixed, mixed):
     # this fixture packs to itself: component order matches input id order
-    assert ew_mixed.top_old[1:] == list(range(1, 10))
-    assert ew_mixed.top_old == list(range(10))  # index 0 unused, no other top
-    assert ew_mixed.vertex_old[1:] == list(range(1, 16))
+    dec = decompose(mixed)
+    tops, vertices = packed_ids(dec)
+    assert tops[1:] == list(range(1, 10))
+    assert tops == list(range(10))  # index 0 unused, no other top
+    assert vertices[1:] == list(range(1, 16))
+    # so each packed row is nabla's row of the same id
+    for t in range(1, 10):
+        assert ew_mixed.row_of(t) == tuple(dec.nabla.row(t))
+    assert ew_mixed.sigma_n[1:] == [dec.sigma[v] for v in range(1, 16)]
 
 
 def test_repack_nontrivial(cones):
-    ew = Ewds.build(decompose(cones))
+    dec = decompose(cones)
+    ew = Ewds.build(dec)
+    tops, vertices = packed_ids(dec)
     # 27 tops renumber contiguously; the cavity tets move to the tail
     assert ew.nt == 27
-    assert packed(ew.top_old, 34) == 25 and packed(ew.top_old, 36) == 27
-    assert ew.row_of(25) == tuple(packed(ew.vertex_old, v) for v in cones.row(34))
+    assert packed(tops, 34) == 25 and packed(tops, 36) == 27
+    assert ew.row_of(25) == tuple(packed(vertices, v) for v in cones.row(34))
 
 
 def test_diamond_marks(cones):
-    ew = Ewds.build(decompose(cones))
+    dec = decompose(cones)
+    ew = Ewds.build(dec)
+    tops, _ = packed_ids(dec)
     for t in (34, 35, 36):
-        assert DIAMOND in ew.tt_row_of(packed(ew.top_old, t))
+        assert DIAMOND in ew.tt_row_of(packed(tops, t))
 
 
 def test_s0h_walks(ew_mixed):
@@ -329,11 +339,12 @@ def test_each_component_is_one_run_from_its_comp_first(seed, d):
     # entry up to the next are exactly that component's
     dec = decompose(random_complex(seed=seed, max_tops=30, d=d))
     ew = Ewds.build(dec)
-    assert ew.comp_first == [packed(ew.top_old, comp.top_ids[0]) for comp in dec.components]
+    tops, _ = packed_ids(dec)
+    assert ew.comp_first == [packed(tops, comp.top_ids[0]) for comp in dec.components]
     assert ew.comp_first == sorted(ew.comp_first)
     ends = ew.comp_first[1:] + [ew.nt + 1]
     for comp, lo, hi in zip(dec.components, ew.comp_first, ends):
-        assert sorted(ew.top_old[lo:hi]) == comp.top_ids
+        assert sorted(tops[lo:hi]) == comp.top_ids
 
 
 @pytest.mark.parametrize("name", ["cones", "pinched_edge_cone", "perforated_cube"])
@@ -396,6 +407,6 @@ def test_walk_loops_match_a_set_test_flood(mixed, cones, perforated_cube, perfor
             seeds = (ew.vtstar[v],)
             assert ew.walk({v}, seeds) == reference_walk(ew, {v}, seeds), v
         assert nm.splitmap
-        for key, entry in nm.splitmap.items():
-            for cp, reps in entry.items():
-                assert ew.walk(set(cp), reps) == reference_walk(ew, set(cp), reps), key
+        for key, reps in nm.splitmap.items():
+            for cp, seeds in by_copy(ew, key, reps).items():
+                assert ew.walk(set(cp), seeds) == reference_walk(ew, set(cp), seeds), key

@@ -12,7 +12,7 @@ from nmdecomp.errors import NotInTrie
 from nmdecomp.nonmanifold import build_ft_trie
 from nmdecomp.oracle import random_complex
 from nmdecomp.winged import Ewds
-from helpers import packed
+from helpers import packed, packed_ids
 
 
 @pytest.fixture()
@@ -22,7 +22,7 @@ def pair():
 
 def face_table(ew):
     """The face table of ew, built from its tables and its copy map."""
-    return build_ft_trie(ew, ew.sigma_n)
+    return build_ft_trie(ew)
 
 
 def table(c):
@@ -40,21 +40,23 @@ def proper_faces(c):
 
 
 def test_insert_and_lookup(pair):
-    ew = Ewds.build(decompose(pair))
-    trie = face_table(ew)
-    assert ew.top_old[trie.lookup((1, 2))] == 1
-    assert ew.top_old[trie.lookup((2, 3))] in (1, 2)
-    assert ew.top_old[trie.lookup((3, 4))] == 2
+    dec = decompose(pair)
+    trie = face_table(Ewds.build(dec))
+    tops, _ = packed_ids(dec)
+    assert tops[trie.lookup((1, 2))] == 1
+    assert tops[trie.lookup((2, 3))] in (1, 2)
+    assert tops[trie.lookup((3, 4))] == 2
 
 
 def test_entries_are_the_faces_between_vertex_and_top(pair):
     draws = [random_complex(seed=s, max_tops=12, d=s % 4 + 1) for s in range(8)]
     for c in [pair, *draws]:
-        ew = Ewds.build(decompose(c))
-        trie = face_table(ew)
+        dec = decompose(c)
+        trie = face_table(Ewds.build(dec))
+        tops, _ = packed_ids(dec)
         assert set(trie.faces) == proper_faces(c)
         for gamma in trie.faces:
-            assert ew.top_old[trie.lookup(gamma)] in c.star(gamma)
+            assert tops[trie.lookup(gamma)] in c.star(gamma)
 
 
 def test_word_count(pair):
@@ -66,10 +68,11 @@ def test_word_count(pair):
 def test_lookup_returns_packed_tops():
     # the source ids 10 and 20 are no packed ids; the table answers in packed ids
     c = parse_tv("simplex 10: 1 2 3 4\nsimplex 20: 1 5\n")
-    ew = Ewds.build(decompose(c))
-    trie = face_table(ew)
-    assert trie.lookup((1, 2, 3)) == packed(ew.top_old, 10)
-    assert trie.lookup((2, 4)) == packed(ew.top_old, 10)
+    dec = decompose(c)
+    trie = face_table(Ewds.build(dec))
+    tops, _ = packed_ids(dec)
+    assert trie.lookup((1, 2, 3)) == packed(tops, 10)
+    assert trie.lookup((2, 4)) == packed(tops, 10)
 
 
 @pytest.mark.parametrize(

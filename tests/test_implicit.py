@@ -29,7 +29,7 @@ from nmdecomp.renumber import (
     compute_renumbering,
 )
 from nmdecomp.winged import Ewds
-from helpers import packed
+from helpers import packed, packed_ids
 
 
 # -- reference: the renumbering a vertex and a top at a time ----------------
@@ -39,13 +39,14 @@ def reference_compute_renumbering(ewds: Ewds, dec: DecompositionResult) -> Renum
     """compute_renumbering of ewds, the packing of dec, with a facet flood
     per vertex as its IQM check, the seeds read off dec's components and a
     set of the entering facet's vertices per DFS step."""
+    tops, vertices = packed_ids(dec)
     star = [0] * (ewds.nv + 1)  # a row lists each of its vertices once
     for v in ewds.tvp[1:]:
         star[v] += 1
     for v in range(1, ewds.nv + 1):
         reached = len(ewds.walk({v}, (ewds.vtstar[v],)))
         if reached != star[v]:
-            raise NotIqm(f"facet flood of vertex {ewds.vertex_old[v]} falls short")
+            raise NotIqm(f"facet flood of vertex {vertices[v]} falls short")
 
     d = ewds.d
     nv = ewds.nv
@@ -57,7 +58,7 @@ def reference_compute_renumbering(ewds: Ewds, dec: DecompositionResult) -> Renum
     seeds_per_dim: dict[int, list[int]] = {h: [] for h in range(d + 1)}
     for comp in dec.components:
         cc[comp.dim] += 1
-        seeds_per_dim[comp.dim].append(packed(ewds.top_old, comp.top_ids[0]))
+        seeds_per_dim[comp.dim].append(packed(tops, comp.top_ids[0]))
     anchors = sorted(ewds.vtstar[1:])
     nv_per_dim = [
         bisect_left(anchors, ewds.tbase[h + 1]) - bisect_left(anchors, ewds.tbase[h])
@@ -512,6 +513,15 @@ def test_renumbering_that_does_not_fit_is_refused(imp_mixed):
         good = getattr(ren, name)
         for entry in (None, float(good[1]), str(good[1])):
             cases.append(_mangled(ren, **{name: [good[0], entry, *good[2:]]}))
+    # whole maps of the wrong type, and FTT or FVV entries that are no ints:
+    # a str, or a float or bool equal to the right id
+    for name in ("ftt", "fvv", "cc", "vbase", "perms"):
+        cases.append(_mangled(ren, **{name: None}))
+    for name in ("ftt", "fvv"):
+        good = getattr(ren, name)
+        i = good.index(1)
+        for entry in ("1", 1.0, True):
+            cases.append(_mangled(ren, **{name: [*good[:i], entry, *good[i + 1 :]]}))
     for bad in cases:
         with pytest.raises(BadRenumbering):
             apply_renumbering(ew, bad)

@@ -9,12 +9,11 @@ import pytest
 from nmdecomp.complexes import Complex, resolve_tokens
 from nmdecomp.counters import OpCounter
 from nmdecomp.decompose import decompose
-from nmdecomp.errors import BadRelation, NotIncident
+from nmdecomp.errors import BadRelation
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import (
     SINGLE,
     TWIN,
-    _copy_in,
     _copy_kinds,
     build_nm_layer,
     build_splitmap,
@@ -23,7 +22,7 @@ from nmdecomp.nonmanifold import (
 from nmdecomp.oracle import oracle_snm, oracle_splitmap, oracle_star, random_complex
 from nmdecomp.renumber import compute_renumbering
 from nmdecomp.winged import Ewds
-from helpers import packed
+from helpers import by_copy, packed, packed_ids
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +41,9 @@ def test_v_nra_auto_mixed(nm_mixed):
 
 def test_splitmap_mixed(nm_mixed):
     assert set(nm_mixed.splitmap) == {(6, 8)}
-    entry = nm_mixed.splitmap[(6, 8)]
-    assert entry == {(6, 8): {5}, (14, 15): {9}}
+    reps = nm_mixed.splitmap[(6, 8)]
+    assert reps == (5, 9)
+    assert by_copy(nm_mixed.ewds, (6, 8), reps) == {(6, 8): {5}, (14, 15): {9}}
 
 
 def test_splitmap_cones(nm_cones, cones):
@@ -52,18 +52,17 @@ def test_splitmap_cones(nm_cones, cones):
     )
     assert dom == [("x", "y"), ("x", "y", "z"), ("x", "z"), ("y", "z")]
     xyz = resolve_tokens(cones, ["x", "y", "z"])
-    entry = nm_cones.splitmap[xyz]
+    reps = nm_cones.splitmap[xyz]
     # one copy (nothing splits), three patches: one rep per cavity tet
-    assert list(entry) == [xyz]
-    reps = entry[xyz]
-    ew = nm_cones.ewds
-    assert sorted(ew.top_old[t] for t in reps) == [34, 35, 36]
+    assert list(by_copy(nm_cones.ewds, xyz, reps)) == [xyz]
+    tops, _ = packed_ids(decompose(cones))
+    assert sorted(tops[t] for t in reps) == [34, 35, 36]
 
 
 def test_travel_star_is_one_patch(nm_cones, cones):
     ew = nm_cones.ewds
     xyz = resolve_tokens(cones, ["x", "y", "z"])  # the packing keeps these ids
-    t34 = packed(ew.top_old, 34)
+    t34 = packed(packed_ids(decompose(cones))[0], 34)
     # the diamond mark fences each cavity tet into its own patch
     assert ew.walk(set(xyz), (t34,)) == {t34}
 
@@ -72,14 +71,6 @@ def test_travel_star_covers_the_patch(nm_mixed):
     # tops 7,8 share the order-2 triangle {9,12,11}, so the patch of the
     # edge {9,11} spans all three tets
     assert nm_mixed.ewds.walk({9, 11}, (8,)) == {7, 8, 9}
-
-
-def test_copy_in_names_the_copy_a_top_spans(nm_cones, cones):
-    ew = nm_cones.ewds
-    xyz = resolve_tokens(cones, ["x", "y", "z"])
-    assert _copy_in(ew, ew.sigma_n, xyz, packed(ew.top_old, 34)) == xyz
-    with pytest.raises(NotIncident):
-        _copy_in(ew, ew.sigma_n, xyz, packed(ew.top_old, 1))
 
 
 def test_snm_global_mixed_all_faces(nm_mixed, mixed):
@@ -140,7 +131,7 @@ def test_narrow_copies_are_not_walked(nm_mixed, mixed, gamma, m):
     if len(gamma) == 1:
         stars = [ew.walk({vp}, (ew.vtstar[vp],)) for vp in nm_mixed.copies_of[gamma[0]]]
     else:
-        entry = nm_mixed.splitmap[gamma]
+        entry = by_copy(ew, gamma, nm_mixed.splitmap[gamma])
         assert len({ew.dim_of_top(min(reps)) for reps in entry.values()}) == 2
         stars = [ew.walk(set(cp), reps) for cp, reps in entry.items()]
     counter = OpCounter()
@@ -193,30 +184,34 @@ def test_pinched_simplices_are_splitmap_keys(name, pinches, request):
     assert nm.v_nra == []
     assert sorted(nm.splitmap) == pinches
     ew = nm.ewds
+    tops, _ = packed_ids(dec)
     for gamma in pinches:
-        ((cp, reps),) = nm.splitmap[gamma].items()
+        ((cp, reps),) = by_copy(ew, gamma, nm.splitmap[gamma]).items()
         assert len(reps) == 2
         star = oracle_star(src, gamma)
         assert len(star) == 4
         # the walk from both representatives covers the star, one copy wide
-        assert {ew.top_old[u] for u in ew.walk(set(cp), reps)} == star
-        assert {_copy_in(ew, ew.sigma_n, gamma, packed(ew.top_old, t)) for t in star} == {cp}
+        assert {tops[u] for u in ew.walk(set(cp), reps)} == star
+        assert set(by_copy(ew, gamma, [packed(tops, t) for t in star])) == {cp}
         n = len(gamma) - 1
         for m in range(n + 1, src.dim + 1):
             assert nm.snm_global(gamma, n, m) == oracle_snm(src, gamma, n, m)
 
 
-def _patch_counts(smap):
+def _patch_counts(ew, smap):
     """Splitmap shape: key -> copy -> number of patches (representatives
     may differ with the harvest order)."""
-    return {key: {cp: len(reps) for cp, reps in entry.items()} for key, entry in smap.items()}
+    return {
+        key: {cp: len(seeds) for cp, seeds in by_copy(ew, key, reps).items()}
+        for key, reps in smap.items()
+    }
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_splitmap_equals_every_vertex_harvest_on_perforated_cubes(seed, perforated_cube):
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
     every = build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, sorted(nm.copies_of))
-    assert _patch_counts(nm.splitmap) == _patch_counts(every)
+    assert _patch_counts(nm.ewds, nm.splitmap) == _patch_counts(nm.ewds, every)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -226,12 +221,12 @@ def test_splitmap_ignores_harvest_order_on_perforated_cubes(seed, perforated_cub
     # is the smallest top of its patch
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
     ew = nm.ewds
-    harvest = sorted(pinch_suspects(ew, ew.sigma_n).union(nm.v_nra))
+    harvest = sorted(pinch_suspects(ew).union(nm.v_nra))
     random.Random(seed).shuffle(harvest)
     assert build_splitmap(ew, ew.sigma_n, nm.copies_of, harvest) == nm.splitmap
-    for entry in nm.splitmap.values():
-        for cp, reps in entry.items():
-            for rep in reps:
+    for key, reps in nm.splitmap.items():
+        for cp, seeds in by_copy(ew, key, reps).items():
+            for rep in seeds:
                 assert rep == min(ew.walk(set(cp), (rep,)))
 
 
@@ -245,12 +240,12 @@ def test_fin_facet_is_recorded_from_its_smaller_coface():
     ew = nm.ewds
     stars = [
         (ew.walk(set(cp), (rep,)), rep)
-        for cp, reps in nm.splitmap[(1, 2, 14)].items()
+        for cp, reps in by_copy(ew, (1, 2, 14), nm.splitmap[(1, 2, 14)]).items()
         for rep in reps
     ]
     assert sorted(len(star) for star, _ in stars) == [1, 2]
     assert all(rep == min(star) for star, rep in stars)
-    assert nm.splitmap == oracle_splitmap(ew, ew.sigma_n)
+    assert nm.splitmap == oracle_splitmap(ew)
     # a triangle dangling from the interior vertex 22 of kuhn_cube(3)
     # splits that vertex, so the harvest holds one copy in a block of 162
     # tets: the rows that hold it are read, and no other
@@ -258,7 +253,7 @@ def test_fin_facet_is_recorded_from_its_smaller_coface():
     rows[max(rows) + 1] = (22, 100, 101)
     nm = build_nm_layer(Ewds.build(decompose(Complex(rows))))
     assert len(nm.copies_of[22]) == 2
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds)
 
 
 def test_build_nm_layer_walks_no_star(monkeypatch, mixed, cones, perforated_cube, perforated_grid):
@@ -279,7 +274,7 @@ def test_build_nm_layer_walks_no_star(monkeypatch, mixed, cones, perforated_cube
 @pytest.mark.parametrize("seed", range(4))
 def test_splitmap_matches_oracle_on_perforated_cubes(seed, perforated_cube):
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds)
 
 
 @pytest.mark.parametrize(
@@ -300,8 +295,8 @@ def test_two_copies_in_one_component_are_kept(seed, key, entry):
     nm = build_nm_layer(Ewds.build(decompose(random_complex(seed, 40, 3))))
     split = [v for v in key if len(nm.copies_of[v]) > 1]
     assert len(split) == 1
-    assert nm.splitmap[key] == entry
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
+    assert by_copy(nm.ewds, key, nm.splitmap[key]) == entry
+    assert nm.splitmap == oracle_splitmap(nm.ewds)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -316,12 +311,13 @@ def test_each_reading_clause_keeps_a_key(seed, perforated_cube):
     nm = build_nm_layer(Ewds.build(decompose(perforated_cube(seed))))
     ew = nm.ewds
     sigma_n = ew.sigma_n
-    harvest = pinch_suspects(ew, sigma_n).union(nm.v_nra)
+    harvest = pinch_suspects(ew).union(nm.v_nra)
     kinds = _copy_kinds(ew, nm.copies_of)
     pinched, twinned, split = [], [], []
-    for key, entry in nm.splitmap.items():
-        if len(key) > ew.row_layout(min(next(iter(entry.values()))))[0] - 2:
+    for key, reps in nm.splitmap.items():
+        if len(key) > ew.row_layout(reps[0])[0] - 2:
             continue  # a facet
+        entry = by_copy(ew, key, reps)
         flags = [{kinds[x] for x in cp} for cp in entry]
         if len(entry) == 1 and flags[0] == {SINGLE}:
             # one copy, two patches: read because every vertex is harvested
@@ -336,7 +332,7 @@ def test_each_reading_clause_keeps_a_key(seed, perforated_cube):
             # two copies, every vertex split and no twin
             split.append(key)
     assert pinched and twinned and split
-    assert nm.splitmap == oracle_splitmap(ew, sigma_n)
+    assert nm.splitmap == oracle_splitmap(ew)
     # a harvest of any vertex reads every key of several copies that holds
     # it, whole, however few of its other vertices are harvested
     for key in split[:5]:
@@ -350,9 +346,9 @@ def test_splitmap_matches_oracle_in_4d(seed, perforated_grid):
     # block is read, and no star is walked
     nm = build_nm_layer(Ewds.build(decompose(perforated_grid(3, 4, seed))))
     assert nm.ewds.d == 4 and nm.splitmap
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds)
     counter = OpCounter()
-    harvest = pinch_suspects(nm.ewds, nm.ewds.sigma_n)
+    harvest = pinch_suspects(nm.ewds)
     assert build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, harvest, counter) == nm.splitmap
     assert counter.visits == 0
 
@@ -361,7 +357,22 @@ def test_splitmap_matches_oracle_in_4d(seed, perforated_grid):
 def test_splitmap_matches_oracle_in_4d_at_scale(perforated_grid):
     # 5**4 cubes less 30 %: 10 512 tops
     nm = build_nm_layer(Ewds.build(decompose(perforated_grid(5, 4, 5))))
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [3, 4])
+def test_splitmap_and_queries_match_oracle_in_5d(seed, perforated_grid):
+    # 2**5 cubes less 30 %: 2 640 tops, every vertex a pinch suspect; the
+    # splitmap and 300 random faces, in every relation, against the oracles
+    c = perforated_grid(2, 5, seed)
+    nm = build_nm_layer(Ewds.build(decompose(c)))
+    assert nm.ewds.d == 5 and nm.ewds.nt == 2640 and nm.splitmap
+    assert nm.splitmap == oracle_splitmap(nm.ewds)
+    for gamma in random.Random(seed).sample(sorted(c.all_faces()), 300):
+        n = len(gamma) - 1
+        for m in range(n + 1, 6):
+            assert nm.snm_global(gamma, n, m) == oracle_snm(c, gamma, n, m), (gamma, n, m)
 
 
 def test_empty_harvest_reads_nothing(nm_mixed):
@@ -382,7 +393,7 @@ def test_snm_matches_oracle_at_benchmark_scale():
     dec = decompose(c)
     nm = build_nm_layer(Ewds.build(dec))
     every = build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, sorted(nm.copies_of))
-    assert _patch_counts(nm.splitmap) == _patch_counts(every)
+    assert _patch_counts(nm.ewds, nm.splitmap) == _patch_counts(nm.ewds, every)
     assert every and dec.splitting_vertices
     sample = (
         sorted(every)

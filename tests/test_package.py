@@ -63,6 +63,33 @@ def test_modules_read_every_import():
     assert unused == []
 
 
+def test_package_reads_every_private_definition():
+    # a private function, class or method that nothing in the package reads
+    # by name is used, at most, by its own test: each module-level _name
+    # function or class, and each single-underscore method, must be read
+    # somewhere in src/nmdecomp, as a name or an attribute
+    package = sorted(Path(nmdecomp.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in package}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for node in [stmt, *members]:
+                if isinstance(node, defs) and node.name.startswith("_"):
+                    if not node.name.startswith("__"):
+                        private.append((name, node.name))
+    assert private  # the walk finds them
+    assert [f"{name}: {fn}" for name, fn in private if fn not in read] == []
+
+
 def test_only_complexes_reads_the_row_store():
     # the row store is Complex's layout: other modules go through
     # corner_layout, position and the public methods, so a change of the

@@ -36,7 +36,7 @@ from nmdecomp.oracle import (
     random_complex,
 )
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import label_rows, order_of, packed
+from helpers import by_copy, label_rows, order_of, packed, packed_ids
 from test_implicit import assert_matches_reference
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -298,11 +298,11 @@ def test_splitmap_complete_over_v_nra(seed, d):
     c = draw(seed, d, max_tops=10)
     ew = Ewds.build(decompose(c))
     sigma_n, copies_of = ew.sigma_n, build_sigma_maps(ew)
-    nra = v_nra_vertices(ew, sigma_n, copies_of)
+    nra = v_nra_vertices(ew, copies_of)
     some = build_splitmap(ew, sigma_n, copies_of, nra)
     every = build_splitmap(ew, sigma_n, copies_of, sorted(copies_of))
-    assert {k: set(v) for k, v in some.items()} == {
-        k: set(v) for k, v in every.items()
+    assert {k: set(by_copy(ew, k, v)) for k, v in some.items()} == {
+        k: set(by_copy(ew, k, v)) for k, v in every.items()
     }
 
 
@@ -312,10 +312,12 @@ def test_splitmap_equals_every_vertex_harvest(seed, d):
     # the layer harvests v_nra and the pinch suspects only; harvesting every
     # vertex finds the same keys, copies and number of patches per copy
     nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
-    every = build_splitmap(nm.ewds, nm.ewds.sigma_n, nm.copies_of, sorted(nm.copies_of))
-    assert {k: {cp: len(r) for cp, r in e.items()} for k, e in nm.splitmap.items()} == {
-        k: {cp: len(r) for cp, r in e.items()} for k, e in every.items()
-    }
+    ew = nm.ewds
+    every = build_splitmap(ew, ew.sigma_n, nm.copies_of, sorted(nm.copies_of))
+    assert {
+        k: {cp: len(r) for cp, r in by_copy(ew, k, reps).items()}
+        for k, reps in nm.splitmap.items()
+    } == {k: {cp: len(r) for cp, r in by_copy(ew, k, reps).items()} for k, reps in every.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,7 +326,7 @@ def test_splitmap_matches_oracle(seed, d):
     # the layer's splitmap, representatives included, equals the one that
     # walks the patch of every face of every top
     nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
-    assert nm.splitmap == oracle_splitmap(nm.ewds, nm.ewds.sigma_n)
+    assert nm.splitmap == oracle_splitmap(nm.ewds)
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,11 +355,12 @@ def test_copy_kinds_match_the_components_vertices(seed, d):
                 Ewds.build(dec)
             continue
         ew = Ewds.build(dec)
+        _, vertices = packed_ids(dec)
         copies_of = build_sigma_maps(ew)
         comp_of = {v: ci for ci, comp in enumerate(dec.components) for v in comp.vertices}
         want = bytearray(ew.nv + 1)
         for cs in copies_of.values():
-            comps = [comp_of[ew.vertex_old[x]] for x in cs]
+            comps = [comp_of[vertices[x]] for x in cs]
             for x, ci in zip(cs, comps):
                 want[x] = SINGLE if len(cs) == 1 else TWIN if comps.count(ci) > 1 else 0
         assert _copy_kinds(ew, copies_of) == want
@@ -370,12 +373,12 @@ def test_splitmap_ignores_harvest_order(seed, d):
     # its representatives, which are the smallest tops of their patches
     nm = build_nm_layer(Ewds.build(decompose(draw(seed, d, max_tops=30))))
     ew = nm.ewds
-    harvest = sorted(pinch_suspects(ew, ew.sigma_n).union(nm.v_nra))
+    harvest = sorted(pinch_suspects(ew).union(nm.v_nra))
     random.Random(seed).shuffle(harvest)
     assert build_splitmap(ew, ew.sigma_n, nm.copies_of, harvest) == nm.splitmap
-    for entry in nm.splitmap.values():
-        for cp, reps in entry.items():
-            for rep in reps:
+    for key, reps in nm.splitmap.items():
+        for cp, seeds in by_copy(ew, key, reps).items():
+            for rep in seeds:
                 assert rep == min(ew.walk(set(cp), (rep,)))
 
 
@@ -385,10 +388,11 @@ def test_ewds_tables_consistent(seed, d):
     c = draw(seed, d)
     dec = decompose(c)
     ew = Ewds.build(dec)
+    tops, vertices = packed_ids(dec)
     # TV rows are the component rows under the vertex repack
     for told in dec.nabla.top_ids:
-        t = packed(ew.top_old, told)
-        assert ew.row_of(t) == tuple(packed(ew.vertex_old, v) for v in dec.nabla.row(told))
+        t = packed(tops, told)
+        assert ew.row_of(t) == tuple(packed(vertices, v) for v in dec.nabla.row(told))
     # TT entries are mutual and share the right facet
     for t in range(1, ew.nt + 1):
         row, tt = ew.row_of(t), ew.tt_row_of(t)
@@ -405,7 +409,7 @@ def test_ewds_tables_consistent(seed, d):
         row, tt = ew.row_of(t), ew.tt_row_of(t)
         for k, u in enumerate(tt, start=1):
             facet = simplex(set(row) - {row[k - 1]})
-            order = len(oracle_star(dec.nabla, [ew.vertex_old[w] for w in facet]))
+            order = len(oracle_star(dec.nabla, [vertices[w] for w in facet]))
             if u == DIAMOND:
                 assert order > 2
             elif u == BOTTOM and facet:
@@ -420,10 +424,11 @@ def test_s0h_is_packed_star(seed, d):
     c = draw(seed, d)
     dec = decompose(c)
     ew = Ewds.build(dec)
+    tops, vertices = packed_ids(dec)
     for vold in dec.nabla.vertices:
-        v = packed(ew.vertex_old, vold)
+        v = packed(vertices, vold)
         got = sorted(ew.walk({v}, (ew.vtstar[v],)))
-        want = sorted(packed(ew.top_old, t) for t in oracle_star(dec.nabla, [vold]))
+        want = sorted(packed(tops, t) for t in oracle_star(dec.nabla, [vold]))
         assert got == want
 
 
@@ -442,8 +447,9 @@ def test_dump_roundtrip(seed, d):
 def test_trie_lookup_lands_on_incident_top(seed):
     # every face but a vertex or a whole top row resolves to a top spanning it
     c = draw(seed, max_tops=10)
-    nm = build_nm_layer(Ewds.build(decompose(c)))
-    ew = nm.ewds
+    dec = decompose(c)
+    nm = build_nm_layer(Ewds.build(dec))
+    old, _ = packed_ids(dec)
     tops = {tuple(sorted(c.row(t))) for t in c.top_ids}
     for gamma in sorted(c.all_faces()):
         if len(gamma) == 1 or gamma in tops:
@@ -451,7 +457,7 @@ def test_trie_lookup_lands_on_incident_top(seed):
                 nm.trie.lookup(gamma)
             continue
         t = nm.trie.lookup(gamma)
-        assert set(gamma) <= set(c.row(ew.top_old[t]))
+        assert set(gamma) <= set(c.row(old[t]))
 
 
 @settings(max_examples=60, deadline=None)
