@@ -69,10 +69,12 @@ class DecompositionResult:
         Components are the 0-connected classes of nabla
         (`Complex.h_connected_components(0)`), sorted by dimension, then
         smallest top, and TT comes from nabla's own facet pass.  Raises
-        InvalidComplex unless sigma is a dict defined on exactly nabla's
-        vertices and maps each nabla row, slot by slot, onto the source row
-        of the same top id.
+        InvalidComplex, as `decompose` does, on an empty source, and unless
+        sigma is a dict defined on exactly nabla's vertices and maps each
+        nabla row, slot by slot, onto the source row of the same top id.
         """
+        if source.num_tops == 0:
+            raise InvalidComplex("cannot decompose an empty complex")
         if not isinstance(sigma, dict):
             raise InvalidComplex(f"sigma is a {type(sigma).__name__}, not a dict")
         flat, start = corner_layout(nabla)

@@ -247,12 +247,19 @@ class NmLayer:
     # -- compression accounting --------------------------------------------
 
     def nsp_tops(self) -> set[int]:
-        """Tops incident to a copy of a non-regular-adjacency vertex."""
-        ew = self.ewds
+        """Tops incident to a copy of a non-regular-adjacency vertex, read
+        off the packed rows with no walk: a copy lies in one IQM component,
+        where its star is every top whose row holds it.  Without v_nra, as
+        on a manifold, no row is read."""
+        if not self.v_nra:
+            return set()
+        ew, nra = self.ewds, set(self.v_nra)
+        hit = [v in nra for v in ew.sigma_n]  # per packed vertex
         out: set[int] = set()
-        for v in self.v_nra:
-            for vp in self.copies_of.get(v, ()):
-                out |= ew.walk({vp}, (ew.vtstar_of(vp),))
+        for h, (w, off) in enumerate(ew.block_layouts):
+            lo, hi = ew.tbase_addr[h], ew.tbase_addr[h + 1]
+            slots = compress(range(lo, hi), map(hit.__getitem__, ew.tvp[lo:hi]))
+            out.update([(k - off) // w for k in slots])
         return out
 
     def stats(self) -> dict:

@@ -15,12 +15,13 @@ path: the Complex type, the result record, and
 components off nabla and the oracle uses to split links.  That finder
 runs on the list union-find that `decompose` uses too, so its independent
 check is the brute-force BFS of `test_components_match_bfs` in
-`tests/test_properties.py`.  `oracle_splitmap` walks patches with
-`Ewds.walk`, the walk every query uses; `build_splitmap` walks none, so
-the two share no code past the packed tables.  `oracle_is_manifold`
-classifies every vertex link as a surface, where `Complex.classify`
-counts 2E - T - B per vertex (`complexes.twice_chi_misses`): the two share
-the count's inputs, not its code.
+`tests/test_properties.py`.  `oracle_splitmap` floods patches with
+`oracle_walk`, not the queries' `Ewds.walk_block`, and `build_splitmap`
+walks none, so the three share no code past the packed tables.
+`oracle_is_manifold` classifies every vertex link as a surface, where
+`Complex.classify` counts 2E - T - B per vertex
+(`complexes.twice_chi_misses`): the two share the count's inputs, not
+its code.
 """
 
 from __future__ import annotations
@@ -109,11 +110,26 @@ def oracle_decompose(c: Complex) -> DecompositionResult:
     return DecompositionResult.from_parts(c, *_split(c))
 
 
+def oracle_walk(ew: Ewds, gset: set[int], seeds: Iterable[int]) -> set[int]:
+    """The tops a flood from seeds reaches across order-2 facets that
+    contain gset: one set test per slot, each row read through the checked
+    `Ewds.row_of` and `Ewds.tt_row_of`."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        t = stack.pop()
+        for x, u in zip(ew.row_of(t), ew.tt_row_of(t)):
+            if x not in gset and u > 0 and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def oracle_splitmap(ewds: Ewds) -> Splitmap:
-    """The splitmap by walking the patch of every face of every top.
+    """The splitmap by flooding the patch of every face of every top.
 
     For every packed top and every subset of 2..w-1 of its slots,
-    `Ewds.walk` from that top gives the patch of that face.  Each patch is
+    `oracle_walk` from that top gives the patch of that face.  Each patch is
     represented by its smallest top, and a key is kept, with its
     representatives ascending, when it has more than one: more than one
     copy or more than one patch, as a top spans one copy of a key.
@@ -125,7 +141,7 @@ def oracle_splitmap(ewds: Ewds) -> Splitmap:
         for r in range(2, len(row)):
             for cp in itertools.combinations(row, r):
                 key = tuple(sorted(sigma_n[x] for x in cp))
-                found.setdefault(key, set()).add(min(ewds.walk(set(cp), (t,))))
+                found.setdefault(key, set()).add(min(oracle_walk(ewds, set(cp), (t,))))
     return {key: tuple(sorted(reps)) for key, reps in found.items() if len(reps) > 1}
 
 

@@ -53,13 +53,10 @@ class Renumbering:
 def compute_renumbering(ewds: Ewds) -> Renumbering:
     """Seed-and-pair numbering of a packed decomposition.
 
-    The pairing invariants hold because every component is an initial
-    quasi-manifold, so that vertex stars do not fall apart: `Ewds.build`
-    packs nothing else.
-
-    The DFS of a block walks TTP, as the module says.  Each seed is its
-    component's first top, `Ewds.comp_first`: an IQM lies in one block,
-    as one run of its tops.
+    The DFS of a block walks TTP, as the module says, and each seed is its
+    component's first top, `Ewds.comp_first`: `Ewds.build` packs only
+    IQMs, each one run of tops in one block whose vertex stars do not
+    fall apart, which the pairing invariants need.
     """
     d = ewds.d
     nv = ewds.nv
@@ -82,9 +79,10 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
             - bisect_left(anchors, ewds.tbase[h])
         )
 
-    # flat copies of TVP/TTP; the DFS swaps a paired top's new slot into
-    # its last one, once per top, and records that exchange in perms
-    tv, tt = list(ewds.tvp), list(ewds.ttp)
+    # TVP is read in place, only at seed rows and rows not yet entered; in
+    # a copy of TTP the DFS swaps a paired top's new slot into its last
+    # one, which orders its later steps, and records the exchange in perms
+    tv, tt = ewds.tvp, list(ewds.ttp)
     # TTP links only tops of one component, so one mark per top serves
     # every seed's walk
     seen = bytearray(ewds.nt + 1)
@@ -128,8 +126,7 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
                     ftt[nbr] = tnew
                     tnew += 1
                     if k != h:
-                        for arr in (tv, tt):
-                            arr[nbase + k], arr[nbase + h] = arr[nbase + h], arr[nbase + k]
+                        tt[nbase + k], tt[nbase + h] = tt[nbase + h], tt[nbase + k]
                         perm = list(range(w))
                         perm[k], perm[h] = h, k
                         perms[nbr] = tuple(perm)
@@ -222,18 +219,24 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
 
     Raises BadRenumbering unless ren fits the tables: FTT, FVV, CC and
     VBase must be lists of ints and perms a dict, FTT must permute each
-    dimension block and FVV the vertices, every exchange must be keyed by
-    an int top and permute, in int slots, the slots of a top of its width,
-    and the vertex blocks must chain from 1 to NV+1, each with its seeds'
-    slots and one vertex per paired top.
+    dimension block and FVV the vertices, every exchange must be a tuple
+    keyed by an int top that permutes, in int slots, the slots of a top of
+    its width, and the vertex blocks must chain from 1 to NV+1, each with
+    its seeds' slots and one vertex per paired top.  The entries the table
+    drops must be arithmetic: in implicit order, the last slots of a
+    block's seeds and paired tops and then its seeds' other slots, seed by
+    seed, count up through its vertex block.
     """
     d, nt, nv, tbase = ewds.d, ewds.nt, ewds.nv, ewds.tbase
     maps = ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
-    # one type pass over every map: a bool or float equal to the right id
-    # would pass the value checks below, and a None or str fail them bare
-    lists = {list}.issuperset(map(type, maps)) and type(ren.perms) is dict
-    if not lists or not {int}.issuperset(map(type, chain(*maps))):
-        raise BadRenumbering("FTT, FVV, CC and VBase must be lists of ints, perms a dict")
+    perms = ren.perms
+    # one type pass over maps and exchanges: a bool or float equal to the
+    # right id would pass the value checks below, a None or str fail bare
+    shapes = {list}.issuperset(map(type, maps)) and type(perms) is dict
+    if not shapes or not {tuple}.issuperset(map(type, perms.values())):
+        raise BadRenumbering("FTT, FVV, CC and VBase must be lists, perms a dict of tuples")
+    if not {int}.issuperset(map(type, chain(*maps, perms, *perms.values()))):
+        raise BadRenumbering("every id, top and slot of a renumbering must be an int")
     if len(ftt) != nt + 1 or len(fvv) != nv + 1:
         raise BadRenumbering(
             f"maps for {len(ftt) - 1} tops and {len(fvv) - 1} vertices "
@@ -245,19 +248,14 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
         raise BadRenumbering("FVV does not permute the vertices")
 
     tv, tt = list(ewds.tvp), list(ewds.ttp)
-    for t, perm in ren.perms.items():
-        try:  # a top or slot that is no int, or no perm at all, raises TypeError
-            w = len(perm)
-            fits = type(t) is int and 0 < w <= d + 1 and tbase[w - 1] <= t < tbase[w]
-            if fits and sorted(perm) == list(range(w)):
-                base = ewds.block_layouts[w - 1][1] + t * w
-                for arr in (tv, tt):
-                    row = arr[base : base + w]
-                    arr[base : base + w] = [row[p] for p in perm]
-                continue
-        except TypeError:
-            pass
-        raise BadRenumbering(f"slot exchange {perm!r} does not fit top {t!r}")
+    for t, perm in perms.items():
+        w = len(perm)
+        if not (0 < w <= d + 1 and tbase[w - 1] <= t < tbase[w] and sorted(perm) == [*range(w)]):
+            raise BadRenumbering(f"slot exchange {perm!r} does not fit top {t}")
+        base = ewds.block_layouts[w - 1][1] + t * w
+        for arr in (tv, tt):
+            row = arr[base : base + w]
+            arr[base : base + w] = [row[p] for p in perm]
     fnbr = [BOTTOM, *ftt[1:], DIAMOND]  # fnbr[DIAMOND] is the last entry
 
     taddr = [1]
@@ -279,6 +277,10 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
             raise BadRenumbering(f"FTT does not permute the dimension-{h} block")
         rows = [fvv[v] for t in olds for v in tv[off + t * w : off + t * w + w]]
         ttpp += [fnbr[u] for t in olds for u in tt[off + t * w : off + t * w + w]]
+        reserved = rows[: cc[h] * w]  # the seeds' first h slots
+        del reserved[h::w]
+        if rows[h : arithmetic * w : w] + reserved != list(range(vbase[h], vbase[h + 1])):
+            raise BadRenumbering(f"vertex block {h} breaks the pairing arithmetic")
         paired = rows[cc[h] * w : arithmetic * w]  # seeds are fully arithmetic
         del paired[h::w]
         tvpp += paired

@@ -18,12 +18,11 @@ TTP slot k of a top holds its neighbour across the facet opposite vertex
 slot k: 0 means the facet is on the boundary, -1 that it has three or more
 cofaces and adjacency is not a function there.
 
-`Ewds.walk` is the package's one TTP flood: from seed tops across the
-facets that contain a given simplex.  The walk from VTSTAR[v] across
-facets that hold v covers v's star in its component, since every component
-is an IQM, and the non-manifold layer walks the star of
-every query through it, in `Ewds.walk_block` once the query has laid
-out the block.
+`Ewds.walk_block` is the package's one TTP flood: from one seed top
+across the facets that contain a given simplex.  The walk from VTSTAR[v]
+across facets that hold v covers v's star in its component, since every
+component is an IQM.  Only queries walk: `NmLayer.snm_global` runs it once
+per patch of the queried simplex's star, on the block it has laid out.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Iterable
 
 from .complexes import corner_layout
 from .decompose import BOTTOM, DIAMOND, DecompositionResult
-from .errors import NotIqm, ParseError, UnknownTop, UnknownVertex
+from .errors import NotIqm, ParseError, UnknownTop
 
 MAGIC = b"EWD\x00"
 
@@ -145,14 +144,10 @@ class Ewds:
         return bisect_right(self.tbase, t, hi=self.d + 1) - 1
 
     def row_layout(self, t: int) -> tuple[int, int]:
-        """Row width w of top t's dimension block and its offset off.
-
-        The row of every top u in that block starts at TVP/TTP index
-        off + u * w, so walkers that stay in one block validate t once and
-        find every other row by arithmetic.  A caller whose t comes from
-        the tables themselves reads the same pair, unchecked, as
-        `block_layouts[bisect_right(tbase, t) - 1]`.
-        """
+        """Row width w of top t's dimension block and its offset off: the
+        row of every top u in that block starts at TVP/TTP index off + u * w.
+        A caller whose t comes from the tables themselves reads the same
+        pair, unchecked, as `block_layouts[bisect_right(tbase, t) - 1]`."""
         return self.block_layouts[self.dim_of_top(t)]
 
     def row_of(self, t: int) -> tuple[int, ...]:
@@ -162,11 +157,6 @@ class Ewds:
     def tt_row_of(self, t: int) -> tuple[int, ...]:
         w, off = self.row_layout(t)
         return tuple(self.ttp[off + t * w : off + t * w + w])
-
-    def vtstar_of(self, v: int) -> int:
-        if type(v) is not int or not 1 <= v <= self.nv:
-            raise UnknownVertex(f"vertex {v!r} out of range 1..{self.nv}")
-        return self.vtstar[v]
 
     # -- vertex stars ------------------------------------------------------
 
@@ -208,34 +198,15 @@ class Ewds:
 
     # -- queries -----------------------------------------------------------
 
-    def walk(self, gset: set[int], seeds: Iterable[int]) -> set[int]:
-        """Tops that walks from seeds reach across facets containing gset.
-
-        Every seed spans gset, and so does every top the walk reaches: it
-        crosses at each slot whose vertex lies outside gset, and only
-        order-2 facets, so boundary and higher-order facets stop it.  A
-        facet's cofaces all have its width plus one, so TTP links a top
-        only to tops of its own dimension block: the walk validates one
-        seed, takes its block's `row_layout` and goes on in `walk_block`
-        from each seed that no earlier seed's walk reached.  No seeds reach
-        no tops.  It neither checks nor counts; its callers do both.
-        """
-        seeds = tuple(seeds)
-        if not seeds:
-            return set()
-        w, off = self.row_layout(seeds[0])
-        seen: set[int] = set()
-        for t in seeds:
-            if t not in seen:
-                seen |= self.walk_block(gset, t, w, off)
-        return seen
-
     def walk_block(self, gset: set[int], seed: int, w: int, off: int) -> set[int]:
-        """`walk` from one seed in the block whose `row_layout` is (w, off),
-        which the caller has taken from that seed; nothing is validated.
+        """Tops that the walk from seed reaches across facets containing gset.
 
-        A vertex star, where gset is one vertex v, tests each slot with
-        `tvp[k] != v`, an int comparison; a larger gset tests membership.
+        It crosses only order-2 facets, at slots outside gset, so every top
+        it reaches spans gset as the seed does, and TTP keeps it in the
+        seed's dimension block, whose `row_layout` (w, off) the caller
+        passes.  Nothing is validated or counted.  A vertex star, gset one
+        vertex v, tests each slot with `tvp[k] != v`, an int comparison; a
+        larger gset tests membership.
         """
         seen = {seed}
         stack = [seed]

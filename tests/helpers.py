@@ -1,6 +1,5 @@
 """Face counts and label rows that only tests ask of a complex, the
-packed ids of a decomposition, splitmap entries grouped by copy, and a
-reference star walk."""
+packed ids of a decomposition, and splitmap entries grouped by copy."""
 
 from collections import Counter
 from itertools import combinations
@@ -57,17 +56,3 @@ def boundary(c):
     cofaces = Counter(f for t in c.top_ids for f in combinations(sorted(c.row(t)), c.dim))
     return {f for f, n in cofaces.items() if n == 1}
 
-
-def reference_walk(ew, gset, seeds):
-    """The tops a flood from seeds reaches across order-2 facets that
-    contain gset: one set test per slot, each row read through the checked
-    `Ewds.row_of` and `Ewds.tt_row_of`."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        t = stack.pop()
-        for x, u in zip(ew.row_of(t), ew.tt_row_of(t)):
-            if x not in gset and u > 0 and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen

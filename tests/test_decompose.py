@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nmdecomp.complexes import format_tv, parse_tv
+from nmdecomp.complexes import Complex, format_tv, parse_tv
 from nmdecomp.decompose import DecompositionResult, copy_label, decompose
 from nmdecomp.errors import InvalidComplex
 from nmdecomp.meshes import kuhn_cube
@@ -221,6 +221,9 @@ def test_from_parts_takes_only_a_decomposition_of_its_source():
             parse_tv("simplex 1: 1 2 3\nsimplex 2: 4 5\n"),
             ident,
         ),
+        # nothing, as decompose refuses it: Ewds.build would lay out the
+        # first block of a table of dimension -1
+        (Complex({}), Complex({}), {}),
     ]
     for source, nabla, sigma in bad:
         with pytest.raises(InvalidComplex):

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from nmdecomp import complexes
 from nmdecomp.complexes import Complex, facet_slots, format_tv, parse_tv
 from nmdecomp.decompose import DecompositionResult, decompose
-from nmdecomp.errors import NotIqm, ParseError, UnknownTop, UnknownVertex
+from nmdecomp.errors import NotIqm, ParseError, UnknownTop
 from nmdecomp.fixtures import load_tv
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer
-from nmdecomp.oracle import random_complex
+from nmdecomp.oracle import oracle_walk, random_complex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import by_copy, packed, packed_ids, reference_walk
+from helpers import by_copy, packed, packed_ids
 
 
 # -- reference: TTP and VTSTAR from a facet pass per packed block ------------
@@ -116,7 +116,7 @@ def test_mixed_tv(ew_mixed):
 def test_mixed_vtstar(ew_mixed):
     assert ew_mixed.vtstar[1:] == [1, 2, 3, 3, 4, 6, 6, 5, 7, 7, 7, 7, 5, 8, 9]
     for v in range(1, 16):
-        assert v in ew_mixed.row_of(ew_mixed.vtstar_of(v))
+        assert v in ew_mixed.row_of(ew_mixed.vtstar[v])
 
 
 def test_mixed_tt(ew_mixed):
@@ -142,8 +142,6 @@ def test_addressed_lookups(ew_mixed):
         ew_mixed.row_of(10)
     with pytest.raises(UnknownTop):
         ew_mixed.dim_of_top(10)
-    with pytest.raises(UnknownVertex):
-        ew_mixed.vtstar_of(16)
 
 
 def test_block_layouts_agree_with_row_layout(mixed, cones, perforated_cube, perforated_grid):
@@ -195,7 +193,7 @@ def test_diamond_marks(cones):
 def test_s0h_walks(ew_mixed):
     # S0h: the walk from a vertex's VTSTAR top across the facets holding it
     def s0h(v):
-        return sorted(ew_mixed.walk({v}, (ew_mixed.vtstar[v],)))
+        return sorted(oracle_walk(ew_mixed, {v}, (ew_mixed.vtstar[v],)))
 
     assert s0h(7) == [6]
     assert s0h(9) == [7, 8, 9]
@@ -391,22 +389,26 @@ def test_setup_computes_each_fact_once(monkeypatch, mixed, cones, perforated_cub
     build_nm_layer(Ewds.build(decompose(parse_tv(format_tv(kuhn_cube(3))))))
 
 
-def test_walk_from_no_seeds(ew_mixed):
-    assert ew_mixed.walk({9}, ()) == set()
-    assert ew_mixed.walk(set(), []) == set()
-
-
 def test_walk_loops_match_a_set_test_flood(mixed, cones, perforated_cube, perforated_grid):
     # a vertex star takes the walk's int-comparison loop and a splitmap
-    # key's copy, two or more vertices, its set-test loop: both must reach
-    # the tops of a flood that tests every slot against the set
+    # key's copy, two or more vertices, its set-test loop: the union of
+    # one walk per seed, each in its seed's block layout, must reach the
+    # tops of a flood from all the seeds that tests every slot against
+    # the set
+    def walk_blocks(ew, gset, seeds):
+        seen = set()
+        for t in seeds:
+            w, off = ew.block_layouts[bisect_right(ew.tbase, t) - 1]
+            seen |= ew.walk_block(gset, t, w, off)
+        return seen
+
     for src in (mixed, cones, perforated_cube(0), perforated_grid(3, 4, 0)):
         nm = build_nm_layer(Ewds.build(decompose(src)))
         ew = nm.ewds
         for v in range(1, ew.nv + 1):
             seeds = (ew.vtstar[v],)
-            assert ew.walk({v}, seeds) == reference_walk(ew, {v}, seeds), v
+            assert walk_blocks(ew, {v}, seeds) == oracle_walk(ew, {v}, seeds), v
         assert nm.splitmap
         for key, reps in nm.splitmap.items():
             for cp, seeds in by_copy(ew, key, reps).items():
-                assert ew.walk(set(cp), seeds) == reference_walk(ew, set(cp), seeds), key
+                assert walk_blocks(ew, set(cp), seeds) == oracle_walk(ew, set(cp), seeds), key

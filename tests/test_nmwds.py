@@ -19,7 +19,7 @@ from nmdecomp.nonmanifold import (
     build_splitmap,
     pinch_suspects,
 )
-from nmdecomp.oracle import oracle_snm, oracle_splitmap, oracle_star, random_complex
+from nmdecomp.oracle import oracle_snm, oracle_splitmap, oracle_star, oracle_walk, random_complex
 from nmdecomp.renumber import compute_renumbering
 from nmdecomp.winged import Ewds
 from helpers import by_copy, packed, packed_ids
@@ -64,13 +64,13 @@ def test_travel_star_is_one_patch(nm_cones, cones):
     xyz = resolve_tokens(cones, ["x", "y", "z"])  # the packing keeps these ids
     t34 = packed(packed_ids(decompose(cones))[0], 34)
     # the diamond mark fences each cavity tet into its own patch
-    assert ew.walk(set(xyz), (t34,)) == {t34}
+    assert oracle_walk(ew, set(xyz), (t34,)) == {t34}
 
 
 def test_travel_star_covers_the_patch(nm_mixed):
     # tops 7,8 share the order-2 triangle {9,12,11}, so the patch of the
     # edge {9,11} spans all three tets
-    assert nm_mixed.ewds.walk({9, 11}, (8,)) == {7, 8, 9}
+    assert oracle_walk(nm_mixed.ewds, {9, 11}, (8,)) == {7, 8, 9}
 
 
 def test_snm_global_mixed_all_faces(nm_mixed, mixed):
@@ -129,11 +129,11 @@ def test_narrow_copies_are_not_walked(nm_mixed, mixed, gamma, m):
     # copies hold an m-face, so only their stars are walked
     ew = nm_mixed.ewds
     if len(gamma) == 1:
-        stars = [ew.walk({vp}, (ew.vtstar[vp],)) for vp in nm_mixed.copies_of[gamma[0]]]
+        stars = [oracle_walk(ew, {vp}, (ew.vtstar[vp],)) for vp in nm_mixed.copies_of[gamma[0]]]
     else:
         entry = by_copy(ew, gamma, nm_mixed.splitmap[gamma])
         assert len({ew.dim_of_top(min(reps)) for reps in entry.values()}) == 2
-        stars = [ew.walk(set(cp), reps) for cp, reps in entry.items()]
+        stars = [oracle_walk(ew, set(cp), reps) for cp, reps in entry.items()]
     counter = OpCounter()
     n = len(gamma) - 1
     assert nm_mixed.snm_global(gamma, n, m, counter) == oracle_snm(mixed, gamma, n, m)
@@ -191,7 +191,7 @@ def test_pinched_simplices_are_splitmap_keys(name, pinches, request):
         star = oracle_star(src, gamma)
         assert len(star) == 4
         # the walk from both representatives covers the star, one copy wide
-        assert {tops[u] for u in ew.walk(set(cp), reps)} == star
+        assert {tops[u] for u in oracle_walk(ew, set(cp), reps)} == star
         assert set(by_copy(ew, gamma, [packed(tops, t) for t in star])) == {cp}
         n = len(gamma) - 1
         for m in range(n + 1, src.dim + 1):
@@ -227,7 +227,7 @@ def test_splitmap_ignores_harvest_order_on_perforated_cubes(seed, perforated_cub
     for key, reps in nm.splitmap.items():
         for cp, seeds in by_copy(ew, key, reps).items():
             for rep in seeds:
-                assert rep == min(ew.walk(set(cp), (rep,)))
+                assert rep == min(oracle_walk(ew, set(cp), (rep,)))
 
 
 def test_fin_facet_is_recorded_from_its_smaller_coface():
@@ -239,7 +239,7 @@ def test_fin_facet_is_recorded_from_its_smaller_coface():
     nm = build_nm_layer(Ewds.build(decompose(Complex(rows))))
     ew = nm.ewds
     stars = [
-        (ew.walk(set(cp), (rep,)), rep)
+        (oracle_walk(ew, set(cp), (rep,)), rep)
         for cp, reps in by_copy(ew, (1, 2, 14), nm.splitmap[(1, 2, 14)]).items()
         for rep in reps
     ]
@@ -263,10 +263,10 @@ def test_build_nm_layer_walks_no_star(monkeypatch, mixed, cones, perforated_cube
     tables = [Ewds.build(decompose(c)) for c in complexes]
     want = [build_nm_layer(ew).splitmap for ew in tables]
 
-    def no_star_walk(self, gset, seeds):
+    def no_star_walk(self, gset, *args):
         raise AssertionError(f"walked the star of {sorted(gset)}")
 
-    monkeypatch.setattr(Ewds, "walk", no_star_walk)
+    monkeypatch.setattr(Ewds, "walk_block", no_star_walk)
     assert [build_nm_layer(ew).splitmap for ew in tables] == want
     assert all(want)
 
@@ -507,3 +507,17 @@ def test_stats_identity_complex(fan):
 
 def test_nsp_tops(nm_mixed):
     assert nm_mixed.nsp_tops() == {4, 5, 6, 8, 9}
+
+
+def test_nsp_tops_are_the_stars_of_the_v_nra_copies(mixed, cones, perforated_cube):
+    # NSP is read off the rows: it must equal the union of the floods over
+    # the star of every copy of a v_nra vertex, each from its VTSTAR top
+    for src in (mixed, cones, *map(perforated_cube, range(4))):
+        nm = build_nm_layer(Ewds.build(decompose(src)))
+        ew = nm.ewds
+        stars = set()
+        for v in nm.v_nra:
+            for vp in nm.copies_of[v]:
+                stars |= oracle_walk(ew, {vp}, (ew.vtstar[vp],))
+        assert nm.nsp_tops() == stars
+    assert stars

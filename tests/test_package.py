@@ -158,3 +158,23 @@ def test_snm_global_validates_no_copy():
             called.add(fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None))
     assert called & {"row_layout", "dim_of_top"} == set()
     assert "lookup" in called  # the face table is still asked through its one interface
+
+
+def test_only_queries_walk():
+    # Ewds.walk_block is the package's one star flood, and only a query
+    # runs it: any other reader of a star reads the rows instead
+    src = Path(nmdecomp.__file__).parent
+    callers = []
+
+    def visit(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Attribute) and child.attr == "walk_block":
+                callers.append(f"{where}:{scope}")
+            visit(child, where, inner)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    assert callers == ["nonmanifold.py:NmLayer.snm_global"]
