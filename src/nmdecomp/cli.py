@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .complexes import Complex, format_tv, parse_tv, resolve_tokens
 from .decompose import DecompositionResult, decompose
-from .errors import BadRelation, TopologyError
+from .errors import BadRelation, ParseError, TopologyError
 from .fixtures import load_tv
 from .gluing import run_glue_script
 from .nonmanifold import NmLayer, build_nm_layer, check_relation
@@ -36,8 +36,19 @@ def _tt_symbol(x: int) -> str:
     return str(x)
 
 
+def _read_text(path: str) -> str:
+    """A .tv or .glue file's text, decoded as UTF-8 whatever the locale;
+    ParseError names the offset of its first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = f"byte {data[exc.start]:#04x} at offset {exc.start}"
+        raise ParseError(f"not UTF-8 text: {bad}") from None
+
+
 def _read_complex(path: str) -> Complex:
-    return parse_tv(Path(path).read_text())
+    return parse_tv(_read_text(path))
 
 
 def _pipeline(c: Complex) -> tuple[DecompositionResult, Ewds, NmLayer]:
@@ -91,7 +102,8 @@ def cmd_decompose(args) -> int:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, comp in enumerate(dec.components, start=1):
-            (outdir / f"component_{i:03d}.tv").write_text(format_tv(comp))
+            text = format_tv(dec.nabla.subcomplex(comp.top_ids))
+            (outdir / f"component_{i:03d}.tv").write_text(text)
         sigma = {str(cpy): orig for cpy, orig in sorted(dec.sigma.items())}
         (outdir / "sigma.json").write_text(json.dumps(sigma, indent=2))
         cc = {"cc": dec.cc, "num_components": len(dec.components)}
@@ -160,7 +172,7 @@ def cmd_query(args) -> int:
 
 def cmd_glue(args) -> int:
     c = _read_complex(args.input)
-    script = Path(args.script).read_text()
+    script = _read_text(args.script)
     outcome = run_glue_script(c, script)
     if args.json:
         out = {

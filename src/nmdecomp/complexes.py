@@ -222,17 +222,23 @@ class Complex:
     # -- stars -------------------------------------------------------------
 
     def star(self, gamma: Iterable[int]) -> set[int]:
-        """Ids of the top simplices containing gamma (empty set allowed)."""
-        gamma = tuple(gamma)
+        """Ids of the top simplices containing gamma (empty set allowed).
+
+        Raises InvalidComplex unless gamma is a non-empty iterable of ints
+        that are no bools; an int that is no vertex gives the empty set."""
+        try:
+            gamma = tuple(gamma)
+        except TypeError:
+            raise InvalidComplex(f"star of {gamma!r}: not a sequence of vertex ids") from None
         if not gamma:
             raise InvalidComplex("star of the empty simplex is not defined")
+        if not {int}.issuperset(map(type, gamma)):
+            raise InvalidComplex(f"star of {gamma!r}: a vertex id is not an int")
         vt = self._vertex_tops()
         try:
             sets = [vt[v] for v in gamma]
         except KeyError:
             return set()
-        except TypeError:
-            raise InvalidComplex(f"star of {gamma!r}: unhashable vertex id") from None
         return set.intersection(*sets)
 
     # -- face enumeration --------------------------------------------------
@@ -581,10 +587,10 @@ def twice_chi_misses(
 # One match accepts a line: blank, a comment, or a simplex with its id and
 # every token; a line holds no line break, so \s stays within it.
 _TV_LINE_RE = re.compile(
-    r"\s*(?:simplex\s+(\d+)\s*:\s*([A-Za-z0-9_][\sA-Za-z0-9_]*))?(?:#.*)?"
+    r"\s*(?:simplex\s+([0-9]+)\s*:\s*([A-Za-z0-9_][\sA-Za-z0-9_]*))?(?:#.*)?"
 )
 # the per-line rules, which name the fault of a line
-_LINE_RE = re.compile(r"^simplex\s+(\d+)\s*:\s*(.*)$")
+_LINE_RE = re.compile(r"^simplex\s+([0-9]+)\s*:\s*(.*)$")
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 

@@ -14,6 +14,15 @@ and `decompose` records that on its result (`DecompositionResult.iqm`):
 the encoding trusts the record and checks only results built any other
 way.
 
+A component is no complex of its own but a run of nabla's tops
+(`Component`): its dimension and its ascending top ids, as the winged
+tables store it.  The union-find classes come out as top indices, and
+each class's dimension is its widest row in nabla's offsets, less one, so
+packaging the result copies no rows and no labels.  A component becomes
+a complex, `nabla.subcomplex(comp.top_ids)`, only where it is written
+(`nmdecomp decompose --outdir`) or checked (the IQM gate of
+`winged.Ewds.build`).
+
 The same facet pass gives the TT relation of the decomposition
 (`DecompositionResult.tt`, see `facet_neighbours`): its facets are the
 source's facets with their cofaces grouped by the copies they hold, so
@@ -31,7 +40,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from operator import sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import Complex, corner_facets, corner_layout, glue_pairs
 from .errors import InvalidComplex
@@ -41,13 +50,24 @@ BOTTOM = 0    # facet on the boundary
 DIAMOND = -1  # facet with three or more cofaces
 
 
+class Component(NamedTuple):
+    """One component of a decomposition: a run of nabla's tops.
+
+    Records sort by dimension, then smallest top, the order of
+    `DecompositionResult.components`, since components share no top."""
+
+    dim: int
+    top_ids: list[int]  # ascending
+
+
 @dataclass(frozen=True)
 class DecompositionResult:
-    """The decomposition complex, its components, and the copy map."""
+    """The decomposition complex, its components as runs of nabla's tops,
+    and the copy map."""
 
     source: Complex
     nabla: Complex
-    components: list[Complex]
+    components: list[Component]
     sigma: dict[int, int]          # copy id -> original id, total
     # nabla's TT relation, one entry per flat corner of nabla in
     # `corner_layout` order (see `facet_neighbours`), which
@@ -67,8 +87,9 @@ class DecompositionResult:
         """Package a decomposition, deriving its components, cc and TT.
 
         Components are the 0-connected classes of nabla
-        (`Complex.h_connected_components(0)`), sorted by dimension, then
-        smallest top, and TT comes from nabla's own facet pass.  Raises
+        (`Complex.h_connected_components(0)`), taken to top indices and
+        packaged by `_assemble`, as `decompose` packages its own, and TT
+        comes from nabla's own facet pass.  Raises
         InvalidComplex, as `decompose` does, on an empty source, and unless
         sigma is a dict defined on exactly nabla's vertices and maps each
         nabla row, slot by slot, onto the source row of the same top id.
@@ -87,7 +108,8 @@ class DecompositionResult:
         if [nabla.top_ids, start, image] != [source.top_ids, *corner_layout(source)[::-1]]:
             raise InvalidComplex("sigma does not map nabla's rows onto the source's, top by top")
         tt = facet_neighbours(*corner_facets(nabla))
-        return _assemble(source, nabla, sigma, nabla.h_connected_components(0), tt)
+        groups = [list(map(nabla.position, g)) for g in nabla.h_connected_components(0)]
+        return _assemble(source, nabla, sigma, groups, tt)
 
     # -- sigma views -------------------------------------------------------
 
@@ -131,9 +153,19 @@ def _assemble(
     tt: array,
 ) -> DecompositionResult:
     """The result whose components are the given classes of nabla's tops,
-    each in ascending order, listed by dimension, then smallest top: slices
-    of nabla's store, not checked again."""
-    components = sorted(map(nabla.subcomplex, groups), key=lambda c: (c.dim, c.top_ids[0]))
+    each a list of ascending indices into nabla's top_ids: one `Component`
+    each, of its widest row's dimension, listed by dimension, then
+    smallest top.  No complex is built and nothing is checked again."""
+    ids, start = nabla.top_ids, corner_layout(nabla)[1]
+    components = []
+    for g in groups:
+        if len(g) == 1:  # as most classes of small inputs are: no comprehension
+            (i,) = g
+            components.append(Component(start[i + 1] - start[i] - 1, [ids[i]]))
+        else:
+            w = max([start[i + 1] - start[i] for i in g])
+            components.append(Component(w - 1, [ids[i] for i in g]))
+    components.sort()
     cc = [0] * (nabla.dim + 1)
     for comp in components:
         cc[comp.dim] += 1
@@ -262,6 +294,6 @@ def decompose(c: Complex) -> DecompositionResult:
         raise InvalidComplex("cannot decompose an empty complex")
     root, tops, tt = _standard_gluing(c)
     nabla, sigma = _number_classes(c, root)
-    dec = _assemble(c, nabla, sigma, classes(tops, c.top_ids), tt)
+    dec = _assemble(c, nabla, sigma, classes(tops, range(len(tops))), tt)
     object.__setattr__(dec, "iqm", True)  # the record, past the frozen dataclass
     return dec

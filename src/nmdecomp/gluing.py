@@ -156,6 +156,13 @@ def parse_glue_script(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _top_arg(tok: str, no: int) -> int:
+    """A script's top id: ASCII decimal digits alone, as in a .tv file."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"top id {tok!r} is not a decimal number", no)
+    return int(tok)
+
+
 _ARITY = {
     "explode": 0,
     "veq": 3,
@@ -178,6 +185,8 @@ def run_glue_script(source: Complex, text: str) -> ScriptOutcome:
             raise ParseError(f"unknown instruction {op!r}", no)
         if len(args) != _ARITY[op]:
             raise ParseError(f"{op} takes {_ARITY[op]} arguments", no)
+        if op in ("veq", "glue", "pmglue"):
+            t1, t2 = _top_arg(args[0], no), _top_arg(args[1], no)
         try:
             if op == "explode":
                 state = GluingState(source)
@@ -189,15 +198,14 @@ def run_glue_script(source: Complex, text: str) -> ScriptOutcome:
                 )
                 break
             if op == "veq":
-                t1, t2 = int(args[0]), int(args[1])
                 (v,) = resolve_tokens(source, [args[2]])
                 state.veq(t1, t2, v)
                 events.append(GlueEvent(no, line, "ok"))
             elif op == "glue":
-                state.glue(int(args[0]), int(args[1]))
+                state.glue(t1, t2)
                 events.append(GlueEvent(no, line, "ok"))
             elif op == "pmglue":
-                state.pmglue(int(args[0]), int(args[1]))
+                state.pmglue(t1, t2)
                 events.append(GlueEvent(no, line, "ok"))
             elif op == "assert-iso":
                 if state.is_isomorphic_to_source():
@@ -219,8 +227,6 @@ def run_glue_script(source: Complex, text: str) -> ScriptOutcome:
                 events.append(
                     GlueEvent(no, line, "dump", payload=state.dump_lines())
                 )
-        except ValueError as exc:  # int() on a bad top id
-            raise ParseError(str(exc), no) from exc
         except TopologyError as exc:
             events.append(GlueEvent(no, line, "error", f"{type(exc).__name__}: {exc}"))
             break

@@ -70,14 +70,18 @@ class Ewds:
     def build(cls, dec: DecompositionResult) -> "Ewds":
         """Pack dec, the one gate of the IQM precondition: a result that
         `decompose` did not build (not `dec.iqm`) raises NotIqm at its
-        first component that fails `Complex.is_iqm`.  Each component, being
-        regular, is then one run of its dimension's block, in the order of
-        dec.components, TVP and TTP are read off nabla's store and dec.tt,
-        and sigma_n off dec.sigma.  The result keeps no reference to dec."""
-        bad = None if dec.iqm else next((k for k in dec.components if not k.is_iqm()), None)
-        if bad is not None:
-            raise NotIqm(f"the component of top {bad.top_ids[0]} is not an initial quasi-manifold")
+        first component whose `nabla.subcomplex` fails `Complex.is_iqm`,
+        the only place a component is built as a complex to be checked.
+        Each component, being regular, is then one run of its dimension's
+        block, in the order of dec.components, TVP and TTP are read off
+        nabla's store and dec.tt, and sigma_n off dec.sigma.  The result
+        keeps no reference to dec."""
         nabla = dec.nabla
+        if not dec.iqm:
+            for comp in dec.components:
+                if not nabla.subcomplex(comp.top_ids).is_iqm():
+                    top = comp.top_ids[0]
+                    raise NotIqm(f"the component of top {top} is not an initial quasi-manifold")
         d = nabla.dim
 
         blocks: list[list[int]] = [[] for _ in range(d + 1)]

@@ -25,6 +25,11 @@ def label_rows(c):
     return {t: tuple(map(c.label_of, row)) for t, row in c.rows().items()}
 
 
+def component_complexes(dec):
+    """Each component of dec as a complex: its run of nabla's tops."""
+    return [dec.nabla.subcomplex(k.top_ids) for k in dec.components]
+
+
 def packed_ids(dec):
     """The decomposition ids of `Ewds.build`'s packed ids, as two lists
     indexed by packed id, index 0 unused: (tops, vertices).  Vertices

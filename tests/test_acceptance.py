@@ -22,7 +22,7 @@ from nmdecomp.nonmanifold import build_nm_layer
 from nmdecomp.oracle import oracle_decompose, oracle_snm, random_complex
 from nmdecomp.renumber import apply_renumbering, compute_renumbering
 from nmdecomp.winged import Ewds
-from helpers import faces_of_dim, order_of
+from helpers import component_complexes, faces_of_dim, order_of
 
 
 def test_criterion_01_fan_tables(fan):
@@ -182,7 +182,7 @@ def test_criterion_08_random_sweep_matches_oracles():
         ref = oracle_decompose(c)
         assert dec.sigma == ref.sigma, seed
         assert dec.nabla.rows() == ref.nabla.rows(), seed
-        for comp in dec.components:
+        for comp in component_complexes(dec):
             assert comp.classify().iqm, seed
         pasted = {
             t: tuple(dec.sigma[v] for v in dec.nabla.row(t))

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, file products."""
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,38 @@ def test_malformed_tv_exits_1(tmp_path, capsys, text, command):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"\xff\xfe\x00", 0), (b"simplex 1: a b\nsimplex 2: b \xc3(\n", 28)],
+    ids=["bom-like", "bad-sequence"],
+)
+@pytest.mark.parametrize("command", ["check", "decompose", "query", "glue-tv", "glue-script"])
+def test_file_that_is_not_utf8_exits_1(tvfile, tmp_path, capsys, data, offset, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    argv = {
+        "check": ["check", str(bad)],
+        "decompose": ["decompose", str(bad)],
+        "query": ["query", str(bad), "--rel", "S01", "--simplex", "a"],
+        "glue-tv": ["glue", str(bad), tvfile("fix_g.glue")],
+        "glue-script": ["glue", tvfile("fix_g.tv"), str(bad)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    bad_byte = f"byte {data[offset]:#04x} at offset {offset}"
+    assert err == f"error: ParseError: not UTF-8 text: {bad_byte}\n"
+
+
+def test_utf8_text_outside_ascii_reaches_the_parser(tmp_path, capsys):
+    # a UTF-8 comment reads as text, and a label outside ASCII is no .tv
+    # token, so the parser, not the decoder, names its line
+    p = tmp_path / "bad.tv"
+    p.write_bytes("# \u00e9t\u00e9\nsimplex 1: a b\nsimplex 2: b \u00e9\n".encode())
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 1
+    assert err == "error: ParseError: line 3: bad vertex token '\u00e9'\n"
+
+
 @pytest.mark.parametrize("command", ["check", "decompose"])
 def test_non_maximal_simplex_exits_1_at_its_line(tmp_path, capsys, command):
     p = tmp_path / "bad.tv"
@@ -130,6 +163,25 @@ def test_decompose_outputs(tvfile, tmp_path, capsys):
     cc = json.loads((outdir / "cc.json").read_text())
     assert cc == {"cc": [2, 1, 1, 1], "num_components": 5}
     assert (outdir / "ewds.bin").read_bytes()[:4] == b"EWD\x00"
+
+
+@pytest.mark.parametrize(
+    "name, files, digest",
+    [
+        ("fix_b.tv", 8, "2699cd1362b75cc677d5e6c9447ee5f7f562fe0aa7318921cd5b9272e6a0c884"),
+        ("fix_c.tv", 4, "ccb1ed038555710358e204964fdd570f82d8c5ed403a24ee67bae54347388957"),
+        ("fix_g.tv", 6, "f6a171a2338f406445b8d16dced38508a8042e3ea79ff5351d147d3182aeaab2"),
+    ],
+)
+def test_decompose_outdir_is_unchanged(tvfile, tmp_path, capsys, name, files, digest):
+    # the SHA-256 of every file written, concatenated in name order: each
+    # component file is written from its run of nabla's tops, and fix_c
+    # carries letter labels
+    outdir = tmp_path / "out"
+    assert run(capsys, "decompose", tvfile(name), "-o", str(outdir))[0] == 0
+    paths = sorted(outdir.iterdir())
+    assert len(paths) == files
+    assert hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest() == digest
 
 
 def test_decompose_text_of_an_identity(tvfile, capsys):

@@ -124,10 +124,29 @@ def test_parse_names_the_line_of_a_non_maximal_simplex(text, line_no, top):
     assert isinstance(exc.value.__cause__, NotTop) and exc.value.__cause__.top == top
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("simplex \u0661: 1 2 3\n", 1),
+        ("simplex 1: a b\nsimplex \uff12: b c\n", 2),
+        ("simplex 1\u0662: 1 2\n", 1),
+        ("simplex \u00b2: a b\n", 1),
+        ("simplex 1_0: a b\n", 1),
+        ("simplex +1: a b\n", 1),
+    ],
+    ids=["arabic-indic", "fullwidth", "mixed", "superscript", "underscore", "sign"],
+)
+def test_top_ids_are_ascii_decimal(text, line_no):
+    # every Unicode digit is \d, but a top id is [0-9]+ and nothing else
+    with pytest.raises(ParseError, match="expected 'simplex <id>: <tok> ...'") as exc:
+        parse_tv(text)
+    assert exc.value.line_no == line_no
+
+
 # -- reference: the line-by-line .tv parser ---------------------------------
 
 _REF_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
-_REF_LINE_RE = re.compile(r"^simplex\s+(\d+)\s*:\s*(.*)$")
+_REF_LINE_RE = re.compile(r"^simplex\s+([0-9]+)\s*:\s*(.*)$")  # ASCII ids
 
 
 def reference_parse_tv(text: str) -> Complex:
@@ -473,6 +492,13 @@ def test_vertex_equal_to_an_int_is_still_no_int(rows, bad):
         (lambda c: c.dim_of(4), UnknownTop),
         (lambda c: c.position([1]), UnknownTop),
         (lambda c: c.star([[1]]), InvalidComplex),
+        (lambda c: c.star([True]), InvalidComplex),
+        (lambda c: c.star([2, True]), InvalidComplex),
+        (lambda c: c.star([1.0]), InvalidComplex),
+        (lambda c: c.star(["1"]), InvalidComplex),
+        (lambda c: c.star("1"), InvalidComplex),
+        (lambda c: c.star(None), InvalidComplex),
+        (lambda c: c.star(1), InvalidComplex),
     ],
     ids=[
         "subcomplex-unknown",
@@ -483,6 +509,13 @@ def test_vertex_equal_to_an_int_is_still_no_int(rows, bad):
         "dim-of-above",
         "position-unhashable",
         "star-unhashable",
+        "star-bool",
+        "star-bool-after-int",
+        "star-float",
+        "star-str-id",
+        "star-str",
+        "star-none",
+        "star-int",
     ],
 )
 def test_lookups_raise_typed_errors(lookup, error):
@@ -490,6 +523,7 @@ def test_lookups_raise_typed_errors(lookup, error):
     with pytest.raises(error):
         lookup(c)
     assert c.position(1) == 0
+    assert c.star([1]) == {1} and c.star([999]) == c.star([1, 999]) == set()
     for tid in (True, 999):
         with pytest.raises(UnknownTop):
             c.position(tid)

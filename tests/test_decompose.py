@@ -8,8 +8,8 @@ from nmdecomp.complexes import Complex, format_tv, parse_tv
 from nmdecomp.decompose import DecompositionResult, copy_label, decompose
 from nmdecomp.errors import InvalidComplex
 from nmdecomp.meshes import kuhn_cube
-from nmdecomp.oracle import oracle_decompose
-from helpers import label_rows
+from nmdecomp.oracle import oracle_decompose, random_complex
+from helpers import component_complexes, label_rows
 
 
 def test_mixed_rows(mixed):
@@ -43,8 +43,34 @@ def test_mixed_components(mixed):
     assert not dec.is_identity()
 
 
+@pytest.mark.parametrize("name", ["mixed", "bouquet", "random-d4"])
+def test_decompose_builds_one_complex(name, request, monkeypatch):
+    # the components are runs of nabla's tops: nabla is the one Complex that
+    # decompose builds, and no component is sliced out of it
+    c = random_complex(4, 40, 4) if name == "random-d4" else request.getfixturevalue(name)
+    made = []
+    real_set = Complex._set
+
+    def counted(self, *args):
+        made.append(self)
+        return real_set(self, *args)
+
+    def refused(self, top_ids):
+        raise AssertionError("decompose built a component as a complex")
+
+    monkeypatch.setattr(Complex, "_set", counted)
+    monkeypatch.setattr(Complex, "subcomplex", refused)
+    dec = decompose(c)
+    assert made == [dec.nabla]
+    assert len(dec.components) > 1 and dec.components == sorted(dec.components)
+    assert sorted(t for k in dec.components for t in k.top_ids) == c.top_ids
+    monkeypatch.undo()
+    for comp, sub in zip(dec.components, component_complexes(dec)):
+        assert comp.dim == sub.dim and comp.top_ids == sub.top_ids
+
+
 def test_mixed_components_are_iqm(mixed):
-    for comp in decompose(mixed).components:
+    for comp in component_complexes(decompose(mixed)):
         assert comp.classify().iqm
 
 
@@ -139,7 +165,7 @@ def test_copy_labels_numeric_vs_tokens(mixed, bouquet):
 
 def test_component_labels_cover_own_vertices(mixed, bouquet):
     for c in (mixed, bouquet):
-        for comp in decompose(c).components:
+        for comp in component_complexes(decompose(c)):
             assert set(comp._labels) == set(comp.vertices)
 
 

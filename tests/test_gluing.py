@@ -153,6 +153,27 @@ def test_script_parse_errors(claw):
     assert parse_glue_script("# hi\n\nexplode\n") == [(3, ["explode"])]
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "glue \u0661 2",
+        "glue 1_0 2",
+        "glue +1 2",
+        "glue -1 2",
+        "pmglue 1 \uff12",
+        "veq 1 \u00b2 1",
+        "veq 1 2.0 1",
+    ],
+    ids=["arabic-indic", "underscore", "sign", "negative", "fullwidth", "superscript", "float"],
+)
+def test_script_top_ids_are_ascii_decimal(claw, line):
+    # int() reads all of these as top ids; a script's top id is [0-9]+
+    with pytest.raises(ParseError, match="is not a decimal number") as exc:
+        run_glue_script(claw, f"explode\n{line}\n")
+    assert exc.value.line_no == 2
+    assert run_glue_script(claw, "explode\nglue 01 2\n").events[-1].kind == "ok"
+
+
 def test_full_cone_script(cones, cones_script):
     out = run_glue_script(cones, cones_script)
     assert out.ok

@@ -22,7 +22,7 @@ from nmdecomp.oracle import (
     oracle_star,
     random_complex,
 )
-from helpers import boundary
+from helpers import boundary, component_complexes
 
 
 def test_oracle_star_matches_complex(fan, mixed):
@@ -229,7 +229,7 @@ def test_is_manifold_matches_oracle_on_perforated_cubes():
     rng = random.Random(12)
     c = cube.subcomplex(rng.sample(cube.top_ids, round(0.7 * cube.num_tops)))
     seen = set()
-    for comp in decompose(c).components:
+    for comp in component_complexes(decompose(c)):
         got = comp.classify().manifold_le3
         assert got is oracle_is_manifold(comp)
         seen.add(got)
@@ -238,7 +238,7 @@ def test_is_manifold_matches_oracle_on_perforated_cubes():
     for seed in range(60):
         rng = random.Random(seed)
         piece = small.subcomplex(rng.sample(small.top_ids, round(0.7 * small.num_tops)))
-        for x in [piece, *decompose(piece).components]:
+        for x in [piece, *component_complexes(decompose(piece))]:
             got = x.classify().manifold_le3
             assert got is oracle_is_manifold(x), seed
             seen.add(got)

@@ -28,8 +28,15 @@ def test_names_the_benchmark_reads(monkeypatch):
             nonmanifold, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
         )
     src = load_tv("fix_b.tv")
-    nm = nmdecomp.build_nm_layer(nmdecomp.Ewds.build(nmdecomp.decompose(src)))
+    dec = nmdecomp.decompose(src)
+    nm = nmdecomp.build_nm_layer(nmdecomp.Ewds.build(dec))
     assert sorted(calls) == ["build_ft_trie", "build_splitmap"]
+    # it counts dec.components and compares each one's top_ids, an
+    # ascending list of ints, with the oracle's
+    assert len(dec.components) == 5
+    for comp in dec.components:
+        ids = comp.top_ids
+        assert type(ids) is list and {int} == set(map(type, ids)) and ids == sorted(ids)
     with pytest.raises(nmdecomp.NotInTrie):
         nm.trie.lookup((99, 100))
     assert type(nm.trie.num_nodes) is int and type(nm.trie.num_words) is int
@@ -158,6 +165,30 @@ def test_snm_global_validates_no_copy():
             called.add(fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None))
     assert called & {"row_layout", "dim_of_top"} == set()
     assert "lookup" in called  # the face table is still asked through its one interface
+
+
+def test_components_are_built_as_complexes_only_to_be_written_or_checked():
+    # a component is a run of nabla's tops; only the writer of --outdir and
+    # the IQM gate of Ewds.build make one a complex of its own
+    src = Path(nmdecomp.__file__).parent
+    callers = []
+
+    def visit(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            fn = getattr(child, "func", None)
+            if isinstance(fn, ast.Attribute) and fn.attr == "subcomplex":
+                callers.append(f"{where}:{child.lineno}:{scope}")
+            visit(child, where, inner)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    assert [c.split(":")[::2] for c in callers] == [
+        ["cli.py", "cmd_decompose"],
+        ["winged.py", "Ewds.build"],
+    ], callers
 
 
 def test_only_queries_walk():

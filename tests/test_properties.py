@@ -37,7 +37,7 @@ from nmdecomp.oracle import (
     random_complex,
 )
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import by_copy, label_rows, order_of, packed, packed_ids
+from helpers import by_copy, component_complexes, label_rows, order_of, packed, packed_ids
 from test_implicit import assert_matches_reference
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -100,7 +100,7 @@ def test_decomposition_invariants(seed, d):
     c = draw(seed, d)
     dec = decompose(c)
     # every component is an initial quasi-manifold
-    for comp in dec.components:
+    for comp in component_complexes(dec):
         assert comp.classify().iqm
     # sigma is total and pastes the source back together
     assert set(dec.sigma) == set(dec.nabla.vertices)
@@ -234,7 +234,7 @@ def test_renumbering_rejects_exactly_non_iqm_components(seed, d):
     half = c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
     for x in (c, half):
         fake = DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
-        if all(map(oracle_iqm, fake.components)):
+        if all(map(oracle_iqm, component_complexes(fake))):
             assert_matches_reference(Ewds.build(fake), fake)
         else:
             with pytest.raises(NotIqm):
@@ -249,7 +249,7 @@ def test_pm_glued_lab_layers_match_oracle(seed, d):
     # the source is answered as the brute-force scan answers it
     rng = random.Random(seed)
     dec = lab_decomposition(draw(seed, d), rng)
-    assert not dec.iqm and all(map(oracle_iqm, dec.components))
+    assert not dec.iqm and all(map(oracle_iqm, component_complexes(dec)))
     assert_layer_matches_oracle(dec)
 
 
@@ -262,7 +262,7 @@ def test_lab_layers_are_packed_exactly_when_iqm(seed, d, veqs):
     # as the brute-force scan does
     rng = random.Random(seed)
     dec = lab_decomposition(draw(seed, d), rng, veqs)
-    if all(map(oracle_iqm, dec.components)):
+    if all(map(oracle_iqm, component_complexes(dec))):
         assert_layer_matches_oracle(dec)
     else:
         with pytest.raises(NotIqm):
@@ -351,14 +351,15 @@ def test_copy_kinds_match_the_components_vertices(seed, d):
     else:
         decs.append(DecompositionResult.from_parts(c, c, sigma))
     for dec in decs:
-        if not all(k.is_iqm() for k in dec.components):
+        if not all(k.is_iqm() for k in component_complexes(dec)):
             with pytest.raises(NotIqm):
                 Ewds.build(dec)
             continue
         ew = Ewds.build(dec)
         _, vertices = packed_ids(dec)
         copies_of = build_sigma_maps(ew)
-        comp_of = {v: ci for ci, comp in enumerate(dec.components) for v in comp.vertices}
+        comps = enumerate(component_complexes(dec))
+        comp_of = {v: ci for ci, comp in comps for v in comp.vertices}
         want = bytearray(ew.nv + 1)
         for cs in copies_of.values():
             comps = [comp_of[vertices[x]] for x in cs]
