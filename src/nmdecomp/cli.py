@@ -137,11 +137,11 @@ def cmd_decompose(args) -> int:
 # -- query ------------------------------------------------------------------
 
 
-_REL = re.compile(r"^S(\d)(\d)$")
+_REL = re.compile(r"S([0-9])([0-9])")  # ASCII digits, the whole name
 
 
 def cmd_query(args) -> int:
-    m = _REL.match(args.rel)
+    m = _REL.fullmatch(args.rel)
     if not m:
         raise BadRelation(f"relation {args.rel!r} is not of the form S<n><m>")
     n, mm = int(m.group(1)), int(m.group(2))

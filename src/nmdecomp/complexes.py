@@ -260,10 +260,12 @@ class Complex:
         the first top holding each of its h-faces; for h = 0 the key is the
         vertex itself.  Classes come out sorted, ordered by their smallest
         top.  Tops of dimension < h hold no h-face, so they sit in singleton
-        classes.
+        classes, and for h above the dimension every class is a singleton.
         """
         if type(h) is not int or h < 0:
             raise InvalidComplex(f"h must be an int >= 0, got {h!r}")
+        if h > self.dim:  # and combinations would overflow on a huge h
+            return [[t] for t in self._store_ids]
         parent = list(range(self.num_tops))
         first: dict = {}  # h-face -> index of the first top holding it
         for i, row in enumerate(self._rows()):
@@ -343,9 +345,14 @@ class Complex:
 
     def subcomplex(self, top_ids: Iterable[int]) -> "Complex":
         """The given tops, in any order, with their own vertices' labels: a
-        slice of this store, or all of it, not checked again."""
+        slice of this store, or all of it, not checked again.  Raises
+        InvalidComplex when top_ids is not iterable and UnknownTop on an
+        id that is no top."""
         ids, flat, start = self._store_ids, self._store_flat, self._store_start
-        tids = list(top_ids)
+        try:
+            tids = list(top_ids)
+        except TypeError:
+            raise InvalidComplex(f"subcomplex of {top_ids!r}: not a sequence of top ids") from None
         if tids != ids or not {int}.issuperset(map(type, tids)):
             ids, flat, start = [], [], [0]
             for i in sorted(set(map(self.position, tids))):
@@ -422,11 +429,35 @@ def facet_slots(
     Keys and values are ints and tuples of ints, which the cyclic garbage
     collector stops tracking after one pass, so a big table adds little to
     its full collections.
+
+    A row of width 4, a tet, the paper's main case, is unpacked into
+    locals and its four facets written out in the order `combinations`
+    yields them, so the table is the same, key order included; that
+    skips the iterators the generic loop makes per row.  Every other
+    width keeps the generic loop: tet meshes are where set-up spends its
+    time, and each unrolled width is more code to keep in step with the
+    loop.
     """
     out: dict[Simplex, int | tuple[int, ...]] = {}
     setdefault = out.setdefault
     vertex = flat.__getitem__
     for base, w in rows:
+        if w == 4:  # a tet, unrolled, in the generic loop's order
+            p, q, r, s = sorted(range(base, base + 4), key=vertex)
+            a, b, c, d = vertex(p), vertex(q), vertex(r), vertex(s)
+            f = a, b, c
+            if (prev := setdefault(f, s)) != s:
+                out[f] = prev + (s,) if type(prev) is tuple else (prev, s)
+            f = a, b, d
+            if (prev := setdefault(f, r)) != r:
+                out[f] = prev + (r,) if type(prev) is tuple else (prev, r)
+            f = a, c, d
+            if (prev := setdefault(f, q)) != q:
+                out[f] = prev + (q,) if type(prev) is tuple else (prev, q)
+            f = b, c, d
+            if (prev := setdefault(f, p)) != p:
+                out[f] = prev + (p,) if type(prev) is tuple else (prev, p)
+            continue
         if w < 2:
             continue
         # slots by vertex; combinations leave out the last vertex first

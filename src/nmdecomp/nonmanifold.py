@@ -41,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, compress, count, repeat
-from operator import not_
+from operator import itemgetter, not_
 from typing import Iterable
 
 from .complexes import Simplex, simplex, twice_chi_misses
@@ -355,12 +355,15 @@ def _row_layout(flags: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple] | N
     flags (SINGLE or TWIN from `_copy_kinds`, and HARVESTED), or None when
     no slot is HARVESTED.
 
-    Returns the slots of each corner (every subset of 2..w-2 slots that
-    holds a HARVESTED slot and fails the one-copy or the one-patch test of
-    `build_splitmap`, by ascending bitmask), the position of each bitmask
-    among the corners (-1 for the others), per slot k the (position,
-    slots) of the corners inside the facet opposite k, and (k, slots, one
-    copy) of every facet that holds a HARVESTED slot.
+    Returns one `operator.itemgetter` per corner (every subset of 2..w-2
+    slots that holds a HARVESTED slot and fails the one-copy or the
+    one-patch test of `build_splitmap`, by ascending bitmask), the
+    position of each bitmask among the corners (-1 for the others), per
+    slot k the (position, getter) of the corners inside the facet opposite
+    k, and (k, getter, one copy) of every facet that holds a HARVESTED
+    slot.  Each getter picks its slots out of a row in one C call and
+    returns a tuple, as a corner or a facet has two or more slots; the
+    harvest calls one per glued corner and per record.
     """
     w = len(flags)
     full = (1 << w) - 1
@@ -375,8 +378,8 @@ def _row_layout(flags: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple] | N
     if not harvested:
         return None
 
-    def slots(idx: int) -> tuple[int, ...]:
-        return tuple(j for j in range(w) if idx >> j & 1)
+    def getter(idx: int) -> itemgetter:
+        return itemgetter(*(j for j in range(w) if idx >> j & 1))
 
     def one_copy(idx: int) -> bool:
         return bool(idx & single) and not idx & twin
@@ -391,16 +394,17 @@ def _row_layout(flags: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple] | N
     position = [-1] * (full + 1)
     for p, idx in enumerate(corners):
         position[idx] = p
+    gets = tuple(map(getter, corners))
     in_facet = tuple(
-        tuple((p, slots(idx)) for p, idx in enumerate(corners) if not idx >> k & 1)
+        tuple((p, gets[p]) for p, idx in enumerate(corners) if not idx >> k & 1)
         for k in range(w)
     )
     facets = tuple(
-        (k, slots(full ^ 1 << k), one_copy(full ^ 1 << k))
+        (k, getter(full ^ 1 << k), one_copy(full ^ 1 << k))
         for k in range(w)
         if (full ^ 1 << k) & harvested
     )
-    return tuple(map(slots, corners)), tuple(position), in_facet, facets
+    return gets, tuple(position), in_facet, facets
 
 
 def _copy_kinds(ewds: Ewds, copies_of: dict[int, tuple[int, ...]]) -> bytearray:
@@ -468,7 +472,13 @@ def build_splitmap(
     one copy, or more than one patch, as a top spans only one copy of a
     key.  Its entry is the tuple of those representatives, ascending and
     distinct, since the rows are read in packed top order; no copy is
-    formed, as each representative's row names its own.
+    formed, as each representative's row names its own.  While a key has
+    one record, the record is its representative, a bare int: a top spans
+    a key at most once, so a second record is another top, and only then
+    is the tuple built.  Most keys read never get a second record.  The
+    union step finds each slot of a corner in the neighbour's row by
+    `list.index` on TVP, and skips rows without corners, which glue
+    nothing.
 
     Any harvest finds, whole, every key of several copies that holds a
     harvested vertex, and every key of one copy whose vertices are all
@@ -483,7 +493,9 @@ def build_splitmap(
     for vp in harvested:
         flags[vp] |= HARVESTED
     tvp, ttp = ewds.tvp, ewds.ttp
-    found: dict[Simplex, list[int]] = {}  # key -> representatives
+    # key -> its first representative, a tuple of them from the second on
+    found: dict[Simplex, int | tuple[int, ...]] = {}
+    setdefault = found.setdefault
     for h in range(2, ewds.d + 1):  # narrower rows have no such face
         w, off = ewds.block_layouts[h]
         lo, hi = ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
@@ -499,56 +511,81 @@ def build_splitmap(
         # glue the corners across order-2 facets
         parent = list(range(n))
         if n:
-            for t, (first, (_, _, in_facet, _)) in at.items():
+            for t, (first, (corners, _, in_facet, _)) in at.items():
+                if not corners:
+                    continue  # nothing to glue, here or in a neighbour
                 base = off + t * w
                 row = tvp[base : base + w]
                 for k in range(w):
                     u = ttp[base + k]
                     if u > t and in_facet[k]:
-                        urow = tvp[off + u * w : off + u * w + w]
-                        bit = [1 << urow.index(x) if j != k else 0 for j, x in enumerate(row)]
+                        ub = off + u * w
                         ufirst, (_, upos, _, _) = at[u]
-                        for p, slots in in_facet[k]:
+                        for p, get in in_facet[k]:
                             s = 0
-                            for j in slots:
-                                s |= bit[j]
+                            for x in get(row):
+                                s |= 1 << tvp.index(x, ub, ub + w) - ub
                             union_min(parent, first + p, ufirst + upos[s])
         # one record per patch: each root corner and each facet's cofaces
         for t, (c, (corners, _, _, facets)) in at.items():
             base = off + t * w
             srow = [sigma_n[x] for x in tvp[base : base + w]]
-            for slots in corners:
+            for get in corners:
                 if parent[c] == c:
-                    key = tuple(sorted([srow[j] for j in slots]))
-                    found.setdefault(key, []).append(t)
+                    key = tuple(sorted(get(srow)))
+                    if (prev := setdefault(key, t)) != t:
+                        found[key] = prev + (t,) if type(prev) is tuple else (prev, t)
                 c += 1
-            for k, slots, one_copy in facets:
+            for k, get, one_copy in facets:
                 nbr = ttp[base + k]
                 if 0 < nbr < t:
                     continue  # recorded from the smaller coface
                 if one_copy and nbr != DIAMOND:
                     continue  # the only copy of its key, and one patch
-                key = tuple(sorted([srow[j] for j in slots]))
-                found.setdefault(key, []).append(t)
-    return {key: tuple(reps) for key, reps in found.items() if len(reps) > 1}
+                key = tuple(sorted(get(srow)))
+                if (prev := setdefault(key, t)) != t:
+                    found[key] = prev + (t,) if type(prev) is tuple else (prev, t)
+    return {key: reps for key, reps in found.items() if type(reps) is tuple}
 
 
 def build_ft_trie(ewds: Ewds) -> FaceTops:
     """Face table and row list of the source complex, from TVP mapped
     through `Ewds.sigma_n` in one go: each block's rows, sorted in packed
     order, land at their TVP addresses by appending; a face shared by
-    several tops keeps the last of them."""
+    several tops keeps the last of them.
+
+    Tets and triangles, the blocks of surfaces and tetrahedralizations,
+    unpack each sorted row into locals and write its faces as tuple
+    displays, in the order `combinations` yields them, so the table is the
+    same, key order and kept top included, without the iterators the
+    generic loop makes per row and face size.  Every other width keeps the
+    generic loop: an edge row has no entry, and wider rows have too many
+    faces to write out."""
     src = list(map(ewds.sigma_n.__getitem__, ewds.tvp))
     faces: dict[Simplex, int] = {}
     rows = [0]
     for h in range(ewds.d + 1):
         w, lo, hi = h + 1, ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
-        for top, k in zip(ewds._block_tops(h), range(lo, hi, w)):
-            row = sorted(src[k : k + w])
-            rows.extend(row)
-            for r in range(2, w):
-                for face in combinations(row, r):
-                    faces[face] = top
+        tops = zip(ewds._block_tops(h), range(lo, hi, w))
+        if w == 4:  # chained targets are assigned left to right
+            for top, k in tops:
+                a, b, c, d = row = sorted(src[k : k + 4])
+                rows.extend(row)
+                faces[a, b] = faces[a, c] = faces[a, d] = faces[b, c] = faces[b, d] = top
+                faces[c, d] = faces[a, b, c] = faces[a, b, d] = faces[a, c, d] = top
+                faces[b, c, d] = top
+        elif w == 3:
+            for top, k in tops:
+                a, b, c = row = sorted(src[k : k + 3])
+                rows.extend(row)
+                faces[a, b] = faces[a, c] = faces[b, c] = top
+        else:
+            for top, k in tops:
+                row = sorted(src[k : k + w])
+                rows.extend(row)
+                for r in range(2, w):
+                    for face in combinations(row, r):
+                        faces[face] = top
     return FaceTops(faces, rows)
 
 

@@ -61,3 +61,36 @@ def boundary(c):
     cofaces = Counter(f for t in c.top_ids for f in combinations(sorted(c.row(t)), c.dim))
     return {f for f, n in cofaces.items() if n == 1}
 
+
+
+def reference_facet_slots(flat, rows):
+    """`complexes.facet_slots` as one generic loop over every width: each
+    row's facets from `combinations` of its slots sorted by vertex, which
+    leave out the last vertex first."""
+    out = {}
+    for base, w in rows:
+        if w < 2:
+            continue
+        pos = sorted(range(base, base + w), key=flat.__getitem__)
+        facets = combinations([flat[k] for k in pos], w - 1)
+        for facet, slot in zip(facets, reversed(pos)):
+            prev = out.setdefault(facet, slot)
+            if prev != slot:
+                out[facet] = prev + (slot,) if type(prev) is tuple else (prev, slot)
+    return out
+
+
+def reference_face_tops(ew):
+    """`nonmanifold.build_ft_trie`'s face table and row list from one
+    generic loop: every packed row, in packed order, sorted in source ids,
+    and its faces of 2..w-1 vertices from `combinations`, each kept by the
+    last top that spans it."""
+    faces, rows = {}, [0]
+    for h, (w, off) in enumerate(ew.block_layouts):
+        for t in range(ew.tbase[h], ew.tbase[h + 1]):
+            row = sorted(ew.sigma_n[x] for x in ew.tvp[off + t * w : off + t * w + w])
+            rows.extend(row)
+            for r in range(2, w):
+                for face in combinations(row, r):
+                    faces[face] = t
+    return faces, rows

@@ -253,10 +253,10 @@ def test_query_bad_relation(tvfile, capsys, monkeypatch):
     assert code == 1 and "BadRelation" in err
 
 
-@pytest.mark.parametrize("rel", ["S22", "S30"])
+@pytest.mark.parametrize("rel", ["S22", "S30", "S\u0660\u0661", "S01\n"])
 def test_query_bad_relation_before_reading_input(tmp_path, capsys, rel):
-    # n >= m is refused from the relation name alone, so a missing input
-    # is never opened
+    # n >= m, a non-ASCII digit and a trailing newline are refused from
+    # the relation name alone, so a missing input is never opened
     missing = str(tmp_path / "missing.tv")
     code, _, err = run(
         capsys, "query", missing, "--rel", rel, "--simplex", "1", "2", "2"

@@ -486,6 +486,8 @@ def test_vertex_equal_to_an_int_is_still_no_int(rows, bad):
     [
         (lambda c: c.subcomplex([999]), UnknownTop),
         (lambda c: c.subcomplex(t for t in (1, "2")), UnknownTop),
+        (lambda c: c.subcomplex(None), InvalidComplex),
+        (lambda c: c.subcomplex(1), InvalidComplex),
         (lambda c: c.row(True), UnknownTop),
         (lambda c: c.row(1.0), UnknownTop),
         (lambda c: c.row(0), UnknownTop),
@@ -503,6 +505,8 @@ def test_vertex_equal_to_an_int_is_still_no_int(rows, bad):
     ids=[
         "subcomplex-unknown",
         "subcomplex-str",
+        "subcomplex-none",
+        "subcomplex-int",
         "row-bool",
         "row-float",
         "row-below",
@@ -524,6 +528,8 @@ def test_lookups_raise_typed_errors(lookup, error):
         lookup(c)
     assert c.position(1) == 0
     assert c.star([1]) == {1} and c.star([999]) == c.star([1, 999]) == set()
+    # no top holds an h-face above the dimension, however large h is
+    assert c.h_connected_components(3) == c.h_connected_components(10**20) == [[1], [2], [3]]
     for tid in (True, 999):
         with pytest.raises(UnknownTop):
             c.position(tid)

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from nmdecomp.complexes import (
     Complex,
     canonical_pairs,
     corner_layout,
+    facet_slots,
     format_tv,
     parse_tv,
     simplex,
@@ -22,6 +24,7 @@ from nmdecomp.nonmanifold import (
     SINGLE,
     TWIN,
     _copy_kinds,
+    build_ft_trie,
     build_nm_layer,
     build_sigma_maps,
     build_splitmap,
@@ -37,7 +40,16 @@ from nmdecomp.oracle import (
     random_complex,
 )
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import by_copy, component_complexes, label_rows, order_of, packed, packed_ids
+from helpers import (
+    by_copy,
+    component_complexes,
+    label_rows,
+    order_of,
+    packed,
+    packed_ids,
+    reference_face_tops,
+    reference_facet_slots,
+)
 from test_implicit import assert_matches_reference
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -484,6 +496,39 @@ def test_face_table_and_row_list(seed, d):
         for r in range(2, len(row)):
             proper.update(combinations(row, r))
     assert set(nm.trie.faces) == proper
+
+
+def assert_kernels_match_reference(c):
+    """`facet_slots` over c's rows and over the packed rows, and the face
+    table and row list of `build_ft_trie`, equal their generic loops in
+    `helpers`, key order and kept top included."""
+    flat, start = corner_layout(c)
+    layouts = [(flat, list(zip(start, map(sub, start[1:], start))))]
+    ew = Ewds.build(decompose(c))
+    for h, (w, off) in enumerate(ew.block_layouts):
+        tops = range(ew.tbase[h], ew.tbase[h + 1])
+        layouts.append((ew.tvp, [(off + t * w, w) for t in tops]))
+    for flat, rows in layouts:
+        slots = facet_slots(flat, rows)
+        assert list(slots.items()) == list(reference_facet_slots(flat, rows).items())
+    ft = build_ft_trie(ew)
+    faces, rows = reference_face_tops(ew)
+    assert list(ft.faces.items()) == list(faces.items())
+    assert ft.rows == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=6))
+def test_unrolled_kernels_match_generic_loops(seed, d):
+    # tets and triangles take unrolled branches, every other width the
+    # generic loop; random complexes mix widths within one complex
+    assert_kernels_match_reference(draw(seed, d, max_tops=30))
+
+
+def test_unrolled_kernels_match_generic_loops_on_meshes(perforated_cube, perforated_grid):
+    # tet meshes with many shared facets, and a 4-D grid of width-5 rows
+    assert_kernels_match_reference(perforated_cube(0))
+    assert_kernels_match_reference(perforated_grid(3, 4, 0))
 
 
 @settings(max_examples=40, deadline=None)
