@@ -23,7 +23,7 @@ from .errors import BadRelation, ParseError, TopologyError
 from .fixtures import load_tv
 from .gluing import run_glue_script
 from .nonmanifold import NmLayer, build_nm_layer, check_relation
-from .oracle import random_complex
+from .oracle import MAX_DRAW_DIM, MAX_DRAW_TOPS, random_complex
 from .renumber import apply_renumbering, compute_renumbering
 from .winged import BOTTOM, DIAMOND, Ewds
 
@@ -366,13 +366,15 @@ def cmd_gen(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _in_range(low: int, high: int):
+    """argparse type: an integer from low to high."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -420,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a reproducible random complex")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-tops", type=_at_least(1), default=40)
-    p.add_argument("--dim", type=_at_least(0), default=3)
+    p.add_argument("--max-tops", type=_in_range(1, MAX_DRAW_TOPS), default=40)
+    p.add_argument("--dim", type=_in_range(0, MAX_DRAW_DIM), default=3)
     p.add_argument("-o", "--output")
     _add_common(p)
     p.set_defaults(func=cmd_gen)

@@ -21,13 +21,15 @@ order-2 pair both ways and two tops of one block share at most one facet,
 so the slot of a neighbour that holds the top the walk came from is the
 slot opposite their shared facet, and its vertex is the one the neighbour
 adds.  `apply_renumbering` then reads each dimension block of TVP/TTP as
-one slice, in implicit top order.
+one slice, in implicit top order.  It checks only a renumbering that
+`compute_renumbering` did not make from the same tables.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import BadRenumbering, OutOfRange, UnknownTop, UnknownVertex
@@ -38,13 +40,23 @@ MAGIC_IMPLICIT = b"EWD\x01"
 
 @dataclass
 class Renumbering:
-    """Old-to-new maps produced by the seed-and-pair traversal."""
+    """Old-to-new maps produced by the seed-and-pair traversal.
+
+    `compute_renumbering` marks its record with the tables it read
+    (`made_for`, a weak reference, so the record keeps no table alive), and
+    `apply_renumbering` trusts a marked record on those tables alone.  No
+    constructor or `dataclasses.replace` sets the mark, so a record built
+    or copied by hand is checked.  A marked record, or its Ewds, that is
+    changed in place is not checked again.  The maps stay lists, as tuples
+    would change the repr that the frozen encoding hashes of the tests read.
+    """
 
     ftt: list[int]                    # packed top id -> implicit id, index 0 unused
     fvv: list[int]                    # packed vertex id -> implicit id
     perms: dict[int, tuple[int, ...]]  # packed top -> new slot -> old slot (0-based)
     cc: list[int]                     # components per dimension
     vbase: list[int]                  # vertex block starts, sentinel nv+1
+    made_for: weakref.ref[Ewds] | None = field(default=None, init=False, compare=False, repr=False)
 
     def perm_of(self, t: int) -> tuple[int, ...]:
         return self.perms.get(t, ())
@@ -56,7 +68,8 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     The DFS of a block walks TTP, as the module says, and each seed is its
     component's first top, `Ewds.comp_first`: `Ewds.build` packs only
     IQMs, each one run of tops in one block whose vertex stars do not
-    fall apart, which the pairing invariants need.
+    fall apart, which the pairing invariants need.  The record is marked
+    as made for ewds, which `apply_renumbering` then trusts.
     """
     d = ewds.d
     nv = ewds.nv
@@ -143,7 +156,9 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
                 assert fvv[v] == -1  # reserved slots survive the pairing
                 fvv[v] = vnew
                 vnew += 1
-    return Renumbering(ftt, fvv, perms, cc, vbase)
+    ren = Renumbering(ftt, fvv, perms, cc, vbase)
+    ren.made_for = weakref.ref(ewds)
+    return ren
 
 
 @dataclass
@@ -214,20 +229,82 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
     Works on flat copies of TVP/TTP: the exchanges in perms are applied to
     their tops' rows, then each dimension block's rows are read in
     implicit top order and mapped through FVV and FTT in one pass.  Seed
-    rows are dropped from TVPP, paired rows keep all but their last slot
-    and unpaired rows are kept whole.
+    rows are dropped from TVPP, paired rows keep their first h slots and
+    unpaired rows are kept whole.
 
-    Raises BadRenumbering unless ren fits the tables: FTT, FVV, CC and
-    VBase must be lists of ints and perms a dict, FTT must permute each
-    dimension block and FVV the vertices, every exchange must be a tuple
-    keyed by an int top that permutes, in int slots, the slots of a top of
-    its width, and the vertex blocks must chain from 1 to NV+1, each with
-    its seeds' slots and one vertex per paired top.  The entries the table
-    drops must be arithmetic: in implicit order, the last slots of a
-    block's seeds and paired tops and then its seeds' other slots, seed by
-    seed, count up through its vertex block.
+    A record that `compute_renumbering` made from ewds itself is trusted,
+    as `Ewds.build` trusts a decomposition that `decompose` made.  Every
+    other record (built by hand, copied with `dataclasses.replace`, or
+    made from other tables, equal ones included) goes through
+    `_check_renumbering` first, which raises BadRenumbering unless it
+    fits.  A trusted record, or its Ewds, that is changed in place is not
+    checked again.
     """
-    d, nt, nv, tbase = ewds.d, ewds.nt, ewds.nv, ewds.tbase
+    mark = ren.made_for
+    if mark is None or mark() is not ewds:
+        _check_renumbering(ewds, ren)
+    d, tbase = ewds.d, ewds.tbase
+    ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
+
+    tv, tt = list(ewds.tvp), list(ewds.ttp)
+    for t, perm in ren.perms.items():
+        w = len(perm)
+        base = ewds.block_layouts[w - 1][1] + t * w
+        for arr in (tv, tt):
+            row = arr[base : base + w]
+            arr[base : base + w] = [row[p] for p in perm]
+    fnbr = [BOTTOM, *ftt[1:], DIAMOND]  # fnbr[DIAMOND] is the last entry
+    olds = sorted(range(1, ewds.nt + 1), key=ftt.__getitem__)  # in implicit order
+
+    taddr = [1]
+    iibnd: list[int] = []
+    iitaddr: list[int] = []
+    tvpp = [0]
+    ttpp = [0]
+    for h in range(d + 1):
+        w, off = ewds.block_layouts[h]
+        lo, hi = tbase[h], tbase[h + 1]
+        arithmetic = vbase[h + 1] - vbase[h] - cc[h] * h  # seeds and paired tops
+        iibnd.append(lo + arithmetic)
+        iitaddr.append(taddr[h] + (arithmetic - cc[h]) * h)
+        taddr.append(taddr[h] + (hi - lo) * w - (vbase[h + 1] - vbase[h]))
+        block = olds[lo - 1 : hi - 1]
+        ttpp += [fnbr[u] for t in block for u in tt[off + t * w : off + t * w + w]]
+        # seeds are fully arithmetic, paired tops all but their last slot
+        tvpp += [
+            fvv[v] for t in block[cc[h] : arithmetic] for v in tv[off + t * w : off + t * w + h]
+        ]
+        tvpp += [fvv[v] for t in block[arithmetic:] for v in tv[off + t * w : off + t * w + w]]
+
+    return ImplicitEwds(
+        d=d,
+        nt=ewds.nt,
+        nv=ewds.nv,
+        tbase=list(ewds.tbase),
+        tbase_addr=list(ewds.tbase_addr),
+        cc=cc,
+        vbase=vbase,
+        taddr=taddr,
+        iibnd=iibnd,
+        iitaddr=iitaddr,
+        tvpp=tvpp,
+        ttpp=ttpp,
+    )
+
+
+def _check_renumbering(ewds: Ewds, ren: Renumbering) -> None:
+    """Raise BadRenumbering unless ren fits the tables of ewds.
+
+    FTT, FVV, CC and VBase must be lists of ints and perms a dict, FTT must
+    permute each dimension block and FVV the vertices, every exchange must
+    be a tuple keyed by an int top that permutes, in int slots, the slots
+    of a top of its width, and the vertex blocks must chain from 1 to NV+1,
+    each with its seeds' slots and one vertex per paired top.  The entries
+    the table drops must be arithmetic: in implicit order, the last slots
+    of a block's seeds and paired tops and then its seeds' other slots,
+    seed by seed, count up through its vertex block.
+    """
+    d, nt, nv, tbase, tv = ewds.d, ewds.nt, ewds.nv, ewds.tbase, ewds.tvp
     maps = ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
     perms = ren.perms
     # one type pass over maps and exchanges: a bool or float equal to the
@@ -246,58 +323,23 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
         raise BadRenumbering(f"block directories do not fit {nv} vertices in dimension {d}")
     if sorted(fvv[1:]) != list(range(1, nv + 1)):
         raise BadRenumbering("FVV does not permute the vertices")
-
-    tv, tt = list(ewds.tvp), list(ewds.ttp)
     for t, perm in perms.items():
         w = len(perm)
         if not (0 < w <= d + 1 and tbase[w - 1] <= t < tbase[w] and sorted(perm) == [*range(w)]):
             raise BadRenumbering(f"slot exchange {perm!r} does not fit top {t}")
-        base = ewds.block_layouts[w - 1][1] + t * w
-        for arr in (tv, tt):
-            row = arr[base : base + w]
-            arr[base : base + w] = [row[p] for p in perm]
-    fnbr = [BOTTOM, *ftt[1:], DIAMOND]  # fnbr[DIAMOND] is the last entry
 
-    taddr = [1]
-    iibnd: list[int] = []
-    iitaddr: list[int] = []
-    tvpp = [0]
-    ttpp = [0]
     for h in range(d + 1):
         w, off = ewds.block_layouts[h]
         lo, hi = tbase[h], tbase[h + 1]
-        arithmetic = vbase[h + 1] - vbase[h] - cc[h] * h  # seeds and paired tops
+        arithmetic = vbase[h + 1] - vbase[h] - cc[h] * h
         if not 0 <= cc[h] <= arithmetic <= hi - lo:
             raise BadRenumbering(f"vertex block {h} does not fit its top block")
-        iibnd.append(lo + arithmetic)
-        iitaddr.append(taddr[h] + (arithmetic - cc[h]) * h)
-        taddr.append(taddr[h] + (hi - lo) * w - (vbase[h + 1] - vbase[h]))
-        olds = sorted(range(lo, hi), key=ftt.__getitem__)  # in implicit order
+        olds = sorted(range(lo, hi), key=ftt.__getitem__)
         if list(map(ftt.__getitem__, olds)) != list(range(lo, hi)):
             raise BadRenumbering(f"FTT does not permute the dimension-{h} block")
-        rows = [fvv[v] for t in olds for v in tv[off + t * w : off + t * w + w]]
-        ttpp += [fnbr[u] for t in olds for u in tt[off + t * w : off + t * w + w]]
-        reserved = rows[: cc[h] * w]  # the seeds' first h slots
-        del reserved[h::w]
-        if rows[h : arithmetic * w : w] + reserved != list(range(vbase[h], vbase[h + 1])):
+        # each top's new slot k holds its old slot perm[k]
+        slots = [(off + t * w, perms.get(t, range(w))) for t in olds[:arithmetic]]
+        dropped = [fvv[tv[base + perm[h]]] for base, perm in slots]
+        dropped += [fvv[tv[base + perm[j]]] for base, perm in slots[: cc[h]] for j in range(h)]
+        if dropped != list(range(vbase[h], vbase[h + 1])):
             raise BadRenumbering(f"vertex block {h} breaks the pairing arithmetic")
-        paired = rows[cc[h] * w : arithmetic * w]  # seeds are fully arithmetic
-        del paired[h::w]
-        tvpp += paired
-        tvpp += rows[arithmetic * w :]
-    assert len(tvpp) == taddr[d + 1]
-
-    return ImplicitEwds(
-        d=d,
-        nt=ewds.nt,
-        nv=ewds.nv,
-        tbase=list(ewds.tbase),
-        tbase_addr=list(ewds.tbase_addr),
-        cc=cc,
-        vbase=vbase,
-        taddr=taddr,
-        iibnd=iibnd,
-        iitaddr=iitaddr,
-        tvpp=tvpp,
-        ttpp=ttpp,
-    )

@@ -447,6 +447,19 @@ def test_gen_rejects_out_of_range(capsys, flag, value):
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-tops", "1001"), ("--max-tops", "100000000000000000000"),
+     ("--dim", "17"), ("--dim", "100000000000000000000")],
+)
+def test_gen_refuses_sizes_above_its_caps(capsys, flag, value):
+    # refused before drawing: the huge ones, drawn, would not end
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--seed", "7", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at most" in capsys.readouterr().err
+
+
 def test_gen_accepts_smallest_arguments(capsys):
     code, out, _ = run(capsys, "gen", "--seed", "1", "--max-tops", "1", "--dim", "0")
     assert code == 0 and out == "simplex 1: 1\n"

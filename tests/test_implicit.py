@@ -1,8 +1,10 @@
 """Adjacency-driven renumbering and the implicit vertex table."""
 
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 from bisect import bisect_left
 
 import pytest
@@ -19,6 +21,7 @@ from nmdecomp.errors import (
     UnknownVertex,
 )
 from nmdecomp.gluing import GluingState
+from nmdecomp import renumber
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import oracle_decompose, oracle_walk, random_complex
 from nmdecomp.renumber import (
@@ -475,6 +478,103 @@ def test_renumbering_of_another_decomposition_is_refused(mixed):
     for ew, other in ((small, big), (big, small)):
         with pytest.raises(BadRenumbering):
             apply_renumbering(ew, compute_renumbering(other))
+
+
+def test_no_caller_can_set_the_renumbering_mark(imp_mixed):
+    ew, ren, _ = imp_mixed
+    assert ren.made_for() is ew
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(ren, made_for=weakref.ref(ew))
+    with pytest.raises(TypeError):
+        Renumbering(ren.ftt, ren.fvv, ren.perms, ren.cc, ren.vbase, weakref.ref(ew))
+    with pytest.raises(TypeError):
+        Renumbering(ren.ftt, ren.fvv, ren.perms, ren.cc, ren.vbase, made_for=weakref.ref(ew))
+    # copies start unmarked, and the mark is no part of equality or repr
+    for copy in (dataclasses.replace(ren), _mangled(ren)):
+        assert copy.made_for is None
+        assert copy == ren and repr(copy) == repr(ren)
+
+
+def test_renumbering_mark_keeps_no_table_alive(mixed):
+    ew = Ewds.build(decompose(mixed))
+    ren = compute_renumbering(ew)
+    table = weakref.ref(ew)
+    del ew
+    gc.collect()
+    assert table() is None and ren.made_for() is None
+
+
+def test_encoding_trusts_compute_renumbering(
+    monkeypatch, mixed, cones, perforated_cube, perforated_grid
+):
+    # a record that compute_renumbering made from the same tables is not
+    # checked again: with the check broken every encoding comes out as before
+    complexes = [mixed, cones, perforated_cube(0), perforated_grid(3, 4, 0)]
+    tables = [Ewds.build(decompose(c)) for c in complexes]
+    want = [_encoded(ew) for ew in tables]
+
+    def no_check(ewds, ren):
+        raise AssertionError("checked a renumbering that compute_renumbering made")
+
+    monkeypatch.setattr(renumber, "_check_renumbering", no_check)
+    assert [_encoded(ew) for ew in tables] == want
+    assert [_encoded(Ewds.build(decompose(c))) for c in complexes] == want
+
+
+def test_marked_renumbering_of_other_tables_is_checked(monkeypatch, mixed):
+    ew = Ewds.build(decompose(mixed))
+    ren = compute_renumbering(ew)
+    want = apply_renumbering(ew, ren)
+    checked = []
+    check = renumber._check_renumbering
+
+    def counted(ewds, ren):
+        checked.append(ewds)
+        check(ewds, ren)
+
+    monkeypatch.setattr(renumber, "_check_renumbering", counted)
+    # equal tables in another object, and a record whose tables are gone
+    same = dataclasses.replace(ew)
+    assert same == ew and same is not ew
+    assert apply_renumbering(same, ren) == want
+    assert checked == [same]
+    orphan = compute_renumbering(Ewds.build(decompose(mixed)))
+    gc.collect()
+    assert orphan.made_for() is None
+    assert apply_renumbering(ew, orphan) == want
+    assert checked == [same, ew]
+    # a record applied to the tables it was made from is not
+    assert apply_renumbering(ew, ren) == want
+    assert len(checked) == 2
+    # nor does the mark let a record through to other tables that it misfits
+    other = Ewds.build(decompose(kuhn_cube(2)))
+    with pytest.raises(BadRenumbering):
+        apply_renumbering(other, ren)
+    assert checked[-1] is other
+
+
+def assert_checked_equals_trusted(ew: Ewds) -> None:
+    """The checked path accepts the library's record and builds what the
+    trusted path builds."""
+    ren = compute_renumbering(ew)
+    assert apply_renumbering(ew, ren) == apply_renumbering(ew, dataclasses.replace(ren))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+def test_checked_renumbering_matches_trusted(seed, d):
+    dec = decompose(random_complex(seed=seed, max_tops=30, d=d))
+    ew = Ewds.build(dec)
+    assert_checked_equals_trusted(ew)
+    assert_matches_reference(ew, dec)
+
+
+def test_checked_renumbering_matches_trusted_on_meshes(perforated_cube, perforated_grid):
+    for c in (perforated_cube(0), perforated_grid(3, 4, 0)):
+        dec = decompose(c)
+        ew = Ewds.build(dec)
+        assert_checked_equals_trusted(ew)
+        assert_matches_reference(ew, dec)
 
 
 def _mangled(ren: Renumbering, **changes) -> Renumbering:

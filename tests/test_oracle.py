@@ -11,6 +11,8 @@ from nmdecomp.decompose import decompose
 from nmdecomp.errors import DimensionUnsupported, InvalidComplex, NotAFace
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.oracle import (
+    MAX_DRAW_DIM,
+    MAX_DRAW_TOPS,
     _boundary_cycles,
     euler_all_faces,
     face_counts,
@@ -107,12 +109,21 @@ def test_random_complex_bounds():
 
 @pytest.mark.parametrize(
     "max_tops, d",
-    [(0, 3), (-2, 3), (5, -1), (5, -3), (2.5, 3), (5, 2.0), ("5", 2), (5, None), (True, 2)],
+    [(0, 3), (-2, 3), (5, -1), (5, -3), (2.5, 3), (5, 2.0), ("5", 2), (5, None), (True, 2),
+     # above the caps; the huge ones, if drawn, would allocate without bound
+     (MAX_DRAW_TOPS + 1, 3), (10**20, 1), (5, MAX_DRAW_DIM + 1), (5, 10**20)],
 )
 def test_random_complex_refuses_bad_sizes(max_tops, d):
     # refused before drawing, with the package's error, still a ValueError
     with pytest.raises(InvalidComplex):
         random_complex(1, max_tops, d)
+
+
+def test_random_complex_draws_at_its_caps():
+    many = random_complex(3, MAX_DRAW_TOPS, 1)
+    assert 1 <= many.num_tops <= MAX_DRAW_TOPS
+    wide = random_complex(3, 1, MAX_DRAW_DIM)
+    assert wide.num_tops == 1 and wide.dim == MAX_DRAW_DIM
 
 
 def test_random_complex_in_lattice():

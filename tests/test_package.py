@@ -209,3 +209,31 @@ def test_only_queries_walk():
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text()), path.name, "")
     assert callers == ["nonmanifold.py:NmLayer.snm_global"]
+
+
+def test_only_compute_renumbering_marks_and_only_apply_checks():
+    # compute_renumbering marks the record it makes with the tables it read,
+    # and apply_renumbering checks whatever record is not so marked: the
+    # mark is set nowhere else, and the check runs nowhere else
+    src = Path(nmdecomp.__file__).parent
+    checks, marks = [], []
+
+    def visit(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name == "_check_renumbering":
+                checks.append(f"{where}:{scope}")
+            if isinstance(child, ast.Attribute) and name == "made_for":
+                if not isinstance(child.ctx, ast.Load):  # a store or del
+                    marks.append(f"{where}:{scope}")
+            if isinstance(child, ast.Constant) and child.value == "made_for":
+                marks.append(f"{where}:{scope}")  # setattr by name
+            visit(child, where, inner)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    assert checks == ["renumber.py:apply_renumbering"]
+    assert marks == ["renumber.py:compute_renumbering"]
