@@ -591,16 +591,21 @@ def twice_chi_misses(
     which lowers chi by one.  Only the sphere reaches chi = 2, and with
     boundary only the disk reaches chi = 1.  So a is missed unless
     2E - T - B is 4 with B = 0, or 2 with B > 0.
+
+    Each edge a < b is counted once as the int a * n + b, which the
+    collector does not track as it would a tuple.
     """
     seq = flat[lo:hi]
     tets, bnd, deg = [0] * n, [0] * n, [0] * n
     for x in seq:
         tets[x] += 1
-    rows = map(sorted, zip(*[iter(seq)] * 4))  # the rows, 4 at a time
-    pairs = map(itertools.combinations, rows, itertools.repeat(2))
-    for a, b in set(itertools.chain.from_iterable(pairs)):  # each edge once
-        deg[a] += 1
-        deg[b] += 1
+    edges: set[int] = set()
+    for a, b, c, d in map(sorted, zip(*[iter(seq)] * 4)):  # the rows, 4 at a time
+        an, bn, cn = a * n, b * n, c * n
+        edges.update((an + b, an + c, an + d, bn + c, bn + d, cn + d))
+    for e in edges:  # each edge once
+        deg[e // n] += 1
+        deg[e % n] += 1
     for k in boundary:
         base = k - (k - lo) % 4
         for x in flat[base : base + 4]:

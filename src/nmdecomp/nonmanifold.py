@@ -28,10 +28,11 @@ the layer's own tables, so the query lays out their blocks from
 `Ewds.block_layouts` unchecked.
 
 Every stage works in packed ids, on the tables and `Ewds.sigma_n`: the
-copy lists invert sigma_n, the face table and its row list are TVP mapped
-through it, and the splitmap and v_nra read TVP and TTP.  Where the
-components sit comes from `Ewds.comp_first`.  Nothing here reads the
-decomposition, so a layer does not keep it alive.
+copy lists invert sigma_n, the face table and its row list, one sorted
+tuple per packed top, are TVP mapped through it, and the splitmap and
+v_nra read TVP and TTP.  Where the components sit comes from
+`Ewds.comp_first`.  Nothing here reads the decomposition, so a layer does
+not keep it alive.
 """
 
 from __future__ import annotations
@@ -78,12 +79,14 @@ class FaceTops:
     whole top rows: a top has no proper coface, so every relation on it is
     empty, which a miss also answers.
 
-    rows runs parallel to TVP: at each packed top's addresses it holds that
-    top's source vertex ids in ascending order, which is the sorted image
-    of its TVP row under sigma, as sigma is one-to-one on a row.
+    rows is indexed by packed top id, entry 0 an empty tuple: each top's
+    entry is its source vertex ids in ascending order, one tuple, which is
+    the sorted image of its TVP row under sigma, as sigma is one-to-one on
+    a row.  A query reads the stored tuples and slices nothing, for which
+    each top pays a tuple on top of its list slot.
     """
 
-    def __init__(self, faces: dict[Simplex, int], rows: list[int]) -> None:
+    def __init__(self, faces: dict[Simplex, int], rows: list[Simplex]) -> None:
         self.faces = faces
         self.rows = rows
 
@@ -127,29 +130,27 @@ class NmLayer:
         gamma: Simplex,
         m: int,
         w: int,
-        off: int,
     ) -> int:
         """Add to out the m-faces, in source ids, of tops that contain gamma.
 
-        Every top in tops spans the same copy of the source simplex gamma,
-        so all of them lie in the one dimension block of row width w and
-        offset off, which is at least m + 1 slots wide.  The face table's
-        row list holds each top's source ids, ascending, at its TVP
-        addresses, so every face is read off those slices already sorted:
-        the whole slice when m is the block's dimension, gamma plus one
-        link vertex when m = n + 1 (placed by comparisons when gamma has
-        one or two vertices, by bisection above), and otherwise the
-        combinations of the slice that contain gamma.  Returns the number
-        of faces enumerated, which a query counts as comparisons.
+        Every top in tops spans a copy of the source simplex gamma and lies
+        in the dimension block of row width w, which is at least m + 1 slots
+        wide.  The face table's row list holds each packed top's source ids,
+        ascending, as one tuple, so every face is read off those stored
+        rows already sorted: the row itself when m is the block's
+        dimension, gamma plus one link vertex when m = n + 1 (placed by
+        comparisons when gamma has one or two vertices, by bisection
+        above), and otherwise the combinations of the row that contain
+        gamma.  Returns the number of faces enumerated, which a query
+        counts as comparisons.
         """
         free = w - len(gamma)
         need = m + 1 - len(gamma)
-        rows = self.trie.rows
-        slices = [rows[off + t * w : off + t * w + w] for t in tops]
+        rows = list(map(self.trie.rows.__getitem__, tops))
         if need == free:
-            out.update(map(tuple, slices))
+            out.update(rows)
         elif need == 1:
-            link = set(chain.from_iterable(slices))
+            link = set(chain.from_iterable(rows))
             link.difference_update(gamma)
             if len(gamma) == 1:
                 (a,) = gamma
@@ -164,14 +165,14 @@ class NmLayer:
                     i = bisect_left(gamma, s)
                     out.add(gamma[:i] + (s,) + gamma[i:])
         else:
-            faces = chain.from_iterable(map(combinations, slices, repeat(m + 1)))
+            faces = chain.from_iterable(map(combinations, rows, repeat(m + 1)))
             if len(gamma) == 1:  # a vertex: one membership test per face
                 v = gamma[0]
                 out.update([f for f in faces if v in f])
             else:
                 gset = set(gamma)
                 out.update([f for f in faces if gset.issubset(f)])
-        return len(slices) * math.comb(free, need)
+        return len(rows) * math.comb(free, need)
 
     def snm_global(
         self,
@@ -194,11 +195,12 @@ class NmLayer:
         checked again.  A patch whose block is m or fewer slots wide holds
         no m-face and is skipped; `Ewds.walk_block` covers every other
         patch in that layout, which ticks one visit per top and one
-        expansion per slot outside the copy, and `_add_faces` reads the
-        m-faces off the tops it reaches.  The patches are disjoint, so no
-        top is visited twice.  Raises BadRelation as check_relation does,
-        and when gamma's vertices cannot be hashed or sorted or one is not
-        an int.
+        expansion per slot outside the copy.  The patches are disjoint, so
+        no top is visited twice, and the tops walked in one block are
+        pooled: `_add_faces` reads the m-faces off them in one call per
+        block, which counts the same comparisons as one call per patch.
+        Raises BadRelation as check_relation does, and when gamma's
+        vertices cannot be hashed or sorted or one is not an int.
         """
         try:
             gamma = simplex(gamma)
@@ -234,14 +236,21 @@ class NmLayer:
                     if sigma_n[x] in gamma:
                         cp.add(x)
                 patches.append((layout, cp, t))
-        out: set[Simplex] = set()
+        walked: dict[int, set[int]] = {}  # row width -> tops walked in that block
         for (w, off), cp, t in patches:
             if w <= m:
                 continue  # too narrow to hold an m-face
             tops = ew.walk_block(cp, t, w, off)
             counter.visits += len(tops)
             counter.expansions += len(tops) * (w - len(cp))
-            counter.comparisons += self._add_faces(out, tops, gamma, m, w, off)
+            prev = walked.get(w)
+            if prev is None:
+                walked[w] = tops
+            else:
+                prev |= tops  # the patches are disjoint
+        out: set[Simplex] = set()
+        for w, tops in walked.items():
+            counter.comparisons += self._add_faces(out, tops, gamma, m, w)
         return out
 
     # -- compression accounting --------------------------------------------
@@ -550,39 +559,39 @@ def build_splitmap(
 
 def build_ft_trie(ewds: Ewds) -> FaceTops:
     """Face table and row list of the source complex, from TVP mapped
-    through `Ewds.sigma_n` in one go: each block's rows, sorted in packed
-    order, land at their TVP addresses by appending; a face shared by
-    several tops keeps the last of them.
+    through `Ewds.sigma_n` in one go: each block's rows, sorted, are
+    appended in packed order as one tuple per top, so each lands at its
+    packed top id; a face shared by several tops keeps the last of them.
 
     Tets and triangles, the blocks of surfaces and tetrahedralizations,
     unpack each sorted row into locals and write its faces as tuple
     displays, in the order `combinations` yields them, so the table is the
     same, key order and kept top included, without the iterators the
-    generic loop makes per row and face size.  Every other width keeps the
-    generic loop: an edge row has no entry, and wider rows have too many
-    faces to write out."""
+    generic loop makes per row and face size, and append the unpacked row
+    as a tuple display.  Every other width keeps the generic loop: an edge
+    row has no entry, and wider rows have too many faces to write out."""
     src = list(map(ewds.sigma_n.__getitem__, ewds.tvp))
     faces: dict[Simplex, int] = {}
-    rows = [0]
+    rows: list[Simplex] = [()]
     for h in range(ewds.d + 1):
         w, lo, hi = h + 1, ewds.tbase_addr[h], ewds.tbase_addr[h + 1]
         tops = zip(ewds._block_tops(h), range(lo, hi, w))
         if w == 4:  # chained targets are assigned left to right
             for top, k in tops:
-                a, b, c, d = row = sorted(src[k : k + 4])
-                rows.extend(row)
+                a, b, c, d = sorted(src[k : k + 4])
+                rows.append((a, b, c, d))
                 faces[a, b] = faces[a, c] = faces[a, d] = faces[b, c] = faces[b, d] = top
                 faces[c, d] = faces[a, b, c] = faces[a, b, d] = faces[a, c, d] = top
                 faces[b, c, d] = top
         elif w == 3:
             for top, k in tops:
-                a, b, c = row = sorted(src[k : k + 3])
-                rows.extend(row)
+                a, b, c = sorted(src[k : k + 3])
+                rows.append((a, b, c))
                 faces[a, b] = faces[a, c] = faces[b, c] = top
         else:
             for top, k in tops:
-                row = sorted(src[k : k + w])
-                rows.extend(row)
+                row = tuple(sorted(src[k : k + w]))
+                rows.append(row)
                 for r in range(2, w):
                     for face in combinations(row, r):
                         faces[face] = top

@@ -321,24 +321,21 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
     nt = rng.randint(1, max_tops)
     pool = list(range(1, rng.randint(d + 2, 3 * (d + 1)) + 1))
 
-    cand: list[tuple[int, ...]] = []
+    # each vertex set drawn -> the candidate order of its first draw
+    first: dict[frozenset, tuple[int, ...]] = {}
     for i in range(nt):
         size = d + 1 if i == 0 else rng.randint(1, d + 1)
         row = tuple(rng.sample(pool, min(size, len(pool))))
-        cand.append(row)
-    # keep only maximal rows, first occurrence wins
-    rows: dict[int, tuple[int, ...]] = {}
+        first.setdefault(frozenset(row), row)
+    # keep only maximal rows, first occurrence wins: a repeated set is
+    # covered by a kept one when it comes again, so once per set will do
     kept: list[frozenset] = []
-    for row in cand:
-        fs = frozenset(row)
+    for fs in first:
         if any(fs <= other for other in kept):
             continue
         kept = [other for other in kept if not other < fs]
         kept.append(fs)
-    for i, fs in enumerate(kept, start=1):
-        # reuse the candidate order of the first row realizing this set
-        row = next(r for r in cand if frozenset(r) == fs)
-        rows[i] = row
+    rows = {i: first[fs] for i, fs in enumerate(kept, start=1)}
     source = Complex(rows, validate=False)
     state = GluingState(source)
 

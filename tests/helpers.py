@@ -1,5 +1,6 @@
 """Face counts and label rows that only tests ask of a complex, the
-packed ids of a decomposition, and splitmap entries grouped by copy."""
+packed ids of a decomposition, splitmap entries grouped by copy, and the
+generic loops that the unrolled kernels are checked against."""
 
 from collections import Counter
 from itertools import combinations
@@ -82,15 +83,38 @@ def reference_facet_slots(flat, rows):
 
 def reference_face_tops(ew):
     """`nonmanifold.build_ft_trie`'s face table and row list from one
-    generic loop: every packed row, in packed order, sorted in source ids,
-    and its faces of 2..w-1 vertices from `combinations`, each kept by the
-    last top that spans it."""
-    faces, rows = {}, [0]
+    generic loop: every packed row, in packed order, sorted in source ids
+    as one tuple per top after an empty entry 0, and its faces of 2..w-1
+    vertices from `combinations`, each kept by the last top that spans
+    it."""
+    faces, rows = {}, [()]
     for h, (w, off) in enumerate(ew.block_layouts):
         for t in range(ew.tbase[h], ew.tbase[h + 1]):
-            row = sorted(ew.sigma_n[x] for x in ew.tvp[off + t * w : off + t * w + w])
-            rows.extend(row)
+            row = tuple(sorted(ew.sigma_n[x] for x in ew.tvp[off + t * w : off + t * w + w]))
+            rows.append(row)
             for r in range(2, w):
                 for face in combinations(row, r):
                     faces[face] = t
     return faces, rows
+
+
+def reference_twice_chi_misses(flat, lo, hi, boundary, n):
+    """`complexes.twice_chi_misses` with each edge a sorted vertex pair
+    from `combinations`, collected in a set of tuples."""
+    tets, bnd, deg = [0] * n, [0] * n, [0] * n
+    for x in flat[lo:hi]:
+        tets[x] += 1
+    rows = [sorted(flat[k : k + 4]) for k in range(lo, hi, 4)]
+    for a, b in {e for row in rows for e in combinations(row, 2)}:
+        deg[a] += 1
+        deg[b] += 1
+    for k in boundary:
+        base = k - (k - lo) % 4
+        for x in flat[base : base + 4]:
+            bnd[x] += 1
+        bnd[flat[k]] -= 1
+    return [
+        x
+        for x in range(n)
+        if tets[x] and 2 * deg[x] - tets[x] - bnd[x] != (2 if bnd[x] else 4)
+    ]

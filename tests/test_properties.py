@@ -15,6 +15,7 @@ from nmdecomp.complexes import (
     format_tv,
     parse_tv,
     simplex,
+    twice_chi_misses,
 )
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import InvalidComplex, NotInTrie, NotIqm, TopologyError
@@ -49,6 +50,7 @@ from helpers import (
     packed_ids,
     reference_face_tops,
     reference_facet_slots,
+    reference_twice_chi_misses,
 )
 from test_implicit import assert_matches_reference
 
@@ -477,19 +479,17 @@ def test_trie_lookup_lands_on_incident_top(seed):
 @settings(max_examples=60, deadline=None)
 @given(seeds, dims)
 def test_face_table_and_row_list(seed, d):
-    # the row list holds each packed top's sorted source row at its TVP
-    # addresses, and the face table's keys are exactly the faces of
+    # the row list holds, at each packed top id, that top's sorted source
+    # row as one tuple, and the face table's keys are exactly the faces of
     # 2..w-1 vertices of some width-w top
     c = draw(seed, d)
     nm = build_nm_layer(Ewds.build(decompose(c)))
     ew, rows = nm.ewds, nm.trie.rows
     sigma_n = ew.sigma_n
-    assert len(rows) == len(ew.tvp)
-    for h in range(ew.d + 1):
-        w = h + 1
-        for t in range(ew.tbase[h], ew.tbase[h + 1]):
-            a = ew.tbase_addr[h] + (t - ew.tbase[h]) * w
-            assert rows[a : a + w] == sorted(sigma_n[x] for x in ew.tvp[a : a + w])
+    assert len(rows) == ew.nt + 1 and rows[0] == ()
+    for t in range(1, ew.nt + 1):
+        assert type(rows[t]) is tuple
+        assert rows[t] == tuple(sorted(sigma_n[x] for x in ew.row_of(t)))
     proper = set()
     for t in c.top_ids:
         row = sorted(c.row(t))
@@ -529,6 +529,26 @@ def test_unrolled_kernels_match_generic_loops_on_meshes(perforated_cube, perfora
     # tet meshes with many shared facets, and a 4-D grid of width-5 rows
     assert_kernels_match_reference(perforated_cube(0))
     assert_kernels_match_reference(perforated_grid(3, 4, 0))
+
+
+@st.composite
+def tet_blocks(draw):
+    """(flat, lo, hi, boundary, n): tet rows of 4 distinct vertices below n
+    after a prefix of lo slots, and a subset of their slots as boundary."""
+    n = draw(st.integers(min_value=4, max_value=12))
+    vertices = st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)
+    rows = draw(st.lists(vertices, max_size=40))
+    lo = draw(st.integers(min_value=0, max_value=3))
+    flat = [0] * lo + [v for row in rows for v in row]
+    slots = range(lo, len(flat))
+    boundary = draw(st.lists(st.sampled_from(slots), unique=True) if slots else st.just([]))
+    return flat, lo, len(flat), boundary, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(tet_blocks())
+def test_twice_chi_edges_as_ints_match_the_tuple_set(block):
+    assert twice_chi_misses(*block) == reference_twice_chi_misses(*block)
 
 
 @settings(max_examples=40, deadline=None)
