@@ -8,10 +8,18 @@ which their vertices were given (the winged tables inherit that order),
 while query arguments and results use sorted vertex tuples.
 
 Vertex ids are int ids, not bools, of any sign.  Files may label vertices
-with arbitrary alphanumeric tokens; the token table is kept so output can
-speak the file's labels.  `parse_tv` accepts a line with one regex match
-over the whole line, which holds the id and every token, and checks the
-distinct tokens, not each occurrence, for two numerals naming one vertex.
+with arbitrary alphanumeric tokens, and output speaks those labels
+(`Complex.label_of`).  A complex stores a label only where it differs from
+str() of its vertex, so a file of canonical numerals, and any
+decomposition of it, stores none, while a token such as "007", or a word,
+is kept.
+
+`parse_tv` writes the row store itself, with no row mapping between: one
+regex match over each whole line gives its id and token text, the row
+widths come from the texts, and the file's tokens map to vertices in one
+pass over one list.  It checks the distinct tokens, not each occurrence,
+for two numerals naming one vertex, and shares `_row_store`, the check of
+repeated vertices, top ids and maximality, with the mapping constructor.
 The per-line rules that give each fault its message run only once a fault
 is found, to name its line.
 
@@ -40,7 +48,7 @@ import itertools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import sub
+from operator import lt, sub
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -104,49 +112,45 @@ class Complex:
         validate: bool = True,
     ):
         ids: list[int] = []
-        rows: list[tuple[int, ...]] = []
+        flat: list = []
+        start = [0]
+        sets: list[frozenset] = []
         for tid, row in tv.items():
             try:
-                row = tuple(row)
+                flat += row
             except TypeError:
-                raise InvalidComplex(f"simplex {tid!r} is not a sequence of vertex ids") from None
-            if not row:
-                raise InvalidComplex(f"empty simplex for id {tid}")
+                fault = InvalidComplex(f"simplex {tid!r} is not a sequence of vertex ids")
+                raise _first_row_fault(tv, flat, start) or fault from None
             try:
-                repeated = len(set(row)) != len(row)
-            except TypeError:
-                raise InvalidComplex(f"simplex {tid!r} holds an unhashable vertex id") from None
-            if repeated:
-                raise InvalidComplex(f"repeated vertex in simplex {tid}")
-            ids.append(tid if type(tid) is int else _top_id(tid))
-            rows.append(row)
-        if len(set(ids)) < len(ids):  # two ids converted to one
-            first: dict[int, object] = {}
-            for tid in tv:
-                other = first.setdefault(_top_id(tid), tid)
-                if other != tid:
-                    raise InvalidComplex(f"top ids {other!r} and {tid!r} both name top {_top_id(tid)}")
-        if validate:
-            _check_maximality(ids, rows)
-        if ids != sorted(ids):  # the store holds the rows in id order
-            ids, rows = map(list, zip(*sorted(zip(ids, rows))))
-        flat = list(itertools.chain.from_iterable(rows))
-        self._set(ids, flat, list(itertools.accumulate(map(len, rows), initial=0)), labels)
+                sets.append(frozenset(flat[start[-1] :]))
+            except TypeError:  # an unhashable vertex, named after the faults before it
+                raise _first_row_fault(tv, flat, [*start, len(flat)]) from None
+            start.append(len(flat))
+            if type(tid) is not int:
+                try:
+                    tid = _top_id(tid)
+                except InvalidComplex as fault:  # after the faults of its row
+                    raise _first_row_fault(tv, flat, start) or fault from None
+            ids.append(tid)
+        own = labels and {v: t for v, t in labels.items() if t != str(v)}
+        self._set(*_row_store(tv, ids, flat, start, sets, validate), own)
 
     # -- construction ------------------------------------------------------
 
-    def _set(self, ids: list, flat: list, start: list, labels: Mapping | None) -> "Complex":
-        """Take the given store, unchecked."""
+    def _set(self, ids: list, flat: list, start: list, labels: dict | None) -> "Complex":
+        """Take the given store and labels, unchecked and not copied: each
+        label differs from str() of its vertex."""
         self._store_ids, self._store_flat, self._store_start = ids, flat, start
-        self._labels = dict(labels) if labels else None
+        self._labels = labels or None
         self._vt: dict[int, set[int]] | None = None
         self._dim: int | None = None
         return self
 
-    def with_corners(self, flat: list[int], labels: Mapping[int, str] | None) -> "Complex":
+    def with_corners(self, flat: list[int], labels: dict[int, str] | None) -> "Complex":
         """This complex's tops, sharing its ids and offsets, with corner k
-        (see `corner_layout`) holding vertex flat[k].  The rows are not
-        checked: each must hold distinct vertex ids."""
+        (see `corner_layout`) holding vertex flat[k], and the given labels,
+        which it keeps.  The rows are not checked: each must hold distinct
+        vertex ids."""
         return Complex.__new__(Complex)._set(self._store_ids, flat, self._store_start, labels)
 
     # -- basic accessors ---------------------------------------------------
@@ -199,6 +203,11 @@ class Complex:
     @property
     def num_vertices(self) -> int:
         return len(self._vertex_ids())
+
+    @property
+    def labelled(self) -> bool:
+        """Does some vertex have a label other than str() of its id?"""
+        return self._labels is not None
 
     def label_of(self, v: int) -> str:
         if self._labels and v in self._labels:
@@ -380,35 +389,94 @@ class Complex:
         return f"Complex({self.num_tops} tops, d={self.dim})"
 
 
-def _check_maximality(ids: list[int], rows: list[tuple[int, ...]]) -> None:
-    """Raise InvalidComplex on the first vertex id that is no int, and NotTop
-    on the first row that is a face of another, naming the smallest such
-    other; the ids and rows come in input order.
+def _row_store(
+    keys: Iterable,
+    ids: list[int],
+    flat: list,
+    start: list[int],
+    sets: list[frozenset],
+    validate: bool,
+) -> tuple[list[int], list, list[int]]:
+    """The store (ids, flat, start) of the given rows, sorted by top id.
+
+    This is the one check of `parse_tv` and the mapping constructor.  The
+    rows come in input order: row i has top id ids[i], the vertices
+    flat[start[i]:start[i + 1]] and their frozenset sets[i], which serves
+    both the repeated-vertex test and `_check_maximality`; keys yields the
+    ids as the input named them, which only messages read.  Raises
+    InvalidComplex at the first row that is empty or repeats a vertex, then
+    on two rows of one top id; with `validate`, then on a vertex id that is
+    no int, and NotTop as `_check_maximality` does.  Ids that ascend
+    strictly, as they do in most inputs, are neither counted nor sorted.
+    """
+    if not all(sets) or sum(map(len, sets)) != len(flat):  # an empty row, or a repeat
+        raise _first_row_fault(keys, flat, start)
+    ascending = all(map(lt, ids, ids[1:]))
+    if not ascending and len(set(ids)) < len(ids):
+        first: dict[int, object] = {}
+        for key, tid in zip(keys, ids):
+            if tid in first:
+                raise InvalidComplex(f"top ids {first[tid]!r} and {key!r} both name top {tid}")
+            first[tid] = key
+    if validate:
+        if not {int}.issuperset(map(type, flat)):
+            bad = next(v for v in flat if type(v) is not int)
+            raise InvalidComplex(f"vertex id {bad!r} is not an integer")
+        _check_maximality(ids, sets)
+    if ascending:
+        return ids, flat, start
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rows = [flat[start[i] : start[i + 1]] for i in order]
+    return (
+        [ids[i] for i in order],
+        list(itertools.chain.from_iterable(rows)),
+        list(itertools.accumulate(map(len, rows), initial=0)),
+    )
+
+
+def _first_row_fault(keys: Iterable, flat: list, start: list[int]) -> InvalidComplex | None:
+    """The InvalidComplex of the first row, in input order, that is empty,
+    holds an unhashable vertex or repeats one, named by its key; None if
+    no row does.  Only the rows that start delimits are read."""
+    for key, s, e in zip(keys, start, start[1:]):
+        if s == e:
+            return InvalidComplex(f"empty simplex for id {key}")
+        try:
+            repeated = len(set(flat[s:e])) != e - s
+        except TypeError:
+            return InvalidComplex(f"simplex {key!r} holds an unhashable vertex id")
+        if repeated:
+            return InvalidComplex(f"repeated vertex in simplex {key}")
+    return None
+
+
+def _check_maximality(ids: list[int], sets: list[frozenset]) -> None:
+    """Raise NotTop on the first row that is a face of another, naming the
+    smallest such other; ids and the rows' vertex sets come in input order.
 
     A row of the widest width can lie only in an equal row, so unless a set
-    of frozensets finds two equal ones, only the narrower rows are looked
-    up, in vertex -> tops sets for their own vertices alone.
+    of the widest rows finds two equal ones, only the narrower rows are
+    looked up, in vertex -> tops sets for their own vertices alone.
     """
-    if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
-        bad = next(v for v in itertools.chain.from_iterable(rows) if type(v) is not int)
-        raise InvalidComplex(f"vertex id {bad!r} is not an integer")
-    width = max(map(len, rows), default=0)
-    wide = [frozenset(r) for r in rows if len(r) == width]
+    widths = list(map(len, sets))
+    width = max(widths, default=0)
+    wide = [r for r, w in zip(sets, widths) if w == width]
     equal = len(set(wide)) < len(wide)
+    looked_up = [(t, r) for t, r, w in zip(ids, sets, widths) if equal or w < width]
+    if not looked_up:
+        return
+    vt: dict[int, set[int]] = {v: set() for _, r in looked_up for v in r}
+    low = vt.keys()
+    for t, r in zip(ids, sets):
+        if not low.isdisjoint(r):
+            for v in r:
+                if v in vt:
+                    vt[v].add(t)
     inside: dict[int, int] = {}  # top -> smallest other top containing it
-    looked_up = [(t, r) for t, r in zip(ids, rows) if equal or len(r) < width]
-    if looked_up:
-        vt: dict[int, set[int]] = {v: set() for _, r in looked_up for v in r}
-        low = vt.keys()
-        for t, r in zip(ids, rows):
-            if not low.isdisjoint(r):
-                for v in r:
-                    if v in vt:
-                        vt[v].add(t)
-        for t, r in looked_up:
-            cofaces = set.intersection(*(vt[v] for v in r))
-            if len(cofaces) > 1:
-                inside[t] = min(u for u in cofaces if u != t)
+    for t, r in looked_up:
+        cofaces = set.intersection(*(vt[v] for v in r))
+        if len(cofaces) > 1:
+            inside[t] = min(u for u in cofaces if u != t)
     for t in ids:
         if t in inside:
             raise NotTop(f"stored simplex {t} is a face of stored simplex {inside[t]}", t)
@@ -635,52 +703,58 @@ def parse_tv(text: str) -> Complex:
 
     If every token in the file is a decimal number, tokens are taken as the
     vertex ids themselves; otherwise tokens map to 1..NV in lexicographic
-    order, so ids are reproducible.  Raises ParseError for a file with no
+    order, so ids are reproducible.  A vertex keeps its token as a label
+    only where the token differs from str() of its id, so a file of
+    canonical numerals keeps none.  Raises ParseError for a file with no
     simplices, for two tokens, such as "01" and "1", naming one vertex, and
     at the line of a stored simplex that is a face of another.
 
-    One match of `_TV_LINE_RE` accepts each line (`_tv_rows`), and the
-    numeral check compares the distinct tokens.  Only when a line, a
-    repeated id, a repeated token or two numerals fail does `_first_fault`
-    run the per-line rules, to raise the fault of the first line that
-    breaks one.
+    It writes `Complex`'s store directly.  One match of `_TV_LINE_RE`
+    accepts each line and yields its id and token text; the row widths
+    come from splitting each row's text, and every token is mapped to its
+    vertex in one pass over the file's token list, which no per-row
+    object outlives.  The numeral check compares the distinct tokens, and
+    `_row_store` checks the rows and sorts them by id.  Only when a line,
+    a repeated id, a repeated token or two numerals fail does
+    `_first_fault` run the per-line rules, to raise the fault of the first
+    line that breaks one.
     """
-    rows, labels = _tv_rows(text)
+    numerals: list[str] = []  # the id of each simplex line
+    bodies: list[str] = []  # and its tokens
+    for m in map(_TV_LINE_RE.fullmatch, text.splitlines()):
+        if m is None:
+            raise _first_fault(text)
+        if m[1]:
+            numerals.append(m[1])
+            bodies.append(m[2])
+    if not numerals:
+        raise ParseError("no simplices")
+    ids = list(map(int, numerals))
+    start = list(itertools.accumulate(map(len, map(str.split, bodies)), initial=0))
+    tokens = " ".join(bodies).split()
+    # the texts, and the tokens below, are freed before the store is built:
+    # held to the end they raise the parse's memory peak by about 70 %
+    del numerals, bodies
+    vocab = set(tokens)
+    if all(map(str.isdigit, vocab)):
+        to_id = {t: int(t) for t in vocab}
+        if len(set(to_id.values())) < len(to_id):  # two numerals name one vertex
+            raise _first_fault(text)
+    else:
+        to_id = {t: i for i, t in enumerate(sorted(vocab), start=1)}
+    flat = list(map(to_id.__getitem__, tokens))
+    del tokens, vocab
+    labels = {v: t for t, v in to_id.items() if t != str(v)}
+    sets = [frozenset(flat[s:e]) for s, e in zip(start, start[1:])]
     try:
-        return Complex(rows, labels=labels)
-    except InvalidComplex:  # a token repeated in one simplex
+        store = _row_store(ids, ids, flat, start, sets, True)
+    except InvalidComplex:  # a repeated id, or a token repeated in one simplex
         raise _first_fault(text) from None
     except NotTop as exc:
         found = enumerate(map(_TV_LINE_RE.fullmatch, text.splitlines()), start=1)
         line_no = next(no for no, m in found if m[1] and int(m[1]) == exc.top)
         raise ParseError(str(exc), line_no) from exc
-
-
-def _tv_rows(text: str) -> tuple[dict[int, tuple[int, ...]], dict[int, str]]:
-    """The rows of a .tv text by id, and the label of each vertex id.
-
-    Raises the ParseError of `_first_fault` when a line, an id or a token
-    breaks a rule.  Its intermediate lists are freed on return, before
-    `Complex` checks the rows.
-    """
-    found = [m and m.groups() for m in map(_TV_LINE_RE.fullmatch, text.splitlines())]
-    if None in found:
-        raise _first_fault(text)
-    simplices = [g for g in found if g[0]]
-    if not simplices:
-        raise ParseError("no simplices")
-    ids, toks = zip(*simplices)
-    tids = list(map(int, ids))
-    toks = list(map(str.split, toks))
-    tokens = set().union(*toks)
-    if all(map(str.isdigit, tokens)):
-        to_id = {t: int(t) for t in tokens}
-    else:
-        to_id = {t: i for i, t in enumerate(sorted(tokens), start=1)}
-    labels = {i: t for t, i in to_id.items()}
-    if len(set(tids)) < len(tids) or len(labels) < len(to_id):
-        raise _first_fault(text)
-    return dict(zip(tids, [tuple(map(to_id.__getitem__, r)) for r in toks])), labels
+    return Complex.__new__(Complex)._set(*store, labels)
 
 
 def _first_fault(text: str) -> ParseError:

@@ -237,9 +237,10 @@ def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int
             if e - s > width[r]:
                 width[r] = e - s
 
-    label_of = source.label_of
-    labels = {v: label_of(v) for v in by_vertex}
-    used = set(labels.values())
+    # only a source that stores labels gives copies labels to keep: a
+    # numeric copy's label, str() of its fresh id, clashes with no other
+    labels = {v: source.label_of(v) for v in by_vertex} if source.labelled else None
+    used = set(labels.values()) if labels else set()
     sigma: dict[int, int] = {}
     copy_of = [0] * len(root)  # class -> vertex id in the decomposition
     next_id = max(by_vertex) + 1
@@ -254,15 +255,17 @@ def _number_classes(source: Complex, root: list[int]) -> tuple[Complex, dict[int
             else:
                 vid = next_id
                 next_id += 1
-                label, k = copy_label(labels[v], vid, n), n
-                while label in used:
-                    k += 1
-                    label = f"{labels[v]}_{k}"
-                labels[vid] = label
-                used.add(label)
+                if labels is not None:
+                    label, k = copy_label(labels[v], vid, n), n
+                    while label in used:
+                        k += 1
+                        label = f"{labels[v]}_{k}"
+                    labels[vid] = label
+                    used.add(label)
             sigma[vid] = v
             copy_of[r] = vid
-    return source.with_corners([copy_of[r] for r in root], labels), sigma
+    own = labels and {v: t for v, t in labels.items() if t != str(v)}
+    return source.with_corners([copy_of[r] for r in root], own), sigma
 
 
 def decomposition_from_corners(

@@ -327,22 +327,27 @@ def random_complex(seed: int, max_tops: int, d: int) -> Complex:
         size = d + 1 if i == 0 else rng.randint(1, d + 1)
         row = tuple(rng.sample(pool, min(size, len(pool))))
         first.setdefault(frozenset(row), row)
-    # keep only maximal rows, first occurrence wins: a repeated set is
-    # covered by a kept one when it comes again, so once per set will do
-    kept: list[frozenset] = []
+    # keep only the maximal sets, in order of first draw: a set lies in a
+    # bigger one exactly when two drawn sets hold all of its vertices
+    holders: dict[int, set[frozenset]] = {}  # vertex -> the drawn sets holding it
     for fs in first:
-        if any(fs <= other for other in kept):
-            continue
-        kept = [other for other in kept if not other < fs]
-        kept.append(fs)
+        for v in fs:
+            holders.setdefault(v, set()).add(fs)
+    kept = [fs for fs in first if len(set.intersection(*map(holders.__getitem__, fs))) == 1]
     rows = {i: first[fs] for i, fs in enumerate(kept, start=1)}
     source = Complex(rows, validate=False)
     state = GluingState(source)
 
+    # the pairs of tops that share a vertex, in `combinations` order
+    tops_of: dict[int, list[int]] = {}  # vertex -> the tops holding it, ascending
+    for t, row in rows.items():
+        for v in row:
+            tops_of.setdefault(v, []).append(t)
     sharing = [
         (t1, t2)
-        for t1, t2 in itertools.combinations(source.top_ids, 2)
-        if set(rows[t1]) & set(rows[t2])
+        for t1, row in rows.items()
+        for t2 in sorted(set().union(*(tops_of[v] for v in row)))
+        if t2 > t1
     ]
     if sharing:
         for _ in range(rng.randint(0, 3 * len(source.top_ids))):

@@ -52,6 +52,36 @@ def test_parse_roundtrip(fan, cones):
 
 
 @pytest.mark.parametrize(
+    "text, labels",
+    [
+        ("simplex 1: 1 2 3\nsimplex 2: 3 4 0\n", None),
+        ("simplex 1: 007 1 2\nsimplex 2: 2 3 05\nsimplex 3: 0 1\n", {7: "007", 5: "05"}),
+        ("simplex 1: b a 2\nsimplex 2: a_1 1\n", {3: "a", 4: "a_1", 5: "b"}),
+        ("simplex 1: 1 2 x\nsimplex 2: 3 x\n", {4: "x"}),
+    ],
+    ids=["numerals", "leading-zeros", "words", "numerals-among-words"],
+)
+def test_parse_keeps_labels_that_differ_from_the_id(text, labels):
+    # a label is kept only where it is not str() of its vertex; the text
+    # reads back through format_tv either way
+    c = parse_tv(text)
+    assert c._labels == labels
+    assert c.labelled is (labels is not None)
+    assert format_tv(c) == text
+    assert label_rows(parse_tv(format_tv(c))) == label_rows(c)
+
+
+@pytest.mark.parametrize(
+    "labels, kept",
+    [({1: "1", 2: "02"}, {2: "02"}), ({1: "1", 2: "2"}, None), ({1: "a", 9: "9"}, {1: "a"})],
+)
+def test_mapping_keeps_labels_that_differ_from_the_id(labels, kept):
+    c = Complex({1: (1, 2)}, labels=labels)
+    assert c._labels == kept
+    assert [c.label_of(1), c.label_of(2)] == [labels.get(1, "1"), labels.get(2, "2")]
+
+
+@pytest.mark.parametrize(
     "c, fault",
     [
         pytest.param(Complex({}), "at least one simplex", id="no-tops"),
@@ -307,6 +337,114 @@ def test_parse_tv_names_the_first_fault_as_reference(text):
     assert _parsed(parse_tv, text) == _parsed(reference_parse_tv, text)
 
 
+@st.composite
+def faulty_tv_texts(draw):
+    """A .tv text of maximal rows under unordered top ids, with up to two
+    injected faults, and what parse_tv must give: the rows in id order, or
+    the message, line and NotTop top of the fault that wins.
+
+    Each base row holds a token of its own, so no base row is a face of
+    another.  A fault is one inserted line: garbage, an id already taken
+    (after the line that took it), a non-canonical numeral of a vertex
+    named earlier, a repeated token, part of a base row, or, for no
+    simplex at all, a file whose rows are all gone."""
+    numeric = draw(st.booleans())
+    fault = st.sampled_from(["bad", "duplicate", "alias", "repeated", "face", "empty"])
+    kinds = [draw(fault) for _ in range(draw(st.integers(0, 2)))]
+    if "empty" in kinds:  # only garbage can go with a file of no simplex
+        kinds = [k for k in kinds if k == "bad"]
+        n_base = 0
+    else:
+        n_base = draw(st.integers(1, 5))
+    if not numeric:
+        kinds = [k for k in kinds if k != "alias"]  # "07" and "7" are two words
+    pool = list(map(str, range(1, 9))) if numeric else ["a", "b", "c", "d", "x_1", "B"]
+    fresh = iter(draw(st.lists(st.integers(0, 99), min_size=8, max_size=8, unique=True)))
+    lines: list = []  # (kind, id, tokens), or a string for a line that holds no simplex
+    for _ in range(n_base):
+        tid = next(fresh)
+        own = str(200 + tid) if numeric else f"p{tid}"
+        shared = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+        toks = draw(st.permutations([own, *shared]))
+        lines.append(("row", tid, toks))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "  ", "# simplex 1: a", "\t# x"])))
+    base = [x for x in lines if type(x) is tuple]
+    for n, kind in enumerate(kinds):
+        lo = 0
+        if kind == "bad":
+            line = draw(st.sampled_from(["nonsense", "simplex1: a", "simplex 1 a", ": a"]))
+        elif kind == "duplicate":
+            r = draw(st.sampled_from(base))
+            lo = lines.index(r) + 1
+            line = ("duplicate", r[1], [f"{r[2][0]}9"])
+        elif kind == "alias":
+            r, v = draw(st.sampled_from([(r, v) for r in base for v in r[2]]))
+            lo = lines.index(r) + 1
+            tid = next(fresh)
+            line = ("alias", tid, [str(300 + tid), "0" * (n + 1) + v])
+        elif kind == "repeated":
+            tid = next(fresh)
+            own = str(300 + tid) if numeric else f"q{tid}"
+            line = ("repeated", tid, [own, own])
+        else:
+            _, _, toks = draw(st.sampled_from(base))
+            part = draw(st.lists(st.sampled_from(toks), min_size=1, unique=True))
+            line = ("face", next(fresh), part)
+        lines.insert(draw(st.integers(lo, len(lines))), line)
+
+    text = "".join(
+        (x if type(x) is str else f"simplex {x[1]}: {' '.join(x[2])}") + "\n" for x in lines
+    )
+    numbered = list(enumerate(lines, start=1))
+    seen: set = set()
+    for no, x in numbered:  # the first line that breaks a per-line rule
+        if type(x) is str:
+            if x.strip() and not x.lstrip().startswith("#"):
+                return text, (f"expected 'simplex <id>: <tok> ...', got {x!r}", no, None)
+            continue
+        if x[1] in seen:
+            return text, (f"duplicate simplex id {x[1]}", no, None)
+        seen.add(x[1])
+        if x[0] == "repeated":
+            return text, ("repeated vertex token in one simplex", no, None)
+    rows = [(no, x[1], x[2]) for no, x in numbered if type(x) is tuple]
+    if not rows:
+        return text, ("no simplices", None, None)
+    for no, _, toks in rows:  # the first non-canonical numeral of a vertex named before
+        if any(t.startswith("0") for t in toks):
+            v = next(t for t in toks if t.startswith("0"))
+            return text, (f"tokens {v.lstrip('0')!r} and {v!r} both name vertex {int(v)}", no, None)
+    for no, tid, toks in rows:  # the first row, in line order, that is a face of another
+        others = [t for _, t, o in rows if t != tid and set(toks) <= set(o)]
+        if others:
+            message = f"stored simplex {tid} is a face of stored simplex {min(others)}"
+            return text, (message, no, tid)
+    tokens = sorted({t for _, _, toks in rows for t in toks})
+    to_id = {t: int(t) for t in tokens} if numeric else {t: i for i, t in enumerate(tokens, 1)}
+    return text, sorted((tid, tuple(map(to_id.get, toks))) for _, tid, toks in rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_tv_texts())
+def test_parse_tv_reports_faults_by_precedence(case):
+    # per-line faults in line order (a repeated token before any face),
+    # then no simplex, then two numerals for one vertex, then the first
+    # face in line order at its own line, whatever order the ids take
+    text, want = case
+    try:
+        c = parse_tv(text)
+    except ParseError as exc:
+        message, line_no, top = want
+        assert str(exc) == (message if line_no is None else f"line {line_no}: {message}")
+        assert exc.line_no == line_no
+        assert getattr(exc.__cause__, "top", None) == top
+    else:
+        assert list(c.rows().items()) == want
+        assert c.top_ids == sorted(c.top_ids)
+
+
 @pytest.mark.slow
 def test_parse_tv_matches_reference_at_benchmark_scale():
     # the ball, a brick less a seeded 30 % of its unit cubes, and 200 small
@@ -448,6 +586,13 @@ def test_bad_input_raises_invalid_complex(make):
         ({1.5: (1, 2)}, "top id 1.5 is not an integer"),
         ({2.0: (1, 2)}, "top id 2.0 is not an integer"),
         ({True: (1, 2)}, "top id True is not an integer"),
+        # the first row at fault wins, and a row's own faults precede its id's
+        ({1: (1, 1), 2: None}, "repeated vertex in simplex 1"),
+        ({1: [], 2: ([1], 2)}, "empty simplex for id 1"),
+        ({1: ([1], 2), 2: ()}, "simplex 1 holds an unhashable vertex id"),
+        ({3: (1, 2), 1: (2, 3), 2: 5}, "simplex 2 is not a sequence of vertex ids"),
+        ({1.5: (1, 1)}, "repeated vertex in simplex 1.5"),
+        ({2: (1, 2), "2": (3, 3)}, "repeated vertex in simplex 2"),
     ],
     ids=[
         "colliding-ids",
@@ -456,6 +601,12 @@ def test_bad_input_raises_invalid_complex(make):
         "float-id",
         "integral-float-id",
         "bool-id",
+        "repeat-before-no-sequence",
+        "empty-before-unhashable",
+        "unhashable-before-empty",
+        "no-sequence-after-unordered-ids",
+        "repeat-before-float-id",
+        "repeat-before-colliding-ids",
     ],
 )
 def test_invalid_complex_names_the_top(tv, message):

@@ -164,9 +164,31 @@ def test_copy_labels_numeric_vs_tokens(mixed, bouquet):
 
 
 def test_component_labels_cover_own_vertices(mixed, bouquet):
-    for c in (mixed, bouquet):
-        for comp in component_complexes(decompose(c)):
-            assert set(comp._labels) == set(comp.vertices)
+    # a component keeps no foreign vertex's label, and each of its vertices
+    # reads the label it has in nabla, an uncopied one its source's
+    star = "simplex 1: 007 1\nsimplex 2: 007 2\nsimplex 3: 007 3\n"
+    for c in (mixed, bouquet, parse_tv(star)):
+        dec = decompose(c)
+        for comp in component_complexes(dec):
+            assert set(comp._labels or ()) <= set(comp.vertices)
+            for v in comp.vertices:
+                assert comp.label_of(v) == dec.nabla.label_of(v)
+                if dec.sigma[v] == v:
+                    assert comp.label_of(v) == c.label_of(v)
+
+
+def test_numeric_sources_and_their_nablas_store_no_labels(mixed):
+    # a label is kept only where it differs from str() of its vertex
+    for c in (mixed, parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n")):
+        nabla = decompose(c).nabla
+        assert c._labels is None and nabla._labels is None
+        assert not c.labelled and not nabla.labelled
+        assert nabla.num_vertices > c.num_vertices
+        assert list(map(nabla.label_of, nabla.vertices)) == list(map(str, nabla.vertices))
+    # a copy of "007" takes its fresh id's numeral, which is no label to keep
+    nabla = decompose(parse_tv("simplex 1: 007 1\nsimplex 2: 007 2\nsimplex 3: 007 3\n")).nabla
+    assert nabla._labels == {7: "007"}
+    assert format_tv(nabla) == "simplex 1: 007 1\nsimplex 2: 8 2\nsimplex 3: 9 3\n"
 
 
 @pytest.mark.parametrize(

@@ -237,3 +237,33 @@ def test_only_compute_renumbering_marks_and_only_apply_checks():
         visit(ast.parse(path.read_text()), path.name, "")
     assert checks == ["renumber.py:apply_renumbering"]
     assert marks == ["renumber.py:compute_renumbering"]
+
+
+def test_parse_tv_writes_the_store_and_only_set_assigns_labels():
+    # parse_tv writes Complex's store itself: it builds no rows mapping for
+    # the mapping constructor, neither by calling Complex(...) nor through
+    # a rows helper.  And a label is stored only through Complex._set, the
+    # one place that keeps the rule that no label is just str() of its id.
+    src = Path(nmdecomp.__file__).parent
+    calls, stores = [], []
+
+    def visit(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            fn = getattr(child, "func", None)
+            name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+            if scope == "parse_tv" and name and (name == "Complex" or "rows" in name):
+                calls.append(f"{where}:{child.lineno}: {name}")
+            if isinstance(child, ast.Attribute) and child.attr == "_labels":
+                if not isinstance(child.ctx, ast.Load):  # a store or del
+                    stores.append(f"{where}:{inner}")
+            if isinstance(child, ast.Constant) and child.value == "_labels":
+                stores.append(f"{where}:{inner}")  # setattr by name, or a slot
+            visit(child, where, inner)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    assert calls == []
+    assert stores == ["complexes.py:Complex", "complexes.py:Complex._set"]

@@ -179,15 +179,19 @@ def test_format_tv_writes_what_parse_tv_reads(seed, d, top_shift, vertex_shift):
 @settings(max_examples=60, deadline=None)
 @given(seeds, dims, seeds)
 def test_copy_labels_read_back(seed, d, relabel):
-    # tokens that copy labels could take, numerals among them, label the
-    # draw; its decomposition is written and read back as it is
+    # tokens that copy labels could take, numerals among them, some with
+    # leading zeros, label the draw; its decomposition is written and read
+    # back as it is, and its labels stay unique
     c = draw(seed, d)
-    pool = [f"{x}{s}" for x in ("a", "b", "40") for s in ("", "_2", "_3")]
-    pool += map(str, range(40))
+    pool = [*map(str, range(60)), "070", "0061", "00100"]  # no two name one vertex
+    if relabel % 2:  # else a file of numerals
+        pool += [f"{x}{s}" for x in ("a", "b") for s in ("", "_2", "_3")] + ["40_2", "40_3"]
     tokens = dict(zip(c.vertices, random.Random(relabel).sample(pool, c.num_vertices)))
     rows = c.rows().items()
     src = parse_tv("".join(f"simplex {t}: {' '.join(map(tokens.get, r))}\n" for t, r in rows))
     nabla = decompose(src).nabla
+    labels = list(map(nabla.label_of, nabla.vertices))
+    assert len(set(labels)) == len(labels)
     assert label_rows(parse_tv(format_tv(nabla))) == label_rows(nabla)
 
 
