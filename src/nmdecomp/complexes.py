@@ -111,6 +111,8 @@ class Complex:
         labels: Mapping[int, str] | None = None,
         validate: bool = True,
     ):
+        if type(tv) is not dict and not isinstance(tv, Mapping):
+            raise InvalidComplex(f"rows are a {type(tv).__name__}, not a mapping of top ids")
         ids: list[int] = []
         flat: list = []
         start = [0]
@@ -132,7 +134,14 @@ class Complex:
                 except InvalidComplex as fault:  # after the faults of its row
                     raise _first_row_fault(tv, flat, start) or fault from None
             ids.append(tid)
-        own = labels and {v: t for v, t in labels.items() if t != str(v)}
+        own = None
+        if labels is not None:
+            if type(labels) is not dict and not isinstance(labels, Mapping):
+                raise InvalidComplex(f"labels are a {type(labels).__name__}, not a mapping")
+            own = {v: t for v, t in labels.items() if t != str(v)}
+            for v, t in own.items():  # a label that is no str differs from str(v)
+                if not isinstance(t, str):
+                    raise InvalidComplex(f"label {t!r} of vertex {v!r} is not a str")
         self._set(*_row_store(tv, ids, flat, start, sets, validate), own)
 
     # -- construction ------------------------------------------------------
@@ -717,8 +726,10 @@ def parse_tv(text: str) -> Complex:
     `_row_store` checks the rows and sorts them by id.  Only when a line,
     a repeated id, a repeated token or two numerals fail does
     `_first_fault` run the per-line rules, to raise the fault of the first
-    line that breaks one.
+    line that breaks one.  Text that is no str raises ParseError too.
     """
+    if not isinstance(text, str):
+        raise ParseError(f".tv text is a str, not a {type(text).__name__}")
     numerals: list[str] = []  # the id of each simplex line
     bodies: list[str] = []  # and its tokens
     for m in map(_TV_LINE_RE.fullmatch, text.splitlines()):

@@ -77,8 +77,10 @@ class NotIqm(TopologyError):
 
 
 class BadRenumbering(TopologyError):
-    """A renumbering whose maps or block directories do not fit the tables
-    it is applied to, such as one computed for another decomposition."""
+    """`apply_renumbering` was given anything but the record that
+    `compute_renumbering` made for the same tables: a record built or
+    copied by hand, one made for other tables, or one whose tables are
+    gone."""
 
 
 class BadRelation(TopologyError):

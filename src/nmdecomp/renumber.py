@@ -20,9 +20,10 @@ The DFS reads TTP alone to step between tops: `Ewds.build` packs every
 order-2 pair both ways and two tops of one block share at most one facet,
 so the slot of a neighbour that holds the top the walk came from is the
 slot opposite their shared facet, and its vertex is the one the neighbour
-adds.  `apply_renumbering` then reads each dimension block of TVP/TTP as
-one slice, in implicit top order.  It checks only a renumbering that
-`compute_renumbering` did not make from the same tables.
+adds.  Each exchange the DFS records trades that slot with the last one.
+`apply_renumbering` makes those swaps, then reads each dimension block of
+TVP/TTP as one slice, in implicit top order.  It takes only the record
+that `compute_renumbering` made for the same tables, and checks none.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .errors import BadRenumbering, OutOfRange, UnknownTop, UnknownVertex
 from .winged import BOTTOM, DIAMOND, Ewds, pack_dump
@@ -44,10 +44,11 @@ class Renumbering:
 
     `compute_renumbering` marks its record with the tables it read
     (`made_for`, a weak reference, so the record keeps no table alive), and
-    `apply_renumbering` trusts a marked record on those tables alone.  No
+    `apply_renumbering` takes a marked record on those tables alone.  No
     constructor or `dataclasses.replace` sets the mark, so a record built
-    or copied by hand is checked.  A marked record, or its Ewds, that is
-    changed in place is not checked again.  The maps stay lists, as tuples
+    or copied by hand is refused.  A marked record, or its Ewds, changed
+    in place is not checked.  Each exchange in perms is a transposition of
+    the last slot h with one slot k < h.  The maps stay lists, as tuples
     would change the repr that the frozen encoding hashes of the tests read.
     """
 
@@ -69,7 +70,7 @@ def compute_renumbering(ewds: Ewds) -> Renumbering:
     component's first top, `Ewds.comp_first`: `Ewds.build` packs only
     IQMs, each one run of tops in one block whose vertex stars do not
     fall apart, which the pairing invariants need.  The record is marked
-    as made for ewds, which `apply_renumbering` then trusts.
+    as made for ewds, the one record `apply_renumbering` takes for it.
     """
     d = ewds.d
     nv = ewds.nv
@@ -224,35 +225,38 @@ class ImplicitEwds:
 
 
 def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
-    """Emit the compressed tables for a computed renumbering.
+    """Emit the compressed tables for the renumbering of ewds.
 
-    Works on flat copies of TVP/TTP: the exchanges in perms are applied to
-    their tops' rows, then each dimension block's rows are read in
+    Works on flat copies of TVP/TTP: each exchange in perms swaps two
+    slots of its top's rows, then each dimension block's rows are read in
     implicit top order and mapped through FVV and FTT in one pass.  Seed
     rows are dropped from TVPP, paired rows keep their first h slots and
     unpaired rows are kept whole.
 
-    A record that `compute_renumbering` made from ewds itself is trusted,
-    as `Ewds.build` trusts a decomposition that `decompose` made.  Every
-    other record (built by hand, copied with `dataclasses.replace`, or
-    made from other tables, equal ones included) goes through
-    `_check_renumbering` first, which raises BadRenumbering unless it
-    fits.  A trusted record, or its Ewds, that is changed in place is not
-    checked again.
+    ren must be the record that `compute_renumbering` made from ewds
+    itself, as its mark says.  Anything else (a record built by hand,
+    copied with `dataclasses.replace`, made from other tables, equal ones
+    included, or whose tables were collected, and any object that is no
+    Renumbering) raises BadRenumbering, unchecked.  A marked record, or
+    its Ewds, changed in place is not checked.
     """
-    mark = ren.made_for
-    if mark is None or mark() is not ewds:
-        _check_renumbering(ewds, ren)
+    owner = ren.made_for() if isinstance(ren, Renumbering) and ren.made_for else None
+    if owner is None or owner is not ewds:
+        raise BadRenumbering(
+            "apply_renumbering takes only the record that compute_renumbering made for these tables"
+        )
     d, tbase = ewds.d, ewds.tbase
     ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
 
     tv, tt = list(ewds.tvp), list(ewds.ttp)
+    offs = [off for _, off in ewds.block_layouts]
     for t, perm in ren.perms.items():
-        w = len(perm)
-        base = ewds.block_layouts[w - 1][1] + t * w
-        for arr in (tv, tt):
-            row = arr[base : base + w]
-            arr[base : base + w] = [row[p] for p in perm]
+        # an exchange swaps the last slot h with the one slot k it names
+        h = len(perm) - 1
+        base = offs[h] + t * (h + 1)
+        a, b = base + perm[h], base + h
+        tv[a], tv[b] = tv[b], tv[a]
+        tt[a], tt[b] = tt[b], tt[a]
     fnbr = [BOTTOM, *ftt[1:], DIAMOND]  # fnbr[DIAMOND] is the last entry
     olds = sorted(range(1, ewds.nt + 1), key=ftt.__getitem__)  # in implicit order
 
@@ -290,56 +294,3 @@ def apply_renumbering(ewds: Ewds, ren: Renumbering) -> ImplicitEwds:
         tvpp=tvpp,
         ttpp=ttpp,
     )
-
-
-def _check_renumbering(ewds: Ewds, ren: Renumbering) -> None:
-    """Raise BadRenumbering unless ren fits the tables of ewds.
-
-    FTT, FVV, CC and VBase must be lists of ints and perms a dict, FTT must
-    permute each dimension block and FVV the vertices, every exchange must
-    be a tuple keyed by an int top that permutes, in int slots, the slots
-    of a top of its width, and the vertex blocks must chain from 1 to NV+1,
-    each with its seeds' slots and one vertex per paired top.  The entries
-    the table drops must be arithmetic: in implicit order, the last slots
-    of a block's seeds and paired tops and then its seeds' other slots,
-    seed by seed, count up through its vertex block.
-    """
-    d, nt, nv, tbase, tv = ewds.d, ewds.nt, ewds.nv, ewds.tbase, ewds.tvp
-    maps = ftt, fvv, cc, vbase = ren.ftt, ren.fvv, ren.cc, ren.vbase
-    perms = ren.perms
-    # one type pass over maps and exchanges: a bool or float equal to the
-    # right id would pass the value checks below, a None or str fail bare
-    shapes = {list}.issuperset(map(type, maps)) and type(perms) is dict
-    if not shapes or not {tuple}.issuperset(map(type, perms.values())):
-        raise BadRenumbering("FTT, FVV, CC and VBase must be lists, perms a dict of tuples")
-    if not {int}.issuperset(map(type, chain(*maps, perms, *perms.values()))):
-        raise BadRenumbering("every id, top and slot of a renumbering must be an int")
-    if len(ftt) != nt + 1 or len(fvv) != nv + 1:
-        raise BadRenumbering(
-            f"maps for {len(ftt) - 1} tops and {len(fvv) - 1} vertices "
-            f"do not fit tables of {nt} tops and {nv} vertices"
-        )
-    if len(cc) != d + 1 or len(vbase) != d + 2 or vbase[0] != 1 or vbase[d + 1] != nv + 1:
-        raise BadRenumbering(f"block directories do not fit {nv} vertices in dimension {d}")
-    if sorted(fvv[1:]) != list(range(1, nv + 1)):
-        raise BadRenumbering("FVV does not permute the vertices")
-    for t, perm in perms.items():
-        w = len(perm)
-        if not (0 < w <= d + 1 and tbase[w - 1] <= t < tbase[w] and sorted(perm) == [*range(w)]):
-            raise BadRenumbering(f"slot exchange {perm!r} does not fit top {t}")
-
-    for h in range(d + 1):
-        w, off = ewds.block_layouts[h]
-        lo, hi = tbase[h], tbase[h + 1]
-        arithmetic = vbase[h + 1] - vbase[h] - cc[h] * h
-        if not 0 <= cc[h] <= arithmetic <= hi - lo:
-            raise BadRenumbering(f"vertex block {h} does not fit its top block")
-        olds = sorted(range(lo, hi), key=ftt.__getitem__)
-        if list(map(ftt.__getitem__, olds)) != list(range(lo, hi)):
-            raise BadRenumbering(f"FTT does not permute the dimension-{h} block")
-        # each top's new slot k holds its old slot perm[k]
-        slots = [(off + t * w, perms.get(t, range(w))) for t in olds[:arithmetic]]
-        dropped = [fvv[tv[base + perm[h]]] for base, perm in slots]
-        dropped += [fvv[tv[base + perm[j]]] for base, perm in slots[: cc[h]] for j in range(h)]
-        if dropped != list(range(vbase[h], vbase[h + 1])):
-            raise BadRenumbering(f"vertex block {h} breaks the pairing arithmetic")

@@ -257,11 +257,15 @@ def pack_dump(magic: bytes, d: int, nt: int, nv: int, arrays: Iterable[list[int]
 def parse_dump(data: bytes) -> dict:
     """Unpack a binary dump back into named integer arrays.
 
-    Raises ParseError on a short header, a wrong magic number, block
-    directories that do not chain, a length that disagrees with them, or
-    the first entry outside its table: TVP 1..NV, VTSTAR 1..NT, and TTP
-    BOTTOM, DIAMOND or a top of its own block.
+    Raises ParseError on data that is not bytes-like, a short header, a
+    wrong magic number, block directories that do not chain, a length that
+    disagrees with them, or the first entry outside its table: TVP 1..NV,
+    VTSTAR 1..NT, and TTP BOTTOM, DIAMOND or a top of its own block.
     """
+    try:
+        data = memoryview(data).cast("B")
+    except TypeError:
+        raise ParseError(f"a dump is bytes-like, not a {type(data).__name__}") from None
     if len(data) < 16:
         raise ParseError(f"dump of {len(data)} bytes is shorter than its header")
     magic, d, nt, nv = struct.unpack_from("<4sIII", data, 0)

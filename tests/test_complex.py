@@ -121,6 +121,12 @@ def test_parse_rejects_garbage():
         parse_tv("simplex 1:\n")
 
 
+@pytest.mark.parametrize("text", [b"simplex 1: 1 2\n", None, 7, ["simplex 1: 1 2\n"]])
+def test_parse_rejects_text_that_is_no_str(text):
+    with pytest.raises(ParseError, match=f"not a {type(text).__name__}$"):
+        parse_tv(text)
+
+
 @pytest.mark.parametrize(
     "text, line_no",
     [
@@ -613,6 +619,35 @@ def test_invalid_complex_names_the_top(tv, message):
     for validate in (True, False):
         with pytest.raises(InvalidComplex, match=re.escape(message)):
             Complex(tv, validate=validate)
+
+
+@pytest.mark.parametrize(
+    "tv, labels, message",
+    [
+        ([(1, 2)], None, "rows are a list, not a mapping"),
+        (None, None, "rows are a NoneType, not a mapping"),
+        ({1: (1, 2)}, [1], "labels are a list, not a mapping"),
+        ({1: (1, 2)}, "12", "labels are a str, not a mapping"),
+        ({1: (1, 2, 3), 2: (1, 4, 5)}, {1: 5}, "label 5 of vertex 1 is not a str"),
+        ({1: (1, 2)}, {1: "a", 2: None}, "label None of vertex 2 is not a str"),
+        ({1: (1, 2)}, {2: b"b"}, "label b'b' of vertex 2 is not a str"),
+    ],
+    ids=["rows-list", "rows-none", "labels-list", "labels-str", "int-label", "none-label",
+         "bytes-label"],
+)
+def test_rows_and_labels_are_mappings_and_labels_str(tv, labels, message):
+    for validate in (True, False):
+        with pytest.raises(InvalidComplex, match=re.escape(message)):
+            Complex(tv, labels, validate=validate)
+
+
+def test_bowtie_label_that_is_no_str_is_refused_before_decompose():
+    # vertex 1 pinches the two triangles, so decompose copies its label
+    rows = {1: (1, 2, 3), 2: (1, 4, 5)}
+    with pytest.raises(InvalidComplex, match="label 5 of vertex 1 is not a str"):
+        decompose(Complex(rows, labels={1: 5}))
+    nabla = decompose(Complex(rows, labels={1: "v"})).nabla
+    assert format_tv(nabla) == "simplex 1: v 2 3\nsimplex 2: v_2 4 5\n"
 
 
 @pytest.mark.parametrize(

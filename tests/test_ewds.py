@@ -249,6 +249,19 @@ def test_parse_dump_rejects_malformed(cones, mangle):
         parse_dump(mangle(data))
 
 
+@pytest.mark.parametrize("data", [None, "EWD\x00", 16, [0] * 16])
+def test_parse_dump_rejects_what_is_not_bytes_like(data):
+    with pytest.raises(ParseError, match=f"bytes-like, not a {type(data).__name__}$"):
+        parse_dump(data)
+
+
+def test_parse_dump_reads_any_bytes_like(cones):
+    data = Ewds.build(decompose(cones)).dump_bytes()
+    want = parse_dump(data)
+    assert parse_dump(bytearray(data)) == want
+    assert parse_dump(memoryview(data)) == want
+
+
 def overwrite(data, table, k, value):
     """data with entry k (1-based) of table TVP, TTP or VTSTAR set to value."""
     d, _, nv = struct.unpack_from("<III", data, 4)

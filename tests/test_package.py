@@ -213,30 +213,31 @@ def test_only_queries_walk():
 
 def test_only_compute_renumbering_marks_and_only_apply_checks():
     # compute_renumbering marks the record it makes with the tables it read,
-    # and apply_renumbering checks whatever record is not so marked: the
-    # mark is set nowhere else, and the check runs nowhere else
+    # and apply_renumbering checks that mark and nothing else: the mark is
+    # set nowhere else, read nowhere else, and no renumbering check is left
     src = Path(nmdecomp.__file__).parent
-    checks, marks = [], []
+    marks, reads = [], set()
 
     def visit(node, where, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            name = getattr(child, "id", None) or getattr(child, "attr", None)
-            if name == "_check_renumbering":
-                checks.append(f"{where}:{scope}")
-            if isinstance(child, ast.Attribute) and name == "made_for":
-                if not isinstance(child.ctx, ast.Load):  # a store or del
+            if isinstance(child, ast.Attribute) and child.attr == "made_for":
+                if isinstance(child.ctx, ast.Load):
+                    reads.add(f"{where}:{scope}")
+                else:  # a store or del
                     marks.append(f"{where}:{scope}")
             if isinstance(child, ast.Constant) and child.value == "made_for":
-                marks.append(f"{where}:{scope}")  # setattr by name
+                marks.append(f"{where}:{scope}")  # setattr or getattr by name
             visit(child, where, inner)
 
     for path in sorted(src.rglob("*.py")):
-        visit(ast.parse(path.read_text()), path.name, "")
-    assert checks == ["renumber.py:apply_renumbering"]
+        text = path.read_text()
+        assert "_check_renumbering" not in text, path.name
+        visit(ast.parse(text), path.name, "")
     assert marks == ["renumber.py:compute_renumbering"]
+    assert reads == {"renumber.py:apply_renumbering"}
 
 
 def test_parse_tv_writes_the_store_and_only_set_assigns_labels():
