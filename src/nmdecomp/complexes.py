@@ -33,13 +33,14 @@ other top contains, with the two slots opposite each of them:
 `canonical_pairs` lists their pairs, the ones `gluing.GluingState.pmglue`
 accepts, and `glue_pairs` merges the corners of each pair in a union-find
 parent array.  `decompose` turns those corner classes into vertices, and
-`Complex.is_iqm` asks for exactly one class per vertex, so all of them
-read the same rule.  Set-up makes one `facet_slots` pass, in `decompose`,
-whose table also gives the decomposition's TT relation;
-`Complex.classify` reads one such pass for every flag.  Manifold
-recognition builds no link: in 3-D it is the twice-chi count of vertex
-links (`twice_chi_misses`) that `nonmanifold.pinch_suspects` runs too,
-which `oracle.oracle_is_manifold` checks by classifying each link.
+the `iqm` flag of `Complex.classify` asks for exactly one class per
+vertex, so all of them read the same rule.  Set-up makes one
+`facet_slots` pass, in `decompose`, whose table also gives the
+decomposition's TT relation; `Complex.classify` reads one such pass for
+every flag.  Manifold recognition builds no link: in 3-D it is the
+twice-chi count of vertex links (`twice_chi_misses`) that
+`nonmanifold.pinch_suspects` runs too, which `oracle.oracle_is_manifold`
+checks by classifying each link.
 """
 
 from __future__ import annotations
@@ -300,7 +301,9 @@ class Complex:
 
     def classify(self) -> ClassifyFlags:
         """Every flag from one `facet_slots` pass: facet orders, connectivity
-        across facets, the corner gluing of `is_iqm` and the boundary slots.
+        across facets, the corner gluing and the boundary slots.  A complex
+        is an IQM when it is regular and gluing its exploded corners across
+        manifold facet pairs leaves exactly one corner class per vertex.
 
         For d <= 3 a combinatorial manifold is regular, has no facet with
         three cofaces and is an IQM, so every vertex link is connected with
@@ -338,16 +341,6 @@ class Complex:
             open_slots = [k for k in slots.values() if type(k) is int]
             manifold = not twice_chi_misses(dense, 0, len(dense), open_slots, len(ids))
         return ClassifyFlags(regular, pseudo, quasi, iqm, manifold)
-
-    def is_iqm(self) -> bool:
-        """Regular, with every vertex star connected across manifold facets.
-
-        That is, gluing the exploded corners across manifold facet pairs
-        leaves exactly one corner class per vertex.
-        """
-        return self.is_regular() and (
-            _class_count(glue_pairs(self, *corner_facets(self))) == self.num_vertices
-        )
 
     def _high_order_facets(self, owner: list[int], slots: dict) -> dict[Simplex, list[int]]:
         d = self.dim

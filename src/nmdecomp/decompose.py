@@ -8,11 +8,9 @@ most-split one that cuts only along non-manifold simplices.  One pass over
 the tops' own facets finds the pairs, and the pair loop runs list-based
 union-finds over the corner ids and over the top indices at once, which
 give the classes and the components, so the work is linear in the size of
-the input, up to sorting.  `Complex.is_iqm` counts the same corner
-classes, so every component is an initial quasi-manifold by construction,
-and `decompose` records that on its result (`DecompositionResult.iqm`):
-the encoding trusts the record and checks only results built any other
-way.
+the input, up to sorting.  `Complex.classify` counts the same corner
+classes for its `iqm` flag, so every component is an initial
+quasi-manifold by construction.
 
 A component is no complex of its own but a run of nabla's tops
 (`Component`): its dimension and its ascending top ids, as the winged
@@ -20,13 +18,14 @@ tables store it.  The union-find classes come out as top indices, and
 each class's dimension is its widest row in nabla's offsets, less one, so
 packaging the result copies no rows and no labels.  A component becomes
 a complex, `nabla.subcomplex(comp.top_ids)`, only where it is written
-(`nmdecomp decompose --outdir`) or checked (the IQM gate of
-`winged.Ewds.build`).
+(`nmdecomp decompose --outdir`).
 
 The same facet pass gives the TT relation of the decomposition
 (`DecompositionResult.tt`, see `facet_neighbours`): its facets are the
 source's facets with their cofaces grouped by the copies they hold, so
-`winged.Ewds.build` only repacks it.
+`winged.Ewds.build` only repacks it.  Only `decompose` sets it, and the
+encoders take only results that carry it: one made by `from_parts`, as
+`oracle.oracle_decompose` and the gluing lab make theirs, has none.
 
 Per source vertex, copies are ordered by link dimension, then smallest
 star top.  The first keeps the original id, so sigma is the identity on
@@ -69,27 +68,25 @@ class DecompositionResult:
     nabla: Complex
     components: list[Component]
     sigma: dict[int, int]          # copy id -> original id, total
+    cc: list[int] = field(default_factory=list)  # components per dimension
     # nabla's TT relation, one entry per flat corner of nabla in
     # `corner_layout` order (see `facet_neighbours`), which
-    # `winged.Ewds.build` repacks into TTP
-    tt: array = field(compare=False, repr=False)
-    cc: list[int] = field(default_factory=list)  # components per dimension
-    # set by decompose alone: its components are IQMs by construction, so
-    # `winged.Ewds.build`, the one IQM gate, checks only results without it.
-    # No constructor or `dataclasses.replace` can set it, and a replace of
-    # a decompose result starts over at False.
-    iqm: bool = field(default=False, init=False, compare=False)
+    # `winged.Ewds.build` repacks into TTP.  Set by decompose alone, whose
+    # components are IQMs by construction, so it is also the mark that
+    # `Ewds.build` asks for.  No constructor or `dataclasses.replace` can
+    # set it, and a replace of a decompose result starts over at None.
+    tt: array | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_parts(
         cls, source: Complex, nabla: Complex, sigma: dict[int, int]
     ) -> "DecompositionResult":
-        """Package a decomposition, deriving its components, cc and TT.
+        """Package a decomposition, deriving its components and cc.
 
         Components are the 0-connected classes of nabla
         (`Complex.h_connected_components(0)`), taken to top indices and
-        packaged by `_assemble`, as `decompose` packages its own, and TT
-        comes from nabla's own facet pass.  Raises
+        packaged by `_assemble`, as `decompose` packages its own.  The
+        result has no TT relation, so no encoder takes it.  Raises
         InvalidComplex, as `decompose` does, on an empty source, and unless
         sigma is a dict defined on exactly nabla's vertices and maps each
         nabla row, slot by slot, onto the source row of the same top id.
@@ -107,9 +104,8 @@ class DecompositionResult:
             raise InvalidComplex("sigma names a vertex that nabla does not hold")
         if [nabla.top_ids, start, image] != [source.top_ids, *corner_layout(source)[::-1]]:
             raise InvalidComplex("sigma does not map nabla's rows onto the source's, top by top")
-        tt = facet_neighbours(*corner_facets(nabla))
         groups = [list(map(nabla.position, g)) for g in nabla.h_connected_components(0)]
-        return _assemble(source, nabla, sigma, groups, tt)
+        return _assemble(source, nabla, sigma, groups)
 
     # -- sigma views -------------------------------------------------------
 
@@ -150,7 +146,6 @@ def _assemble(
     nabla: Complex,
     sigma: dict[int, int],
     groups: list[list[int]],
-    tt: array,
 ) -> DecompositionResult:
     """The result whose components are the given classes of nabla's tops,
     each a list of ascending indices into nabla's top_ids: one `Component`
@@ -169,7 +164,7 @@ def _assemble(
     cc = [0] * (nabla.dim + 1)
     for comp in components:
         cc[comp.dim] += 1
-    return DecompositionResult(source, nabla, components, dict(sigma), tt, cc)
+    return DecompositionResult(source, nabla, components, dict(sigma), cc)
 
 
 def facet_neighbours(
@@ -185,10 +180,9 @@ def facet_neighbours(
     BOTTOM on the boundary, or DIAMOND.  A decomposition's facets are the
     rows' facets with their cofaces grouped by the vertices of the facet:
     a group of one is BOTTOM, of two a pair, and of three or more DIAMOND.
-    The two cofaces of a facet of a widest row share it in both callers'
-    decompositions, since `decompose` glues that canonical pair and
-    `from_parts` passes nabla's own rows, so they pair with no per-vertex
-    work.
+    The two cofaces of a facet of a widest row share it in the
+    decomposition, since `decompose` glues that canonical pair, so they
+    pair with no per-vertex work.
     """
     widest = max(map(sub, start[1:], start), default=0)
     tt = array("i", bytes(4 * len(vertex)))
@@ -297,6 +291,6 @@ def decompose(c: Complex) -> DecompositionResult:
         raise InvalidComplex("cannot decompose an empty complex")
     root, tops, tt = _standard_gluing(c)
     nabla, sigma = _number_classes(c, root)
-    dec = _assemble(c, nabla, sigma, classes(tops, range(len(tops))), tt)
-    object.__setattr__(dec, "iqm", True)  # the record, past the frozen dataclass
+    dec = _assemble(c, nabla, sigma, classes(tops, range(len(tops))))
+    object.__setattr__(dec, "tt", tt)  # the mark, past the frozen dataclass
     return dec

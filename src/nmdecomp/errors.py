@@ -72,8 +72,8 @@ class NotInTrie(TopologyError):
 
 
 class NotIqm(TopologyError):
-    """`Ewds.build` packs only decompositions whose components are initial
-    quasi-manifolds."""
+    """`Ewds.build` packs only the results of `decompose`, whose components
+    are IQMs by construction."""
 
 
 class BadRenumbering(TopologyError):

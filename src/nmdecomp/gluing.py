@@ -147,7 +147,10 @@ class ScriptOutcome:
 
 
 def parse_glue_script(text: str) -> list[tuple[int, list[str]]]:
-    """Split a script into (line number, token list) instructions."""
+    """Split a script into (line number, token list) instructions.  Text
+    that is no str raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f".glue text is a str, not a {type(text).__name__}")
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -7,12 +7,13 @@ dimension sit in one contiguous block, dimensions ascending and components
 in decomposition order within a block, each one run, which starts at its
 `Ewds.comp_first`; vertex ids are repacked to 1..NV ascending.  Rows keep
 the input vertex order of the decomposition, which the addressing below
-relies on.  `Ewds.build` packs only initial quasi-manifold (IQM)
-components, and everything after it relies on that.  It is also the last
-code that reads a decomposition: its maps from packed to decomposition
-ids live only while it runs, `Ewds.sigma_n` keeps the copy map, packed
-vertex -> source vertex, and the non-manifold layer and the encoder read
-the tables and sigma_n alone.
+relies on.  `Ewds.build` packs only the results of `decompose`, whose
+components are initial quasi-manifolds (IQMs) by construction, and
+everything after it relies on that.  It is also the last code that reads
+a decomposition: its maps from packed to decomposition ids live only
+while it runs, `Ewds.sigma_n` keeps the copy map, packed vertex -> source
+vertex, and the non-manifold layer and the encoder read the tables and
+sigma_n alone.
 
 TTP slot k of a top holds its neighbour across the facet opposite vertex
 slot k: 0 means the facet is on the boundary, -1 that it has three or more
@@ -68,20 +69,16 @@ class Ewds:
 
     @classmethod
     def build(cls, dec: DecompositionResult) -> "Ewds":
-        """Pack dec, the one gate of the IQM precondition: a result that
-        `decompose` did not build (not `dec.iqm`) raises NotIqm at its
-        first component whose `nabla.subcomplex` fails `Complex.is_iqm`,
-        the only place a component is built as a complex to be checked.
-        Each component, being regular, is then one run of its dimension's
+        """Pack dec, a result of `decompose`: anything without the TT
+        relation that only `decompose` sets raises NotIqm, unchecked.
+        Each component, being regular, is one run of its dimension's
         block, in the order of dec.components, TVP and TTP are read off
         nabla's store and dec.tt, and sigma_n off dec.sigma.  The result
         keeps no reference to dec."""
+        tt = getattr(dec, "tt", None)
+        if tt is None:
+            raise NotIqm("Ewds.build packs only the results of decompose")
         nabla = dec.nabla
-        if not dec.iqm:
-            for comp in dec.components:
-                if not nabla.subcomplex(comp.top_ids).is_iqm():
-                    top = comp.top_ids[0]
-                    raise NotIqm(f"the component of top {top} is not an initial quasi-manifold")
         d = nabla.dim
 
         blocks: list[list[int]] = [[] for _ in range(d + 1)]
@@ -114,7 +111,6 @@ class Ewds:
         new_of = list(map(top_new.__getitem__, nabla.top_ids))
         top_at = list(range(nt + 1))
         packed = [BOTTOM, *map(top_at.__getitem__, new_of), DIAMOND]
-        tt = dec.tt
         tvp, ttp = [0], [0]
         for i in sorted(range(len(new_of)), key=new_of.__getitem__):  # in packed order
             s, e = start[i], start[i + 1]

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from nmdecomp import complexes
 from nmdecomp.complexes import Complex, facet_slots, format_tv, parse_tv
 from nmdecomp.decompose import DecompositionResult, decompose
-from nmdecomp.errors import NotIqm, ParseError, UnknownTop
+from nmdecomp.errors import ParseError, UnknownTop
 from nmdecomp.fixtures import load_tv
 from nmdecomp.meshes import kuhn_cube
 from nmdecomp.nonmanifold import build_nm_layer
 from nmdecomp.oracle import oracle_walk, random_complex
 from nmdecomp.winged import BOTTOM, DIAMOND, Ewds, parse_dump
-from helpers import by_copy, component_complexes, packed, packed_ids
+from helpers import by_copy, packed, packed_ids
 
 
 # -- reference: TTP and VTSTAR from a facet pass per packed block ------------
@@ -329,18 +329,10 @@ def _half(c: Complex, seed: int) -> Complex:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
 def test_tt_matches_reference(seed, d):
-    # decompose's TT comes from the source's facet table, from_parts' from
-    # nabla's own; a hand-built result is packed only when its components
-    # are IQM, and any other raises NotIqm
+    # decompose's TT comes from the source's facet table
     c = random_complex(seed=seed, max_tops=30, d=d)
     for x in (c, _half(c, seed)):
         assert_tt_matches_reference(decompose(x))
-        fake = DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
-        if all(k.is_iqm() for k in component_complexes(fake)):
-            assert_tt_matches_reference(fake)
-        else:
-            with pytest.raises(NotIqm):
-                Ewds.build(fake)
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,9 +357,7 @@ def test_tt_matches_reference_on_split_facets(name, request):
     if name == "perforated_cube":
         c = c(0)
     for x in (c, _half(c, 1), _half(c, 2)):
-        dec = decompose(x)
-        assert_tt_matches_reference(dec)
-        assert_tt_matches_reference(DecompositionResult.from_parts(x, dec.nabla, dec.sigma))
+        assert_tt_matches_reference(decompose(x))
 
 
 @pytest.mark.slow

@@ -153,6 +153,14 @@ def test_script_parse_errors(claw):
     assert parse_glue_script("# hi\n\nexplode\n") == [(3, ["explode"])]
 
 
+@pytest.mark.parametrize("text", [b"veq 1 2 3", None, 7, ["explode\n"]])
+def test_script_text_that_is_no_str_is_rejected(claw, text):
+    with pytest.raises(ParseError, match=f"not a {type(text).__name__}$"):
+        parse_glue_script(text)
+    with pytest.raises(ParseError, match=f"not a {type(text).__name__}$"):
+        run_glue_script(claw, text)
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -10,7 +10,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmdecomp.complexes import Complex, canonical_pairs, parse_tv
+from nmdecomp.complexes import canonical_pairs
 from nmdecomp.decompose import DecompositionResult, decompose
 from nmdecomp.errors import (
     BadRenumbering,
@@ -31,7 +31,7 @@ from nmdecomp.renumber import (
     compute_renumbering,
 )
 from nmdecomp.winged import Ewds
-from helpers import component_complexes, packed, packed_ids
+from helpers import packed, packed_ids
 
 
 # -- reference: the renumbering a vertex and a top at a time ----------------
@@ -292,108 +292,36 @@ def test_ids_that_are_not_ints_are_unknown(imp_mixed, x):
             imp.tv_lookup(*args)
 
 
-def test_requires_iqm(mixed, bouquet):
-    # components are IQM by construction, so this must not raise
-    compute_renumbering(Ewds.build(decompose(mixed)))
-    # a manually assembled non-IQM decomposition is not packed
-    src = parse_tv("simplex 1: 1 2\nsimplex 2: 2 3\nsimplex 3: 2 4\n")
-    fake = DecompositionResult.from_parts(src, src, {v: v for v in src.vertices})
-    with pytest.raises(NotIqm):
-        Ewds.build(fake)
-
-
-def _encoded(ew: Ewds) -> tuple:
-    ren = compute_renumbering(ew)
-    return _fields(ren), apply_renumbering(ew, ren).dump_bytes()
+def test_build_packs_only_decompose_results(mixed):
+    # the TT relation that only decompose sets is the one mark Ewds.build
+    # asks for: whatever lacks it is refused before anything is checked
+    dec = decompose(mixed)
+    state = GluingState(mixed)
+    for pair in sorted(canonical_pairs(mixed), key=sorted):
+        state.pmglue(*sorted(pair))
+    others = [
+        DecompositionResult.from_parts(mixed, dec.nabla, dec.sigma),
+        oracle_decompose(mixed),
+        state.current_decomposition(),
+        dataclasses.replace(dec),
+        None,
+    ]
+    for other in others:
+        with pytest.raises(NotIqm, match="only the results of decompose"):
+            Ewds.build(other)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(dec, tt=dec.tt)
+    assert Ewds.build(dec).dump_bytes() == Ewds.build(decompose(mixed)).dump_bytes()
 
 
 @pytest.mark.parametrize("name", ["mixed", "cones"])
-def test_glued_decomposition_is_checked_then_encoded_as_decompose(name, request, monkeypatch):
-    # gluing every canonical pair back reaches decompose's result, but
-    # without its IQM record, so Ewds.build checks each component first
+def test_glued_decomposition_equals_decompose(name, request):
+    # gluing every canonical pair back reaches decompose's result
     c = request.getfixturevalue(name)
     state = GluingState(c)
     for pair in sorted(canonical_pairs(c), key=sorted):
         state.pmglue(*sorted(pair))
-    got, want = state.current_decomposition(), decompose(c)
-    assert not got.iqm and want.iqm
-    assert got == want
-    checked = []
-    is_iqm = Complex.is_iqm
-
-    def counted(self):
-        checked.append(self)
-        return is_iqm(self)
-
-    monkeypatch.setattr(Complex, "is_iqm", counted)
-    assert _encoded(Ewds.build(got)) == _encoded(Ewds.build(want))
-    assert checked == component_complexes(got)
-
-
-def test_glued_bowtie_is_not_iqm():
-    # two triangles glued at their one shared vertex: a pinch in one component
-    state = GluingState(parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n"))
-    state.veq(1, 2, 3)
-    with pytest.raises(NotIqm, match="top 1 "):
-        Ewds.build(state.current_decomposition())
-
-
-def test_no_caller_can_set_the_iqm_record(monkeypatch):
-    # the two triangles 1 2 3 / 3 4 5 share vertex 3: decompose splits it,
-    # and the identity decomposition is a pinch in one component, whose S01
-    # at 3 would answer 2 of the 4 edges if it were packed
-    src = parse_tv("simplex 1: 1 2 3\nsimplex 2: 3 4 5\n")
-    fake = DecompositionResult.from_parts(src, src, {v: v for v in src.vertices})
-    with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(fake, iqm=True)
-    with pytest.raises(TypeError):
-        DecompositionResult(src, src, fake.components, fake.sigma, fake.tt, fake.cc, True)
-    with pytest.raises(NotIqm):
-        Ewds.build(fake)
-    # a replace of a decompose result starts without the record, so
-    # Ewds.build checks it: another nabla is refused, the same one checked
-    dec = decompose(src)
-    moved = dataclasses.replace(
-        dec, nabla=fake.nabla, components=fake.components, sigma=fake.sigma, tt=fake.tt
-    )
-    assert dec.iqm and not moved.iqm
-    with pytest.raises(NotIqm):
-        Ewds.build(moved)
-    checked = []
-    is_iqm = Complex.is_iqm
-
-    def counted(self):
-        checked.append(self)
-        return is_iqm(self)
-
-    monkeypatch.setattr(Complex, "is_iqm", counted)
-    same = dataclasses.replace(dec)
-    assert not same.iqm
-    assert Ewds.build(same).dump_bytes() == Ewds.build(dec).dump_bytes()
-    assert checked == component_complexes(same)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
-def test_only_decompose_records_iqm(seed, d):
-    c = random_complex(seed=seed, max_tops=12, d=d)
-    dec = decompose(c)
-    assert dec.iqm
-    assert not oracle_decompose(c).iqm
-    assert not DecompositionResult.from_parts(c, dec.nabla, dec.sigma).iqm
-
-
-def test_encoding_trusts_decompose(monkeypatch, mixed, cones, perforated_cube, perforated_grid):
-    # decompose's results carry their IQM proof: with the check broken,
-    # every packing and encoding comes out as before
-    complexes = [mixed, cones, perforated_cube(0), perforated_grid(3, 4, 0)]
-    want = [_encoded(Ewds.build(decompose(c))) for c in complexes]
-
-    def no_check(self):
-        raise AssertionError("checked a component that decompose built")
-
-    monkeypatch.setattr(Complex, "is_iqm", no_check)
-    assert [_encoded(Ewds.build(decompose(c))) for c in complexes] == want
+    assert state.current_decomposition() == decompose(c)
 
 
 def test_implicit_dump(imp_mixed):

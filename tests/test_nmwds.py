@@ -180,7 +180,7 @@ def test_pinched_simplices_are_splitmap_keys(name, pinches, request):
     # pass still finds each pinched simplex and both of its patches
     src = request.getfixturevalue(name)
     dec = decompose(src)
-    assert dec.ns == 0 and src.is_iqm()
+    assert dec.ns == 0 and src.classify().iqm
     nm = build_nm_layer(Ewds.build(dec))
     assert nm.v_nra == []
     assert sorted(nm.splitmap) == pinches

@@ -167,9 +167,9 @@ def test_snm_global_validates_no_copy():
     assert "lookup" in called  # the face table is still asked through its one interface
 
 
-def test_components_are_built_as_complexes_only_to_be_written_or_checked():
-    # a component is a run of nabla's tops; only the writer of --outdir and
-    # the IQM gate of Ewds.build make one a complex of its own
+def test_components_are_built_as_complexes_only_to_be_written():
+    # a component is a run of nabla's tops; only the writer of --outdir
+    # makes one a complex of its own, and no IQM check of one is left
     src = Path(nmdecomp.__file__).parent
     callers = []
 
@@ -183,12 +183,14 @@ def test_components_are_built_as_complexes_only_to_be_written_or_checked():
                 callers.append(f"{where}:{child.lineno}:{scope}")
             visit(child, where, inner)
 
+    named = []
     for path in sorted(src.rglob("*.py")):
-        visit(ast.parse(path.read_text()), path.name, "")
-    assert [c.split(":")[::2] for c in callers] == [
-        ["cli.py", "cmd_decompose"],
-        ["winged.py", "Ewds.build"],
-    ], callers
+        text = path.read_text()
+        visit(ast.parse(text), path.name, "")
+        if "is_iqm" in text:
+            named.append(path.name)
+    assert [c.split(":")[::2] for c in callers] == [["cli.py", "cmd_decompose"]], callers
+    assert named == []
 
 
 def test_only_queries_walk():

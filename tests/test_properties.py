@@ -18,7 +18,7 @@ from nmdecomp.complexes import (
     twice_chi_misses,
 )
 from nmdecomp.decompose import DecompositionResult, decompose
-from nmdecomp.errors import InvalidComplex, NotInTrie, NotIqm, TopologyError
+from nmdecomp.errors import InvalidComplex, NotInTrie, TopologyError
 from nmdecomp.fixtures import load_text, load_tv
 from nmdecomp.gluing import GluingState, run_glue_script
 from nmdecomp.nonmanifold import (
@@ -52,7 +52,6 @@ from helpers import (
     reference_facet_slots,
     reference_twice_chi_misses,
 )
-from test_implicit import assert_matches_reference
 
 seeds = st.integers(min_value=0, max_value=10_000)
 dims = st.integers(min_value=1, max_value=4)
@@ -63,39 +62,9 @@ def draw(seed, d=3, max_tops=12):
 
 
 def oracle_iqm(k):
-    """The reference for `Complex.is_iqm`: regular, and left whole by the
-    recursive splitter."""
+    """The reference for the `iqm` flag of `Complex.classify`: regular, and
+    left whole by the recursive splitter."""
     return k.is_regular() and oracle_decompose(k).is_identity()
-
-
-def lab_decomposition(c, rng, veqs=0, glued=0.5):
-    """A gluing-lab decomposition of c: the share glued of its canonical
-    pairs, drawn at random, glued with pmglue, then veqs random veq
-    instructions on tops that share a vertex."""
-    state = GluingState(c)
-    pairs = sorted(map(sorted, canonical_pairs(c)))
-    for pair in rng.sample(pairs, int(len(pairs) * glued)):
-        state.pmglue(*pair)
-    sharing = [
-        (t1, t2, sorted(set(c.row(t1)) & set(c.row(t2))))
-        for t1, t2 in combinations(c.top_ids, 2)
-        if set(c.row(t1)) & set(c.row(t2))
-    ]
-    for _ in range(veqs if sharing else 0):
-        t1, t2, shared = rng.choice(sharing)
-        state.veq(t1, t2, rng.choice(shared))
-    return state.current_decomposition()
-
-
-def assert_layer_matches_oracle(dec):
-    """Every relation on every face of dec's source, answered by the layer
-    packed from dec, equals `oracle_snm`."""
-    c = dec.source
-    nm = build_nm_layer(Ewds.build(dec))
-    for gamma in sorted(c.all_faces()):
-        n = len(gamma) - 1
-        for m in range(n + 1, c.dim + 1):
-            assert nm.snm_global(gamma, n, m) == oracle_snm(c, gamma, n, m), (gamma, n, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,62 +198,14 @@ def test_decomposition_is_unique_under_relabelling(seed, d, relabel):
 @settings(max_examples=60, deadline=None)
 @given(seeds, dims)
 def test_is_iqm_matches_oracle(seed, d):
-    # is_iqm counts the corner classes that decompose also glues, so check
-    # it against the recursive splitter; random halves make both outcomes
+    # the iqm flag counts the corner classes that decompose also glues, so
+    # check it against the recursive splitter; random halves make both
+    # outcomes
     c = draw(seed, d)
     rng = random.Random(seed)
     half = c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
     for x in (c, half):
-        assert x.is_iqm() == oracle_iqm(x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seeds, dims)
-def test_renumbering_rejects_exactly_non_iqm_components(seed, d):
-    # the encoding checks results that decompose did not build where it
-    # packs them: Ewds.build raises NotIqm exactly when the recursive
-    # splitter finds a component that is not IQM.  Hand-built
-    # decompositions, whose components need not be IQM or regular, make
-    # both outcomes; the packed ones renumber as the reference does, whose
-    # per-vertex facet floods are the independent check of the tables
-    c = draw(seed, d)
-    rng = random.Random(seed)
-    half = c.subcomplex(rng.sample(c.top_ids, max(1, c.num_tops // 2)))
-    for x in (c, half):
-        fake = DecompositionResult.from_parts(x, x, {v: v for v in x.vertices})
-        if all(map(oracle_iqm, component_complexes(fake))):
-            assert_matches_reference(Ewds.build(fake), fake)
-        else:
-            with pytest.raises(NotIqm):
-                Ewds.build(fake)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seeds, dims)
-def test_pm_glued_lab_layers_match_oracle(seed, d):
-    # gluing a random half of the canonical pairs gives IQM components,
-    # which Ewds.build checks and packs; every relation on every face of
-    # the source is answered as the brute-force scan answers it
-    rng = random.Random(seed)
-    dec = lab_decomposition(draw(seed, d), rng)
-    assert not dec.iqm and all(map(oracle_iqm, component_complexes(dec)))
-    assert_layer_matches_oracle(dec)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seeds, dims, st.integers(min_value=1, max_value=3))
-def test_lab_layers_are_packed_exactly_when_iqm(seed, d, veqs):
-    # veq instructions can pinch a component or join tops of several
-    # dimensions: Ewds.build raises NotIqm exactly when the recursive
-    # splitter finds such a component, and every layer it packs answers
-    # as the brute-force scan does
-    rng = random.Random(seed)
-    dec = lab_decomposition(draw(seed, d), rng, veqs)
-    if all(map(oracle_iqm, component_complexes(dec))):
-        assert_layer_matches_oracle(dec)
-    else:
-        with pytest.raises(NotIqm):
-            Ewds.build(dec)
+        assert x.classify().iqm == oracle_iqm(x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -348,42 +269,45 @@ def test_splitmap_matches_oracle(seed, d):
     assert nm.splitmap == oracle_splitmap(nm.ewds)
 
 
+def assert_copy_kinds_match(dec):
+    """`_copy_kinds` of dec's packing, which finds a copy's component by
+    bisecting `Ewds.comp_first`, agrees with the components' own vertex
+    lists.  Returns the kinds."""
+    ew = Ewds.build(dec)
+    _, vertices = packed_ids(dec)
+    copies_of = build_sigma_maps(ew)
+    comps = enumerate(component_complexes(dec))
+    comp_of = {v: ci for ci, comp in comps for v in comp.vertices}
+    want = bytearray(ew.nv + 1)
+    for cs in copies_of.values():
+        comps = [comp_of[vertices[x]] for x in cs]
+        for x, ci in zip(cs, comps):
+            want[x] = SINGLE if len(cs) == 1 else TWIN if comps.count(ci) > 1 else 0
+    kinds = _copy_kinds(ew, copies_of)
+    assert kinds == want
+    return kinds
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, dims)
 def test_copy_kinds_match_the_components_vertices(seed, d):
-    # _copy_kinds finds a copy's component by bisecting Ewds.comp_first, and
-    # agrees with the components' own vertex lists.  A sigma that merges
-    # vertices of c, with c as its own nabla, describes no decomposition of
-    # c, and from_parts rejects it.  A gluing-lab decomposition of c is
-    # packed when IQM and raises NotIqm when not; with three quarters of the
-    # pairs glued, some draws keep two copies of a vertex in one component
+    # a sigma that merges vertices of c, with c as its own nabla, describes
+    # no decomposition of c, and from_parts rejects it
     c = draw(seed, d, max_tops=20)
     rng = random.Random(seed)
     vs = c.vertices
     targets = vs[: max(1, len(vs) // 3)]
     sigma = {v: rng.choice(targets) if rng.random() < 0.4 else v for v in vs}
-    decs = [lab_decomposition(c, rng, veqs=rng.randint(0, 1), glued=0.75)]
     if any(x != v for v, x in sigma.items()):
         with pytest.raises(InvalidComplex):
             DecompositionResult.from_parts(c, c, sigma)
-    else:
-        decs.append(DecompositionResult.from_parts(c, c, sigma))
-    for dec in decs:
-        if not all(k.is_iqm() for k in component_complexes(dec)):
-            with pytest.raises(NotIqm):
-                Ewds.build(dec)
-            continue
-        ew = Ewds.build(dec)
-        _, vertices = packed_ids(dec)
-        copies_of = build_sigma_maps(ew)
-        comps = enumerate(component_complexes(dec))
-        comp_of = {v: ci for ci, comp in comps for v in comp.vertices}
-        want = bytearray(ew.nv + 1)
-        for cs in copies_of.values():
-            comps = [comp_of[vertices[x]] for x in cs]
-            for x, ci in zip(cs, comps):
-                want[x] = SINGLE if len(cs) == 1 else TWIN if comps.count(ci) > 1 else 0
-        assert _copy_kinds(ew, copies_of) == want
+    assert_copy_kinds_match(decompose(c))
+
+
+def test_copy_kinds_on_a_perforated_cube(perforated_cube):
+    # few random draws keep two copies of a vertex in one component; the
+    # perforated cube holds hundreds of such twins
+    assert assert_copy_kinds_match(decompose(perforated_cube(0))).count(TWIN) > 100
 
 
 @settings(max_examples=40, deadline=None)
